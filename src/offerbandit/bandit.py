@@ -271,6 +271,14 @@ def backfit(store: ModelStore, events: Sequence[TrainingEvent], cfg: LearnerConf
     )
 
 
+def finite_weights(values: list) -> list:
+    """A weight list read from a file, returned as is. Raises ValueError or
+    TypeError unless it holds N_FEATURES finite numbers."""
+    if len(values) != N_FEATURES or not all(map(math.isfinite, values)):
+        raise ValueError(f"weights must be {N_FEATURES} finite numbers, got {values!r}")
+    return values
+
+
 def save_checkpoint(path: str | Path, store: ModelStore, cfg: LearnerConfig) -> None:
     """Write the store as JSONL: a header line, then one model per line."""
     header = {
@@ -301,21 +309,38 @@ def save_checkpoint(path: str | Path, store: ModelStore, cfg: LearnerConfig) -> 
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelStore, dict]:
-    """Read a checkpoint written by save_checkpoint."""
+    """Read a checkpoint written by save_checkpoint.
+
+    Raises ConfigError naming the file and line when the feature order
+    version differs, a line is malformed, the prior or a model's weights
+    are not N_FEATURES finite numbers, or the model rows do not match the
+    header's n_models.
+    """
     with Path(path).open(encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        if header.get("feature_order_version") != FEATURE_ORDER_VERSION:
-            raise ValueError(
-                f"checkpoint feature order version {header.get('feature_order_version')} "
-                f"does not match current version {FEATURE_ORDER_VERSION}"
-            )
-        store = ModelStore(np.asarray(header["prior_weights"], dtype=float))
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            model = store.get(obj["member_id"], obj["category_id"])
-            model.weights = np.asarray(obj["weights"], dtype=float)
-            model.update_count = int(obj["update_count"])
+        lineno = 1
+        try:
+            header = json.loads(fh.readline())
+            if header.get("feature_order_version") != FEATURE_ORDER_VERSION:
+                raise ValueError(
+                    f"checkpoint feature order version {header.get('feature_order_version')} "
+                    f"does not match current version {FEATURE_ORDER_VERSION}"
+                )
+            n_models = int(header["n_models"])
+            store = ModelStore(finite_weights(header["prior_weights"]))
+            for lineno, line in enumerate(fh, start=2):
+                line = line.strip()
+                if not line:
+                    continue
+                obj = json.loads(line)
+                key = (obj["member_id"], obj["category_id"])
+                if key in store:
+                    raise ValueError(f"duplicate model {key}")
+                model = store.get(*key)
+                model.weights = np.asarray(finite_weights(obj["weights"]), dtype=float)
+                model.update_count = int(obj["update_count"])
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+            reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+            raise ConfigError(f"checkpoint {path} line {lineno}: {reason}") from None
+    if len(store) != n_models:
+        raise ConfigError(f"checkpoint {path} line 1: n_models is {n_models} but {len(store)} model rows follow")
     return store, header

@@ -135,39 +135,22 @@ class CambPolicy:
         return deltas
 
 
-class LinUCBPolicy:
-    """Shared-parameter LinUCB on offer-level vectors.
+class RidgeStats:
+    """Ridge-regression sufficient statistics over offer-level vectors.
 
-    Keeps A = l2_lambda * I + sum(x x^T) and b = sum(r x); scores are
-    x . theta_hat + alpha_explore * sqrt(x^T A^-1 x).
+    A = l2_lambda * I + sum(x x^T) and b = sum(r x), so theta = A^-1 b is
+    the ridge point estimate. LinUCB and linear Thompson sampling keep
+    exactly these statistics and share this update.
     """
 
-    name = "linucb"
-
-    def __init__(self, alpha_explore: float = 1.0, l2_lambda: float = 1.0, dim: int = N_FEATURES):
-        if alpha_explore < 0:
-            raise ConfigError(f"alpha_explore must be >= 0, got {alpha_explore}")
+    def __init__(self, l2_lambda: float, dim: int):
         if l2_lambda <= 0:
             raise ConfigError(f"l2_lambda must be positive, got {l2_lambda}")
-        self.alpha_explore = alpha_explore
         self.A = l2_lambda * np.eye(dim)
         self.b = np.zeros(dim)
 
     def theta(self) -> np.ndarray:
         return np.linalg.solve(self.A, self.b)
-
-    def score(self, x: np.ndarray) -> float:
-        width = float(x @ np.linalg.solve(self.A, x))
-        return float(x @ self.theta()) + self.alpha_explore * np.sqrt(width)
-
-    def select(self, candidates: Sequence[OfferCandidate], rng: np.random.Generator, t: int) -> Ranking:
-        theta = self.theta()
-        scores = {}
-        for c in candidates:
-            x = c.offer_vector
-            width = float(x @ np.linalg.solve(self.A, x))
-            scores[c.offer_id] = float(x @ theta) + self.alpha_explore * np.sqrt(width)
-        return Ranking(order=_ordered(scores), scores=scores)
 
     def update(self, candidate: OfferCandidate, reward: int) -> list[ModelDelta]:
         x = candidate.offer_vector
@@ -176,12 +159,39 @@ class LinUCBPolicy:
         return []
 
 
-class ThompsonPolicy:
+class LinUCBPolicy(RidgeStats):
+    """Shared-parameter LinUCB on offer-level vectors.
+
+    Scores are x . theta_hat + alpha_explore * sqrt(x^T A^-1 x).
+    """
+
+    name = "linucb"
+
+    def __init__(self, alpha_explore: float = 1.0, l2_lambda: float = 1.0, dim: int = N_FEATURES):
+        if alpha_explore < 0:
+            raise ConfigError(f"alpha_explore must be >= 0, got {alpha_explore}")
+        super().__init__(l2_lambda, dim)
+        self.alpha_explore = alpha_explore
+
+    def score(self, x: np.ndarray) -> float:
+        return self._score(x, self.theta())
+
+    def _score(self, x: np.ndarray, theta: np.ndarray) -> float:
+        width = float(x @ np.linalg.solve(self.A, x))
+        return float(x @ theta) + self.alpha_explore * np.sqrt(width)
+
+    def select(self, candidates: Sequence[OfferCandidate], rng: np.random.Generator, t: int) -> Ranking:
+        theta = self.theta()  # once per round, not per candidate
+        scores = {c.offer_id: self._score(c.offer_vector, theta) for c in candidates}
+        return Ranking(order=_ordered(scores), scores=scores)
+
+
+class ThompsonPolicy(RidgeStats):
     """Gaussian linear Thompson sampling on offer-level vectors.
 
-    Posterior N(mu, v^2 B^-1) with B = l2_lambda * I + sum(x x^T) and
-    mu = B^-1 sum(r x). One weight draw per round ranks all candidates;
-    v=0 degenerates to the deterministic posterior-mean ranking.
+    Posterior N(mu, v^2 A^-1) with mu = theta = A^-1 b. One weight draw
+    per round ranks all candidates; v=0 degenerates to the deterministic
+    posterior-mean ranking.
     """
 
     name = "ts"
@@ -189,33 +199,24 @@ class ThompsonPolicy:
     def __init__(self, v: float = 0.25, l2_lambda: float = 1.0, dim: int = N_FEATURES):
         if v < 0:
             raise ConfigError(f"v must be >= 0, got {v}")
-        if l2_lambda <= 0:
-            raise ConfigError(f"l2_lambda must be positive, got {l2_lambda}")
+        super().__init__(l2_lambda, dim)
         self.v = v
-        self.B = l2_lambda * np.eye(dim)
-        self.f = np.zeros(dim)
 
     def posterior_mean(self) -> np.ndarray:
-        return np.linalg.solve(self.B, self.f)
+        return self.theta()
 
     def select(self, candidates: Sequence[OfferCandidate], rng: np.random.Generator, t: int) -> Ranking:
         mu = self.posterior_mean()
         if self.v == 0:
             theta = mu
         else:
-            # theta = mu + v * L^-T z has covariance v^2 B^-1 for B = L L^T.
-            L = np.linalg.cholesky(self.B)
+            # theta = mu + v * L^-T z has covariance v^2 A^-1 for A = L L^T.
+            L = np.linalg.cholesky(self.A)
             z = rng.standard_normal(len(mu))
             theta = mu + self.v * np.linalg.solve(L.T, z)
         scores = {c.offer_id: float(c.offer_vector @ mu) for c in candidates}
         sampled = {c.offer_id: float(c.offer_vector @ theta) for c in candidates}
         return Ranking(order=_ordered(sampled), scores=scores, sampled=sampled)
-
-    def update(self, candidate: OfferCandidate, reward: int) -> list[ModelDelta]:
-        x = candidate.offer_vector
-        self.B += np.outer(x, x)
-        self.f += reward * x
-        return []
 
 
 class EpsilonGreedyPolicy:

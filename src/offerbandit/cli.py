@@ -14,15 +14,17 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .bandit import TrainingEvent, backfit, load_checkpoint, save_checkpoint
+from .bandit import ModelStore, backfit, load_checkpoint, save_checkpoint
 from .baselines import make_policy
 from .config import RunConfig
 from .data import (
     IngestError,
+    MFScoreTable,
     catalog_orphan_issues,
     ingest_impressions,
     ingest_mf_scores,
@@ -31,10 +33,10 @@ from .data import (
     write_validation_report,
 )
 from .errors import ConfigError
-from .features import MemberStatsIndex, RunningScaler, build_context, build_seasonality_profile
 from .harness import (
     ReplayDataset,
     SyntheticWorld,
+    backfit_events,
     build_manifest,
     config_hash,
     files_fingerprint,
@@ -114,8 +116,6 @@ def _load_dataset(cfg: RunConfig) -> tuple[ReplayDataset, dict[str, list[tuple[i
         table, mf_issues = ingest_mf_scores(cfg.data.mf_scores, cfg.data.mf_default_score)
         issues["mf_scores"] = mf_issues
     else:
-        from .data import MFScoreTable
-
         table = MFScoreTable(default_score=cfg.data.mf_default_score)
     issues["impression_orphans"] = catalog_orphan_issues(imps.records, offers.records)
     return ReplayDataset(tx.records, offers.records, imps.records, table), issues
@@ -169,58 +169,17 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _backfit_events(cfg: RunConfig, dataset: ReplayDataset) -> tuple[list[TrainingEvent], dict[str, int]]:
-    """Training events from logged impressions: one per shown offer per
-    category, in impression order, contexts normalized by a fresh scaler."""
-    stats = MemberStatsIndex(dataset.transactions, cfg.features.default_cycle_days)
-    profile = build_seasonality_profile(dataset.transactions, cfg.features.smoothing_window)
-    catalog = dataset.catalog()
-    scaler = RunningScaler()
-    events: list[TrainingEvent] = []
-    skipped = 0
-    for idx, imp in enumerate(dataset.impressions):
-        day = imp.timestamp.date()
-        raw: list[tuple[str, str, np.ndarray, int]] = []
-        for oid in imp.offers_shown:
-            offer = catalog.get(oid)
-            if offer is None or not offer.active_on(day):
-                skipped += 1
-                continue
-            y = 1 if oid in imp.clipped else 0
-            for c in sorted(offer.category_ids):
-                x = build_context(
-                    imp.member_id, offer, c, day, stats.stats(imp.member_id, c, day),
-                    profile, dataset.mf_table, cfg.features.cold_start_mpg,
-                ).values
-                raw.append((imp.member_id, c, x, y))
-        for _, _, x, _ in raw:
-            scaler.update(x)
-        for member, c, x, y in raw:
-            events.append(TrainingEvent(t=idx, member_id=member, category_id=c, x=scaler.transform(x), y=y))
-    return events, {"shown_offers_not_featurized": skipped}
-
-
 def cmd_backfit(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     dataset, issues = _load_dataset(cfg)
-    events, event_skips = _backfit_events(cfg, dataset)
-    from .bandit import ModelStore
-
+    events, event_skips = backfit_events(dataset, **asdict(cfg.features))
     learner = cfg.learner_config()
     store = ModelStore.from_config(learner)
     report = backfit(store, events, learner)
     with OutputWriter(cfg.run.out_dir) as out:
         save_checkpoint(out.register("checkpoint.jsonl"), store, learner)
-        report_payload = {
-            "n_events": report.n_events,
-            "n_updates": report.n_updates,
-            "holdout_size": report.holdout_size,
-            "holdout_log_loss": report.holdout_log_loss,
-            "prior_log_loss": report.prior_log_loss,
-            "empty": report.empty,
-        }
         Path(out.register("backfit_report.json")).write_text(
-            json.dumps(report_payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+            json.dumps(asdict(report), sort_keys=True, indent=2) + "\n", encoding="utf-8"
         )
         tallies = _skip_tallies(issues) | event_skips
         manifest = build_manifest(
@@ -256,15 +215,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     if cfg.run.backfit_checkpoint:
         store, _ = load_checkpoint(cfg.run.backfit_checkpoint)
     policy = _build_policy(cfg, store=store)
-    result = run_replay(
-        dataset,
-        policy,
-        cfg.run.seed,
-        cold_start_mpg=cfg.features.cold_start_mpg,
-        default_cycle_days=cfg.features.default_cycle_days,
-        smoothing_window=cfg.features.smoothing_window,
-        thin_every=cfg.run.snapshot_every,
-    )
+    result = run_replay(dataset, policy, cfg.run.seed, thin_every=cfg.run.snapshot_every, **asdict(cfg.features))
     with OutputWriter(cfg.run.out_dir) as out:
         _write_run_outputs(
             out, result, cfg, files_fingerprint(_data_paths(cfg)), "replay", _skip_tallies(issues)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from pathlib import Path
@@ -156,7 +157,7 @@ def ingest_offers(path: str | Path) -> IngestResult:
                 continue
             try:
                 offer = _parse_offer(json.loads(line))
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, OverflowError) as exc:
                 issues.append((idx, f"bad offer record: {exc}"))
                 continue
             if offer.offer_id in seen:
@@ -176,8 +177,8 @@ def _parse_offer(obj: dict) -> Offer:
     if start > end:
         raise ValueError(f"start_date {start} after end_date {end}")
     value = float(obj["discount_value"])
-    if value < 0:
-        raise ValueError(f"discount_value must be >= 0, got {value}")
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"discount_value must be finite and >= 0, got {value}")
     num_items = int(obj["num_items"])
     if num_items < 1:
         raise ValueError(f"num_items must be positive, got {num_items}")
@@ -195,8 +196,8 @@ def _parse_offer(obj: dict) -> Offer:
 def ingest_impressions(path: str | Path) -> IngestResult:
     """Read the impression JSONL, sorted by timestamp ascending (stable).
 
-    Records whose clipped set is not a subset of offers_shown are rejected
-    and tallied.
+    Records whose clipped set is not a subset of offers_shown, or that show
+    an offer more than once, are rejected and tallied.
     """
     records: list[Impression] = []
     issues: list[tuple[int, str]] = []
@@ -217,6 +218,9 @@ def _parse_impression(obj: dict) -> Impression:
     shown = tuple(str(o) for o in obj["offers_shown"])
     if not shown:
         raise ValueError("offers_shown must be non-empty")
+    if len(set(shown)) != len(shown):
+        duplicates = sorted({o for o in shown if shown.count(o) > 1})
+        raise ValueError(f"offers {duplicates} shown more than once")
     clipped = frozenset(str(o) for o in obj.get("clipped", []))
     if not clipped.issubset(shown):
         raise ValueError(f"clipped offers {sorted(clipped - set(shown))} not shown")
@@ -231,7 +235,8 @@ def _parse_impression(obj: dict) -> Impression:
 def ingest_mf_scores(path: str | Path, default_score: float = 0.0) -> tuple[MFScoreTable, list[tuple[int, str]]]:
     """Read the (member_id, offer_id, score) CSV into an MFScoreTable.
 
-    Later rows overwrite earlier duplicates.
+    Later rows overwrite earlier duplicates. Rows whose score is not a
+    finite number are tallied.
     """
     table = MFScoreTable(default_score=default_score)
     issues: list[tuple[int, str]] = []
@@ -246,9 +251,13 @@ def ingest_mf_scores(path: str | Path, default_score: float = 0.0) -> tuple[MFSc
                 continue
             member, offer, score = (f.strip() for f in row)
             try:
-                table.entries[(member, offer)] = float(score)
+                value = float(score)
+                if not math.isfinite(value):
+                    raise ValueError
             except ValueError:
                 issues.append((idx, f"bad score {score!r}"))
+                continue
+            table.entries[(member, offer)] = value
     return table, issues
 
 

@@ -198,6 +198,50 @@ def build_context(
     return ContextVector(values)
 
 
+# One round's contexts, {offer_id: {category_id: vector}}, with each offer's
+# categories in sorted order.
+RoundContexts = dict[str, dict[str, np.ndarray]]
+
+
+def featurize(
+    member_id: str,
+    day: date,
+    offers: Iterable[Offer],
+    stats: MemberStatsIndex,
+    profile: SeasonalityProfile,
+    mf_table: MFScoreTable,
+    cold_start_mpg: float = 1.0,
+) -> RoundContexts:
+    """Raw contexts of one round, offers in the order given."""
+    return {
+        offer.offer_id: {
+            c: build_context(
+                member_id, offer, c, day, stats.stats(member_id, c, day), profile, mf_table, cold_start_mpg
+            ).values
+            for c in sorted(offer.category_ids)
+        }
+        for offer in offers
+    }
+
+
+def scale_round(raw: RoundContexts, scaler: RunningScaler) -> RoundContexts:
+    """Normalize one round's raw contexts through the shared online scaler.
+
+    The scaler first takes every context of the round, then transforms
+    them all, so the whole round is scaled by moments that include it.
+    Welford updates do not commute in floating point, so the update order
+    is part of the byte-identical output contract. It is the order of
+    `raw`: offers as given (replay: sorted offer id; simulation: generation
+    order; backfit: the impression's offers_shown order), and within each
+    offer its categories, which featurize and the synthetic world both
+    emit sorted.
+    """
+    for contexts in raw.values():
+        for x in contexts.values():
+            scaler.update(x)
+    return {oid: {c: scaler.transform(x) for c, x in contexts.items()} for oid, contexts in raw.items()}
+
+
 class RunningScaler:
     """Welford z-score normalizer over context vectors.
 

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .baselines import OfferCandidate, Policy, Ranking
-from .bandit import LearnerConfig, aggregate_offer, renormalize_shares, sigmoid
+from .bandit import LearnerConfig, TrainingEvent, aggregate_offer, renormalize_shares, sigmoid
 from .data import Impression, MFScoreTable, Offer, Transaction
 from .errors import ConfigError
 from .features import (
@@ -32,8 +32,9 @@ from .features import (
     MemberStatsIndex,
     N_FEATURES,
     RunningScaler,
-    build_context,
     build_seasonality_profile,
+    featurize,
+    scale_round,
 )
 from .interpret import TrajectoryStore
 
@@ -128,6 +129,7 @@ class SyntheticWorld:
         for i in range(cfg.offers_per_round):
             n_cats = int(rng.integers(1, cfg.max_categories_per_offer + 1))
             picks = rng.choice(cfg.n_categories, size=n_cats, replace=False)
+            # Sorted: scale_round feeds the scaler in category order.
             cats = sorted(self.categories[j] for j in picks)
             recency = rng.uniform(0.0, 1.0)
             duration = rng.uniform(3.0, 30.0)
@@ -228,26 +230,39 @@ class RunResult:
     skip_tallies: dict[str, int] = field(default_factory=dict)
 
 
-def compute_metrics(records: Sequence[RoundRecord]) -> MetricsSummary:
-    """Recompute the metric set from round logs.
-
-    cumulative_reward always equals the count of y=1 entries. The running
-    per-round reward averages only rounds that produced a reward.
-    """
-    if not records:
-        raise ValueError("compute_metrics needs at least one round")
+def running_metrics(records: Sequence[RoundRecord]) -> list[tuple]:
+    """Per-round (round, cum_reward, avg_reward, regret, optimal_rate), the
+    one pass behind both the summary and metrics.csv. avg_reward averages
+    only rounds that produced a reward and is None before the first; the
+    oracle columns are None on rounds without oracle fields."""
+    rows: list[tuple] = []
     cumulative = 0
     rewarded = 0
-    running: list[float] = []
-    for r in records:
+    regret = 0.0
+    optimal = 0
+    for i, r in enumerate(records, start=1):
         if r.y is not None:
             cumulative += r.y
             rewarded += 1
-            running.append(cumulative / rewarded)
-    has_oracle = all(r.oracle_p is not None and r.chosen_true_p is not None for r in records)
+        avg = cumulative / rewarded if rewarded else None
+        if r.oracle_p is not None and r.chosen_true_p is not None:
+            regret += r.oracle_p - r.chosen_true_p
+            optimal += 1 if r.chosen == r.oracle_best else 0
+            rows.append((i, cumulative, avg, regret, optimal / i))
+        else:
+            rows.append((i, cumulative, avg, None, None))
+    return rows
+
+
+def compute_metrics(records: Sequence[RoundRecord]) -> MetricsSummary:
+    """Recompute the metric set from round logs; cumulative_reward always
+    equals the count of y=1 entries."""
+    if not records:
+        raise ValueError("compute_metrics needs at least one round")
+    rows = running_metrics(records)
+    _, cumulative, _, regret, optimal = rows[-1]
+    has_oracle = all(row[3] is not None for row in rows)
     if has_oracle:
-        regret = float(sum(r.oracle_p - r.chosen_true_p for r in records))
-        optimal = sum(1 for r in records if r.chosen == r.oracle_best) / len(records)
         matched = None
         estimator = "synthetic-oracle"
     else:
@@ -260,14 +275,23 @@ def compute_metrics(records: Sequence[RoundRecord]) -> MetricsSummary:
         cumulative_reward=cumulative,
         regret=regret,
         optimal_action_rate=optimal,
-        per_round_reward=running,
+        per_round_reward=[row[2] for row, r in zip(rows, records) if r.y is not None],
         matched_rounds=matched,
         estimator=estimator,
     )
 
 
-def _empty_summary(estimator: str) -> MetricsSummary:
-    return MetricsSummary(0, 0, None, None, [], 0 if estimator.startswith("replay") else None, estimator)
+def make_candidate(offer_id: str, member_id: str, vectors: dict[str, np.ndarray],
+                   purchase_shares: Mapping[str, float], mf_score: float,
+                   true_p: float | None = None) -> OfferCandidate:
+    """One offer's candidate from its normalized category contexts: the
+    member's purchase shares renormalized over the offer's categories, and
+    the share-weighted offer-level vector."""
+    shares = renormalize_shares(sorted(vectors), purchase_shares)
+    offer_vector = np.zeros(N_FEATURES)
+    for c, x in vectors.items():
+        offer_vector += shares[c] * x
+    return OfferCandidate(offer_id, member_id, vectors, shares, mf_score, offer_vector, true_p)
 
 
 def run_synthetic(
@@ -292,27 +316,11 @@ def run_synthetic(
     update_ordinal = 0
     for t in range(1, rounds + 1):
         member, raws = world.generate_round(t, rng)
-        for rc in raws:
-            for c in sorted(rc.category_raw):
-                scaler.update(rc.category_raw[c])
-        candidates = []
-        for rc in raws:
-            vectors = {c: scaler.transform(x) for c, x in sorted(rc.category_raw.items())}
-            shares = renormalize_shares(sorted(vectors), {})
-            offer_vector = np.zeros(N_FEATURES)
-            for c, x in vectors.items():
-                offer_vector += shares[c] * x
-            candidates.append(
-                OfferCandidate(
-                    offer_id=rc.offer_id,
-                    member_id=member,
-                    category_vectors=vectors,
-                    shares=shares,
-                    mf_score=rc.mf_score,
-                    offer_vector=offer_vector,
-                    true_p=rc.true_p,
-                )
-            )
+        scaled = scale_round({rc.offer_id: rc.category_raw for rc in raws}, scaler)
+        candidates = [
+            make_candidate(rc.offer_id, member, scaled[rc.offer_id], {}, rc.mf_score, rc.true_p)
+            for rc in raws
+        ]
         by_id = {c.offer_id: c for c in candidates}
         ranking = policy.select(candidates, rng, t)
         chosen = by_id[ranking.top]
@@ -396,36 +404,13 @@ def run_replay(
             continue
         t += 1
         member = imp.member_id
-        shares_map = stats.purchase_share(member)
-        raw_by_offer: dict[str, dict[str, np.ndarray]] = {}
-        for offer in active:
-            raw_by_offer[offer.offer_id] = {
-                c: build_context(
-                    member, offer, c, day, stats.stats(member, c, day), profile,
-                    dataset.mf_table, cold_start_mpg,
-                ).values
-                for c in sorted(offer.category_ids)
-            }
-        for oid in sorted(raw_by_offer):
-            for c in sorted(raw_by_offer[oid]):
-                scaler.update(raw_by_offer[oid][c])
-        candidates = []
-        for offer in active:
-            vectors = {c: scaler.transform(x) for c, x in raw_by_offer[offer.offer_id].items()}
-            shares = renormalize_shares(sorted(vectors), shares_map)
-            offer_vector = np.zeros(N_FEATURES)
-            for c, x in vectors.items():
-                offer_vector += shares[c] * x
-            candidates.append(
-                OfferCandidate(
-                    offer_id=offer.offer_id,
-                    member_id=member,
-                    category_vectors=vectors,
-                    shares=shares,
-                    mf_score=dataset.mf_table.score(member, offer.offer_id),
-                    offer_vector=offer_vector,
-                )
-            )
+        shares = stats.purchase_share(member)
+        # `active` is in sorted offer-id order, the replay scaling order.
+        raw = featurize(member, day, active, stats, profile, dataset.mf_table, cold_start_mpg)
+        candidates = [
+            make_candidate(oid, member, vectors, shares, dataset.mf_table.score(member, oid))
+            for oid, vectors in scale_round(raw, scaler).items()
+        ]
         by_id = {c.offer_id: c for c in candidates}
         ranking = policy.select(candidates, rng, t)
         top = ranking.top
@@ -451,8 +436,39 @@ def run_replay(
             )
         )
     estimator = "replay-match (biased: rewards observed only on matched rounds)"
-    summary = compute_metrics(records) if records else _empty_summary(estimator)
+    summary = compute_metrics(records) if records else MetricsSummary(0, 0, None, None, [], 0, estimator)
     return RunResult(records, summary, trajectories, skip)
+
+
+def backfit_events(
+    dataset: ReplayDataset,
+    *,
+    cold_start_mpg: float = 1.0,
+    default_cycle_days: float = 30.0,
+    smoothing_window: int = 3,
+) -> tuple[list[TrainingEvent], dict[str, int]]:
+    """Training events from logged impressions: one per shown offer per
+    category, in impression order, contexts normalized by a fresh scaler.
+
+    Shown offers missing from the catalog or inactive on the impression
+    date are skipped and tallied.
+    """
+    stats = MemberStatsIndex(dataset.transactions, default_cycle_days)
+    profile = build_seasonality_profile(dataset.transactions, smoothing_window)
+    catalog = dataset.catalog()
+    scaler = RunningScaler()
+    events: list[TrainingEvent] = []
+    skipped = 0
+    for idx, imp in enumerate(dataset.impressions):
+        day = imp.timestamp.date()
+        shown = [catalog.get(oid) for oid in imp.offers_shown]
+        featurized = [o for o in shown if o is not None and o.active_on(day)]
+        skipped += len(shown) - len(featurized)
+        raw = featurize(imp.member_id, day, featurized, stats, profile, dataset.mf_table, cold_start_mpg)
+        for oid, vectors in scale_round(raw, scaler).items():
+            y = 1 if oid in imp.clipped else 0
+            events += [TrainingEvent(idx, imp.member_id, c, x, y) for c, x in vectors.items()]
+    return events, {"shown_offers_not_featurized": skipped}
 
 
 def write_roundlog(path: str | Path, records: Sequence[RoundRecord]) -> None:
@@ -467,24 +483,7 @@ def write_metrics_csv(path: str | Path, records: Sequence[RoundRecord]) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["round", "cum_reward", "avg_reward", "regret", "optimal_rate"])
-        cumulative = 0
-        rewarded = 0
-        regret = 0.0
-        optimal = 0
-        for i, r in enumerate(records, start=1):
-            if r.y is not None:
-                cumulative += r.y
-                rewarded += 1
-            avg = cumulative / rewarded if rewarded else ""
-            if r.oracle_p is not None and r.chosen_true_p is not None:
-                regret += r.oracle_p - r.chosen_true_p
-                optimal += 1 if r.chosen == r.oracle_best else 0
-                regret_cell: float | str = regret
-                optimal_cell: float | str = optimal / i
-            else:
-                regret_cell = ""
-                optimal_cell = ""
-            writer.writerow([i, cumulative, avg, regret_cell, optimal_cell])
+        writer.writerows(running_metrics(records))  # csv writes None as a blank cell
 
 
 def write_summary_json(path: str | Path, summary: MetricsSummary, extra: Mapping | None = None) -> None:

@@ -13,12 +13,14 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from http.client import HTTPException
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
+from urllib.request import Request, urlopen
 
 import numpy as np
-import requests
 
+from .bandit import finite_weights
 from .errors import ConfigError
 from .features import FEATURE_NAMES, FEATURE_ORDER_VERSION, N_FEATURES
 
@@ -96,23 +98,31 @@ class TrajectoryStore:
 
     @classmethod
     def load(cls, path: str | Path) -> "TrajectoryStore":
+        """Read a file written by save(). Raises ConfigError naming the file
+        and line when the feature order version differs, a line is
+        malformed, or a weight vector is not N_FEATURES finite numbers."""
         store = cls()
         with Path(path).open(encoding="utf-8") as fh:
-            header = json.loads(fh.readline())
-            if header.get("feature_order_version") != FEATURE_ORDER_VERSION:
-                raise ValueError("trajectory feature order version mismatch")
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-                store.record(
-                    obj["member_id"],
-                    obj["category_id"],
-                    np.asarray(obj["weights"], dtype=float),
-                    int(obj["update_count"]),
-                    int(obj["t"]),
-                )
+            lineno = 1
+            try:
+                header = json.loads(fh.readline())
+                if header.get("feature_order_version") != FEATURE_ORDER_VERSION:
+                    raise ValueError("trajectory feature order version mismatch")
+                for lineno, line in enumerate(fh, start=2):
+                    line = line.strip()
+                    if not line:
+                        continue
+                    obj = json.loads(line)
+                    store.record(
+                        obj["member_id"],
+                        obj["category_id"],
+                        finite_weights(obj["weights"]),
+                        int(obj["update_count"]),
+                        int(obj["t"]),
+                    )
+            except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+                reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+                raise ConfigError(f"trajectory {path} line {lineno}: {reason}") from None
         return store
 
 
@@ -475,13 +485,18 @@ class HttpLLMClient:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-        url = f"{self.api_base}/chat/completions"
+        request = Request(
+            f"{self.api_base}/chat/completions",
+            data=json.dumps(body).encode("utf-8"),
+            headers=headers,
+            method="POST",
+        )
         last_error: Exception | None = None
         for _ in range(2):  # one retry
             try:
-                resp = requests.post(url, json=body, headers=headers, timeout=self.timeout)
-                resp.raise_for_status()
-                return resp.json()["choices"][0]["message"]["content"]
-            except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
+                # urlopen raises HTTPError (an OSError) on a non-2xx status.
+                with urlopen(request, timeout=self.timeout) as resp:
+                    return json.loads(resp.read())["choices"][0]["message"]["content"]
+            except (OSError, HTTPException, KeyError, IndexError, TypeError, ValueError) as exc:
                 last_error = exc
         raise LLMTransportError(f"explanation request failed: {last_error}", payload)

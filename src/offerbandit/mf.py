@@ -83,14 +83,15 @@ def member_offer_scores(
     """Predicted affinity per (member, offer): the mean factor product over
     the offer's categories that appear in the factorization."""
     c_idx = {c: j for j, c in enumerate(categories)}
+    # Sorted, so the mean sums in the same order in every process;
+    # frozenset order follows the string hash seed.
+    offer_cols = [(o.offer_id, [c_idx[c] for c in sorted(o.category_ids) if c in c_idx]) for o in offers]
     scores: dict[tuple[str, str], float] = {}
     for i, member in enumerate(members):
         affinities = U[i] @ V.T
-        for offer in offers:
-            cols = [c_idx[c] for c in offer.category_ids if c in c_idx]
-            if not cols:
-                continue
-            scores[(member, offer.offer_id)] = float(np.mean(affinities[cols]))
+        for offer_id, cols in offer_cols:
+            if cols:
+                scores[(member, offer_id)] = float(np.mean(affinities[cols]))
     return scores
 
 

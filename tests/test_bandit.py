@@ -347,6 +347,32 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="version"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "corrupt, line",
+        [
+            (lambda lines: lines[2].update(weights=[0.1, 0.2, 0.3]), 3),
+            (lambda lines: lines[1].update(weights=[float("nan")] * N_FEATURES), 2),
+            (lambda lines: lines[2].update(weights=[1.0] * (N_FEATURES - 1) + [float("inf")]), 3),
+            (lambda lines: lines[0].update(prior_weights=[0.0] * (N_FEATURES + 1)), 1),
+            (lambda lines: lines[0].update(n_models=3), 1),
+            (lambda lines: lines[2].update(member_id="m1", category_id="c1"), 3),
+            (lambda lines: lines[1].pop("weights"), 2),
+        ],
+        ids=["short-weights", "nan-weights", "inf-weight", "long-prior", "row-count",
+             "duplicate-row", "missing-field"],
+    )
+    def test_malformed_checkpoint_rejected_with_file_and_line(self, tmp_path, corrupt, line):
+        store = ModelStore()
+        store.get("m1", "c1")
+        store.get("m2", "c1")
+        path = tmp_path / "checkpoint.jsonl"
+        save_checkpoint(path, store, LearnerConfig())
+        lines = [json.loads(l) for l in path.read_text(encoding="utf-8").splitlines()]
+        corrupt(lines)
+        path.write_text("".join(json.dumps(l) + "\n" for l in lines), encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"{path.name} line {line}:"):
+            load_checkpoint(path)
+
 
 def test_log_loss_clamps_probabilities():
     assert log_loss(0.0, 1) == pytest.approx(-math.log(1e-12))

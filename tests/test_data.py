@@ -175,6 +175,10 @@ class TestOffers:
             self.offer_line(offer_id="o3", category_ids=[]),
             self.offer_line(offer_id="o4", num_items=0),
             self.offer_line(offer_id="o5", discount_value=-1.0),
+            self.offer_line(offer_id="o6", discount_value=float("nan")),
+            self.offer_line(offer_id="o7", discount_value=float("inf")),
+            self.offer_line(offer_id="o8", discount_value=float("-inf")),
+            self.offer_line(offer_id="o9", num_items=float("inf")),
             self.offer_line(offer_id="o1"),
             "not json at all",
         ]
@@ -182,8 +186,8 @@ class TestOffers:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         result = ingest_offers(path)
         assert [o.offer_id for o in result.records] == ["o1"]
-        assert [idx for idx, _ in result.issues] == [1, 2, 3, 4, 5, 6]
-        assert "duplicate offer_id o1" in result.issues[4][1]
+        assert [idx for idx, _ in result.issues] == [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
+        assert "duplicate offer_id o1" in result.issues[8][1]
 
     def test_missing_file_is_fatal(self, tmp_path):
         with pytest.raises(IngestError):
@@ -218,6 +222,15 @@ class TestImpressions:
         assert len(result.records) == 1
         assert len(result.issues) == 1
         assert "o9" in result.issues[0][1]
+
+    def test_offer_shown_twice_rejected(self, tmp_path):
+        lines = [self.imp_line(), self.imp_line(offers_shown=["o1", "o2", "o1"])]
+        path = tmp_path / "i.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        result = ingest_impressions(path)
+        assert len(result.records) == 1
+        assert [idx for idx, _ in result.issues] == [1]
+        assert "['o1'] shown more than once" in result.issues[0][1]
 
     def test_sorted_by_timestamp(self, tmp_path):
         lines = [
@@ -262,12 +275,13 @@ class TestMFScores:
     def test_bad_rows_tallied(self, tmp_path):
         path = tmp_path / "mf.csv"
         path.write_text(
-            "member_id,offer_id,score\nm1,o1,not-a-number\nm1,o1\nm1,o2,0.5\n",
+            "member_id,offer_id,score\nm1,o1,not-a-number\nm1,o1\nm1,o2,0.5\n"
+            "m1,o3,nan\nm1,o4,inf\nm1,o5,-Infinity\n",
             encoding="utf-8",
         )
         table, issues = ingest_mf_scores(path)
         assert len(table) == 1
-        assert [idx for idx, _ in issues] == [0, 1]
+        assert [idx for idx, _ in issues] == [0, 1, 3, 4, 5]
 
     def test_bad_header_is_fatal(self, tmp_path):
         path = tmp_path / "mf.csv"

@@ -1,8 +1,10 @@
+import http.server
 import json
+import threading
+import urllib.error
 
 import numpy as np
 import pytest
-import requests
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -113,6 +115,25 @@ class TestTrajectoryStore:
         lines[0] = json.dumps(header, sort_keys=True)
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match="version"):
+            TrajectoryStore.load(path)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [[0.1, 0.2, 0.3], [float("nan")] * 9, [0.0] * 8 + [float("-inf")], "0.5"],
+        ids=["short", "nan", "inf", "not-a-list"],
+    )
+    def test_load_rejects_bad_weight_vectors_with_file_and_line(self, tmp_path, weights):
+        store = TrajectoryStore()
+        store.record("m", "c", np.zeros(9), 1, 1)
+        store.record("m", "c", np.ones(9), 2, 2)
+        path = tmp_path / "traj.jsonl"
+        store.save(path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        row = json.loads(lines[2])
+        row["weights"] = weights
+        lines[2] = json.dumps(row)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="traj.jsonl line 3:"):
             TrajectoryStore.load(path)
 
 
@@ -361,16 +382,29 @@ class TestPromptAndExplain:
 
 
 class FakeResponse:
-    def __init__(self, content=None, status_error=False):
+    """Stands in for the response urlopen returns, or raises an HTTP error
+    status the way urlopen does."""
+
+    def __init__(self, content=None, status_error=False, body=None):
         self._content = content
         self._status_error = status_error
+        self._body = body
 
-    def raise_for_status(self):
+    def __call__(self, request, timeout=None):
         if self._status_error:
-            raise requests.HTTPError("500 server error")
+            raise urllib.error.HTTPError(request.full_url, 500, "server error", {}, None)
+        return self
 
-    def json(self):
-        return {"choices": [{"message": {"content": self._content}}]}
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def read(self):
+        if self._body is not None:
+            return json.dumps(self._body).encode("utf-8")
+        return json.dumps({"choices": [{"message": {"content": self._content}}]}).encode("utf-8")
 
 
 class TestHttpClient:
@@ -392,31 +426,34 @@ class TestHttpClient:
     def test_posts_chat_completion_shape(self, monkeypatch):
         calls = []
 
-        def fake_post(url, json=None, headers=None, timeout=None):
-            calls.append((url, json, headers, timeout))
+        def fake_urlopen(request, timeout=None):
+            calls.append((request, timeout))
             return FakeResponse(content="persona text")
 
-        monkeypatch.setattr(interpret_module.requests, "post", fake_post)
+        monkeypatch.setattr(interpret_module, "urlopen", fake_urlopen)
         client = HttpLLMClient(api_base="https://llm.example/v1", api_key="sk-1",
                                model="persona-model", timeout=9.0)
         payload = make_payload({"value": 0.5})
         assert client.generate(payload) == "persona text"
-        url, body, headers, timeout = calls[0]
-        assert url == "https://llm.example/v1/chat/completions"
+        request, timeout = calls[0]
+        body = json.loads(request.data)
+        assert request.get_method() == "POST"
+        assert request.full_url == "https://llm.example/v1/chat/completions"
         assert body["model"] == "persona-model"
         assert body["messages"][0]["role"] == "user"
         assert body["messages"][0]["content"] == render_prompt(payload)
-        assert headers["Authorization"] == "Bearer sk-1"
+        assert request.get_header("Authorization") == "Bearer sk-1"
+        assert request.get_header("Content-type") == "application/json"
         assert timeout == 9.0
 
     def test_omits_auth_header_without_key(self, monkeypatch):
         calls = []
 
-        def fake_post(url, json=None, headers=None, timeout=None):
-            calls.append(headers)
+        def fake_urlopen(request, timeout=None):
+            calls.append(dict(request.header_items()))
             return FakeResponse(content="x")
 
-        monkeypatch.setattr(interpret_module.requests, "post", fake_post)
+        monkeypatch.setattr(interpret_module, "urlopen", fake_urlopen)
         client = HttpLLMClient(api_base="https://llm.example", model="m")
         client.generate(make_payload())
         assert "Authorization" not in calls[0]
@@ -424,22 +461,19 @@ class TestHttpClient:
     def test_retries_once_then_succeeds(self, monkeypatch):
         calls = []
 
-        def fake_post(url, json=None, headers=None, timeout=None):
-            calls.append(url)
+        def fake_urlopen(request, timeout=None):
+            calls.append(request.full_url)
             if len(calls) == 1:
-                raise requests.ConnectionError("boom")
+                raise urllib.error.URLError("boom")
             return FakeResponse(content="second try")
 
-        monkeypatch.setattr(interpret_module.requests, "post", fake_post)
+        monkeypatch.setattr(interpret_module, "urlopen", fake_urlopen)
         client = HttpLLMClient(api_base="https://llm.example", model="m")
         assert client.generate(make_payload()) == "second try"
         assert len(calls) == 2
 
     def test_persistent_failure_raises_transport_error(self, monkeypatch):
-        def fake_post(url, json=None, headers=None, timeout=None):
-            return FakeResponse(status_error=True)
-
-        monkeypatch.setattr(interpret_module.requests, "post", fake_post)
+        monkeypatch.setattr(interpret_module, "urlopen", FakeResponse(status_error=True))
         client = HttpLLMClient(api_base="https://llm.example", model="m")
         payload = make_payload({"mpg": 0.2})
         with pytest.raises(LLMTransportError) as exc_info:
@@ -447,17 +481,45 @@ class TestHttpClient:
         assert exc_info.value.payload is payload
 
     def test_malformed_response_body_raises_transport_error(self, monkeypatch):
-        class EmptyResponse:
-            def raise_for_status(self):
-                pass
-
-            def json(self):
-                return {"choices": []}
-
-        monkeypatch.setattr(
-            interpret_module.requests, "post",
-            lambda *a, **k: EmptyResponse(),
-        )
+        monkeypatch.setattr(interpret_module, "urlopen", FakeResponse(body={"choices": []}))
         client = HttpLLMClient(api_base="https://llm.example", model="m")
         with pytest.raises(LLMTransportError):
             client.generate(make_payload())
+
+    def test_round_trip_against_a_local_server(self, monkeypatch):
+        for var in ("no_proxy", "NO_PROXY"):
+            monkeypatch.setenv(var, "127.0.0.1")
+        received = []
+
+        class Handler(http.server.BaseHTTPRequestHandler):
+            def do_POST(self):
+                body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+                received.append((self.path, self.headers["Authorization"], body))
+                if len(received) == 1:
+                    self.send_error(503)
+                    return
+                reply = json.dumps({"choices": [{"message": {"content": "local persona"}}]}).encode()
+                self.send_response(200)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(reply)))
+                self.end_headers()
+                self.wfile.write(reply)
+
+            def log_message(self, *args):
+                pass
+
+        server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            client = HttpLLMClient(api_base=f"http://127.0.0.1:{server.server_port}/v1",
+                                   api_key="sk-local", model="m", timeout=10.0)
+            # The first request gets a 503; the one retry succeeds.
+            assert client.generate(make_payload()) == "local persona"
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert [(p, a) for p, a, _ in received] == [("/v1/chat/completions", "Bearer sk-local")] * 2
+        assert received[1][2]["model"] == "m"

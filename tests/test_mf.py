@@ -1,9 +1,16 @@
+import json
+import os
+import subprocess
+import sys
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import offerbandit
 from offerbandit.data import Offer, Transaction, ingest_mf_scores
+from offerbandit.datagen import generate_dataset
 from offerbandit.errors import ConfigError
 from offerbandit.mf import (
     ALSConfig,
@@ -147,3 +154,21 @@ class TestEndToEnd:
         # that the offer score correlates with the member's purchase volume.
         recon = U @ V.T
         assert np.corrcoef(recon.ravel(), counts.ravel())[0, 1] > 0.9
+
+    def test_mf_output_is_byte_identical_across_hash_seeds(self, tmp_path):
+        # Offer categories are a frozenset, whose iteration order follows
+        # the string hash seed; a fresh process per seed exposes any
+        # dependence of the written scores on it.
+        paths = generate_dataset(tmp_path / "data", seed=0, n_members=20, n_offers=40)
+        config = tmp_path / "mf.json"
+        config.write_text(json.dumps({"data": {k: str(v) for k, v in paths.items()}}), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(offerbandit.__file__).parents[1]))
+        outputs = []
+        for hash_seed in ("1", "2", "3"):
+            out = tmp_path / f"mf{hash_seed}"
+            subprocess.run(
+                [sys.executable, "-m", "offerbandit.cli", "mf", "--config", str(config), "--out", str(out)],
+                env=env | {"PYTHONHASHSEED": hash_seed}, check=True, capture_output=True, timeout=120,
+            )
+            outputs.append((out / "mf_scores.csv").read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]

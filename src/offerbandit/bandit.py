@@ -67,8 +67,8 @@ class LearnerConfig:
             raise ConfigError(f"l2_lambda must be >= 0, got {self.l2_lambda}")
         if self.prior_weights is not None:
             prior = tuple(float(w) for w in self.prior_weights)
-            if len(prior) != N_FEATURES:
-                raise ConfigError(f"prior_weights must have {N_FEATURES} entries, got {len(prior)}")
+            if len(prior) != N_FEATURES or not all(map(math.isfinite, prior)):
+                raise ConfigError(f"prior_weights must be {N_FEATURES} finite numbers, got {prior}")
             self.prior_weights = prior
 
     def prior_array(self) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -175,6 +176,7 @@ class RunConfig:
 
         if self.policy not in POLICY_NAMES:
             raise ConfigError(f"bad config value policy={self.policy!r}; expected one of {POLICY_NAMES}")
+        self._check_finite()
         if self.run.rounds < 1:
             raise ConfigError(f"bad config value run.rounds={self.run.rounds}; must be >= 1")
         if self.run.snapshot_every < 1:
@@ -197,6 +199,19 @@ class RunConfig:
         self.world_config()
         self.detection_config()
         self.als_config()
+
+    def _check_finite(self) -> None:
+        """JSON admits NaN and Infinity, and range checks let NaN through,
+        so every float value and list entry must be finite."""
+        for section in dataclasses.fields(self):
+            values = getattr(self, section.name)
+            if not dataclasses.is_dataclass(values):
+                continue
+            for f in dataclasses.fields(values):
+                value = getattr(values, f.name)
+                items = value if isinstance(value, (list, tuple)) else [value]
+                if any(isinstance(x, float) and not math.isfinite(x) for x in items):
+                    raise ConfigError(f"bad config value {section.name}.{f.name}={value}; must be finite")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from pathlib import Path
@@ -179,9 +180,10 @@ def _parse_offer(obj: dict) -> Offer:
     value = float(obj["discount_value"])
     if not (math.isfinite(value) and value >= 0):
         raise ValueError(f"discount_value must be finite and >= 0, got {value}")
-    num_items = int(obj["num_items"])
-    if num_items < 1:
-        raise ValueError(f"num_items must be positive, got {num_items}")
+    num_items = obj["num_items"]
+    # bool is an int subclass; the bound keeps float(num_items) finite.
+    if isinstance(num_items, bool) or not isinstance(num_items, int) or not 1 <= num_items <= sys.float_info.max:
+        raise ValueError(f"num_items must be a JSON integer from 1 to {sys.float_info.max:g}, got {num_items!r}")
     return Offer(
         offer_id=str(obj["offer_id"]),
         category_ids=categories,

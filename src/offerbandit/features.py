@@ -25,6 +25,7 @@ from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from datetime import date
+from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -198,57 +199,102 @@ def build_context(
     return ContextVector(values)
 
 
-# One round's contexts, {offer_id: {category_id: vector}}, with each offer's
-# categories in sorted order.
-RoundContexts = dict[str, dict[str, np.ndarray]]
+@dataclass
+class RoundContexts:
+    """One round's contexts as one array.
+
+    Offer k owns sizes[k] >= 1 consecutive rows of X, one per category,
+    with categories[r] naming row r's category. Offers keep the order
+    they were given in; each offer's categories are sorted.
+    """
+
+    offer_ids: list[str]
+    categories: list[str]
+    sizes: list[int]
+    X: np.ndarray
+
+    @classmethod
+    def stack(cls, contexts: Mapping[str, Mapping[str, np.ndarray]]) -> RoundContexts:
+        """From {offer_id: {category_id: vector}}."""
+        cats = [sorted(vectors) for vectors in contexts.values()]
+        rows = [vectors[c] for vectors, cs in zip(contexts.values(), cats) for c in cs]
+        return cls(
+            list(contexts),
+            [c for cs in cats for c in cs],
+            [len(cs) for cs in cats],
+            np.array(rows, dtype=float).reshape(-1, N_FEATURES),
+        )
+
+    def offer_slices(self) -> list[slice]:
+        """The rows of each offer, in offer order."""
+        return [slice(end - n, end) for end, n in zip(accumulate(self.sizes), self.sizes)]
 
 
 def featurize(
     member_id: str,
     day: date,
-    offers: Iterable[Offer],
+    offers: Sequence[Offer],
     stats: MemberStatsIndex,
     profile: SeasonalityProfile,
     mf_table: MFScoreTable,
     cold_start_mpg: float = 1.0,
 ) -> RoundContexts:
-    """Raw contexts of one round, offers in the order given."""
-    return {
-        offer.offer_id: {
-            c: build_context(
-                member_id, offer, c, day, stats.stats(member_id, c, day), profile, mf_table, cold_start_mpg
-            ).values
-            for c in sorted(offer.category_ids)
-        }
-        for offer in offers
-    }
+    """Raw contexts of one round, offers in the order given.
+
+    Every row equals build_context(...).values bit for bit. The
+    (member, category) features are worked out once per distinct category
+    of the round and the offer features once per offer; brand loyalty is
+    the largest brand count over the total, which the division leaves
+    equal to the largest share.
+    """
+    cats_per_offer = [sorted(o.category_ids) for o in offers]
+    per_category = {}
+    for c in {c for cats in cats_per_offer for c in cats}:
+        s = stats.stats(member_id, c, day)
+        counts = s.brand_counts
+        per_category[c] = (compute_mpg(day, s, cold_start_mpg), profile.score(c, day), counts, sum(counts.values()))
+    member_rows = []
+    for o, cats in zip(offers, cats_per_offer):
+        for c in cats:
+            mpg, season, counts, total = per_category[c]
+            loyalty = max(counts.get(b, 0) for b in o.brand_ids) / total if o.brand_ids and total else 0.0
+            member_rows.append((1.0, mpg, loyalty, season))
+    offer_rows = [
+        (compute_recency(o, day), float(o.duration_days()), float(o.discount_value), float(o.num_items),
+         mf_table.score(member_id, o.offer_id))
+        for o in offers
+    ]
+    sizes = [len(cats) for cats in cats_per_offer]
+    X = np.empty((len(member_rows), N_FEATURES))
+    X[:, :4] = np.array(member_rows, dtype=float).reshape(-1, 4)
+    X[:, 4:] = np.repeat(np.array(offer_rows, dtype=float).reshape(-1, 5), sizes, axis=0)
+    if not np.isfinite(X).all():
+        raise ValueError("context vector contains non-finite values")
+    return RoundContexts([o.offer_id for o in offers], [c for cats in cats_per_offer for c in cats], sizes, X)
 
 
 def scale_round(raw: RoundContexts, scaler: RunningScaler) -> RoundContexts:
     """Normalize one round's raw contexts through the shared online scaler.
 
-    The scaler first takes every context of the round, then transforms
-    them all, so the whole round is scaled by moments that include it.
-    Welford updates do not commute in floating point, so the update order
-    is part of the byte-identical output contract. It is the order of
-    `raw`: offers as given (replay: sorted offer id; simulation: generation
-    order; backfit: the impression's offers_shown order), and within each
-    offer its categories, which featurize and the synthetic world both
-    emit sorted.
+    The scaler first takes the whole round as one batch, then transforms
+    it, so the round is scaled by moments that include it. Floating-point
+    sums depend on their order, so the row order is part of the
+    byte-identical output contract: offers as given (replay: sorted offer
+    id; simulation: generation order; backfit: the impression's
+    offers_shown order), and within each offer its sorted categories.
     """
-    for contexts in raw.values():
-        for x in contexts.values():
-            scaler.update(x)
-    return {oid: {c: scaler.transform(x) for c, x in contexts.items()} for oid, contexts in raw.items()}
+    scaler.update(raw.X)
+    return RoundContexts(raw.offer_ids, raw.categories, raw.sizes, scaler.transform(raw.X))
 
 
 class RunningScaler:
-    """Welford z-score normalizer over context vectors.
+    """Streaming z-score normalizer over context vectors.
 
-    Keeps streaming mean and variance per feature and transforms to
-    (v - mean) / std with the std floored at 1e-6. The bias entry is never
-    touched. Until two samples have been seen the transform is the
-    identity.
+    Keeps running mean and variance per feature and transforms to
+    (v - mean) / std with the std floored at 1e-6. Each update folds in a
+    batch of rows with the pairwise merge of Chan, Golub & LeVeque (1983);
+    a single row is a batch of one. The bias entry is never touched. Until
+    two samples have been seen the transform is the identity.
     """
 
     STD_FLOOR = 1e-6
@@ -259,11 +305,22 @@ class RunningScaler:
         self._m2 = np.zeros(n_features)
 
     def update(self, values: np.ndarray) -> None:
-        values = np.asarray(values, dtype=float)
-        self.count += 1
-        delta = values - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (values - self._mean)
+        """Fold in one row or a stack of rows."""
+        rows = np.asarray(values, dtype=float).reshape(-1, self._mean.size)
+        n_b = len(rows)
+        if n_b == 0:
+            return
+        n_a = self.count
+        self.count = n = n_a + n_b
+        mean_b = np.add.reduce(rows, axis=0)
+        mean_b /= n_b
+        delta = mean_b - self._mean
+        dev = rows - mean_b
+        dev *= dev
+        self._m2 += np.add.reduce(dev, axis=0)
+        self._m2 += delta * delta * (n_a * n_b / n)
+        delta *= n_b / n
+        self._mean += delta
 
     def mean(self) -> np.ndarray:
         return self._mean.copy()
@@ -275,11 +332,12 @@ class RunningScaler:
         return np.sqrt(self._m2 / (self.count - 1))
 
     def transform(self, values: np.ndarray) -> np.ndarray:
+        """Scale one row or a stack of rows."""
         values = np.asarray(values, dtype=float)
         if self.count < 2:
             return values.copy()
         out = (values - self._mean) / np.maximum(self.std(), self.STD_FLOOR)
-        out[0] = values[0]  # bias passes through
+        out[..., 0] = values[..., 0]  # bias passes through
         return out
 
 

@@ -18,6 +18,8 @@ import numpy as np
 from .data import Offer, Transaction
 from .errors import ConfigError
 
+MEMBER_BLOCK = 32  # members scored per block in member_offer_scores
+
 
 @dataclass
 class ALSConfig:
@@ -86,12 +88,20 @@ def member_offer_scores(
     # Sorted, so the mean sums in the same order in every process;
     # frozenset order follows the string hash seed.
     offer_cols = [(o.offer_id, [c_idx[c] for c in sorted(o.category_ids) if c in c_idx]) for o in offers]
+    scored = [(offer_id, cols) for offer_id, cols in offer_cols if cols]
     scores: dict[tuple[str, str], float] = {}
-    for i, member in enumerate(members):
-        affinities = U[i] @ V.T
-        for offer_id, cols in offer_cols:
-            if cols:
-                scores[(member, offer_id)] = float(np.mean(affinities[cols]))
+    # Blocks of members keep the array of means small: one members x offers
+    # array raised peak memory by more than a megabyte on a 500 x 300 log.
+    for lo in range(0, len(members), MEMBER_BLOCK):
+        block = members[lo:lo + MEMBER_BLOCK]
+        # One product per member, as U[i] @ V.T, then one mean per offer;
+        # each score sums in the same order as a per-pair mean.
+        affinities = np.array([U[i] @ V.T for i in range(lo, lo + len(block))]).reshape(len(block), len(V))
+        means = np.empty((len(block), len(scored)))
+        for j, (_, cols) in enumerate(scored):
+            means[:, j] = affinities[:, cols].mean(axis=1)
+        for member, row in zip(block, means.tolist()):
+            scores.update(zip([(member, offer_id) for offer_id, _ in scored], row))
     return scores
 
 

@@ -169,6 +169,8 @@ class TestLearnerConfig:
             LearnerConfig(l2_lambda=-0.1)
         with pytest.raises(ConfigError):
             LearnerConfig(prior_weights=(1.0, 2.0))
+        with pytest.raises(ConfigError, match="finite"):
+            LearnerConfig(prior_weights=("nan",) + (0.0,) * (N_FEATURES - 1))
 
     def test_prior_array(self):
         assert np.all(LearnerConfig().prior_array() == 0.0)

@@ -1,11 +1,14 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
 from offerbandit.cli import OutputWriter, main
+from offerbandit.config import RunConfig
 from offerbandit.data import ingest_mf_scores
 from offerbandit.datagen import generate_dataset
+from offerbandit.errors import ConfigError
 
 
 @pytest.fixture(scope="module")
@@ -259,6 +262,39 @@ class TestBackfitAndReplay:
             outs.append(out)
         for name in ("rounds.jsonl", "metrics.csv", "summary.json", "trajectory.jsonl"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+class TestNonFiniteConfig:
+    @pytest.mark.parametrize("section, key", [
+        ("data", "mf_default_score"),
+        ("features", "cold_start_mpg"),
+        ("learner", "learning_rate"),
+        ("learner", "positive_boost"),
+        ("exploration", "kappa_initial"),
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_replay_exits_2_naming_the_key(self, demo_data, tmp_path, capsys, section, key, value):
+        sections = {"data": data_section(demo_data)}
+        sections.setdefault(section, {})[key] = value
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path / "cfg.json", **sections)
+        assert main(["replay", "--config", cfg, "--out", str(out)]) == 2
+        error = stderr_error(capsys)
+        assert error["error"] == "config"
+        assert f"{section}.{key}=" in error["message"]
+        assert not out.exists()
+
+    def test_every_float_value_is_checked(self):
+        for section in dataclasses.fields(RunConfig):
+            values = getattr(RunConfig(), section.name)
+            if not dataclasses.is_dataclass(values):
+                continue
+            for f in dataclasses.fields(values):
+                value = getattr(values, f.name)
+                if isinstance(value, float) or f.name == "prior_weights":
+                    bad = [0.0] * 8 + [float("-inf")] if f.name == "prior_weights" else float("-inf")
+                    with pytest.raises(ConfigError, match=f"{section.name}.{f.name}="):
+                        RunConfig.from_dict({section.name: {f.name: bad}})
 
 
 class TestReport:

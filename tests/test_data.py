@@ -179,6 +179,10 @@ class TestOffers:
             self.offer_line(offer_id="o7", discount_value=float("inf")),
             self.offer_line(offer_id="o8", discount_value=float("-inf")),
             self.offer_line(offer_id="o9", num_items=float("inf")),
+            self.offer_line(offer_id="o10", num_items=2.7),
+            self.offer_line(offer_id="o11", num_items=True),
+            self.offer_line(offer_id="o12", num_items=10**400),
+            self.offer_line(offer_id="o13", num_items="3"),
             self.offer_line(offer_id="o1"),
             "not json at all",
         ]
@@ -186,8 +190,9 @@ class TestOffers:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         result = ingest_offers(path)
         assert [o.offer_id for o in result.records] == ["o1"]
-        assert [idx for idx, _ in result.issues] == [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
-        assert "duplicate offer_id o1" in result.issues[8][1]
+        assert [idx for idx, _ in result.issues] == list(range(1, 15))
+        assert all("num_items" in reason for _, reason in result.issues[8:12])
+        assert "duplicate offer_id o1" in result.issues[12][1]
 
     def test_missing_file_is_fatal(self, tmp_path):
         with pytest.raises(IngestError):

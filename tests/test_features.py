@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from offerbandit.data import MFScoreTable, Offer, Transaction
+from offerbandit.datagen import generate_offers, generate_transactions
 from offerbandit.errors import ConfigError
 from offerbandit.features import (
     FEATURE_NAMES,
@@ -15,6 +16,7 @@ from offerbandit.features import (
     ContextVector,
     MemberCategoryStats,
     MemberStatsIndex,
+    RoundContexts,
     RunningScaler,
     SeasonalityProfile,
     build_context,
@@ -23,6 +25,8 @@ from offerbandit.features import (
     compute_mpg,
     compute_recency,
     compute_seasonality,
+    featurize,
+    scale_round,
     week_of_year,
 )
 
@@ -225,14 +229,90 @@ class TestBuildContext:
         assert ctx.values[2] == 0.0
 
 
+class TestFeaturize:
+    def test_rows_equal_build_context_bit_for_bit(self):
+        transactions = generate_transactions(n_members=6, n_categories=4, events_per_member=25, seed=5)
+        # Five offer categories over four purchased ones: c04 has no history.
+        offers = generate_offers(n_offers=60, n_categories=5, seed=6)
+        day0 = offers[0].start_date
+        offers += [
+            Offer("brandless", frozenset({"c00", "c02"}), frozenset(), 2.5, day0, day0 + timedelta(days=9), 3),
+            Offer("one_day", frozenset({"c01"}), frozenset({"b01"}), 1.0, day0, day0, 1),
+        ]
+        index = MemberStatsIndex(transactions)
+        profile = build_seasonality_profile(transactions)
+        mf = MFScoreTable({("m000", offers[1].offer_id): 0.3, ("m002", "brandless"): -1.25}, default_score=0.1)
+        rows_checked = 0
+        for member in ("m000", "m002", "m005", "cold"):
+            for day in (day0 + timedelta(days=k) for k in (0, 7, 40, 90, 150)):
+                active = [o for o in offers if o.active_on(day)]
+                raw = featurize(member, day, active, index, profile, mf, cold_start_mpg=0.7)
+                assert raw.offer_ids == [o.offer_id for o in active]
+                assert raw.X.shape == (len(raw.categories), N_FEATURES)
+                for offer, rows in zip(active, raw.offer_slices()):
+                    assert raw.categories[rows] == sorted(offer.category_ids)
+                    for c, x in zip(raw.categories[rows], raw.X[rows]):
+                        s = index.stats(member, c, day)
+                        ctx = build_context(member, offer, c, day, s, profile, mf, 0.7)
+                        assert x.tobytes() == ctx.values.tobytes(), (member, day, offer.offer_id, c)
+                        rows_checked += 1
+        assert rows_checked > 150
+
+    def test_empty_round(self):
+        raw = featurize("m1", DAY, [], MemberStatsIndex([]), SeasonalityProfile({}), MFScoreTable())
+        assert raw.X.shape == (0, N_FEATURES)
+        assert raw.offer_ids == [] and raw.offer_slices() == []
+
+    @pytest.mark.parametrize("value, default", [(float("nan"), 0.0), (1.0, float("inf"))])
+    def test_non_finite_row_raises(self, value, default):
+        offers = [
+            Offer("o1", frozenset({"c"}), frozenset(), 1.0, DAY, DAY, 1),
+            Offer("o2", frozenset({"c", "d"}), frozenset(), value, DAY, DAY, 1),
+        ]
+        with pytest.raises(ValueError, match="context vector contains non-finite values"):
+            featurize("m1", DAY, offers, MemberStatsIndex([]), SeasonalityProfile({}), MFScoreTable({}, default))
+
+    def test_scale_round_updates_once_then_transforms_the_batch(self, rng):
+        offers = {f"o{i}": {c: rng.normal(size=N_FEATURES) for c in ("b", "a")} for i in range(3)}
+        raw = RoundContexts.stack(offers)
+        assert raw.categories == ["a", "b"] * 3
+        np.testing.assert_array_equal(raw.X[1], offers["o0"]["b"])
+        scaler = RunningScaler()
+        scaled = scale_round(raw, scaler)
+        assert scaler.count == 6
+        np.testing.assert_array_equal(scaled.X, scaler.transform(raw.X))
+
+
 class TestRunningScaler:
     def test_identity_before_two_samples(self):
         scaler = RunningScaler()
         x = np.arange(9, dtype=float)
         x[0] = 1.0
+        stack = np.stack([x, 2 * x])
         np.testing.assert_array_equal(scaler.transform(x), x)
+        np.testing.assert_array_equal(scaler.transform(stack), stack)
         scaler.update(x)
         np.testing.assert_array_equal(scaler.transform(x), x)
+        np.testing.assert_array_equal(scaler.transform(stack), stack)
+
+    @pytest.mark.parametrize("batch", [1, 2, 50])
+    def test_stacked_updates_match_row_by_row(self, rng, batch):
+        rows = rng.normal(0.0, 1.0, size=(300, 9)) * np.arange(1, 10) + np.linspace(-50.0, 400.0, 9)
+        stacked, single = RunningScaler(), RunningScaler()
+        for i in range(0, len(rows), batch):
+            stacked.update(rows[i:i + batch])
+            for row in rows[i:i + batch]:
+                single.update(row)
+            assert stacked.count == single.count
+            np.testing.assert_allclose(stacked.mean(), single.mean(), rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(stacked.std(), single.std(), rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(stacked.transform(rows[i]), single.transform(rows[i]), rtol=1e-12, atol=1e-12)
+
+    def test_empty_batch_is_a_no_op(self):
+        scaler = RunningScaler()
+        scaler.update(np.zeros((0, N_FEATURES)))
+        assert scaler.count == 0
+        np.testing.assert_array_equal(scaler.mean(), np.zeros(N_FEATURES))
 
     def test_matches_batch_mean_and_std(self, rng):
         scaler = RunningScaler()

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from offerbandit.bandit import LearnerConfig
+from offerbandit.bandit import LearnerConfig, renormalize_shares
 from offerbandit.baselines import make_policy
 from offerbandit.data import Impression, MFScoreTable, Offer, Transaction
 from offerbandit.errors import ConfigError
 from offerbandit.exploration import ExplorationConfig
+from offerbandit.features import RoundContexts
 from offerbandit.harness import (
     OraclePolicy,
     RawCandidate,
@@ -23,6 +24,7 @@ from offerbandit.harness import (
     compute_metrics,
     config_hash,
     files_fingerprint,
+    make_candidates,
     run_replay,
     run_synthetic,
     write_metrics_csv,
@@ -154,6 +156,33 @@ def oracle_record(t, chosen, y, best="oA", oracle_p=0.8, chosen_p=None):
         oracle_best=best, oracle_p=oracle_p,
         chosen_true_p=chosen_p if chosen_p is not None else (0.8 if chosen == best else 0.2),
     )
+
+
+class TestMakeCandidates:
+    def test_matches_per_offer_pooling(self, rng):
+        contexts = {
+            "o1": {"c2": rng.normal(size=9), "c0": rng.normal(size=9), "c1": rng.normal(size=9)},
+            "o2": {"c3": rng.normal(size=9)},  # no purchase history: uniform
+            "o3": {"c4": rng.normal(size=9), "c5": rng.normal(size=9)},  # no history in either
+            "o4": {"c1": rng.normal(size=9), "c2": rng.normal(size=9)},
+        }
+        purchase = {"c0": 0.5, "c1": 0.2, "c2": 0.3}
+        scaled = RoundContexts.stack(contexts)
+        mf_scores, true_ps = [0.1, 0.2, 0.3, 0.4], [0.5, 0.6, 0.7, 0.8]
+        candidates = make_candidates(scaled, "m1", purchase, mf_scores, true_ps)
+        assert [c.offer_id for c in candidates] == ["o1", "o2", "o3", "o4"]
+        for k, cand in enumerate(candidates):
+            vectors = contexts[cand.offer_id]
+            shares = renormalize_shares(sorted(vectors), purchase)
+            assert list(cand.category_vectors) == sorted(vectors)
+            for c, x in cand.category_vectors.items():
+                np.testing.assert_array_equal(x, vectors[c])
+            assert cand.shares == pytest.approx(shares, rel=1e-15)
+            expected = sum(shares[c] * vectors[c] for c in sorted(vectors))
+            np.testing.assert_allclose(cand.offer_vector, expected, rtol=1e-14, atol=1e-15)
+            assert (cand.member_id, cand.mf_score, cand.true_p) == ("m1", mf_scores[k], true_ps[k])
+        assert candidates[1].shares == {"c3": 1.0}
+        assert candidates[2].shares == {"c4": 0.5, "c5": 0.5}
 
 
 class TestMetrics:

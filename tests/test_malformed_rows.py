@@ -1,0 +1,95 @@
+"""Malformed input rows are skipped and tallied; they never abort a run.
+
+Each example corrupts one field of one record of a small generated
+dataset, then runs ingest, backfit and replay on it. Every command must
+exit 0 and report a nonzero skip tally in its manifest.
+"""
+
+import csv
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from offerbandit.cli import main
+from offerbandit.datagen import generate_dataset
+
+MISSING = object()  # drop the field
+REPEAT = object()  # show the first shown offer a second time
+UNKNOWN = object()  # show an offer the catalog does not hold
+
+TRANSACTION_COLUMNS = {"member_id": 0, "category_id": 1, "brand_id": 2, "event_date": 3, "quantity": 4}
+
+CORRUPTIONS = [
+    *(("offers", "discount_value", v) for v in (math.nan, math.inf, -math.inf, -1.0, MISSING)),
+    *(("offers", "num_items", v) for v in (2.7, True, 0, -2, math.nan, math.inf, 10**400, "2", MISSING)),
+    *(("offers", key, MISSING) for key in ("offer_id", "category_ids", "start_date", "end_date")),
+    ("offers", "category_ids", []),
+    ("offers", "end_date", "2023-01-01"),
+    *(("impressions", "offers_shown", v) for v in (REPEAT, UNKNOWN, [], MISSING)),
+    *(("impressions", key, MISSING) for key in ("timestamp", "member_id")),
+    ("impressions", "timestamp", math.nan),
+    ("impressions", "clipped", ["o_unknown"]),
+    *(("transactions", "quantity", v) for v in ("nan", "inf", "-1", "0", "2.7", MISSING)),
+    *(("transactions", "event_date", v) for v in ("NaN", "2024-13-01", MISSING)),
+    ("transactions", "member_id", ""),
+]
+
+
+@pytest.fixture(scope="module")
+def clean_data(tmp_path_factory):
+    paths = generate_dataset(tmp_path_factory.mktemp("clean"), seed=3, n_members=5, n_categories=3,
+                             n_brands=3, n_offers=8, n_impressions=30)
+    return {name: Path(p).read_text(encoding="utf-8") for name, p in paths.items()}
+
+
+def corrupt_jsonl(text: str, index: int, key: str, value) -> str:
+    lines = text.splitlines()
+    obj = json.loads(lines[index])
+    if value is MISSING:
+        del obj[key]
+    elif value is REPEAT:
+        obj[key] = obj[key] + obj[key][:1]
+    elif value is UNKNOWN:
+        obj[key] = ["o_unknown"] + obj[key][1:]
+    else:
+        obj[key] = value
+    lines[index] = json.dumps(obj)
+    return "\n".join(lines) + "\n"
+
+
+def corrupt_csv(text: str, index: int, key: str, value) -> str:
+    header, *rows = list(csv.reader(text.splitlines()))
+    row = rows[index]
+    if value is MISSING:
+        del row[TRANSACTION_COLUMNS[key]]
+    else:
+        row[TRANSACTION_COLUMNS[key]] = value
+    return "\n".join(",".join(r) for r in [header, *rows]) + "\n"
+
+
+@settings(max_examples=30, deadline=None)
+@given(corruption=st.sampled_from(CORRUPTIONS), position=st.integers(0, 10**6))
+def test_single_field_corruption_is_tallied_not_fatal(clean_data, corruption, position):
+    name, key, value = corruption
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        files = {}
+        for file_name, text in clean_data.items():
+            if file_name == name:
+                n_records = len(text.splitlines()) - (1 if name == "transactions" else 0)
+                corrupt = corrupt_csv if name == "transactions" else corrupt_jsonl
+                text = corrupt(text, position % n_records, key, value)
+            files[file_name] = tmp / f"{file_name}.data"
+            files[file_name].write_text(text, encoding="utf-8")
+        config = {"data": {k: str(p) for k, p in files.items()}, "run": {"seed": 1}}
+        (tmp / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
+        for command in ("ingest", "backfit", "replay"):
+            out = tmp / command
+            assert main([command, "--config", str(tmp / "cfg.json"), "--out", str(out)]) == 0, command
+            tallies = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["skip_tallies"]
+            assert sum(tallies.values()) > 0, (command, tallies)

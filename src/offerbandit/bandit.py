@@ -25,6 +25,8 @@ from .features import FEATURE_NAMES, FEATURE_ORDER_VERSION, N_FEATURES
 # Probabilities are clamped away from {0, 1} before the logit transform.
 LOGIT_CLAMP = 1e-6
 
+DIVERGED = "model weights diverged to non-finite values; learning_rate is too large for the feature scale"
+
 
 def sigmoid(z: float) -> float:
     """Logistic function, numerically stable for |z| up to 700 and beyond."""
@@ -112,15 +114,13 @@ def sgd_update(model: CategoryModel, x: np.ndarray, y: int, cfg: LearnerConfig) 
     step = (cfg.learning_rate * (y - p)) * x
     if y == 1:
         step = cfg.positive_boost * step
+    w = model.weights
     if cfg.l2_lambda:
-        step = step - (cfg.learning_rate * cfg.l2_lambda) * model.weights
-    model.weights = model.weights + step
+        step = step - (cfg.learning_rate * cfg.l2_lambda) * w
+    model.weights = w = w + step
     model.update_count += 1
-    if not np.all(np.isfinite(model.weights)):
-        raise ValueError(
-            "model weights diverged to non-finite values; "
-            "learning_rate is too large for the feature scale"
-        )
+    if not np.all(np.isfinite(w)):
+        raise ValueError(DIVERGED)
 
 
 def renormalize_shares(categories: Sequence[str], shares: Mapping[str, float]) -> dict[str, float]:
@@ -160,12 +160,49 @@ def aggregate_offer(
     return sigmoid(z)
 
 
-class ModelStore:
-    """Lazily materialized map of (member, category) -> CategoryModel.
+class StoredModel:
+    """One (member, category) row of a ModelStore, read and written in place.
 
-    Pairs never seen before read as the prior; the model object is only
-    created when the pair takes its first update (or is fetched with
-    get()). Reads never change what any pair would predict.
+    Stands in for a CategoryModel in predict_category and sgd_update:
+    weights is a view of the store's row (valid until the store next
+    grows), and assigning weights or update_count writes the row.
+    """
+
+    __slots__ = ("_store", "_row")
+
+    def __init__(self, store: "ModelStore", row: int):
+        self._store = store
+        self._row = row
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self._store._views[self._row]
+
+    @weights.setter
+    def weights(self, values: np.ndarray) -> None:
+        self._store._views[self._row][:] = values
+
+    @property
+    def update_count(self) -> int:
+        return int(self._store._counts[self._row])
+
+    @update_count.setter
+    def update_count(self, n: int) -> None:
+        self._store._counts[self._row] = n
+
+
+class ModelStore:
+    """Lazily materialized (member, category) logistic models in one array.
+
+    Row r of a growable float64[n_pairs, n_features] weight matrix and of
+    an update-count vector belongs to the pair that a dict maps to r.
+    Pairs never seen before read as the prior; a row is only taken when
+    the pair takes its first update (or is fetched with get()). Reads
+    never change what any pair would predict.
+
+    Each taken row also has a view in a list, rebuilt when the matrix
+    grows: scoring reads one row at a time, and indexing the matrix would
+    make a new view on every read.
     """
 
     def __init__(self, prior_weights: np.ndarray | None = None, n_features: int = N_FEATURES):
@@ -174,51 +211,90 @@ class ModelStore:
         )
         if self.prior.shape != (n_features,):
             raise ConfigError(f"prior weights must have {n_features} entries")
-        self._models: dict[tuple[str, str], CategoryModel] = {}
+        self._rows: dict[tuple[str, str], int] = {}
+        self._W = np.empty((64, n_features))
+        self._counts = np.zeros(64, dtype=np.int64)
+        self._views: list[np.ndarray] = []
 
     @classmethod
     def from_config(cls, cfg: LearnerConfig) -> "ModelStore":
         return cls(cfg.prior_array())
 
-    def get(self, member_id: str, category_id: str) -> CategoryModel:
-        key = (member_id, category_id)
-        model = self._models.get(key)
-        if model is None:
-            model = CategoryModel(self.prior.copy())
-            self._models[key] = model
-        return model
+    def _row(self, key: tuple[str, str]) -> int:
+        """The pair's row, taken and set to the prior on first use."""
+        row = self._rows.get(key)
+        if row is None:
+            row = len(self._rows)
+            if row == len(self._W):
+                self._W = np.concatenate([self._W, np.empty_like(self._W)])
+                self._counts = np.concatenate([self._counts, np.zeros_like(self._counts)])
+                self._views = list(self._W[:row])
+            self._W[row] = self.prior
+            self._views.append(self._W[row])
+            self._rows[key] = row
+        return row
+
+    def rows(self, member_ids: Sequence[str], category_ids: Sequence[str]) -> np.ndarray:
+        """Row of each (member_ids[i], category_ids[i]) pair, materializing
+        unseen pairs in order of first appearance."""
+        codes: dict[tuple[str, str], int] = {}
+        pair = [codes.setdefault(key, len(codes)) for key in zip(member_ids, category_ids)]
+        return np.array([self._row(key) for key in codes], dtype=np.intp)[pair]
+
+    def get(self, member_id: str, category_id: str) -> StoredModel:
+        return StoredModel(self, self._row((member_id, category_id)))
 
     def weights_for(self, member_id: str, category_id: str) -> np.ndarray:
         """Current weights without materializing the pair. Do not mutate."""
-        model = self._models.get((member_id, category_id))
-        return self.prior if model is None else model.weights
+        row = self._rows.get((member_id, category_id))
+        return self.prior if row is None else self._views[row]
 
     def predict(self, member_id: str, category_id: str, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
-        w = self.weights_for(member_id, category_id)
+        row = self._rows.get((member_id, category_id))  # weights_for, inlined on the scoring path
+        w = self.prior if row is None else self._views[row]
         if x.shape != w.shape:
             raise ValueError(f"feature dim {x.shape} does not match weights {w.shape}")
         return sigmoid(float(w @ x))
 
-    def items_sorted(self) -> list[tuple[tuple[str, str], CategoryModel]]:
-        return sorted(self._models.items())
+    def items_sorted(self) -> list[tuple[tuple[str, str], StoredModel]]:
+        return [(key, StoredModel(self, self._rows[key])) for key in sorted(self._rows)]
 
     def __len__(self) -> int:
-        return len(self._models)
+        return len(self._rows)
 
     def __contains__(self, key: tuple[str, str]) -> bool:
-        return key in self._models
+        return key in self._rows
 
 
-@dataclass(frozen=True)
-class TrainingEvent:
-    """One labeled observation for backfitting, ordered by t."""
+@dataclass
+class TrainingEvents:
+    """Labeled observations for backfitting as one columnar batch.
 
-    t: int
-    member_id: str
-    category_id: str
-    x: np.ndarray
-    y: int
+    Event i is row X[i] with label y[i] for the pair (member_ids[i],
+    category_ids[i]), observed at t[i]; events are ordered by t.
+    """
+
+    t: np.ndarray
+    member_ids: list[str]
+    category_ids: list[str]
+    X: np.ndarray
+    y: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.t = np.asarray(self.t, dtype=np.int64)
+        self.X = np.asarray(self.X, dtype=float)
+        self.y = np.asarray(self.y, dtype=np.int64)
+        n = len(self.t)
+        if self.t.ndim != 1 or self.X.ndim != 2 or not (
+            len(self.member_ids) == len(self.category_ids) == len(self.X) == len(self.y) == n
+        ):
+            raise ValueError("training event columns must hold one entry per event")
+        if not np.isin(self.y, (0, 1)).all():
+            raise ValueError(f"label must be 0 or 1, got {sorted(set(self.y.tolist()) - {0, 1})}")
+
+    def __len__(self) -> int:
+        return len(self.t)
 
 
 @dataclass
@@ -227,8 +303,8 @@ class BackfitReport:
 
     holdout_log_loss is the mean prequential log loss over the final 10%
     of events (each scored before its own update); prior_log_loss scores
-    the same events with the untouched prior. Both are None when the
-    holdout tail is empty.
+    the same events with the untouched prior. Both are None when there
+    are no events.
     """
 
     n_events: int
@@ -239,35 +315,69 @@ class BackfitReport:
     empty: bool = False
 
 
-def backfit(store: ModelStore, events: Sequence[TrainingEvent], cfg: LearnerConfig) -> BackfitReport:
-    """Replay historical events through sgd_update in time order.
+def _sigmoid_rows(z: np.ndarray) -> np.ndarray:
+    """sigmoid of every entry, by the same two stable branches as sigmoid."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
-    The store starts from its priors and sees every event. Events must be
-    sorted by t ascending.
+
+def _log_loss_rows(p: np.ndarray, y: np.ndarray) -> np.ndarray:
+    p = np.clip(p, 1e-12, 1.0 - 1e-12)
+    return np.where(y == 1, -np.log(p), -np.log(1.0 - p))
+
+
+def _waves(rows: np.ndarray) -> list[np.ndarray]:
+    """Event indices by wave: wave k holds the k-th event of every row, in
+    event order, so no row appears twice in a wave."""
+    n = len(rows)
+    order = np.argsort(rows, kind="stable")
+    sorted_rows = rows[order]
+    starts = np.flatnonzero(np.r_[True, sorted_rows[1:] != sorted_rows[:-1]])
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n) - np.repeat(starts, np.diff(np.r_[starts, n]))
+    return np.split(np.argsort(rank, kind="stable"), np.cumsum(np.bincount(rank))[:-1])
+
+
+def backfit(store: ModelStore, events: TrainingEvents, cfg: LearnerConfig) -> BackfitReport:
+    """Train the store on historical events with the sgd_update step.
+
+    Events must be sorted by t ascending. Updates to different pairs
+    commute, so the events go in waves: wave k applies the k-th event of
+    every pair at once, and each pair still sees its events in order.
     """
     n = len(events)
     if n == 0:
         return BackfitReport(0, 0, 0, None, None, empty=True)
-    for a, b in zip(events, events[1:]):
-        if b.t < a.t:
-            raise ValueError("backfit events must be sorted by t ascending")
-    tail_start = (9 * n) // 10
-    prior_model = CategoryModel(store.prior.copy())
-    model_losses: list[float] = []
-    prior_losses: list[float] = []
-    for i, ev in enumerate(events):
-        p = store.predict(ev.member_id, ev.category_id, ev.x)
-        if i >= tail_start:
-            model_losses.append(log_loss(p, ev.y))
-            prior_losses.append(log_loss(predict_category(prior_model, ev.x), ev.y))
-        sgd_update(store.get(ev.member_id, ev.category_id), ev.x, ev.y, cfg)
-    holdout = len(model_losses)
+    if np.any(events.t[1:] < events.t[:-1]):
+        raise ValueError("backfit events must be sorted by t ascending")
+    X, y = events.X, events.y
+    if X.shape[1] != store.prior.size:
+        raise ValueError(f"feature dim {X.shape[1]} does not match weights {store.prior.shape}")
+    rows = store.rows(events.member_ids, events.category_ids)
+    W, counts = store._W, store._counts
+    decay = cfg.learning_rate * cfg.l2_lambda
+    p = np.empty(n)
+    for wave in _waves(rows):
+        r, x, y_k = rows[wave], X[wave], y[wave]
+        w = W[r]
+        p_k = p[wave] = _sigmoid_rows(np.einsum("ij,ij->i", w, x))
+        step = (cfg.learning_rate * (y_k - p_k))[:, None] * x
+        step[y_k == 1] *= cfg.positive_boost
+        if cfg.l2_lambda:
+            step -= decay * w
+        w += step
+        if not np.isfinite(w).all():
+            raise ValueError(DIVERGED)
+        W[r] = w
+        counts[r] += 1
+    tail = slice((9 * n) // 10, n)
+    y_tail = y[tail]
     return BackfitReport(
         n_events=n,
         n_updates=n,
-        holdout_size=holdout,
-        holdout_log_loss=sum(model_losses) / holdout if holdout else None,
-        prior_log_loss=sum(prior_losses) / holdout if holdout else None,
+        holdout_size=len(y_tail),
+        holdout_log_loss=float(_log_loss_rows(p[tail], y_tail).mean()),
+        prior_log_loss=float(_log_loss_rows(_sigmoid_rows(X[tail] @ store.prior), y_tail).mean()),
     )
 
 
@@ -291,21 +401,20 @@ def save_checkpoint(path: str | Path, store: ModelStore, cfg: LearnerConfig) -> 
         "prior_weights": [float(w) for w in store.prior],
         "n_models": len(store),
     }
+    keys = sorted(store._rows)
+    rows = [store._rows[key] for key in keys]
+    # Each line equals json.dumps of the row's dict with sort_keys=True,
+    # which writes floats with float.__repr__.
+    lines = (
+        f'{{"category_id": {json.dumps(category)}, "member_id": {json.dumps(member)}, '
+        f'"update_count": {count}, "weights": [{", ".join(map(float.__repr__, weights))}]}}\n'
+        for (member, category), weights, count in zip(
+            keys, store._W[rows].tolist(), store._counts[rows].tolist()
+        )
+    )
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for (member, category), model in store.items_sorted():
-            fh.write(
-                json.dumps(
-                    {
-                        "member_id": member,
-                        "category_id": category,
-                        "weights": [float(w) for w in model.weights],
-                        "update_count": model.update_count,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+        fh.writelines(lines)
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelStore, dict]:
@@ -337,7 +446,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelStore, dict]:
                     raise ValueError(f"duplicate model {key}")
                 model = store.get(*key)
                 model.weights = np.asarray(finite_weights(obj["weights"]), dtype=float)
-                model.update_count = int(obj["update_count"])
+                model.update_count = int(obj["update_count"])  # OverflowError past int64
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
             raise ConfigError(f"checkpoint {path} line {lineno}: {reason}") from None

@@ -1,8 +1,9 @@
 """Run configuration: one JSON file, flat sections per module.
 
-Unknown sections or keys are configuration errors naming the offending
-key. Value ranges are validated by the owning module's config class, so a
-bad learning rate or kappa fails here too, before any work starts.
+Unknown sections or keys, and values of the wrong JSON type, are
+configuration errors naming the offending key. Value ranges are
+validated by the owning module's config class, so a bad learning rate or
+kappa fails here too, before any work starts.
 Precedence is command-line flag over file value over default.
 """
 
@@ -11,6 +12,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -253,8 +256,26 @@ class RunConfig:
 def _section_from_dict(section_cls: type, section_name: str, obj) -> object:
     if not isinstance(obj, dict):
         raise ConfigError(f"config section {section_name} must be an object")
-    known = {f.name for f in dataclasses.fields(section_cls)}
-    for key in obj:
-        if key not in known:
+    fields = {f.name: f for f in dataclasses.fields(section_cls)}
+    hints = typing.get_type_hints(section_cls)
+    for key, value in obj.items():
+        if key not in fields:
             raise ConfigError(f"unknown config key: {section_name}.{key}")
+        if not _has_type(value, hints[key]):
+            raise ConfigError(f"bad config value {section_name}.{key}={value!r}; expected {fields[key].type}")
     return section_cls(**obj)
+
+
+def _has_type(value, hint) -> bool:
+    """Whether a JSON value fits a field annotation. bool is an int
+    subclass, but true and false are not numbers here."""
+    if hint is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if typing.get_origin(hint) is list:
+        (item,) = typing.get_args(hint)
+        return isinstance(value, list) and all(_has_type(v, item) for v in value)
+    if typing.get_origin(hint) in (types.UnionType, typing.Union):
+        return any(_has_type(value, h) for h in typing.get_args(hint))
+    return isinstance(value, hint)

@@ -170,6 +170,9 @@ def ingest_offers(path: str | Path) -> IngestResult:
 
 
 def _parse_offer(obj: dict) -> Offer:
+    for key in ("category_ids", "brand_ids"):
+        if not isinstance(obj.get(key, []), list):  # a string would split into characters
+            raise ValueError(f"{key} must be a JSON array, got {obj[key]!r}")
     categories = frozenset(str(c) for c in obj["category_ids"])
     if not categories:
         raise ValueError("category_ids must be non-empty")
@@ -177,7 +180,11 @@ def _parse_offer(obj: dict) -> Offer:
     end = date.fromisoformat(obj["end_date"])
     if start > end:
         raise ValueError(f"start_date {start} after end_date {end}")
-    value = float(obj["discount_value"])
+    value = obj["discount_value"]
+    # bool is an int subclass, and float() would parse a string.
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"discount_value must be a JSON number, got {value!r}")
+    value = float(value)
     if not (math.isfinite(value) and value >= 0):
         raise ValueError(f"discount_value must be finite and >= 0, got {value}")
     num_items = obj["num_items"]

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .baselines import OfferCandidate, Policy, Ranking
-from .bandit import LearnerConfig, TrainingEvent, aggregate_offer, renormalize_shares, sigmoid
+from .bandit import LearnerConfig, TrainingEvents, aggregate_offer, renormalize_shares, sigmoid
 from .data import Impression, MFScoreTable, Offer, Transaction
 from .errors import ConfigError
 from .features import (
@@ -456,7 +456,7 @@ def backfit_events(
     cold_start_mpg: float = 1.0,
     default_cycle_days: float = 30.0,
     smoothing_window: int = 3,
-) -> tuple[list[TrainingEvent], dict[str, int]]:
+) -> tuple[TrainingEvents, dict[str, int]]:
     """Training events from logged impressions: one per shown offer per
     category, in impression order, contexts normalized by a fresh scaler.
 
@@ -466,26 +466,34 @@ def backfit_events(
     stats = MemberStatsIndex(dataset.transactions, default_cycle_days)
     profile = build_seasonality_profile(dataset.transactions, smoothing_window)
     catalog = dataset.catalog()
-    scaler = RunningScaler()
-    events: list[TrainingEvent] = []
+    rounds = []
     skipped = 0
-    for idx, imp in enumerate(dataset.impressions):
+    for imp in dataset.impressions:
         day = imp.timestamp.date()
         shown = [catalog.get(oid) for oid in imp.offers_shown]
         featurized = [o for o in shown if o is not None and o.active_on(day)]
         skipped += len(shown) - len(featurized)
-        raw = featurize(imp.member_id, day, featurized, stats, profile, dataset.mf_table, cold_start_mpg)
+        rounds.append((imp, day, featurized))
+    # Every round's scaled rows go into one buffer sized up front; keeping
+    # each round's array until the end would hold two copies at the peak.
+    n = sum(len(o.category_ids) for _, _, offers in rounds for o in offers)
+    t = np.empty(n, dtype=np.int64)
+    X = np.empty((n, N_FEATURES))
+    y = np.empty(n, dtype=np.int64)
+    members: list[str] = []
+    categories: list[str] = []
+    scaler = RunningScaler()
+    end = 0
+    for idx, (imp, day, offers) in enumerate(rounds):
+        raw = featurize(imp.member_id, day, offers, stats, profile, dataset.mf_table, cold_start_mpg)
         scaled = scale_round(raw, scaler)
-        # Each event gets its own copy of its row: the events outlive the
-        # round, and views pinning every round's array fragment the heap
-        # (peak memory rose by a megabyte on a 5000-impression log).
-        for oid, rows in zip(scaled.offer_ids, scaled.offer_slices()):
-            y = 1 if oid in imp.clipped else 0
-            events += [
-                TrainingEvent(idx, imp.member_id, c, x.copy(), y)
-                for c, x in zip(scaled.categories[rows], scaled.X[rows])
-            ]
-    return events, {"shown_offers_not_featurized": skipped}
+        start, end = end, end + len(scaled.X)
+        t[start:end] = idx
+        X[start:end] = scaled.X
+        y[start:end] = np.repeat([oid in imp.clipped for oid in scaled.offer_ids], scaled.sizes)
+        members += [imp.member_id] * (end - start)
+        categories += scaled.categories
+    return TrainingEvents(t, members, categories, X, y), {"shown_offers_not_featurized": skipped}
 
 
 def write_roundlog(path: str | Path, records: Sequence[RoundRecord]) -> None:

@@ -12,7 +12,8 @@ from offerbandit.bandit import (
     CategoryModel,
     LearnerConfig,
     ModelStore,
-    TrainingEvent,
+    DIVERGED,
+    TrainingEvents,
     aggregate_offer,
     backfit,
     load_checkpoint,
@@ -264,13 +265,35 @@ class TestModelStore:
         np.testing.assert_allclose(store.prior, 0.1)
 
 
+def batch(events):
+    """TrainingEvents from (t, x, y, member, category) tuples."""
+    t, x, y, members, categories = zip(*events) if events else ((), (), (), (), ())
+    return TrainingEvents(np.array(t), list(members), list(categories),
+                          np.array(x, dtype=float).reshape(-1, N_FEATURES), np.array(y))
+
+
+def sequential_backfit(store, events, cfg):
+    """The reference: one predict and one sgd_update per event, in order,
+    with the final tenth scored before its own update."""
+    n = len(events)
+    model_losses, prior_losses = [], []
+    prior = CategoryModel(store.prior.copy())
+    for i, (t, x, y, member, category) in enumerate(events):
+        p = store.predict(member, category, x)
+        if i >= (9 * n) // 10:
+            model_losses.append(log_loss(p, y))
+            prior_losses.append(log_loss(predict_category(prior, x), y))
+        sgd_update(store.get(member, category), x, y, cfg)
+    return sum(model_losses) / len(model_losses), sum(prior_losses) / len(prior_losses)
+
+
 class TestBackfit:
     def event(self, t, x, y, member="m1", category="c1"):
-        return TrainingEvent(t=t, member_id=member, category_id=category, x=x, y=y)
+        return (t, x, y, member, category)
 
     def test_empty_events_flagged_and_store_untouched(self):
         store = ModelStore()
-        report = backfit(store, [], LearnerConfig())
+        report = backfit(store, batch([]), LearnerConfig())
         assert report == BackfitReport(0, 0, 0, None, None, empty=True)
         assert len(store) == 0
 
@@ -279,7 +302,7 @@ class TestBackfit:
         x[0], x[5] = 1.0, 2.0
         store = ModelStore()
         cfg = LearnerConfig(learning_rate=0.1, positive_boost=2.0)
-        report = backfit(store, [self.event(0, x, 1)], cfg)
+        report = backfit(store, batch([self.event(0, x, 1)]), cfg)
         assert report.n_updates == 1
         np.testing.assert_allclose(
             store.weights_for("m1", "c1"), 2.0 * 0.1 * 0.5 * x, rtol=1e-12
@@ -289,7 +312,7 @@ class TestBackfit:
         x = np.ones(N_FEATURES)
         events = [self.event(5, x, 1), self.event(3, x, 0)]
         with pytest.raises(ValueError, match="sorted"):
-            backfit(ModelStore(), events, LearnerConfig())
+            backfit(ModelStore(), batch(events), LearnerConfig())
 
     def test_holdout_beats_prior_on_learnable_stream(self, rng):
         true_w = np.zeros(N_FEATURES)
@@ -301,7 +324,7 @@ class TestBackfit:
             y = int(rng.random() < sigmoid(float(true_w @ x)))
             events.append(self.event(t, x, y))
         store = ModelStore()
-        report = backfit(store, events, LearnerConfig(learning_rate=0.1, positive_boost=1.0))
+        report = backfit(store, batch(events), LearnerConfig(learning_rate=0.1, positive_boost=1.0))
         assert report.n_events == 600
         assert report.holdout_size == 60
         assert report.holdout_log_loss < report.prior_log_loss
@@ -312,9 +335,82 @@ class TestBackfit:
         x = np.zeros(N_FEATURES)
         x[0] = 1.0
         events = [self.event(t, x, t % 2) for t in range(20)]
-        report = backfit(ModelStore(), events, LearnerConfig(learning_rate=0.01))
+        report = backfit(ModelStore(), batch(events), LearnerConfig(learning_rate=0.01))
         assert report.holdout_size == 2
         assert report.prior_log_loss == pytest.approx(math.log(2.0), rel=1e-12)
+
+
+class TestBackfitWaves:
+    """The wave-ordered backfit against the per-event sgd_update loop."""
+
+    def stream(self, rng, n=400):
+        # Interleaved pairs with very uneven counts: pair k takes about
+        # 2^-k of the events, and a few pairs see a single event.
+        pairs = [(f"m{i % 4}", f"c{i % 3}") for i in range(9)]
+        odds = 0.5 ** np.arange(len(pairs))
+        picks = rng.choice(len(pairs), size=n, p=odds / odds.sum())
+        events = []
+        for i, k in enumerate(picks):
+            x = rng.normal(0.0, 1.0, N_FEATURES)
+            x[0] = 1.0
+            events.append((i // 3, x, int(rng.integers(0, 2)), *pairs[k]))
+        return events
+
+    @pytest.mark.parametrize("l2", [0.0, 0.3])
+    @pytest.mark.parametrize("prior", [None, 0.2])
+    def test_matches_sequential_sgd_updates(self, rng, l2, prior):
+        events = self.stream(rng)
+        cfg = LearnerConfig(learning_rate=0.07, positive_boost=2.5, l2_lambda=l2,
+                            prior_weights=None if prior is None else (prior,) * N_FEATURES)
+        expected = ModelStore.from_config(cfg)
+        model_loss, prior_loss = sequential_backfit(expected, events, cfg)
+        store = ModelStore.from_config(cfg)
+        report = backfit(store, batch(events), cfg)
+        assert [k for k, _ in store.items_sorted()] == [k for k, _ in expected.items_sorted()]
+        for (_, a), (_, b) in zip(store.items_sorted(), expected.items_sorted()):
+            np.testing.assert_allclose(a.weights, b.weights, rtol=0, atol=1e-12)
+            assert a.update_count == b.update_count
+        assert len({m.update_count for _, m in store.items_sorted()}) > 3  # uneven pairs
+        assert report.n_events == report.n_updates == len(events)
+        assert report.holdout_size == len(events) - (9 * len(events)) // 10
+        assert report.holdout_log_loss == pytest.approx(model_loss, rel=0, abs=1e-12)
+        assert report.prior_log_loss == pytest.approx(prior_loss, rel=0, abs=1e-12)
+
+    def test_trains_a_store_that_already_holds_pairs(self, rng):
+        events = self.stream(rng, n=120)
+        cfg = LearnerConfig(learning_rate=0.05)
+        expected, store = ModelStore(), ModelStore()
+        for s in (expected, store):
+            s.get("m1", "c1").weights[:] = 0.3
+            s.get("m9", "c9")
+        sequential_backfit(expected, events, cfg)
+        backfit(store, batch(events), cfg)
+        assert len(store) == len(expected)
+        for (ka, a), (kb, b) in zip(store.items_sorted(), expected.items_sorted()):
+            assert ka == kb and a.update_count == b.update_count
+            np.testing.assert_allclose(a.weights, b.weights, rtol=0, atol=1e-12)
+
+    def test_divergence_raises_the_sgd_update_message(self):
+        x = np.full(N_FEATURES, 100.0)
+        x[0] = 1.0
+        events = [(0, x, 1, "m1", "c1"), (1, x, 0, "m2", "c1")]
+        cfg = LearnerConfig(learning_rate=1e308)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError) as scalar:
+                sgd_update(CategoryModel(np.zeros(N_FEATURES)), x, 1, cfg)
+            with pytest.raises(ValueError) as waves:
+                backfit(ModelStore(), batch(events), cfg)
+        assert str(waves.value) == str(scalar.value) == DIVERGED
+
+    def test_unsorted_events_rejected_anywhere_in_the_batch(self, rng):
+        events = self.stream(rng, n=50)
+        events[30] = (0, *events[30][1:])
+        with pytest.raises(ValueError, match="sorted by t ascending"):
+            backfit(ModelStore(), batch(events), LearnerConfig())
+
+    def test_bad_label_rejected(self):
+        with pytest.raises(ValueError, match="label"):
+            batch([(0, np.zeros(N_FEATURES), 2, "m1", "c1")])
 
 
 class TestCheckpoint:
@@ -374,6 +470,40 @@ class TestCheckpoint:
         path.write_text("".join(json.dumps(l) + "\n" for l in lines), encoding="utf-8")
         with pytest.raises(ConfigError, match=f"{path.name} line {line}:"):
             load_checkpoint(path)
+
+
+    def test_rows_are_the_json_dumps_lines(self, tmp_path, rng):
+        cfg = LearnerConfig(learning_rate=0.07)
+        store = ModelStore(np.full(N_FEATURES, -0.0))
+        pairs = [("m1", "c1"), ('m"quoted"', "c\\2"), ("mémbre", "catégorie"), ("m\u4e2d", "c\n1"), ("m2", "c1")]
+        for i, (member, category) in enumerate(pairs):
+            for _ in range(i + 1):
+                sgd_update(store.get(member, category), rng.normal(0.0, 3.0, N_FEATURES), i % 2, cfg)
+        store.get("m3", "c3").weights[:] = [1e-300, -0.0, 1e20, 0.1, 1 / 3, -2.5e-8, 123456789.0, 5e-324, -1.0]
+        path = tmp_path / "checkpoint.jsonl"
+        save_checkpoint(path, store, cfg)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        expected = [
+            json.dumps({"member_id": m, "category_id": c, "weights": [float(w) for w in model.weights],
+                        "update_count": model.update_count}, sort_keys=True)
+            for (m, c), model in store.items_sorted()
+        ]
+        assert lines[1:] == expected
+        assert json.loads(lines[0])["n_models"] == len(pairs) + 1
+
+    def test_save_load_save_is_byte_identical(self, tmp_path, rng):
+        cfg = LearnerConfig()
+        store = ModelStore(rng.normal(0.0, 1.0, N_FEATURES))
+        for member, category in [("m1", "c1"), ("mé", 'c"'), ("m0", "c9")]:
+            sgd_update(store.get(member, category), rng.normal(0.0, 1.0, N_FEATURES), 1, cfg)
+        first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        save_checkpoint(first, store, cfg)
+        loaded, _ = load_checkpoint(first)
+        save_checkpoint(second, loaded, cfg)
+        assert second.read_bytes() == first.read_bytes()
+        # The loaded store keeps growing past the rows it was read with.
+        sgd_update(loaded.get("m_new", "c1"), np.ones(N_FEATURES), 0, cfg)
+        assert len(loaded) == 4 and loaded.weights_for("m1", "c1") is not loaded.prior
 
 
 def test_log_loss_clamps_probabilities():

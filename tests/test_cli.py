@@ -297,6 +297,42 @@ class TestNonFiniteConfig:
                         RunConfig.from_dict({section.name: {f.name: bad}})
 
 
+class TestConfigValueTypes:
+    @pytest.mark.parametrize("section, key, value", [
+        ("learner", "learning_rate", "0.1"),
+        ("learner", "positive_boost", [2.0]),
+        ("exploration", "kappa_initial", True),
+        ("run", "rounds", "30"),
+        ("run", "seed", False),
+        ("synthetic", "n_members", 4.0),
+        ("learner", "prior_weights", [0.0] * 8 + ["1"]),
+        ("run", "out_dir", 7),
+    ])
+    def test_simulate_exits_2_naming_the_key(self, tmp_path, capsys, section, key, value):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path / "cfg.json", **{section: {key: value}})
+        assert main(["simulate", "--config", cfg, "--rounds", "5", "--out", str(out)]) == 2
+        error = stderr_error(capsys)
+        assert error["error"] == "config"
+        assert f"{section}.{key}={value!r}" in error["message"]
+        assert not out.exists()
+
+    def test_every_field_rejects_a_value_of_another_type(self):
+        for section in dataclasses.fields(RunConfig):
+            values = getattr(RunConfig(), section.name)
+            if not dataclasses.is_dataclass(values):
+                continue
+            for f in dataclasses.fields(values):
+                bad = {"a": 1} if f.type.startswith("str") else "1"
+                with pytest.raises(ConfigError, match=f"{section.name}.{f.name}="):
+                    RunConfig.from_dict({section.name: {f.name: bad}})
+
+    def test_ints_are_numbers_and_null_fits_optional_fields(self):
+        cfg = RunConfig.from_dict({"learner": {"learning_rate": 1, "prior_weights": None},
+                                   "data": {"offers": None}})
+        assert cfg.learner.learning_rate == 1 and cfg.learner.prior_weights is None
+
+
 class TestReport:
     def test_merges_mean_metrics_across_runs(self, tmp_path, capsys):
         run_dirs = []

@@ -183,6 +183,10 @@ class TestOffers:
             self.offer_line(offer_id="o11", num_items=True),
             self.offer_line(offer_id="o12", num_items=10**400),
             self.offer_line(offer_id="o13", num_items="3"),
+            self.offer_line(offer_id="o14", category_ids="c1"),
+            self.offer_line(offer_id="o15", brand_ids="b1"),
+            self.offer_line(offer_id="o16", discount_value="3"),
+            self.offer_line(offer_id="o17", discount_value=True),
             self.offer_line(offer_id="o1"),
             "not json at all",
         ]
@@ -190,9 +194,11 @@ class TestOffers:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         result = ingest_offers(path)
         assert [o.offer_id for o in result.records] == ["o1"]
-        assert [idx for idx, _ in result.issues] == list(range(1, 15))
+        assert [idx for idx, _ in result.issues] == list(range(1, 19))
         assert all("num_items" in reason for _, reason in result.issues[8:12])
-        assert "duplicate offer_id o1" in result.issues[12][1]
+        keys = ["category_ids", "brand_ids", "discount_value", "discount_value"]
+        assert all(key in reason for key, (_, reason) in zip(keys, result.issues[12:16]))
+        assert "duplicate offer_id o1" in result.issues[16][1]
 
     def test_missing_file_is_fatal(self, tmp_path):
         with pytest.raises(IngestError):

@@ -12,12 +12,21 @@ from offerbandit.baselines import make_policy
 from offerbandit.data import Impression, MFScoreTable, Offer, Transaction
 from offerbandit.errors import ConfigError
 from offerbandit.exploration import ExplorationConfig
-from offerbandit.features import RoundContexts
+from offerbandit.datagen import generate_impressions, generate_offers, generate_transactions
+from offerbandit.features import (
+    MemberStatsIndex,
+    RoundContexts,
+    RunningScaler,
+    build_seasonality_profile,
+    featurize,
+    scale_round,
+)
 from offerbandit.harness import (
     OraclePolicy,
     RawCandidate,
     ReplayDataset,
     RoundRecord,
+    backfit_events,
     SyntheticWorld,
     SyntheticWorldConfig,
     build_manifest,
@@ -355,6 +364,47 @@ class TestReplay:
         write_roundlog(pa, a.records)
         write_roundlog(pb, b.records)
         assert pa.read_bytes() == pb.read_bytes()
+
+
+class TestBackfitEvents:
+    def test_rows_equal_scale_round_of_featurize_bit_for_bit(self):
+        transactions = generate_transactions(n_members=8, n_categories=4, events_per_member=20, seed=11)
+        offers = generate_offers(n_offers=25, n_categories=5, seed=12)
+        impressions = generate_impressions(offers, n_members=9, n_impressions=120, seed=13)
+        # A shown offer outside the catalog and one shown after it ended
+        # are skipped; the second impression then has no featurized offer.
+        late = impressions[0].timestamp + timedelta(days=4000)
+        impressions[5] = Impression(impressions[5].timestamp, impressions[5].member_id,
+                                    ("o_unknown",) + impressions[5].offers_shown, impressions[5].clipped)
+        impressions.append(Impression(late, "m001", (offers[0].offer_id,), frozenset()))
+        mf = MFScoreTable({("m001", offers[2].offer_id): 0.4}, default_score=-0.1)
+        dataset = ReplayDataset(transactions, offers, impressions, mf)
+        events, skips = backfit_events(dataset, cold_start_mpg=0.6, default_cycle_days=20.0, smoothing_window=5)
+
+        stats = MemberStatsIndex(transactions, 20.0)
+        profile = build_seasonality_profile(transactions, 5)
+        catalog = dataset.catalog()
+        scaler = RunningScaler()
+        expected = []
+        for idx, imp in enumerate(impressions):
+            day = imp.timestamp.date()
+            shown = [catalog[o] for o in imp.offers_shown if o in catalog and catalog[o].active_on(day)]
+            scaled = scale_round(featurize(imp.member_id, day, shown, stats, profile, mf, 0.6), scaler)
+            for oid, rows in zip(scaled.offer_ids, scaled.offer_slices()):
+                for c, x in zip(scaled.categories[rows], scaled.X[rows]):
+                    expected.append((idx, imp.member_id, c, x.tobytes(), int(oid in imp.clipped)))
+        got = [
+            (int(t), m, c, x.tobytes(), int(y))
+            for t, m, c, x, y in zip(events.t, events.member_ids, events.category_ids, events.X, events.y)
+        ]
+        assert got == expected
+        assert len(expected) > 200 and {y for *_, y in expected} == {0, 1}
+        assert skips == {"shown_offers_not_featurized": 2}
+
+    def test_empty_log_gives_an_empty_batch(self):
+        events, skips = backfit_events(ReplayDataset([], [], []))
+        assert len(events) == 0 and events.X.shape == (0, 9)
+        assert skips == {"shown_offers_not_featurized": 0}
 
 
 class TestManifest:

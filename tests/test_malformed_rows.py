@@ -25,10 +25,12 @@ UNKNOWN = object()  # show an offer the catalog does not hold
 TRANSACTION_COLUMNS = {"member_id": 0, "category_id": 1, "brand_id": 2, "event_date": 3, "quantity": 4}
 
 CORRUPTIONS = [
-    *(("offers", "discount_value", v) for v in (math.nan, math.inf, -math.inf, -1.0, MISSING)),
+    *(("offers", "discount_value", v) for v in (math.nan, math.inf, -math.inf, -1.0, "3", True, MISSING)),
     *(("offers", "num_items", v) for v in (2.7, True, 0, -2, math.nan, math.inf, 10**400, "2", MISSING)),
     *(("offers", key, MISSING) for key in ("offer_id", "category_ids", "start_date", "end_date")),
     ("offers", "category_ids", []),
+    ("offers", "category_ids", "c1"),
+    ("offers", "brand_ids", "b1"),
     ("offers", "end_date", "2023-01-01"),
     *(("impressions", "offers_shown", v) for v in (REPEAT, UNKNOWN, [], MISSING)),
     *(("impressions", key, MISSING) for key in ("timestamp", "member_id")),

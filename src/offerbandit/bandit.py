@@ -36,6 +36,12 @@ def sigmoid(z: float) -> float:
     return e / (1.0 + e)
 
 
+def sigmoid_rows(z: np.ndarray) -> np.ndarray:
+    """sigmoid of every entry, by the same two stable branches as sigmoid:
+    the numerator exp(min(z, 0)) is 1 where z >= 0 and exp(-|z|) below."""
+    return np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-np.abs(z)))
+
+
 def logit(p: float) -> float:
     return math.log(p / (1.0 - p))
 
@@ -119,7 +125,7 @@ def sgd_update(model: CategoryModel, x: np.ndarray, y: int, cfg: LearnerConfig) 
         step = step - (cfg.learning_rate * cfg.l2_lambda) * w
     model.weights = w = w + step
     model.update_count += 1
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise ValueError(DIVERGED)
 
 
@@ -158,6 +164,24 @@ def aggregate_offer(
         z += weights[c] * logit(p)
     z += cfg.mf_bias_coeff * mf_score
     return sigmoid(z)
+
+
+def offer_probabilities(
+    category_probs: np.ndarray,
+    weights: np.ndarray,
+    starts: np.ndarray,
+    mf_scores: np.ndarray,
+    cfg: LearnerConfig,
+) -> np.ndarray:
+    """aggregate_offer for every offer of a round at once.
+
+    Row r holds one category's probability and its renormalized share
+    weights[r]; offer k owns the rows from starts[k] to the next start.
+    """
+    p = np.minimum(np.maximum(category_probs, LOGIT_CLAMP), 1.0 - LOGIT_CLAMP)
+    z = np.add.reduceat(weights * np.log(p / (1.0 - p)), starts)
+    z += cfg.mf_bias_coeff * mf_scores
+    return sigmoid_rows(z)
 
 
 class StoredModel:
@@ -201,8 +225,8 @@ class ModelStore:
     never change what any pair would predict.
 
     Each taken row also has a view in a list, rebuilt when the matrix
-    grows: scoring reads one row at a time, and indexing the matrix would
-    make a new view on every read.
+    grows: scoring and updates read a few scattered rows at a time, and
+    indexing the matrix would make a new view on every read.
     """
 
     def __init__(self, prior_weights: np.ndarray | None = None, n_features: int = N_FEATURES):
@@ -250,12 +274,14 @@ class ModelStore:
         return self.prior if row is None else self._views[row]
 
     def predict(self, member_id: str, category_id: str, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float)
-        row = self._rows.get((member_id, category_id))  # weights_for, inlined on the scoring path
-        w = self.prior if row is None else self._views[row]
-        if x.shape != w.shape:
-            raise ValueError(f"feature dim {x.shape} does not match weights {w.shape}")
-        return sigmoid(float(w @ x))
+        return predict_category(CategoryModel(self.weights_for(member_id, category_id)), x)
+
+    def predict_rows(self, member_id: str, category_ids: Sequence[str], X: np.ndarray) -> np.ndarray:
+        """predict() of every row X[r] under the member's model of
+        category_ids[r]; unseen pairs read as the prior, unmaterialized."""
+        get, views, prior = self._rows.get, self._views, self.prior
+        W = np.array([prior if (row := get((member_id, c))) is None else views[row] for c in category_ids])
+        return sigmoid_rows(np.einsum("ij,ij->i", W, X))
 
     def items_sorted(self) -> list[tuple[tuple[str, str], StoredModel]]:
         return [(key, StoredModel(self, self._rows[key])) for key in sorted(self._rows)]
@@ -315,12 +341,6 @@ class BackfitReport:
     empty: bool = False
 
 
-def _sigmoid_rows(z: np.ndarray) -> np.ndarray:
-    """sigmoid of every entry, by the same two stable branches as sigmoid."""
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
 def _log_loss_rows(p: np.ndarray, y: np.ndarray) -> np.ndarray:
     p = np.clip(p, 1e-12, 1.0 - 1e-12)
     return np.where(y == 1, -np.log(p), -np.log(1.0 - p))
@@ -360,7 +380,7 @@ def backfit(store: ModelStore, events: TrainingEvents, cfg: LearnerConfig) -> Ba
     for wave in _waves(rows):
         r, x, y_k = rows[wave], X[wave], y[wave]
         w = W[r]
-        p_k = p[wave] = _sigmoid_rows(np.einsum("ij,ij->i", w, x))
+        p_k = p[wave] = sigmoid_rows(np.einsum("ij,ij->i", w, x))
         step = (cfg.learning_rate * (y_k - p_k))[:, None] * x
         step[y_k == 1] *= cfg.positive_boost
         if cfg.l2_lambda:
@@ -377,7 +397,7 @@ def backfit(store: ModelStore, events: TrainingEvents, cfg: LearnerConfig) -> Ba
         n_updates=n,
         holdout_size=len(y_tail),
         holdout_log_loss=float(_log_loss_rows(p[tail], y_tail).mean()),
-        prior_log_loss=float(_log_loss_rows(_sigmoid_rows(X[tail] @ store.prior), y_tail).mean()),
+        prior_log_loss=float(_log_loss_rows(sigmoid_rows(X[tail] @ store.prior), y_tail).mean()),
     )
 
 
@@ -387,6 +407,14 @@ def finite_weights(values: list) -> list:
     if len(values) != N_FEATURES or not all(map(math.isfinite, values)):
         raise ValueError(f"weights must be {N_FEATURES} finite numbers, got {values!r}")
     return values
+
+
+def json_count(value, name: str) -> int:
+    """A count read from a file, returned as is. Raises ValueError unless
+    it is a non-negative JSON integer; booleans are not counts."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    return value
 
 
 def save_checkpoint(path: str | Path, store: ModelStore, cfg: LearnerConfig) -> None:
@@ -422,7 +450,8 @@ def load_checkpoint(path: str | Path) -> tuple[ModelStore, dict]:
 
     Raises ConfigError naming the file and line when the feature order
     version differs, a line is malformed, the prior or a model's weights
-    are not N_FEATURES finite numbers, or the model rows do not match the
+    are not N_FEATURES finite numbers, n_models or an update_count is not
+    a non-negative JSON integer, or the model rows do not match the
     header's n_models.
     """
     with Path(path).open(encoding="utf-8") as fh:
@@ -434,7 +463,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelStore, dict]:
                     f"checkpoint feature order version {header.get('feature_order_version')} "
                     f"does not match current version {FEATURE_ORDER_VERSION}"
                 )
-            n_models = int(header["n_models"])
+            n_models = json_count(header["n_models"], "n_models")
             store = ModelStore(finite_weights(header["prior_weights"]))
             for lineno, line in enumerate(fh, start=2):
                 line = line.strip()
@@ -446,7 +475,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelStore, dict]:
                     raise ValueError(f"duplicate model {key}")
                 model = store.get(*key)
                 model.weights = np.asarray(finite_weights(obj["weights"]), dtype=float)
-                model.update_count = int(obj["update_count"])  # OverflowError past int64
+                model.update_count = json_count(obj["update_count"], "update_count")  # OverflowError past int64
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
             raise ConfigError(f"checkpoint {path} line {lineno}: {reason}") from None

@@ -1,11 +1,12 @@
 """Selection policies behind a single interface.
 
-The harness talks to every policy the same way: select() ranks the round's
-candidate offers without mutating model state, update() folds in the
-observed reward for one offer. The category-level bandit (policy key
-"camb") works on per-category contexts; the baselines score the flattened
-offer-level vector, which is the purchase-share weighted average of the
-offer's category contexts.
+The harness talks to every policy the same way: select() ranks one round's
+offers, given as an OfferRound of arrays, without mutating model state;
+update() folds in the observed reward for one offer, given as an
+OfferCandidate. The category-level bandit (policy key "camb") works on
+per-category contexts; the baselines score the flattened offer-level
+vector, which is the purchase-share weighted average of the offer's
+category contexts.
 
 Baselines:
     linucb   shared-parameter LinUCB: ridge point estimate plus an
@@ -19,8 +20,8 @@ Baselines:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Protocol, Sequence
+from dataclasses import dataclass, field
+from typing import Protocol
 
 import numpy as np
 
@@ -29,12 +30,13 @@ from .bandit import (
     LearnerConfig,
     ModelStore,
     aggregate_offer,
-    predict_category,
+    offer_probabilities,
     sgd_update,
+    sigmoid_rows,
 )
 from .errors import ConfigError
-from .exploration import ExplorationConfig, kappa_at, sample_scores
-from .features import N_FEATURES
+from .exploration import ExplorationConfig, kappa_at, sample_beta
+from .features import N_FEATURES, RoundContexts
 
 EPSILON_DECAYS = ("constant", "inverse_t")
 
@@ -76,6 +78,64 @@ class Ranking:
         return self.order[0]
 
 
+@dataclass
+class OfferRound:
+    """One round's offers as arrays, the form every policy's select takes.
+
+    contexts holds the scaled rows, offer k owning the rows from
+    contexts.starts[k]. weights[r] is row r's share of its offer (the
+    member's purchase shares renormalized over the offer's categories)
+    and offer_vectors[k] is the share-weighted sum of offer k's rows.
+    true_p is set only by synthetic worlds. len() is the number of
+    offers; candidate(k) builds offer k's OfferCandidate for update().
+    """
+
+    contexts: RoundContexts
+    member_id: str
+    weights: np.ndarray
+    offer_vectors: np.ndarray
+    mf_scores: np.ndarray
+    true_p: np.ndarray | None = None
+    by_id: np.ndarray = field(init=False)  # offer indices in sorted offer-id order
+
+    def __post_init__(self) -> None:
+        ids = self.contexts.offer_ids
+        self.by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
+
+    def __len__(self) -> int:
+        return len(self.contexts.offer_ids)
+
+    def sorted_ids(self) -> list[str]:
+        ids = self.contexts.offer_ids
+        return [ids[k] for k in self.by_id.tolist()]
+
+    def candidate(self, k: int) -> OfferCandidate:
+        ctx = self.contexts
+        rows = slice(ctx.starts[k], ctx.starts[k] + ctx.sizes[k])
+        cats = ctx.categories[rows]
+        return OfferCandidate(
+            ctx.offer_ids[k],
+            self.member_id,
+            dict(zip(cats, ctx.X[rows])),
+            dict(zip(cats, self.weights[rows].tolist())),
+            float(self.mf_scores[k]),
+            self.offer_vectors[k],
+            None if self.true_p is None else float(self.true_p[k]),
+        )
+
+    def ranking(self, scores: np.ndarray, sampled: np.ndarray | None = None) -> Ranking:
+        """Offers by descending sampled score (point score when sampled is
+        None), ties in offer-id order: a stable sort over sorted ids."""
+        ids = self.contexts.offer_ids
+        key = scores if sampled is None else sampled
+        order = self.by_id[np.argsort(-key[self.by_id], kind="stable")]
+        return Ranking(
+            order=[ids[k] for k in order.tolist()],
+            scores=dict(zip(ids, scores.tolist())),
+            sampled=None if sampled is None else dict(zip(ids, sampled.tolist())),
+        )
+
+
 # (member_id, category_id, weights copy, update_count) emitted per update,
 # consumed by the weight-trajectory recorder.
 ModelDelta = tuple[str, str, np.ndarray, int]
@@ -84,8 +144,8 @@ ModelDelta = tuple[str, str, np.ndarray, int]
 class Policy(Protocol):
     name: str
 
-    def select(self, candidates: Sequence[OfferCandidate], rng: np.random.Generator, t: int) -> Ranking:
-        """Rank candidates for round t (1-based). Must not mutate state."""
+    def select(self, offers: OfferRound, rng: np.random.Generator, t: int) -> Ranking:
+        """Rank the round's offers for round t (1-based). Must not mutate state."""
         ...
 
     def update(self, candidate: OfferCandidate, reward: int) -> list[ModelDelta]:
@@ -93,17 +153,14 @@ class Policy(Protocol):
         ...
 
 
-def _ordered(scores: Mapping[str, float]) -> list[str]:
-    return sorted(scores, key=lambda oid: (-scores[oid], oid))
-
-
 class CambPolicy:
     """Category-level contextual bandit with Beta-sampled exploration.
 
-    Per candidate offer: predict a clip probability from each of the
-    offer's (member, category) models, aggregate to an offer-level
-    probability, then rank by a Beta(kappa*p, kappa*(1-p)) draw with kappa
-    following the configured schedule.
+    Per offer: predict a clip probability from each of the offer's
+    (member, category) models, aggregate to an offer-level probability,
+    then rank by a Beta(kappa*p, kappa*(1-p)) draw with kappa following
+    the configured schedule. select scores the whole round as arrays;
+    offer_probability is the same computation for one candidate.
     """
 
     name = "camb"
@@ -120,11 +177,16 @@ class CambPolicy:
         }
         return aggregate_offer(category_probs, candidate.shares, candidate.mf_score, self.learner)
 
-    def select(self, candidates: Sequence[OfferCandidate], rng: np.random.Generator, t: int) -> Ranking:
-        probs = {c.offer_id: self.offer_probability(c) for c in candidates}
+    def select(self, offers: OfferRound, rng: np.random.Generator, t: int) -> Ranking:
+        ctx = offers.contexts
+        category_probs = self.store.predict_rows(offers.member_id, ctx.categories, ctx.X)
+        probs = offer_probabilities(category_probs, offers.weights, ctx.starts, offers.mf_scores, self.learner)
         kappa = kappa_at(t - 1, self.exploration)
-        sampled = sample_scores(probs, kappa, rng, self.exploration.probability_clamp)
-        return Ranking(order=_ordered(sampled), scores=probs, sampled=sampled)
+        # Drawn in sorted offer-id order, the order sample_scores uses.
+        sampled = np.empty_like(probs)
+        by_id = offers.by_id
+        sampled[by_id] = sample_beta(probs[by_id], kappa, rng, self.exploration.probability_clamp)
+        return offers.ranking(probs, sampled)
 
     def update(self, candidate: OfferCandidate, reward: int) -> list[ModelDelta]:
         deltas: list[ModelDelta] = []
@@ -174,16 +236,15 @@ class LinUCBPolicy(RidgeStats):
         self.alpha_explore = alpha_explore
 
     def score(self, x: np.ndarray) -> float:
-        return self._score(x, self.theta())
+        return float(self.scores(x[None, :])[0])
 
-    def _score(self, x: np.ndarray, theta: np.ndarray) -> float:
-        width = float(x @ np.linalg.solve(self.A, x))
-        return float(x @ theta) + self.alpha_explore * np.sqrt(width)
+    def scores(self, X: np.ndarray) -> np.ndarray:
+        """Score of every row of X; all widths come from one solve."""
+        widths = np.einsum("ij,ji->i", X, np.linalg.solve(self.A, X.T))
+        return X @ self.theta() + self.alpha_explore * np.sqrt(widths)
 
-    def select(self, candidates: Sequence[OfferCandidate], rng: np.random.Generator, t: int) -> Ranking:
-        theta = self.theta()  # once per round, not per candidate
-        scores = {c.offer_id: self._score(c.offer_vector, theta) for c in candidates}
-        return Ranking(order=_ordered(scores), scores=scores)
+    def select(self, offers: OfferRound, rng: np.random.Generator, t: int) -> Ranking:
+        return offers.ranking(self.scores(offers.offer_vectors))
 
 
 class ThompsonPolicy(RidgeStats):
@@ -205,7 +266,7 @@ class ThompsonPolicy(RidgeStats):
     def posterior_mean(self) -> np.ndarray:
         return self.theta()
 
-    def select(self, candidates: Sequence[OfferCandidate], rng: np.random.Generator, t: int) -> Ranking:
+    def select(self, offers: OfferRound, rng: np.random.Generator, t: int) -> Ranking:
         mu = self.posterior_mean()
         if self.v == 0:
             theta = mu
@@ -214,9 +275,8 @@ class ThompsonPolicy(RidgeStats):
             L = np.linalg.cholesky(self.A)
             z = rng.standard_normal(len(mu))
             theta = mu + self.v * np.linalg.solve(L.T, z)
-        scores = {c.offer_id: float(c.offer_vector @ mu) for c in candidates}
-        sampled = {c.offer_id: float(c.offer_vector @ theta) for c in candidates}
-        return Ranking(order=_ordered(sampled), scores=scores, sampled=sampled)
+        X = offers.offer_vectors
+        return offers.ranking(X @ mu, X @ theta)
 
 
 class EpsilonGreedyPolicy:
@@ -247,13 +307,13 @@ class EpsilonGreedyPolicy:
             raise ValueError(f"inverse_t decay needs t >= 1, got {t}")
         return self.epsilon / t
 
-    def select(self, candidates: Sequence[OfferCandidate], rng: np.random.Generator, t: int) -> Ranking:
-        scores = {c.offer_id: predict_category(self.model, c.offer_vector) for c in candidates}
+    def select(self, offers: OfferRound, rng: np.random.Generator, t: int) -> Ranking:
+        scores = sigmoid_rows(offers.offer_vectors @ self.model.weights)
         if rng.random() < self.epsilon_at(t):
-            ids = sorted(scores)
+            ids = offers.sorted_ids()
             order = [ids[i] for i in rng.permutation(len(ids))]
-            return Ranking(order=order, scores=scores)
-        return Ranking(order=_ordered(scores), scores=scores)
+            return Ranking(order=order, scores=dict(zip(offers.contexts.offer_ids, scores.tolist())))
+        return offers.ranking(scores)
 
     def update(self, candidate: OfferCandidate, reward: int) -> list[ModelDelta]:
         sgd_update(self.model, candidate.offer_vector, reward, self.learner)
@@ -265,8 +325,8 @@ class RandomPolicy:
 
     name = "random"
 
-    def select(self, candidates: Sequence[OfferCandidate], rng: np.random.Generator, t: int) -> Ranking:
-        ids = sorted(c.offer_id for c in candidates)
+    def select(self, offers: OfferRound, rng: np.random.Generator, t: int) -> Ranking:
+        ids = offers.sorted_ids()
         order = [ids[i] for i in rng.permutation(len(ids))]
         return Ranking(order=order, scores={oid: 0.0 for oid in ids})
 

@@ -60,6 +60,19 @@ def sample_score(p: float, kappa: float, rng: np.random.Generator, clamp: float 
     return float(rng.beta(kappa * p, kappa * (1.0 - p)))
 
 
+def sample_beta(p: np.ndarray, kappa: float, rng: np.random.Generator, clamp: float = 1e-4) -> np.ndarray:
+    """sample_score of every entry of p with one generator call.
+
+    numpy draws the entries in order, one after another, exactly as a loop
+    of sample_score calls would: the same draws, and the generator is left
+    in the same state.
+    """
+    if kappa <= 0:
+        raise ConfigError(f"kappa must be positive, got {kappa}")
+    p = np.minimum(np.maximum(p, clamp), 1.0 - clamp)
+    return rng.beta(kappa * p, kappa * (1.0 - p))
+
+
 def sample_scores(
     probs: Mapping[str, float], kappa: float, rng: np.random.Generator, clamp: float = 1e-4
 ) -> dict[str, float]:

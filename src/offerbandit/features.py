@@ -25,6 +25,7 @@ from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from datetime import date
+from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
@@ -228,6 +229,12 @@ class RoundContexts:
     def offer_slices(self) -> list[slice]:
         """The rows of each offer, in offer order."""
         return [slice(end - n, end) for end, n in zip(accumulate(self.sizes), self.sizes)]
+
+    @cached_property
+    def starts(self) -> np.ndarray:
+        """Each offer's first row, in offer order: the np.add.reduceat
+        offsets that pool a round's rows per offer."""
+        return np.array(list(accumulate(self.sizes, initial=0))[:-1], dtype=np.intp)
 
 
 def featurize(

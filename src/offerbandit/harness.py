@@ -22,8 +22,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .baselines import OfferCandidate, Policy, Ranking
-from .bandit import LearnerConfig, TrainingEvents, aggregate_offer, renormalize_shares, sigmoid
+from .baselines import OfferCandidate, OfferRound, Policy, Ranking
+from .bandit import LearnerConfig, TrainingEvents, offer_probabilities, sigmoid_rows
 from .data import Impression, MFScoreTable, Offer, Transaction
 from .errors import ConfigError
 from .features import (
@@ -40,17 +40,6 @@ from .features import (
 from .interpret import TrajectoryStore
 
 
-@dataclass
-class RawCandidate:
-    """A generated offer before normalization: raw per-category contexts
-    plus the world's true clip probability."""
-
-    offer_id: str
-    category_raw: dict[str, np.ndarray]
-    mf_score: float
-    true_p: float
-
-
 # Population moments of the synthetic feature generator, used to put the
 # world's true logistic weights on the standardized feature scale. The
 # learner's online scaler converges to the same standardization, so the
@@ -62,6 +51,9 @@ SYNTHETIC_FEATURE_STD = np.array(
     [1.0, float(np.sqrt(0.5)), float(np.sqrt(0.05)), 1.0 / _SQRT12, 1.0 / _SQRT12,
      27.0 / _SQRT12, 9.5 / _SQRT12, float(np.sqrt(35.0 / 12.0)), 0.5]
 )
+# Ranges of the uniform offer features recency, duration and value.
+_OFFER_LOW = np.array([0.0, 3.0, 0.5])
+_OFFER_SPAN = np.array([1.0, 27.0, 9.5])
 
 
 @dataclass
@@ -96,7 +88,8 @@ class SyntheticWorld:
     one to max_categories_per_offer categories with freshly drawn features.
     An offer's true clip probability aggregates its per-category logistic
     probabilities exactly the way the learner does (uniform shares, same
-    mf coefficient), computed on standardized features.
+    mf coefficient), computed on standardized features. Each round's
+    features are drawn as arrays, one generator call per feature.
     """
 
     def __init__(self, config: SyntheticWorldConfig):
@@ -109,6 +102,16 @@ class SyntheticWorld:
             w[0] = rng.normal(config.bias_mean, config.bias_scale)
             self.true_weights[c] = w
         self._agg = LearnerConfig(mf_bias_coeff=config.mf_bias_coeff)
+        # Row j: category j's weights with the standardization folded in,
+        # so that its dot product with a raw row (bias entry 1) equals
+        # true_weights . standardize(raw).
+        W = np.array(list(self.true_weights.values()))
+        self._raw_weights = W / SYNTHETIC_FEATURE_STD
+        self._raw_weights[:, 0] = W[:, 0] - self._raw_weights[:, 1:] @ SYNTHETIC_FEATURE_MEAN[1:]
+        self._index = {c: j for j, c in enumerate(self.categories)}
+        self._by_name = np.argsort(self.categories)
+        self._count_range = np.array([config.max_categories_per_offer, 6])
+        self._offer_ids = [f"o{i:02d}" for i in range(config.offers_per_round)]
 
     @staticmethod
     def standardize(x: np.ndarray) -> np.ndarray:
@@ -117,43 +120,64 @@ class SyntheticWorld:
         return out
 
     def true_probability(self, category_raw: Mapping[str, np.ndarray], mf_score: float) -> float:
-        probs = {
-            c: sigmoid(float(self.true_weights[c] @ self.standardize(x)))
-            for c, x in category_raw.items()
-        }
-        return aggregate_offer(probs, {}, mf_score, self._agg)
+        """One offer's clip probability from its raw category rows (bias
+        entry 1). Worlds that override this per-offer hook have it called
+        for every offer; the base world scores whole rounds at once with
+        the same arithmetic."""
+        cats = sorted(category_raw)
+        raw = RoundContexts([""], cats, [len(cats)], np.array([category_raw[c] for c in cats]))
+        rows = np.array([self._index[c] for c in cats])
+        return float(self._true_probabilities(raw, rows, np.array([mf_score]))[0])
 
-    def generate_round(self, t: int, rng: np.random.Generator) -> tuple[str, list[RawCandidate]]:
+    def _true_probabilities(self, raw: RoundContexts, rows: np.ndarray, mf_scores: np.ndarray) -> np.ndarray:
+        """Every offer's true clip probability: per-category logistic
+        probabilities, aggregated by offer_probabilities with uniform
+        shares. Row r of raw belongs to category rows[r] of the world."""
+        p = sigmoid_rows(np.einsum("ij,ij->i", self._raw_weights[rows], raw.X))
+        sizes = np.asarray(raw.sizes)
+        return offer_probabilities(p, (1.0 / sizes).repeat(sizes), raw.starts, mf_scores, self._agg)
+
+    def generate_round(self, t: int, rng: np.random.Generator) -> tuple[str, RoundContexts, np.ndarray, np.ndarray]:
+        """The round's member, raw contexts, mf scores and true clip
+        probabilities, offers in generation order. Each feature is drawn
+        for all of the round's offers or rows at once."""
         cfg = self.config
+        n = cfg.offers_per_round
         member = f"m{int(rng.integers(cfg.n_members))}"
-        candidates = []
-        for i in range(cfg.offers_per_round):
-            n_cats = int(rng.integers(1, cfg.max_categories_per_offer + 1))
-            picks = rng.choice(cfg.n_categories, size=n_cats, replace=False)
-            # Sorted: scale_round feeds the scaler in category order.
-            cats = sorted(self.categories[j] for j in picks)
-            recency = rng.uniform(0.0, 1.0)
-            duration = rng.uniform(3.0, 30.0)
-            value = rng.uniform(0.5, 10.0)
-            num_items = float(rng.integers(1, 7))
-            mf_score = rng.normal(0.0, 0.5)
-            raw = {}
-            for c in cats:
-                mpg = rng.gamma(2.0, 0.5)
-                loyalty = rng.beta(2.0, 2.0)
-                seasonality = rng.uniform(0.0, 1.0)
-                raw[c] = np.array(
-                    [1.0, mpg, loyalty, seasonality, recency, duration, value, num_items, mf_score]
-                )
-            candidates.append(
-                RawCandidate(
-                    offer_id=f"o{i:02d}",
-                    category_raw=raw,
-                    mf_score=mf_score,
-                    true_p=self.true_probability(raw, mf_score),
-                )
-            )
-        return member, candidates
+        # One uniform row per offer: a sort key per category, then the
+        # category count, num_items, recency, duration and value.
+        u = rng.random((n, cfg.n_categories + 5))
+        keys, counts, spans = u[:, :cfg.n_categories], u[:, -5:-3], u[:, -3:]
+        sizes, num_items = (1 + counts * self._count_range).astype(np.intp).T  # floor(k * u) + 1
+        # Offer k takes the sizes[k] categories with the smallest keys, a
+        # uniform random subset as choice(replace=False) would draw; its
+        # rows follow in category-name order, the order scale_round feeds
+        # the scaler.
+        rank = keys.argsort(axis=1).argsort(axis=1)
+        offer_of, col = np.nonzero(rank[:, self._by_name] < sizes[:, None])
+        cat = self._by_name[col]
+        categories = [self.categories[j] for j in cat.tolist()]
+        offer = np.empty((n, 5))
+        offer[:, :3] = _OFFER_LOW + _OFFER_SPAN * spans  # recency, duration, value
+        offer[:, 3] = num_items
+        offer[:, 4] = mf_scores = rng.normal(0.0, 0.5, n)
+        m = len(categories)
+        X = np.empty((m, N_FEATURES))
+        X[:, 0] = 1.0
+        X[:, 1] = rng.gamma(2.0, 0.5, m)  # mpg
+        X[:, 2] = rng.beta(2.0, 2.0, m)  # brand loyalty
+        X[:, 3] = rng.random(m)  # seasonality
+        X[:, 4:] = offer[offer_of]
+        raw = RoundContexts(self._offer_ids, categories, sizes.tolist(), X)
+        if type(self).true_probability is SyntheticWorld.true_probability:
+            true_p = self._true_probabilities(raw, cat, mf_scores)
+        else:
+            rows = list(X)
+            true_p = np.array([
+                self.true_probability(dict(zip(categories[r], rows[r])), mf)
+                for r, mf in zip(raw.offer_slices(), mf_scores.tolist())
+            ])
+        return member, raw, mf_scores, true_p
 
 
 class OraclePolicy:
@@ -161,10 +185,8 @@ class OraclePolicy:
 
     name = "oracle"
 
-    def select(self, candidates: Sequence[OfferCandidate], rng: np.random.Generator, t: int) -> Ranking:
-        scores = {c.offer_id: float(c.true_p) for c in candidates}
-        order = sorted(scores, key=lambda oid: (-scores[oid], oid))
-        return Ranking(order=order, scores=scores)
+    def select(self, offers: OfferRound, rng: np.random.Generator, t: int) -> Ranking:
+        return offers.ranking(offers.true_p)
 
     def update(self, candidate: OfferCandidate, reward: int):
         return []
@@ -282,28 +304,28 @@ def compute_metrics(records: Sequence[RoundRecord]) -> MetricsSummary:
     )
 
 
-def make_candidates(scaled: RoundContexts, member_id: str, purchase_shares: Mapping[str, float],
-                    mf_scores: Sequence[float], true_ps: Sequence[float] | None = None) -> list[OfferCandidate]:
-    """The round's candidates from its normalized contexts, in offer order.
+def make_round(scaled: RoundContexts, member_id: str, purchase_shares: Mapping[str, float],
+               mf_scores: Sequence[float], true_p: Sequence[float] | None = None) -> OfferRound:
+    """The round as its policy sees it, from its normalized contexts.
 
-    Each offer's shares are the member's purchase shares renormalized over
-    its categories, and its offer vector is the share-weighted sum of its
-    category rows, pooled for all offers with one reduceat. Category
-    vectors are views of the scaled rows.
+    Each offer's row weights are renormalize_shares of the member's
+    purchase shares over its categories, and its offer vector is the
+    share-weighted sum of its rows; both are worked out for all offers at
+    once, with reduceat over each offer's rows.
     """
-    slices = scaled.offer_slices()
-    shares = [renormalize_shares(scaled.categories[rows], purchase_shares) for rows in slices]
-    weights = np.array([w for offer_shares in shares for w in offer_shares.values()])
-    pooled = np.add.reduceat(weights[:, None] * scaled.X, [rows.start for rows in slices], axis=0)
-    vectors = list(scaled.X)
-    return [
-        OfferCandidate(
-            oid, member_id, dict(zip(scaled.categories[rows], vectors[rows])), offer_shares, mf_score, offer_vector, true_p
-        )
-        for oid, rows, offer_shares, mf_score, offer_vector, true_p in zip(
-            scaled.offer_ids, slices, shares, mf_scores, pooled, true_ps or [None] * len(slices)
-        )
-    ]
+    sizes = np.asarray(scaled.sizes)
+    uniform = (1.0 / sizes).repeat(sizes)
+    if purchase_shares:
+        raw = np.maximum([purchase_shares.get(c, 0.0) for c in scaled.categories], 0.0)
+        total = np.add.reduceat(raw, scaled.starts).repeat(sizes)
+        weights = np.where(total > 0, raw / np.where(total > 0, total, 1.0), uniform)
+    else:
+        weights = uniform
+    pooled = np.add.reduceat(weights[:, None] * scaled.X, scaled.starts, axis=0)
+    return OfferRound(
+        scaled, member_id, weights, pooled, np.asarray(mf_scores, dtype=float),
+        None if true_p is None else np.asarray(true_p, dtype=float),
+    )
 
 
 def run_synthetic(
@@ -315,7 +337,7 @@ def run_synthetic(
 ) -> RunResult:
     """Run the policy for `rounds` simulated rounds.
 
-    Per round: generate candidates, normalize their contexts through the
+    Per round: generate offers, normalize their contexts through the
     shared online scaler, rank, reward the top choice with a Bernoulli draw
     on its true probability, update the policy with that single outcome.
     """
@@ -327,17 +349,15 @@ def run_synthetic(
     records: list[RoundRecord] = []
     update_ordinal = 0
     for t in range(1, rounds + 1):
-        member, raws = world.generate_round(t, rng)
-        scaled = scale_round(RoundContexts.stack({rc.offer_id: rc.category_raw for rc in raws}), scaler)
-        candidates = make_candidates(scaled, member, {}, [rc.mf_score for rc in raws], [rc.true_p for rc in raws])
-        by_id = {c.offer_id: c for c in candidates}
-        ranking = policy.select(candidates, rng, t)
-        chosen = by_id[ranking.top]
+        member, raw, mf_scores, true_p = world.generate_round(t, rng)
+        offers = make_round(scale_round(raw, scaler), member, {}, mf_scores, true_p)
+        ranking = policy.select(offers, rng, t)
+        chosen = offers.candidate(raw.offer_ids.index(ranking.top))
         y = 1 if rng.random() < chosen.true_p else 0
         for member_id, category_id, weights, update_count in policy.update(chosen, y):
             update_ordinal += 1
             trajectories.record(member_id, category_id, weights, update_count, update_ordinal)
-        best = min(by_id.values(), key=lambda c: (-c.true_p, c.offer_id))
+        best = int(offers.by_id[np.argmax(offers.true_p[offers.by_id])])  # ties: the smallest id
         records.append(
             RoundRecord(
                 t=t,
@@ -345,8 +365,8 @@ def run_synthetic(
                 ranked=_ranked_entries(ranking),
                 chosen=chosen.offer_id,
                 y=y,
-                oracle_best=best.offer_id,
-                oracle_p=best.true_p,
+                oracle_best=raw.offer_ids[best],
+                oracle_p=float(offers.true_p[best]),
                 chosen_true_p=chosen.true_p,
             )
         )
@@ -420,19 +440,19 @@ def run_replay(
         # `active` is in sorted offer-id order, the replay scaling order.
         raw = featurize(member, day, active, stats, profile, dataset.mf_table, cold_start_mpg)
         mf_scores = [dataset.mf_table.score(member, oid) for oid in raw.offer_ids]
-        candidates = make_candidates(scale_round(raw, scaler), member, shares, mf_scores)
-        by_id = {c.offer_id: c for c in candidates}
-        ranking = policy.select(candidates, rng, t)
+        offers = make_round(scale_round(raw, scaler), member, shares, mf_scores)
+        ranking = policy.select(offers, rng, t)
         top = ranking.top
         matched = top in imp.offers_shown
         y = (1 if top in imp.clipped else 0) if matched else None
+        index = {oid: k for k, oid in enumerate(raw.offer_ids)}
         for oid in imp.offers_shown:
-            candidate = by_id.get(oid)
-            if candidate is None:
+            k = index.get(oid)
+            if k is None:
                 skip["shown_offers_not_featurized"] += 1
                 continue
             outcome = 1 if oid in imp.clipped else 0
-            for member_id, category_id, weights, update_count in policy.update(candidate, outcome):
+            for member_id, category_id, weights, update_count in policy.update(offers.candidate(k), outcome):
                 update_ordinal += 1
                 trajectories.record(member_id, category_id, weights, update_count, update_ordinal)
         records.append(

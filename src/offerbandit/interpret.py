@@ -20,7 +20,7 @@ from urllib.request import Request, urlopen
 
 import numpy as np
 
-from .bandit import finite_weights
+from .bandit import finite_weights, json_count
 from .errors import ConfigError
 from .features import FEATURE_NAMES, FEATURE_ORDER_VERSION, N_FEATURES
 
@@ -60,7 +60,7 @@ class TrajectoryStore:
         if offered % self.thin_every:
             return
         series.append(
-            WeightSnapshot(t, member_id, category_id, tuple(float(w) for w in weights), update_count)
+            WeightSnapshot(t, member_id, category_id, tuple(map(float, weights)), update_count)
         )
 
     def pairs(self) -> list[tuple[str, str]]:
@@ -100,7 +100,8 @@ class TrajectoryStore:
     def load(cls, path: str | Path) -> "TrajectoryStore":
         """Read a file written by save(). Raises ConfigError naming the file
         and line when the feature order version differs, a line is
-        malformed, or a weight vector is not N_FEATURES finite numbers."""
+        malformed, a weight vector is not N_FEATURES finite numbers, or
+        update_count or t is not a non-negative JSON integer."""
         store = cls()
         with Path(path).open(encoding="utf-8") as fh:
             lineno = 1
@@ -117,8 +118,8 @@ class TrajectoryStore:
                         obj["member_id"],
                         obj["category_id"],
                         finite_weights(obj["weights"]),
-                        int(obj["update_count"]),
-                        int(obj["t"]),
+                        json_count(obj["update_count"], "update_count"),
+                        json_count(obj["t"], "t"),
                     )
             except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
                 reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc

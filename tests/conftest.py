@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from offerbandit.baselines import OfferCandidate
+from offerbandit.baselines import OfferCandidate, OfferRound
+from offerbandit.features import RoundContexts
 
 settings.register_profile(
     "suite",
@@ -38,3 +39,30 @@ def candidate_factory():
         )
 
     return make
+
+
+def _as_round(candidates):
+    """The OfferRound a policy's select takes, holding the given candidates
+    in order: their category vectors as rows, their shares as row weights,
+    their offer vectors, mf scores and true probabilities."""
+    cats = [sorted(c.category_vectors) for c in candidates]
+    contexts = RoundContexts(
+        [c.offer_id for c in candidates],
+        [name for names in cats for name in names],
+        [len(names) for names in cats],
+        np.array([c.category_vectors[name] for c, names in zip(candidates, cats) for name in names], dtype=float),
+    )
+    return OfferRound(
+        contexts,
+        candidates[0].member_id,
+        np.array([c.shares[name] for c, names in zip(candidates, cats) for name in names]),
+        np.array([c.offer_vector for c in candidates], dtype=float),
+        np.array([c.mf_score for c in candidates], dtype=float),
+        None if candidates[0].true_p is None else np.array([c.true_p for c in candidates]),
+    )
+
+
+@pytest.fixture
+def as_round():
+    """Turn a list of OfferCandidates into the OfferRound select takes."""
+    return _as_round

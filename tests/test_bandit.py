@@ -472,6 +472,20 @@ class TestCheckpoint:
             load_checkpoint(path)
 
 
+    @pytest.mark.parametrize("field, line", [("update_count", 3), ("n_models", 1)])
+    @pytest.mark.parametrize("value", [2.7, -5, "3", True], ids=["fraction", "negative", "string", "bool"])
+    def test_counts_must_be_nonnegative_json_integers(self, tmp_path, field, line, value):
+        store = ModelStore()
+        store.get("m1", "c1")
+        store.get("m2", "c1")
+        path = tmp_path / "checkpoint.jsonl"
+        save_checkpoint(path, store, LearnerConfig())
+        lines = [json.loads(l) for l in path.read_text(encoding="utf-8").splitlines()]
+        lines[line - 1][field] = value
+        path.write_text("".join(json.dumps(l) + "\n" for l in lines), encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"{path.name} line {line}: {field} must be a non-negative integer"):
+            load_checkpoint(path)
+
     def test_rows_are_the_json_dumps_lines(self, tmp_path, rng):
         cfg = LearnerConfig(learning_rate=0.07)
         store = ModelStore(np.full(N_FEATURES, -0.0))

@@ -249,6 +249,22 @@ class TestBackfitAndReplay:
         assert error["error"] == "config"
         assert "bad_checkpoint.jsonl line 2:" in error["message"]
 
+    def test_replay_from_checkpoint_with_fractional_count_exits_2(self, demo_data, backfit_dir, tmp_path, capsys):
+        lines = (backfit_dir / "checkpoint.jsonl").read_text(encoding="utf-8").splitlines()
+        row = json.loads(lines[1])
+        row["update_count"] = 2.7
+        bad = tmp_path / "bad_checkpoint.jsonl"
+        bad.write_text("\n".join([lines[0], json.dumps(row)] + lines[2:]) + "\n", encoding="utf-8")
+        cfg = write_config(
+            tmp_path / "replay_bad.json",
+            data=data_section(demo_data),
+            run={"out_dir": str(tmp_path / "replay_bad"), "backfit_checkpoint": str(bad)},
+        )
+        assert main(["replay", "--config", cfg]) == 2
+        error = stderr_error(capsys)
+        assert error["error"] == "config"
+        assert "bad_checkpoint.jsonl line 2: update_count must be a non-negative integer" in error["message"]
+
     def test_replay_rerun_is_byte_identical(self, demo_data, tmp_path):
         outs = []
         for name in ("r1", "r2"):
@@ -431,6 +447,17 @@ class TestExplain:
         error = stderr_error(capsys)
         assert error["error"] == "config"
         assert "bad_trajectory.jsonl line 2:" in error["message"]
+
+    def test_trajectory_with_negative_t_exits_2(self, sim_run, tmp_path, capsys):
+        lines = (sim_run / "trajectory.jsonl").read_text(encoding="utf-8").splitlines()
+        row = json.loads(lines[1])
+        row["t"] = -5
+        bad = tmp_path / "bad_trajectory.jsonl"
+        bad.write_text("\n".join([lines[0], json.dumps(row)] + lines[2:]) + "\n", encoding="utf-8")
+        assert main(["explain", "--member", "m0", "--mock", "--trajectory", str(bad)]) == 2
+        error = stderr_error(capsys)
+        assert error["error"] == "config"
+        assert "bad_trajectory.jsonl line 2: t must be a non-negative integer" in error["message"]
 
     def test_live_client_without_endpoint_exits_2(self, sim_run, monkeypatch, capsys):
         for var in ("LLM_API_BASE", "LLM_API_KEY", "LLM_MODEL"):

@@ -8,6 +8,7 @@ from offerbandit.exploration import (
     ExplorationConfig,
     kappa_at,
     rank_offers,
+    sample_beta,
     sample_score,
     sample_scores,
 )
@@ -125,3 +126,22 @@ class TestRanking:
         probs = {"o1": 0.37}
         sampled = sample_scores(probs, 1e8, rng)
         assert sampled["o1"] == pytest.approx(0.37, abs=1e-3)
+
+
+class TestSampleBeta:
+    @pytest.mark.parametrize("n", [1, 5, 31, 150])
+    def test_one_call_equals_sample_scores_bit_for_bit(self, n):
+        probs = np.random.default_rng(n).uniform(0.0, 1.0, n)
+        probs[::7] = 0.0  # clamped up
+        probs[1::9] = 1.0  # clamped down
+        ids = sorted(f"o{k}" for k in range(n))
+        for kappa in (0.5, 10.0, 1e6):
+            array_rng, scalar_rng = np.random.default_rng(42), np.random.default_rng(42)
+            draws = sample_beta(probs, kappa, array_rng, 1e-3)
+            expected = sample_scores(dict(zip(ids, probs.tolist())), kappa, scalar_rng, 1e-3)
+            assert draws.tolist() == [expected[oid] for oid in ids]
+            assert array_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+    def test_nonpositive_kappa_rejected(self, rng):
+        with pytest.raises(ConfigError):
+            sample_beta(np.array([0.5]), 0.0, rng)

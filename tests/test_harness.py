@@ -1,13 +1,17 @@
 import csv
+import importlib
+import importlib.util
 import json
+from collections import Counter
 from datetime import date, datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from offerbandit.bandit import LearnerConfig, renormalize_shares
+from offerbandit.bandit import LearnerConfig, aggregate_offer, renormalize_shares, sigmoid
 from offerbandit.baselines import make_policy
 from offerbandit.data import Impression, MFScoreTable, Offer, Transaction
 from offerbandit.errors import ConfigError
@@ -23,7 +27,6 @@ from offerbandit.features import (
 )
 from offerbandit.harness import (
     OraclePolicy,
-    RawCandidate,
     ReplayDataset,
     RoundRecord,
     backfit_events,
@@ -33,7 +36,7 @@ from offerbandit.harness import (
     compute_metrics,
     config_hash,
     files_fingerprint,
-    make_candidates,
+    make_round,
     run_replay,
     run_synthetic,
     write_metrics_csv,
@@ -42,6 +45,7 @@ from offerbandit.harness import (
 
 LEARNER = LearnerConfig()
 EXPLORE = ExplorationConfig()
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def policy(name, exploration=EXPLORE, **kw):
@@ -55,15 +59,12 @@ class TwoOfferWorld:
         self.p = {"oA": p_hi, "oB": p_lo}
 
     def generate_round(self, t, rng):
-        raws = []
+        raw = {}
         for oid in sorted(self.p):
             x = np.ones(9)
             x[1:] = rng.uniform(0.0, 1.0, size=8)
-            raws.append(
-                RawCandidate(offer_id=oid, category_raw={"c0": x}, mf_score=0.0,
-                             true_p=self.p[oid])
-            )
-        return "m0", raws
+            raw[oid] = {"c0": x}
+        return "m0", RoundContexts.stack(raw), np.zeros(len(raw)), np.array([self.p[oid] for oid in raw])
 
 
 class TestSyntheticWorld:
@@ -73,19 +74,20 @@ class TestSyntheticWorld:
         for c in a.categories:
             np.testing.assert_array_equal(a.true_weights[c], b.true_weights[c])
         rng_a, rng_b = np.random.default_rng(1), np.random.default_rng(1)
-        ma, ra = a.generate_round(1, rng_a)
-        mb, rb = b.generate_round(1, rng_b)
+        ma, ra, mfa, pa = a.generate_round(1, rng_a)
+        mb, rb, mfb, pb = b.generate_round(1, rng_b)
         assert ma == mb
-        for ca, cb in zip(ra, rb):
-            assert ca.offer_id == cb.offer_id and ca.true_p == cb.true_p
+        assert ra.offer_ids == rb.offer_ids and ra.categories == rb.categories
+        np.testing.assert_array_equal(ra.X, rb.X)
+        np.testing.assert_array_equal(mfa, mfb)
+        np.testing.assert_array_equal(pa, pb)
 
     def test_true_probabilities_are_valid(self):
         world = SyntheticWorld(SyntheticWorldConfig(seed=2))
         rng = np.random.default_rng(0)
         for t in range(50):
-            _, raws = world.generate_round(t, rng)
-            for rc in raws:
-                assert 0.0 < rc.true_p < 1.0
+            _, _, _, true_p = world.generate_round(t, rng)
+            assert ((0.0 < true_p) & (true_p < 1.0)).all()
 
     def test_standardize_keeps_bias(self):
         x = np.arange(9, dtype=float)
@@ -98,6 +100,85 @@ class TestSyntheticWorld:
             SyntheticWorldConfig(n_categories=0)
         with pytest.raises(ConfigError):
             SyntheticWorldConfig(n_categories=3, max_categories_per_offer=4)
+
+
+class TestVectorizedWorld:
+    def test_round_probabilities_equal_the_per_offer_hook(self):
+        world = SyntheticWorld(SyntheticWorldConfig(
+            n_categories=12, max_categories_per_offer=5, offers_per_round=40, mf_bias_coeff=0.7, seed=8,
+        ))
+        rng = np.random.default_rng(2)
+        for t in range(30):
+            _, raw, mf_scores, true_p = world.generate_round(t, rng)
+            for k, rows in enumerate(raw.offer_slices()):
+                category_raw = dict(zip(raw.categories[rows], raw.X[rows]))
+                assert world.true_probability(category_raw, float(mf_scores[k])) == true_p[k]
+                standardized = {
+                    c: sigmoid(float(world.true_weights[c] @ world.standardize(x))) for c, x in category_raw.items()
+                }
+                expected = aggregate_offer(standardized, {}, float(mf_scores[k]), LearnerConfig(mf_bias_coeff=0.7))
+                assert true_p[k] == pytest.approx(expected, rel=0, abs=1e-12)
+
+    def test_rows_follow_category_names_and_offer_features_repeat(self):
+        world = SyntheticWorld(SyntheticWorldConfig(n_categories=12, max_categories_per_offer=4, seed=1))
+        _, raw, mf_scores, _ = world.generate_round(1, np.random.default_rng(3))
+        replay = np.random.default_rng(3)
+        replay.integers(world.config.n_members)
+        keys = replay.random((world.config.offers_per_round, 12 + 5))[:, :12]
+        for k, rows in enumerate(raw.offer_slices()):
+            cats = raw.categories[rows]
+            assert cats == sorted(set(cats))  # distinct, in name order ("c10" before "c2")
+            assert set(cats) == {f"c{j}" for j in np.argsort(keys[k])[:len(cats)]}  # the smallest keys
+            assert (raw.X[rows, 4:] == raw.X[rows.start, 4:]).all()
+            assert raw.X[rows.start, 8] == mf_scores[k]
+        assert (raw.X[:, 0] == 1.0).all()
+
+    def test_category_subsets_and_counts_are_uniform(self):
+        world = SyntheticWorld(SyntheticWorldConfig(n_categories=4, max_categories_per_offer=2, offers_per_round=5))
+        rng = np.random.default_rng(0)
+        sizes, subsets = Counter(), Counter()
+        for t in range(2000):
+            _, raw, _, _ = world.generate_round(t, rng)
+            sizes.update(raw.sizes)
+            subsets.update(tuple(raw.categories[rows]) for rows in raw.offer_slices() if rows.stop - rows.start == 2)
+        n = 2000 * 5
+        assert abs(sizes[1] / n - 0.5) < 0.02
+        assert len(subsets) == 6  # every pair of the 4 categories
+        for count in subsets.values():
+            assert abs(count / sizes[2] - 1 / 6) < 0.02
+
+    def test_overridden_hook_is_called_per_offer(self):
+        calls = []
+
+        class HookWorld(SyntheticWorld):
+            def true_probability(self, category_raw, mf_score):
+                calls.append(sorted(category_raw))
+                return 0.25 + 0.01 * len(calls)
+
+        world = HookWorld(SyntheticWorldConfig(offers_per_round=4, seed=2))
+        _, raw, _, true_p = world.generate_round(1, np.random.default_rng(0))
+        assert calls == [raw.categories[rows] for rows in raw.offer_slices()]
+        assert true_p.tolist() == [0.26, 0.27, 0.28, 0.29]
+
+
+class TestTracerTargets:
+    """perfbench/tracer.py wraps package functions by name and counts a
+    select's offers with len(); both must keep working."""
+
+    def test_every_target_resolves(self):
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        for module_name, attr in tracer.TARGETS:
+            obj = importlib.import_module(f"offerbandit.{module_name}")
+            for part in attr.split("."):
+                obj = getattr(obj, part)
+            assert callable(obj), f"{module_name}.{attr}"
+
+    def test_len_of_a_round_is_its_offer_count(self):
+        contexts = {"o1": {"c0": np.ones(9), "c1": np.ones(9)}, "o2": {"c2": np.ones(9)}, "o3": {"c0": np.ones(9)}}
+        offers = make_round(RoundContexts.stack(contexts), "m0", {}, [0.0, 0.0, 0.0])
+        assert len(offers) == 3
 
 
 class TestSyntheticRun:
@@ -167,7 +248,7 @@ def oracle_record(t, chosen, y, best="oA", oracle_p=0.8, chosen_p=None):
     )
 
 
-class TestMakeCandidates:
+class TestMakeRound:
     def test_matches_per_offer_pooling(self, rng):
         contexts = {
             "o1": {"c2": rng.normal(size=9), "c0": rng.normal(size=9), "c1": rng.normal(size=9)},
@@ -178,7 +259,8 @@ class TestMakeCandidates:
         purchase = {"c0": 0.5, "c1": 0.2, "c2": 0.3}
         scaled = RoundContexts.stack(contexts)
         mf_scores, true_ps = [0.1, 0.2, 0.3, 0.4], [0.5, 0.6, 0.7, 0.8]
-        candidates = make_candidates(scaled, "m1", purchase, mf_scores, true_ps)
+        offers = make_round(scaled, "m1", purchase, mf_scores, true_ps)
+        candidates = [offers.candidate(k) for k in range(len(offers))]
         assert [c.offer_id for c in candidates] == ["o1", "o2", "o3", "o4"]
         for k, cand in enumerate(candidates):
             vectors = contexts[cand.offer_id]

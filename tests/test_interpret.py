@@ -137,6 +137,23 @@ class TestTrajectoryStore:
             TrajectoryStore.load(path)
 
 
+    @pytest.mark.parametrize("field", ["update_count", "t"])
+    @pytest.mark.parametrize("value", [2.7, -5, "3", True], ids=["fraction", "negative", "string", "bool"])
+    def test_load_rejects_counts_that_are_not_nonnegative_integers(self, tmp_path, field, value):
+        store = TrajectoryStore()
+        store.record("m", "c", np.zeros(9), 1, 1)
+        store.record("m", "c", np.ones(9), 2, 2)
+        path = tmp_path / "traj.jsonl"
+        store.save(path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        row = json.loads(lines[2])
+        row[field] = value
+        lines[2] = json.dumps(row)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"traj.jsonl line 3: {field} must be a non-negative integer"):
+            TrajectoryStore.load(path)
+
+
 class TestDetectChanges:
     def test_abrupt_step_fires_exactly_once(self):
         cfg = DetectionConfig()

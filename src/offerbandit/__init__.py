@@ -22,7 +22,7 @@ from .baselines import (
 from .config import RunConfig
 from .data import Impression, MFScoreTable, Offer, Transaction
 from .errors import ConfigError
-from .exploration import ExplorationConfig, kappa_at, rank_offers, sample_score
+from .exploration import ExplorationConfig, kappa_at, sample_score
 from .features import (
     FEATURE_NAMES,
     FEATURE_ORDER_VERSION,

@@ -64,7 +64,7 @@ class LearnerConfig:
     positive_boost: float = 2.0
     mf_bias_coeff: float = 1.0
     l2_lambda: float = 0.0
-    prior_weights: tuple[float, ...] | None = None
+    prior_weights: list[float] | None = None
 
     def __post_init__(self) -> None:
         if self.learning_rate <= 0:
@@ -74,7 +74,7 @@ class LearnerConfig:
         if self.l2_lambda < 0:
             raise ConfigError(f"l2_lambda must be >= 0, got {self.l2_lambda}")
         if self.prior_weights is not None:
-            prior = tuple(float(w) for w in self.prior_weights)
+            prior = [float(w) for w in self.prior_weights]
             if len(prior) != N_FEATURES or not all(map(math.isfinite, prior)):
                 raise ConfigError(f"prior_weights must be {N_FEATURES} finite numbers, got {prior}")
             self.prior_weights = prior

@@ -294,7 +294,7 @@ class EpsilonGreedyPolicy:
         if not (0.0 <= epsilon <= 1.0):
             raise ConfigError(f"epsilon must be in [0, 1], got {epsilon}")
         if decay not in EPSILON_DECAYS:
-            raise ConfigError(f"unknown epsilon decay {decay!r}")
+            raise ConfigError(f"decay must be one of {EPSILON_DECAYS}, got {decay!r}")
         self.epsilon = epsilon
         self.decay = decay
         self.learner = learner or LearnerConfig()

@@ -132,8 +132,8 @@ def _skip_tallies(issues: dict[str, list[tuple[int, str]]]) -> dict[str, int]:
 def _build_policy(cfg: RunConfig, store=None):
     return make_policy(
         cfg.policy,
-        cfg.learner_config(),
-        cfg.exploration_config(),
+        cfg.learner,
+        cfg.exploration,
         store=store,
         alpha_explore=cfg.linucb.alpha_explore,
         linucb_l2=cfg.linucb.l2_lambda,
@@ -173,11 +173,10 @@ def cmd_backfit(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     dataset, issues = _load_dataset(cfg)
     events, event_skips = backfit_events(dataset, **asdict(cfg.features))
-    learner = cfg.learner_config()
-    store = ModelStore.from_config(learner)
-    report = backfit(store, events, learner)
+    store = ModelStore.from_config(cfg.learner)
+    report = backfit(store, events, cfg.learner)
     with OutputWriter(cfg.run.out_dir) as out:
-        save_checkpoint(out.register("checkpoint.jsonl"), store, learner)
+        save_checkpoint(out.register("checkpoint.jsonl"), store, cfg.learner)
         Path(out.register("backfit_report.json")).write_text(
             json.dumps(asdict(report), sort_keys=True, indent=2) + "\n", encoding="utf-8"
         )
@@ -240,28 +239,51 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+REPORT_COLUMNS = ("cum_reward", "avg_reward", "regret", "optimal_rate")
+
+
+def _read_run(run_dir: Path) -> tuple[list[dict[str, str]], dict]:
+    """A run directory's metrics rows and summary; ConfigError naming the
+    file when either is missing or lacks what report reads."""
+    metrics = run_dir / "metrics.csv"
+    summary = run_dir / "summary.json"
+    if not metrics.is_file() or not summary.is_file():
+        raise ConfigError(f"run directory {run_dir} is missing metrics.csv or summary.json")
+    with metrics.open(newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in REPORT_COLUMNS if c not in (reader.fieldnames or [])]
+        if missing:
+            raise ConfigError(f"{metrics} lacks the columns {missing}")
+        rows = list(reader)
+    short = next((n for n, row in enumerate(rows, 2) if None in row.values()), None)
+    if short is not None:
+        raise ConfigError(f"{metrics} line {short} has fewer fields than its header")
+    try:
+        obj = json.loads(summary.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{summary} is not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{summary} must be a JSON object")
+    for key in ("cumulative_reward", "regret", "optimal_action_rate"):
+        value = obj.get(key)
+        if value is None and key != "cumulative_reward":
+            continue  # replay runs have no regret or optimal rate
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{summary}: {key} must be a JSON number, got {value!r}")
+    return rows, obj
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     run_dirs = [Path(d) for d in args.run_dirs]
-    series = []
-    summaries = []
-    for d in run_dirs:
-        metrics = d / "metrics.csv"
-        summary = d / "summary.json"
-        if not metrics.is_file() or not summary.is_file():
-            raise ConfigError(f"run directory {d} is missing metrics.csv or summary.json")
-        with metrics.open(newline="", encoding="utf-8") as fh:
-            rows = list(csv.DictReader(fh))
-        series.append(rows)
-        summaries.append(json.loads(summary.read_text(encoding="utf-8")))
+    series, summaries = zip(*map(_read_run, run_dirs))
     n_rounds = min(len(rows) for rows in series)
-    columns = ["cum_reward", "avg_reward", "regret", "optimal_rate"]
     with OutputWriter(args.out) as out:
         with Path(out.register("merged.csv")).open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["round"] + [f"mean_{c}" for c in columns])
+            writer.writerow(["round"] + [f"mean_{c}" for c in REPORT_COLUMNS])
             for i in range(n_rounds):
                 row: list[object] = [i + 1]
-                for c in columns:
+                for c in REPORT_COLUMNS:
                     values = [float(rows[i][c]) for rows in series if rows[i][c] != ""]
                     row.append(sum(values) / len(values) if values else "")
                 writer.writerow(row)
@@ -294,9 +316,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     if not Path(trajectory_path).is_file():
         raise ConfigError(f"missing trajectory file: {trajectory_path}")
     store = TrajectoryStore.load(trajectory_path)
-    payload = build_payload(
-        store, args.member, as_of=args.as_of, detection=cfg.detection_config()
-    )
+    payload = build_payload(store, args.member, as_of=args.as_of, detection=cfg.detection)
     client = MockLLMClient() if args.mock else HttpLLMClient()
     print(explain(payload, client))
     return 0

@@ -1,14 +1,17 @@
 """Run configuration: one JSON file, flat sections per module.
 
-Unknown sections or keys, and values of the wrong JSON type, are
-configuration errors naming the offending key. Value ranges are
-validated by the owning module's config class, so a bad learning rate or
-kappa fails here too, before any work starts.
+The learner, exploration and detection sections are the module configs
+themselves. Unknown sections or keys, values of the wrong JSON type and
+non-finite numbers are configuration errors naming the offending key.
+Value ranges are checked by the owning module's config class or policy
+constructor, so a bad learning rate, kappa or epsilon fails at load,
+whatever the policy, with the error naming its section and key.
 Precedence is command-line flag over file value over default.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -18,6 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .bandit import LearnerConfig
+from .baselines import POLICY_NAMES, EpsilonGreedyPolicy, LinUCBPolicy, ThompsonPolicy
 from .errors import ConfigError
 from .exploration import ExplorationConfig
 from .harness import SyntheticWorldConfig
@@ -39,23 +43,6 @@ class FeaturesSection:
     cold_start_mpg: float = 1.0
     default_cycle_days: float = 30.0
     smoothing_window: int = 3
-
-
-@dataclass
-class LearnerSection:
-    learning_rate: float = 0.05
-    positive_boost: float = 2.0
-    mf_bias_coeff: float = 1.0
-    l2_lambda: float = 0.0
-    prior_weights: list[float] | None = None
-
-
-@dataclass
-class ExplorationSection:
-    kappa_initial: float = 5.0
-    kappa_schedule: str = "constant"
-    kappa_growth_rate: float = 0.0
-    probability_clamp: float = 1e-4
 
 
 @dataclass
@@ -99,13 +86,6 @@ class RunSection:
 
 
 @dataclass
-class DetectionSection:
-    window: int = 20
-    z_threshold: float = 4.0
-    min_abs_change: float = 0.05
-
-
-@dataclass
 class MFSection:
     rank: int = 8
     iterations: int = 20
@@ -117,69 +97,26 @@ class RunConfig:
     policy: str = "camb"
     data: DataSection = field(default_factory=DataSection)
     features: FeaturesSection = field(default_factory=FeaturesSection)
-    learner: LearnerSection = field(default_factory=LearnerSection)
-    exploration: ExplorationSection = field(default_factory=ExplorationSection)
+    learner: LearnerConfig = field(default_factory=LearnerConfig)
+    exploration: ExplorationConfig = field(default_factory=ExplorationConfig)
     linucb: LinUCBSection = field(default_factory=LinUCBSection)
     ts: TSSection = field(default_factory=TSSection)
     egreedy: EGreedySection = field(default_factory=EGreedySection)
     synthetic: SyntheticSection = field(default_factory=SyntheticSection)
     run: RunSection = field(default_factory=RunSection)
-    detection: DetectionSection = field(default_factory=DetectionSection)
+    detection: DetectionConfig = field(default_factory=DetectionConfig)
     mf: MFSection = field(default_factory=MFSection)
 
-    # Section-to-module config builders. Constructing the module configs is
-    # also what validates value ranges.
-
-    def learner_config(self) -> LearnerConfig:
-        prior = self.learner.prior_weights
-        return LearnerConfig(
-            learning_rate=self.learner.learning_rate,
-            positive_boost=self.learner.positive_boost,
-            mf_bias_coeff=self.learner.mf_bias_coeff,
-            l2_lambda=self.learner.l2_lambda,
-            prior_weights=tuple(prior) if prior is not None else None,
-        )
-
-    def exploration_config(self) -> ExplorationConfig:
-        return ExplorationConfig(
-            kappa_initial=self.exploration.kappa_initial,
-            kappa_schedule=self.exploration.kappa_schedule,
-            kappa_growth_rate=self.exploration.kappa_growth_rate,
-            probability_clamp=self.exploration.probability_clamp,
-        )
-
     def world_config(self) -> SyntheticWorldConfig:
-        s = self.synthetic
-        return SyntheticWorldConfig(
-            n_categories=s.n_categories,
-            n_members=s.n_members,
-            offers_per_round=s.offers_per_round,
-            max_categories_per_offer=s.max_categories_per_offer,
-            weight_scale=s.weight_scale,
-            bias_mean=s.bias_mean,
-            bias_scale=s.bias_scale,
-            mf_bias_coeff=s.mf_bias_coeff,
-            seed=s.world_seed,
-        )
-
-    def detection_config(self) -> DetectionConfig:
-        d = self.detection
-        return DetectionConfig(window=d.window, z_threshold=d.z_threshold, min_abs_change=d.min_abs_change)
+        values = dataclasses.asdict(self.synthetic)
+        return SyntheticWorldConfig(seed=values.pop("world_seed"), **values)
 
     def als_config(self) -> ALSConfig:
-        return ALSConfig(
-            rank=self.mf.rank,
-            iterations=self.mf.iterations,
-            regularization=self.mf.regularization,
-            seed=self.run.seed,
-        )
+        return ALSConfig(**dataclasses.asdict(self.mf), seed=self.run.seed)
 
     def validate(self) -> None:
-        from .baselines import POLICY_NAMES  # local import to avoid a cycle
-
         if self.policy not in POLICY_NAMES:
             raise ConfigError(f"bad config value policy={self.policy!r}; expected one of {POLICY_NAMES}")
-        self._check_finite()
         if self.run.rounds < 1:
             raise ConfigError(f"bad config value run.rounds={self.run.rounds}; must be >= 1")
         if self.run.snapshot_every < 1:
@@ -188,33 +125,17 @@ class RunConfig:
             raise ConfigError(f"bad config value features.cold_start_mpg={self.features.cold_start_mpg}")
         if self.features.default_cycle_days <= 0:
             raise ConfigError(f"bad config value features.default_cycle_days={self.features.default_cycle_days}")
-        if self.egreedy.decay not in ("constant", "inverse_t"):
-            raise ConfigError(f"bad config value egreedy.decay={self.egreedy.decay!r}")
-        if not (0.0 <= self.egreedy.epsilon <= 1.0):
-            raise ConfigError(f"bad config value egreedy.epsilon={self.egreedy.epsilon}")
-        if self.ts.v < 0:
-            raise ConfigError(f"bad config value ts.v={self.ts.v}")
-        if self.linucb.alpha_explore < 0:
-            raise ConfigError(f"bad config value linucb.alpha_explore={self.linucb.alpha_explore}")
-        # Module config constructors validate the rest.
-        self.learner_config()
-        self.exploration_config()
-        self.world_config()
-        self.detection_config()
-        self.als_config()
-
-    def _check_finite(self) -> None:
-        """JSON admits NaN and Infinity, and range checks let NaN through,
-        so every float value and list entry must be finite."""
-        for section in dataclasses.fields(self):
-            values = getattr(self, section.name)
-            if not dataclasses.is_dataclass(values):
-                continue
-            for f in dataclasses.fields(values):
-                value = getattr(values, f.name)
-                items = value if isinstance(value, (list, tuple)) else [value]
-                if any(isinstance(x, float) and not math.isfinite(x) for x in items):
-                    raise ConfigError(f"bad config value {section.name}.{f.name}={value}; must be finite")
+        # The module configs checked their ranges when they were built; the
+        # policy, world and ALS constructors check the other sections.
+        for name, build in (
+            ("linucb", lambda: LinUCBPolicy(**dataclasses.asdict(self.linucb))),
+            ("ts", lambda: ThompsonPolicy(**dataclasses.asdict(self.ts))),
+            ("egreedy", lambda: EpsilonGreedyPolicy(**dataclasses.asdict(self.egreedy))),
+            ("synthetic", self.world_config),
+            ("mf", self.als_config),
+        ):
+            with _naming_section(name):
+                build()
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -224,7 +145,7 @@ class RunConfig:
         if not isinstance(obj, dict):
             raise ConfigError("config must be a JSON object")
         cfg = cls()
-        sections = {f.name: f for f in dataclasses.fields(cls)}
+        sections = {f.name for f in dataclasses.fields(cls)}
         for name, value in obj.items():
             if name not in sections:
                 raise ConfigError(f"unknown config key: {name}")
@@ -233,8 +154,7 @@ class RunConfig:
                     raise ConfigError(f"bad config value policy={value!r}; expected a string")
                 cfg.policy = value
                 continue
-            section_cls = sections[name].type if isinstance(sections[name].type, type) else type(getattr(cfg, name))
-            setattr(cfg, name, _section_from_dict(section_cls, name, value))
+            setattr(cfg, name, _section_from_dict(type(getattr(cfg, name)), name, value))
         cfg.validate()
         return cfg
 
@@ -253,6 +173,17 @@ class RunConfig:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
+@contextlib.contextmanager
+def _naming_section(section_name: str):
+    """Module configs and policy constructors begin each range error with
+    the offending argument, whose name is also its key; prefixing the
+    section makes the message name the config key."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(f"bad config value {section_name}.{exc}") from None
+
+
 def _section_from_dict(section_cls: type, section_name: str, obj) -> object:
     if not isinstance(obj, dict):
         raise ConfigError(f"config section {section_name} must be an object")
@@ -262,15 +193,20 @@ def _section_from_dict(section_cls: type, section_name: str, obj) -> object:
         if key not in fields:
             raise ConfigError(f"unknown config key: {section_name}.{key}")
         if not _has_type(value, hints[key]):
-            raise ConfigError(f"bad config value {section_name}.{key}={value!r}; expected {fields[key].type}")
-    return section_cls(**obj)
+            raise ConfigError(f"bad config value {section_name}.{key}={value!r}; "
+                              f"expected {fields[key].type} (numbers must be finite)")
+    with _naming_section(section_name):
+        return section_cls(**obj)
 
 
 def _has_type(value, hint) -> bool:
     """Whether a JSON value fits a field annotation. bool is an int
-    subclass, but true and false are not numbers here."""
+    subclass, but true and false are not numbers here; JSON admits NaN
+    and Infinity, but a float must be finite."""
     if hint is float:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
+        if isinstance(value, float):
+            return math.isfinite(value)
+        return isinstance(value, int) and not isinstance(value, bool)
     if hint is int:
         return isinstance(value, int) and not isinstance(value, bool)
     if typing.get_origin(hint) is list:

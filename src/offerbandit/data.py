@@ -169,10 +169,18 @@ def ingest_offers(path: str | Path) -> IngestResult:
     return IngestResult(records, issues)
 
 
-def _parse_offer(obj: dict) -> Offer:
-    for key in ("category_ids", "brand_ids"):
-        if not isinstance(obj.get(key, []), list):  # a string would split into characters
+def _check_record(obj, array_keys: Sequence[str]) -> None:
+    """A JSONL record must be an object, and its id lists JSON arrays: a
+    string would split into characters."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"record must be a JSON object, got {obj!r}")
+    for key in array_keys:
+        if not isinstance(obj.get(key, []), list):
             raise ValueError(f"{key} must be a JSON array, got {obj[key]!r}")
+
+
+def _parse_offer(obj: dict) -> Offer:
+    _check_record(obj, ("category_ids", "brand_ids"))
     categories = frozenset(str(c) for c in obj["category_ids"])
     if not categories:
         raise ValueError("category_ids must be non-empty")
@@ -224,6 +232,7 @@ def ingest_impressions(path: str | Path) -> IngestResult:
 
 
 def _parse_impression(obj: dict) -> Impression:
+    _check_record(obj, ("offers_shown", "clipped"))
     shown = tuple(str(o) for o in obj["offers_shown"])
     if not shown:
         raise ValueError("offers_shown must be non-empty")

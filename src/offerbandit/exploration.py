@@ -36,7 +36,7 @@ class ExplorationConfig:
         if self.kappa_initial <= 0:
             raise ConfigError(f"kappa_initial must be positive, got {self.kappa_initial}")
         if self.kappa_schedule not in KAPPA_SCHEDULES:
-            raise ConfigError(f"unknown kappa_schedule {self.kappa_schedule!r}")
+            raise ConfigError(f"kappa_schedule must be one of {KAPPA_SCHEDULES}, got {self.kappa_schedule!r}")
         if self.kappa_growth_rate < 0:
             raise ConfigError(f"kappa_growth_rate must be >= 0, got {self.kappa_growth_rate}")
         if not (0.0 < self.probability_clamp < 0.5):
@@ -83,10 +83,3 @@ def sample_scores(
     """
     return {oid: sample_score(probs[oid], kappa, rng, clamp) for oid in sorted(probs)}
 
-
-def rank_offers(
-    probs: Mapping[str, float], kappa: float, rng: np.random.Generator, clamp: float = 1e-4
-) -> list[str]:
-    """Offer ids ranked by sampled score, descending; ties break by id."""
-    sampled = sample_scores(probs, kappa, rng, clamp)
-    return sorted(sampled, key=lambda oid: (-sampled[oid], oid))

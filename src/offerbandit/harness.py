@@ -71,8 +71,9 @@ class SyntheticWorldConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_categories < 1 or self.n_members < 1 or self.offers_per_round < 1:
-            raise ConfigError("world sizes must be positive")
+        for name in ("n_categories", "n_members", "offers_per_round"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not (1 <= self.max_categories_per_offer <= self.n_categories):
             raise ConfigError(
                 f"max_categories_per_offer must be in [1, {self.n_categories}], "

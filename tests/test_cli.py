@@ -9,6 +9,7 @@ from offerbandit.config import RunConfig
 from offerbandit.data import ingest_mf_scores
 from offerbandit.datagen import generate_dataset
 from offerbandit.errors import ConfigError
+from offerbandit.harness import config_hash
 
 
 @pytest.fixture(scope="module")
@@ -349,6 +350,65 @@ class TestConfigValueTypes:
         assert cfg.learner.learning_rate == 1 and cfg.learner.prior_weights is None
 
 
+class TestConfigRanges:
+    @pytest.mark.parametrize("section, key, value", [
+        ("features", "cold_start_mpg", -1.0),
+        ("features", "default_cycle_days", 0),
+        ("learner", "learning_rate", 0),
+        ("learner", "positive_boost", 0.5),
+        ("learner", "l2_lambda", -1),
+        ("learner", "prior_weights", [1.0]),
+        ("exploration", "kappa_initial", 0),
+        ("exploration", "kappa_schedule", "exponential"),
+        ("exploration", "kappa_growth_rate", -0.1),
+        ("exploration", "probability_clamp", 0.5),
+        ("linucb", "alpha_explore", -1),
+        ("linucb", "l2_lambda", -1),
+        ("ts", "v", -0.5),
+        ("ts", "l2_lambda", 0),
+        ("egreedy", "epsilon", 1.5),
+        ("egreedy", "decay", "linear"),
+        ("synthetic", "n_categories", 0),
+        ("synthetic", "n_members", 0),
+        ("synthetic", "offers_per_round", 0),
+        ("synthetic", "max_categories_per_offer", 6),
+        ("run", "rounds", 0),
+        ("run", "snapshot_every", 0),
+        ("detection", "window", 0),
+        ("detection", "z_threshold", 0),
+        ("detection", "min_abs_change", -0.1),
+        ("mf", "rank", 0),
+        ("mf", "iterations", 0),
+        ("mf", "regularization", -1),
+    ])
+    def test_camb_simulate_exits_2_naming_the_key(self, tmp_path, capsys, section, key, value):
+        # Every section is checked at load, not only the chosen policy's.
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path / "cfg.json", **{section: {key: value}})
+        assert main(["simulate", "--config", cfg, "--policy", "camb", "--out", str(out)]) == 2
+        error = stderr_error(capsys)
+        assert error["error"] == "config"
+        assert f"{section}.{key}" in error["message"]
+        assert not out.exists()
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+class TestConfigHash:
+    """The manifest's config_hash covers the whole config; these values
+    pin it for the default and the shipped configs."""
+
+    @pytest.mark.parametrize("name, expected", [
+        (None, "230fd2e29bde494b6b1f6e74eb06417e64baaa13bacf6946d866bd98ddc8ac00"),
+        ("simulate_camb.json", "b7402e68305d79d12aa76f0a8c37f9080e45b11c65f41b2188e74a04fb96a0f9"),
+        ("replay_demo.json", "1108748d4eee4b45de908c9899da3cf7f48848bd91fe9fc03fee1f446095713e"),
+    ])
+    def test_config_hash_is_pinned(self, name, expected):
+        cfg = RunConfig() if name is None else RunConfig.load(CONFIGS / name)
+        assert config_hash(cfg.to_dict()) == expected
+
+
 class TestReport:
     def test_merges_mean_metrics_across_runs(self, tmp_path, capsys):
         run_dirs = []
@@ -388,6 +448,29 @@ class TestReport:
     def test_missing_run_directory_exits_2(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "absent"), "--out", str(tmp_path / "m")]) == 2
         assert stderr_error(capsys)["error"] == "config"
+
+    @pytest.mark.parametrize("name, corrupt", [
+        ("summary.json", lambda text: json.dumps({k: v for k, v in json.loads(text).items()
+                                                  if k != "cumulative_reward"})),
+        ("summary.json", lambda text: json.dumps([json.loads(text)])),
+        ("summary.json", lambda text: json.dumps(dict(json.loads(text), cumulative_reward="12"))),
+        ("summary.json", lambda text: json.dumps(dict(json.loads(text), regret="7"))),
+        ("summary.json", lambda text: text[:-5]),
+        ("metrics.csv", lambda text: "\n".join(",".join(row.split(",")[:-1]) for row in text.splitlines())),
+        ("metrics.csv", lambda text: text.rsplit(",", 1)[0] + "\n"),
+    ], ids=["no-reward", "not-object", "string-reward", "string-regret", "bad-json", "missing-column", "short-row"])
+    def test_unreadable_run_file_exits_2_naming_it(self, tmp_path, capsys, name, corrupt):
+        good, bad = tmp_path / "good", tmp_path / "bad"
+        for out in (good, bad):
+            assert main(["simulate", "--rounds", "5", "--out", str(out)]) == 0
+        path = bad / name
+        path.write_text(corrupt(path.read_text(encoding="utf-8")), encoding="utf-8")
+        merged_dir = tmp_path / "merged"
+        assert main(["report", str(good), str(bad), "--out", str(merged_dir)]) == 2
+        error = stderr_error(capsys)
+        assert error["error"] == "config"
+        assert str(path) in error["message"]
+        assert not (merged_dir / "merged.json").exists()
 
 
 class TestExplain:

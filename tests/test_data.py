@@ -205,6 +205,24 @@ class TestOffers:
             ingest_offers(tmp_path / "gone.jsonl")
 
 
+NON_OBJECT_LINES = ["[1, 2]", "null", "5", '"abc"', "true"]
+
+
+@pytest.mark.parametrize("ingest, record", [
+    (ingest_offers, {"offer_id": "o1", "category_ids": ["c1"], "discount_value": 1.0,
+                     "start_date": "2024-01-01", "end_date": "2024-01-31", "num_items": 1}),
+    (ingest_impressions, {"timestamp": "2024-01-10T09:30:00", "member_id": "m1", "offers_shown": ["o1"]}),
+], ids=["offers", "impressions"])
+def test_non_object_lines_tallied(tmp_path, ingest, record):
+    lines = [json.dumps(record), *NON_OBJECT_LINES, json.dumps(record).replace("o1", "o2")]
+    path = tmp_path / "records.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = ingest(path)
+    assert len(result.records) == 2
+    assert [idx for idx, _ in result.issues] == list(range(1, 1 + len(NON_OBJECT_LINES)))
+    assert all("must be a JSON object" in reason for _, reason in result.issues)
+
+
 class TestImpressions:
     def imp_line(self, **over):
         obj = {
@@ -253,6 +271,19 @@ class TestImpressions:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         stamps = [i.timestamp for i in ingest_impressions(path).records]
         assert stamps == sorted(stamps)
+
+    @pytest.mark.parametrize("over, key", [
+        ({"offers_shown": "o12", "clipped": []}, "offers_shown"),
+        ({"offers_shown": ["a", "b"], "clipped": "ab"}, "clipped"),
+        ({"offers_shown": {"o1": 1}, "clipped": []}, "offers_shown"),
+    ], ids=["string-shown", "string-clipped", "object-shown"])
+    def test_id_lists_must_be_arrays(self, tmp_path, over, key):
+        path = tmp_path / "i.jsonl"
+        path.write_text(self.imp_line(**over) + "\n", encoding="utf-8")
+        result = ingest_impressions(path)
+        assert result.records == []
+        assert len(result.issues) == 1
+        assert f"{key} must be a JSON array" in result.issues[0][1]
 
     def test_empty_shown_rejected(self, tmp_path):
         path = tmp_path / "i.jsonl"

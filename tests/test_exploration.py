@@ -1,13 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from offerbandit.bandit import LearnerConfig, ModelStore
+from offerbandit.baselines import CambPolicy
 from offerbandit.errors import ConfigError
+from offerbandit.features import N_FEATURES
 from offerbandit.exploration import (
     ExplorationConfig,
     kappa_at,
-    rank_offers,
     sample_beta,
     sample_score,
     sample_scores,
@@ -94,33 +98,47 @@ class TestSampling:
         assert a == b
 
 
-class TestRanking:
-    def test_huge_kappa_recovers_greedy_order(self):
-        probs = {"o1": 0.15, "o2": 0.85, "o3": 0.45, "o4": 0.65}
-        for seed in range(100):
-            rng = np.random.default_rng(seed)
-            order = rank_offers(probs, 1e8, rng)
-            assert order == ["o2", "o4", "o3", "o1"]
+@pytest.fixture
+def camb_ranker(as_round, candidate_factory):
+    """rank(probs, kappa) returns a function of rng giving CambPolicy's
+    order for one round of single-category offers whose clip
+    probabilities are probs: with zero weights every category predicts
+    1/2, so an mf score of logit(p) makes the offer's probability p."""
 
-    def test_small_kappa_occasionally_reorders(self):
-        probs = {"o1": 0.3, "o2": 0.6}
+    def rank(probs, kappa):
+        policy = CambPolicy(ModelStore(), LearnerConfig(), ExplorationConfig(kappa_initial=kappa))
+        offers = as_round([candidate_factory(oid, np.zeros(N_FEATURES), mf_score=math.log(p / (1 - p)))
+                           for oid, p in probs.items()])
+        return lambda rng: policy.select(offers, rng, 1).order
+
+    return rank
+
+
+class TestRanking:
+    def test_huge_kappa_recovers_greedy_order(self, camb_ranker):
+        rank = camb_ranker({"o1": 0.15, "o2": 0.85, "o3": 0.45, "o4": 0.65}, 1e8)
+        for seed in range(100):
+            assert rank(np.random.default_rng(seed)) == ["o2", "o4", "o3", "o1"]
+
+    def test_small_kappa_occasionally_reorders(self, camb_ranker):
+        rank = camb_ranker({"o1": 0.3, "o2": 0.6}, 1.0)
         rng = np.random.default_rng(0)
-        tops = {rank_offers(probs, 1.0, rng)[0] for _ in range(200)}
+        tops = {rank(rng)[0] for _ in range(200)}
         assert tops == {"o1", "o2"}
 
-    def test_higher_probability_wins_more_often(self):
+    def test_higher_probability_wins_more_often(self, camb_ranker):
         probs = {"lo": 0.2, "mid": 0.5, "hi": 0.8}
+        rank = camb_ranker(probs, 5.0)
         rng = np.random.default_rng(7)
         wins = {oid: 0 for oid in probs}
         for _ in range(4000):
-            wins[rank_offers(probs, 5.0, rng)[0]] += 1
+            wins[rank(rng)[0]] += 1
         assert wins["hi"] > wins["mid"] > wins["lo"]
 
-    def test_same_seed_reproduces_rankings(self):
-        probs = {"o1": 0.4, "o2": 0.5, "o3": 0.6}
-        a = [rank_offers(probs, 3.0, np.random.default_rng(11)) for _ in range(1)]
-        b = [rank_offers(probs, 3.0, np.random.default_rng(11)) for _ in range(1)]
-        assert a == b
+    def test_same_seed_reproduces_rankings(self, camb_ranker):
+        rank = camb_ranker({"o1": 0.4, "o2": 0.5, "o3": 0.6}, 3.0)
+        assert rank(np.random.default_rng(11)) == rank(np.random.default_rng(11))
+        assert len({tuple(rank(np.random.default_rng(seed))) for seed in range(20)}) > 1
 
     def test_sampled_scores_concentrate_at_huge_kappa(self, rng):
         probs = {"o1": 0.37}

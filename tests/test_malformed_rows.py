@@ -1,7 +1,8 @@
 """Malformed input rows are skipped and tallied; they never abort a run.
 
 Each example corrupts one field of one record of a small generated
-dataset, then runs ingest, backfit and replay on it. Every command must
+dataset, or replaces a whole JSONL line with a value that is not an
+object, then runs ingest, backfit and replay on it. Every command must
 exit 0 and report a nonzero skip tally in its manifest.
 """
 
@@ -18,9 +19,12 @@ from hypothesis import strategies as st
 from offerbandit.cli import main
 from offerbandit.datagen import generate_dataset
 
+LINE = None  # key that replaces the whole record with the value
 MISSING = object()  # drop the field
 REPEAT = object()  # show the first shown offer a second time
 UNKNOWN = object()  # show an offer the catalog does not hold
+
+NON_OBJECTS = ([1, 2], None, 5, "abc")
 
 TRANSACTION_COLUMNS = {"member_id": 0, "category_id": 1, "brand_id": 2, "event_date": 3, "quantity": 4}
 
@@ -32,10 +36,12 @@ CORRUPTIONS = [
     ("offers", "category_ids", "c1"),
     ("offers", "brand_ids", "b1"),
     ("offers", "end_date", "2023-01-01"),
-    *(("impressions", "offers_shown", v) for v in (REPEAT, UNKNOWN, [], MISSING)),
+    *((name, LINE, v) for name in ("offers", "impressions") for v in NON_OBJECTS),
+    *(("impressions", "offers_shown", v) for v in (REPEAT, UNKNOWN, [], "o1", MISSING)),
     *(("impressions", key, MISSING) for key in ("timestamp", "member_id")),
     ("impressions", "timestamp", math.nan),
     ("impressions", "clipped", ["o_unknown"]),
+    ("impressions", "clipped", "o1"),
     *(("transactions", "quantity", v) for v in ("nan", "inf", "-1", "0", "2.7", MISSING)),
     *(("transactions", "event_date", v) for v in ("NaN", "2024-13-01", MISSING)),
     ("transactions", "member_id", ""),
@@ -52,7 +58,9 @@ def clean_data(tmp_path_factory):
 def corrupt_jsonl(text: str, index: int, key: str, value) -> str:
     lines = text.splitlines()
     obj = json.loads(lines[index])
-    if value is MISSING:
+    if key is LINE:
+        obj = value
+    elif value is MISSING:
         del obj[key]
     elif value is REPEAT:
         obj[key] = obj[key] + obj[key][:1]
@@ -74,10 +82,7 @@ def corrupt_csv(text: str, index: int, key: str, value) -> str:
     return "\n".join(",".join(r) for r in [header, *rows]) + "\n"
 
 
-@settings(max_examples=30, deadline=None)
-@given(corruption=st.sampled_from(CORRUPTIONS), position=st.integers(0, 10**6))
-def test_single_field_corruption_is_tallied_not_fatal(clean_data, corruption, position):
-    name, key, value = corruption
+def assert_tallied_not_fatal(clean_data, name, key, value, position):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         files = {}
@@ -95,3 +100,15 @@ def test_single_field_corruption_is_tallied_not_fatal(clean_data, corruption, po
             assert main([command, "--config", str(tmp / "cfg.json"), "--out", str(out)]) == 0, command
             tallies = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["skip_tallies"]
             assert sum(tallies.values()) > 0, (command, tallies)
+
+
+@settings(max_examples=30, deadline=None)
+@given(corruption=st.sampled_from(CORRUPTIONS), position=st.integers(0, 10**6))
+def test_single_field_corruption_is_tallied_not_fatal(clean_data, corruption, position):
+    assert_tallied_not_fatal(clean_data, *corruption, position)
+
+
+@pytest.mark.parametrize("name", ["offers", "impressions"])
+@pytest.mark.parametrize("value", NON_OBJECTS, ids=repr)
+def test_non_object_line_is_tallied_not_fatal(clean_data, name, value):
+    assert_tallied_not_fatal(clean_data, name, LINE, value, position=2)

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
+from .data import read_versioned_jsonl
 from .errors import ConfigError
 from .features import FEATURE_NAMES, FEATURE_ORDER_VERSION, N_FEATURES
 
@@ -454,31 +455,22 @@ def load_checkpoint(path: str | Path) -> tuple[ModelStore, dict]:
     a non-negative JSON integer, or the model rows do not match the
     header's n_models.
     """
-    with Path(path).open(encoding="utf-8") as fh:
-        lineno = 1
-        try:
-            header = json.loads(fh.readline())
-            if header.get("feature_order_version") != FEATURE_ORDER_VERSION:
-                raise ValueError(
-                    f"checkpoint feature order version {header.get('feature_order_version')} "
-                    f"does not match current version {FEATURE_ORDER_VERSION}"
-                )
-            n_models = json_count(header["n_models"], "n_models")
-            store = ModelStore(finite_weights(header["prior_weights"]))
-            for lineno, line in enumerate(fh, start=2):
-                line = line.strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-                key = (obj["member_id"], obj["category_id"])
-                if key in store:
-                    raise ValueError(f"duplicate model {key}")
-                model = store.get(*key)
-                model.weights = np.asarray(finite_weights(obj["weights"]), dtype=float)
-                model.update_count = json_count(obj["update_count"], "update_count")  # OverflowError past int64
-        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-            reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-            raise ConfigError(f"checkpoint {path} line {lineno}: {reason}") from None
-    if len(store) != n_models:
-        raise ConfigError(f"checkpoint {path} line 1: n_models is {n_models} but {len(store)} model rows follow")
+    store = ModelStore()
+
+    def start(header: dict) -> None:
+        nonlocal store
+        json_count(header["n_models"], "n_models")
+        store = ModelStore(finite_weights(header["prior_weights"]))
+
+    def add(obj: dict) -> None:
+        key = (obj["member_id"], obj["category_id"])
+        if key in store:
+            raise ValueError(f"duplicate model {key}")
+        model = store.get(*key)
+        model.weights = np.asarray(finite_weights(obj["weights"]), dtype=float)
+        model.update_count = json_count(obj["update_count"], "update_count")  # OverflowError past int64
+
+    header = read_versioned_jsonl(path, "checkpoint", FEATURE_ORDER_VERSION, add, start)
+    if len(store) != header["n_models"]:
+        raise ConfigError(f"checkpoint {path} line 1: n_models is {header['n_models']} but {len(store)} model rows follow")
     return store, header

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -30,6 +31,8 @@ from .data import (
     ingest_mf_scores,
     ingest_offers,
     ingest_transactions,
+    write_csv,
+    write_json,
     write_validation_report,
 )
 from .errors import ConfigError
@@ -177,9 +180,7 @@ def cmd_backfit(args: argparse.Namespace) -> int:
     report = backfit(store, events, cfg.learner)
     with OutputWriter(cfg.run.out_dir) as out:
         save_checkpoint(out.register("checkpoint.jsonl"), store, cfg.learner)
-        Path(out.register("backfit_report.json")).write_text(
-            json.dumps(asdict(report), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        write_json(out.register("backfit_report.json"), asdict(report))
         tallies = _skip_tallies(issues) | event_skips
         manifest = build_manifest(
             cfg.run.seed, cfg.to_dict(), files_fingerprint(_data_paths(cfg)), tallies,
@@ -197,11 +198,8 @@ def _write_run_outputs(out: OutputWriter, result, cfg: RunConfig, fingerprint: s
     write_metrics_csv(out.register("metrics.csv"), result.records)
     write_summary_json(out.register("summary.json"), result.summary)
     result.trajectories.save(out.register("trajectory.jsonl"))
-    tallies = dict(result.skip_tallies)
-    if extra_tallies:
-        tallies.update(extra_tallies)
     manifest = build_manifest(
-        cfg.run.seed, cfg.to_dict(), fingerprint, tallies,
+        cfg.run.seed, cfg.to_dict(), fingerprint, result.skip_tallies | (extra_tallies or {}),
         command=command, policy=cfg.policy, rounds=result.summary.rounds,
     )
     write_manifest(out.register("manifest.json"), manifest)
@@ -242,25 +240,23 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 REPORT_COLUMNS = ("cum_reward", "avg_reward", "regret", "optimal_rate")
 
 
-def _read_run(run_dir: Path) -> tuple[list[dict[str, str]], dict]:
+def _read_run(run_dir: Path) -> tuple[list[dict[str, float | None]], dict]:
     """A run directory's metrics rows and summary; ConfigError naming the
     file when either is missing or lacks what report reads."""
     metrics = run_dir / "metrics.csv"
     summary = run_dir / "summary.json"
     if not metrics.is_file() or not summary.is_file():
         raise ConfigError(f"run directory {run_dir} is missing metrics.csv or summary.json")
-    with metrics.open(newline="", encoding="utf-8") as fh:
+    # A bad byte decodes to U+FFFD, which no number parses.
+    with metrics.open(newline="", encoding="utf-8", errors="replace") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in REPORT_COLUMNS if c not in (reader.fieldnames or [])]
         if missing:
             raise ConfigError(f"{metrics} lacks the columns {missing}")
-        rows = list(reader)
-    short = next((n for n, row in enumerate(rows, 2) if None in row.values()), None)
-    if short is not None:
-        raise ConfigError(f"{metrics} line {short} has fewer fields than its header")
+        rows = [_metric_values(metrics, reader.line_num, row) for row in reader]
     try:
         obj = json.loads(summary.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (RecursionError, ValueError) as exc:
         raise ConfigError(f"{summary} is not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ConfigError(f"{summary} must be a JSON object")
@@ -268,9 +264,25 @@ def _read_run(run_dir: Path) -> tuple[list[dict[str, str]], dict]:
         value = obj.get(key)
         if value is None and key != "cumulative_reward":
             continue  # replay runs have no regret or optimal rate
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
             raise ConfigError(f"{summary}: {key} must be a JSON number, got {value!r}")
     return rows, obj
+
+
+def _metric_values(path: Path, line: int, row: dict[str, str]) -> dict[str, float | None]:
+    """The report columns of one metrics row: a finite number, or None
+    for a blank cell."""
+    if None in row.values():
+        raise ConfigError(f"{path} line {line} has fewer fields than its header")
+    values = {}
+    for c in REPORT_COLUMNS:
+        try:
+            values[c] = None if row[c] == "" else float(row[c])
+        except ValueError:
+            values[c] = math.nan
+        if values[c] is not None and not math.isfinite(values[c]):
+            raise ConfigError(f"{path} line {line}: {c} must be a finite number, got {row[c]!r}")
+    return values
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -278,34 +290,20 @@ def cmd_report(args: argparse.Namespace) -> int:
     series, summaries = zip(*map(_read_run, run_dirs))
     n_rounds = min(len(rows) for rows in series)
     with OutputWriter(args.out) as out:
-        with Path(out.register("merged.csv")).open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["round"] + [f"mean_{c}" for c in REPORT_COLUMNS])
-            for i in range(n_rounds):
-                row: list[object] = [i + 1]
-                for c in REPORT_COLUMNS:
-                    values = [float(rows[i][c]) for rows in series if rows[i][c] != ""]
-                    row.append(sum(values) / len(values) if values else "")
-                writer.writerow(row)
-        merged = {
-            "runs": [str(d) for d in run_dirs],
-            "rounds_compared": n_rounds,
-            "mean_cumulative_reward": float(np.mean([s["cumulative_reward"] for s in summaries])),
-            "mean_regret": (
-                float(np.mean([s["regret"] for s in summaries]))
-                if all(s.get("regret") is not None for s in summaries)
-                else None
-            ),
-            "mean_optimal_action_rate": (
-                float(np.mean([s["optimal_action_rate"] for s in summaries]))
-                if all(s.get("optimal_action_rate") is not None for s in summaries)
-                else None
-            ),
-            "per_run": summaries,
-        }
-        Path(out.register("merged.json")).write_text(
-            json.dumps(merged, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        merged_rows = []
+        for i in range(n_rounds):
+            row: list[object] = [i + 1]
+            for c in REPORT_COLUMNS:
+                values = [rows[i][c] for rows in series if rows[i][c] is not None]
+                row.append(sum(values) / len(values) if values else "")
+            merged_rows.append(row)
+        write_csv(out.register("merged.csv"), ["round"] + [f"mean_{c}" for c in REPORT_COLUMNS], merged_rows)
+        merged = {"runs": [str(d) for d in run_dirs], "rounds_compared": n_rounds, "per_run": summaries}
+        for key in ("cumulative_reward", "regret", "optimal_action_rate"):
+            # Replay runs have no regret or optimal rate; a mean needs every run's.
+            values = [s.get(key) for s in summaries]
+            merged[f"mean_{key}"] = None if None in values else float(np.mean(values))
+        write_json(out.register("merged.json"), merged)
     print(f"merged {len(run_dirs)} runs over {n_rounds} rounds -> {args.out}")
     return 0
 

@@ -24,6 +24,7 @@ from .bandit import LearnerConfig
 from .baselines import POLICY_NAMES, EpsilonGreedyPolicy, LinUCBPolicy, ThompsonPolicy
 from .errors import ConfigError
 from .exploration import ExplorationConfig
+from .features import SeasonalityProfile
 from .harness import SyntheticWorldConfig
 from .interpret import DetectionConfig
 from .mf import ALSConfig
@@ -126,13 +127,14 @@ class RunConfig:
         if self.features.default_cycle_days <= 0:
             raise ConfigError(f"bad config value features.default_cycle_days={self.features.default_cycle_days}")
         # The module configs checked their ranges when they were built; the
-        # policy, world and ALS constructors check the other sections.
+        # policy, world, ALS and seasonality constructors check the rest.
         for name, build in (
             ("linucb", lambda: LinUCBPolicy(**dataclasses.asdict(self.linucb))),
             ("ts", lambda: ThompsonPolicy(**dataclasses.asdict(self.ts))),
             ("egreedy", lambda: EpsilonGreedyPolicy(**dataclasses.asdict(self.egreedy))),
             ("synthetic", self.world_config),
             ("mf", self.als_config),
+            ("features", lambda: SeasonalityProfile({}, self.features.smoothing_window)),
         ):
             with _naming_section(name):
                 build()
@@ -165,12 +167,9 @@ class RunConfig:
             raise ConfigError(f"missing config file: {p}")
         try:
             obj = json.loads(p.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (RecursionError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
             raise ConfigError(f"config file {p} is not valid JSON: {exc}") from None
         return cls.from_dict(obj)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 @contextlib.contextmanager

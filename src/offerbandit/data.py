@@ -5,7 +5,8 @@ Four inputs drive the engine: a transaction log (CSV), an offer catalog
 matrix-factorization affinity scores (CSV). Ingestion is skip-and-tally:
 malformed records are counted with a reason and never abort the run. The
 only fatal conditions are a missing file and a transaction log that yields
-zero valid rows.
+zero valid rows. The reader of checkpoint and trajectory files and the
+JSON, JSONL and CSV writers that the outputs share live here too.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ import sys
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
+
+from .errors import ConfigError
 
 
 class IngestError(RuntimeError):
@@ -96,11 +99,113 @@ class IngestResult:
     issues: list[tuple[int, str]]
 
 
+# What a malformed record or state-file line can raise while it is parsed
+# and checked, JSON nested past the interpreter's recursion limit included.
+RECORD_ERRORS = (AttributeError, KeyError, OverflowError, RecursionError, TypeError, ValueError)
+
+
 def _open_checked(path: str | Path):
     p = Path(path)
     if not p.is_file():
         raise IngestError(f"missing input file: {p}")
-    return p.open(newline="", encoding="utf-8")
+    return p.open("rb")
+
+
+def _lines(fh) -> Iterator[bytes]:
+    """Lines of a binary file with their endings, split where text mode
+    with newline="" splits them (\n, \r, \r\n), to be decoded one by one
+    so a bad byte spoils only its line. No read ends inside a \r\n."""
+    while block := fh.readlines(1 << 16):
+        yield from b"".join(block).splitlines(keepends=True)
+
+
+def _read_csv(path: str | Path, fields: Sequence[str], kind: str, parse: Callable[[list[str]], object]) -> IngestResult:
+    """The skip-and-tally loop of a CSV input: check the header, then
+    keep parse(row) of each row, tallying the rows parse rejects and
+    those holding a line that is not valid UTF-8."""
+    records: list = []
+    issues: list[tuple[int, str]] = []
+    undecodable: list[UnicodeDecodeError] = []
+
+    def decoded(fh) -> Iterator[str]:
+        for line in _lines(fh):
+            try:
+                yield line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                undecodable.append(exc)
+                yield line.decode("utf-8", "replace")
+
+    with _open_checked(path) as fh:
+        reader = csv.reader(decoded(fh))
+        header = next(reader, None)
+        if header is None or tuple(h.strip() for h in header) != fields:
+            raise IngestError(f"bad {kind} header in {path}: {header}")
+        for idx, row in enumerate(reader):
+            try:
+                if undecodable:
+                    raise undecodable[0]
+                records.append(parse(row))
+            except RECORD_ERRORS as exc:
+                issues.append((idx, str(exc)))
+                undecodable.clear()
+    return IngestResult(records, issues)
+
+
+def _read_jsonl(path: str | Path, parse: Callable[[object], object], kind: str, unique: str | None = None) -> IngestResult:
+    """The skip-and-tally loop of a JSONL input: keep parse(obj) of each
+    non-blank line's JSON value, tallying the lines that do not decode,
+    parse or pass parse as "bad <kind> record: ...", and with unique set,
+    records whose value of that attribute an earlier record holds."""
+    records: list = []
+    issues: list[tuple[int, str]] = []
+    seen: set = set()
+    with _open_checked(path) as fh:
+        for idx, line in enumerate(_lines(fh)):
+            try:
+                text = line.decode("utf-8").strip()
+                if not text:
+                    continue
+                record = parse(json.loads(text))
+            except RECORD_ERRORS as exc:
+                issues.append((idx, f"bad {kind} record: {exc}"))
+                continue
+            if unique is not None:
+                key = getattr(record, unique)
+                if key in seen:
+                    issues.append((idx, f"duplicate {unique} {key}"))
+                    continue
+                seen.add(key)
+            records.append(record)
+    return IngestResult(records, issues)
+
+
+def read_versioned_jsonl(path: str | Path, kind: str, version: int, row: Callable[[dict], object],
+                         start: Callable[[dict], object] = lambda header: None) -> dict:
+    """Read a state file: a JSON header line whose feature_order_version
+    must equal version, then one JSON object per non-blank line.
+
+    start gets the header, then row each line's object in file order.
+    Returns the header. Every failure, including a line that is not valid
+    UTF-8, JSON nested too deeply and what start or row raise, becomes
+    ConfigError("<kind> <path> line <n>: <reason>").
+    """
+    lineno = 1
+    try:
+        with Path(path).open("rb") as fh:
+            lines = _lines(fh)
+            header = json.loads(next(lines, b"").decode("utf-8"))
+            found = header.get("feature_order_version")
+            if found != version:
+                raise ValueError(f"{kind} feature order version {found} does not match current version {version}")
+            start(header)
+            for lineno, line in enumerate(lines, start=2):
+                text = line.decode("utf-8").strip()
+                if text:
+                    row(json.loads(text))
+    except RECORD_ERRORS as exc:
+        reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        raise ConfigError(f"{kind} {path} line {lineno}: {reason}") from None
+    return header
 
 
 def ingest_transactions(path: str | Path) -> IngestResult:
@@ -109,22 +214,11 @@ def ingest_transactions(path: str | Path) -> IngestResult:
     Raises IngestError if the file is missing, the header is wrong, or no
     valid rows remain after validation.
     """
-    records: list[Transaction] = []
-    issues: list[tuple[int, str]] = []
-    with _open_checked(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != TRANSACTION_FIELDS:
-            raise IngestError(f"bad transaction header in {path}: {header}")
-        for idx, row in enumerate(reader):
-            try:
-                records.append(_parse_transaction(row))
-            except ValueError as exc:
-                issues.append((idx, str(exc)))
-    if not records:
+    result = _read_csv(path, TRANSACTION_FIELDS, "transaction", _parse_transaction)
+    if not result.records:
         raise IngestError(f"no valid transactions in {path}")
-    records.sort(key=lambda t: t.event_date)
-    return IngestResult(records, issues)
+    result.records.sort(key=lambda t: t.event_date)
+    return result
 
 
 def _parse_transaction(row: Sequence[str]) -> Transaction:
@@ -148,25 +242,7 @@ def _parse_transaction(row: Sequence[str]) -> Transaction:
 
 def ingest_offers(path: str | Path) -> IngestResult:
     """Read the offer catalog JSONL. Invalid records are tallied."""
-    records: list[Offer] = []
-    issues: list[tuple[int, str]] = []
-    seen: set[str] = set()
-    with _open_checked(path) as fh:
-        for idx, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                offer = _parse_offer(json.loads(line))
-            except (ValueError, KeyError, TypeError, OverflowError) as exc:
-                issues.append((idx, f"bad offer record: {exc}"))
-                continue
-            if offer.offer_id in seen:
-                issues.append((idx, f"duplicate offer_id {offer.offer_id}"))
-                continue
-            seen.add(offer.offer_id)
-            records.append(offer)
-    return IngestResult(records, issues)
+    return _read_jsonl(path, _parse_offer, "offer", unique="offer_id")
 
 
 def _check_record(obj, array_keys: Sequence[str]) -> None:
@@ -216,19 +292,9 @@ def ingest_impressions(path: str | Path) -> IngestResult:
     Records whose clipped set is not a subset of offers_shown, or that show
     an offer more than once, are rejected and tallied.
     """
-    records: list[Impression] = []
-    issues: list[tuple[int, str]] = []
-    with _open_checked(path) as fh:
-        for idx, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(_parse_impression(json.loads(line)))
-            except (ValueError, KeyError, TypeError) as exc:
-                issues.append((idx, f"bad impression record: {exc}"))
-    records.sort(key=lambda i: i.timestamp)
-    return IngestResult(records, issues)
+    result = _read_jsonl(path, _parse_impression, "impression")
+    result.records.sort(key=lambda i: i.timestamp)
+    return result
 
 
 def _parse_impression(obj: dict) -> Impression:
@@ -256,27 +322,21 @@ def ingest_mf_scores(path: str | Path, default_score: float = 0.0) -> tuple[MFSc
     Later rows overwrite earlier duplicates. Rows whose score is not a
     finite number are tallied.
     """
-    table = MFScoreTable(default_score=default_score)
-    issues: list[tuple[int, str]] = []
-    with _open_checked(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != MF_SCORE_FIELDS:
-            raise IngestError(f"bad mf score header in {path}: {header}")
-        for idx, row in enumerate(reader):
-            if len(row) != 3:
-                issues.append((idx, f"expected 3 fields, got {len(row)}"))
-                continue
-            member, offer, score = (f.strip() for f in row)
-            try:
-                value = float(score)
-                if not math.isfinite(value):
-                    raise ValueError
-            except ValueError:
-                issues.append((idx, f"bad score {score!r}"))
-                continue
-            table.entries[(member, offer)] = value
-    return table, issues
+    result = _read_csv(path, MF_SCORE_FIELDS, "mf score", _parse_mf_score)
+    return MFScoreTable(dict(result.records), default_score), result.issues
+
+
+def _parse_mf_score(row: Sequence[str]) -> tuple[tuple[str, str], float]:
+    if len(row) != 3:
+        raise ValueError(f"expected 3 fields, got {len(row)}")
+    member, offer, score = (f.strip() for f in row)
+    try:
+        value = float(score)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"bad score {score!r}")
+    return (member, offer), value
 
 
 def catalog_orphan_issues(impressions: Iterable[Impression], offers: Iterable[Offer]) -> list[tuple[int, str]]:
@@ -296,6 +356,23 @@ def catalog_orphan_issues(impressions: Iterable[Impression], offers: Iterable[Of
 
 def write_validation_report(path: str | Path, issues: Sequence[tuple[int, str]]) -> None:
     """Write skip tallies as JSONL records of {record_index, reason}."""
+    write_jsonl(path, ({"record_index": idx, "reason": reason} for idx, reason in issues))
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header row, then the rows."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path: str | Path, obj) -> None:
+    """Write one indented JSON document with sorted keys."""
+    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
+def write_jsonl(path: str | Path, objects: Iterable) -> None:
+    """Write one JSON value with sorted keys per line."""
     with Path(path).open("w", encoding="utf-8") as fh:
-        for idx, reason in issues:
-            fh.write(json.dumps({"record_index": idx, "reason": reason}, sort_keys=True) + "\n")
+        fh.writelines(json.dumps(obj, sort_keys=True) + "\n" for obj in objects)

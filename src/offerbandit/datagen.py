@@ -8,15 +8,13 @@ carries learnable structure rather than pure noise.
 
 from __future__ import annotations
 
-import csv
-import json
 from datetime import date, datetime, time, timedelta
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .data import Impression, Offer, Transaction
+from .data import TRANSACTION_FIELDS, Impression, Offer, Transaction, write_csv, write_jsonl
 
 
 def generate_transactions(
@@ -123,48 +121,36 @@ def generate_impressions(
 
 
 def write_transactions_csv(path: str | Path, transactions: Sequence[Transaction]) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["member_id", "category_id", "brand_id", "event_date", "quantity"])
-        for t in transactions:
-            writer.writerow([t.member_id, t.category_id, t.brand_id, t.event_date.isoformat(), t.quantity])
+    write_csv(path, TRANSACTION_FIELDS, (
+        [t.member_id, t.category_id, t.brand_id, t.event_date.isoformat(), t.quantity] for t in transactions
+    ))
 
 
 def write_offers_jsonl(path: str | Path, offers: Sequence[Offer]) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for o in offers:
-            fh.write(
-                json.dumps(
-                    {
-                        "offer_id": o.offer_id,
-                        "category_ids": sorted(o.category_ids),
-                        "brand_ids": sorted(o.brand_ids),
-                        "discount_value": o.discount_value,
-                        "start_date": o.start_date.isoformat(),
-                        "end_date": o.end_date.isoformat(),
-                        "num_items": o.num_items,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    write_jsonl(path, (
+        {
+            "offer_id": o.offer_id,
+            "category_ids": sorted(o.category_ids),
+            "brand_ids": sorted(o.brand_ids),
+            "discount_value": o.discount_value,
+            "start_date": o.start_date.isoformat(),
+            "end_date": o.end_date.isoformat(),
+            "num_items": o.num_items,
+        }
+        for o in offers
+    ))
 
 
 def write_impressions_jsonl(path: str | Path, impressions: Sequence[Impression]) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for imp in impressions:
-            fh.write(
-                json.dumps(
-                    {
-                        "timestamp": imp.timestamp.isoformat(),
-                        "member_id": imp.member_id,
-                        "offers_shown": list(imp.offers_shown),
-                        "clipped": sorted(imp.clipped),
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    write_jsonl(path, (
+        {
+            "timestamp": imp.timestamp.isoformat(),
+            "member_id": imp.member_id,
+            "offers_shown": list(imp.offers_shown),
+            "clipped": sorted(imp.clipped),
+        }
+        for imp in impressions
+    ))
 
 
 def generate_dataset(out_dir: str | Path, seed: int = 0, **sizes) -> dict[str, Path]:

@@ -129,9 +129,6 @@ class SeasonalityProfile:
             self._smoothed[category] = smoothed
             self._peak[category] = float(smoothed.max())
 
-    def categories(self) -> list[str]:
-        return sorted(self._smoothed)
-
     def score(self, category_id: str, day: date) -> float:
         """Seasonal score in [0, 1]; 0 for unseen or all-zero categories."""
         smoothed = self._smoothed.get(category_id)

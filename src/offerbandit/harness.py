@@ -13,7 +13,6 @@ are byte-identical across reruns with the same config and seed.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -24,7 +23,7 @@ import numpy as np
 
 from .baselines import OfferCandidate, OfferRound, Policy, Ranking
 from .bandit import LearnerConfig, TrainingEvents, offer_probabilities, sigmoid_rows
-from .data import Impression, MFScoreTable, Offer, Transaction
+from .data import Impression, MFScoreTable, Offer, Transaction, write_csv, write_json, write_jsonl
 from .errors import ConfigError
 from .features import (
     FEATURE_NAMES,
@@ -195,8 +194,9 @@ class OraclePolicy:
 
 @dataclass
 class RoundRecord:
-    """One logged round. y is None when the round produced no observable
-    reward (unmatched replay rounds); oracle fields are None on replay."""
+    """One logged round, its fields one line of rounds.jsonl. y is None
+    when the round produced no observable reward (unmatched replay
+    rounds); oracle fields are None on replay."""
 
     t: int
     member_id: str
@@ -207,19 +207,6 @@ class RoundRecord:
     oracle_p: float | None = None
     chosen_true_p: float | None = None
     matched: bool | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "member_id": self.member_id,
-            "ranked": [[oid, s, ss] for oid, s, ss in self.ranked],
-            "chosen": self.chosen,
-            "y": self.y,
-            "oracle_best": self.oracle_best,
-            "oracle_p": self.oracle_p,
-            "chosen_true_p": self.chosen_true_p,
-            "matched": self.matched,
-        }
 
 
 @dataclass
@@ -440,8 +427,8 @@ def run_replay(
         shares = stats.purchase_share(member)
         # `active` is in sorted offer-id order, the replay scaling order.
         raw = featurize(member, day, active, stats, profile, dataset.mf_table, cold_start_mpg)
-        mf_scores = [dataset.mf_table.score(member, oid) for oid in raw.offer_ids]
-        offers = make_round(scale_round(raw, scaler), member, shares, mf_scores)
+        # mf_score, the last raw feature, is the same on each of an offer's rows.
+        offers = make_round(scale_round(raw, scaler), member, shares, raw.X[raw.starts, -1])
         ranking = policy.select(offers, rng, t)
         top = ranking.top
         matched = top in imp.offers_shown
@@ -518,25 +505,18 @@ def backfit_events(
 
 
 def write_roundlog(path: str | Path, records: Sequence[RoundRecord]) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for r in records:
-            fh.write(json.dumps(r.to_dict(), sort_keys=True) + "\n")
+    write_jsonl(path, map(vars, records))
 
 
 def write_metrics_csv(path: str | Path, records: Sequence[RoundRecord]) -> None:
     """Per-round running metrics. Oracle columns are blank on replay, as is
     avg_reward before the first rewarded round."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["round", "cum_reward", "avg_reward", "regret", "optimal_rate"])
-        writer.writerows(running_metrics(records))  # csv writes None as a blank cell
+    # csv writes None as a blank cell.
+    write_csv(path, ["round", "cum_reward", "avg_reward", "regret", "optimal_rate"], running_metrics(records))
 
 
-def write_summary_json(path: str | Path, summary: MetricsSummary, extra: Mapping | None = None) -> None:
-    payload = summary.to_dict()
-    if extra:
-        payload.update(extra)
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+def write_summary_json(path: str | Path, summary: MetricsSummary) -> None:
+    write_json(path, summary.to_dict())
 
 
 def config_hash(config: Mapping) -> str:
@@ -573,4 +553,4 @@ def build_manifest(
 
 
 def write_manifest(path: str | Path, manifest: Mapping) -> None:
-    Path(path).write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    write_json(path, manifest)

@@ -12,22 +12,25 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from http.client import HTTPException
+from itertools import chain
 from pathlib import Path
-from typing import Mapping, Protocol, Sequence
+from typing import Protocol, Sequence
 from urllib.request import Request, urlopen
 
 import numpy as np
 
 from .bandit import finite_weights, json_count
+from .data import read_versioned_jsonl, write_jsonl
 from .errors import ConfigError
 from .features import FEATURE_NAMES, FEATURE_ORDER_VERSION, N_FEATURES
 
 
 @dataclass(frozen=True)
 class WeightSnapshot:
-    """One model state observation. t is a run-wide monotone update ordinal."""
+    """One model state observation, its fields one line of a trajectory
+    file. t is a run-wide monotone update ordinal."""
 
     t: int
     member_id: str
@@ -79,22 +82,7 @@ class TrajectoryStore:
             (s for series in self._series.values() for s in series),
             key=lambda s: (s.t, s.member_id, s.category_id),
         )
-        with Path(path).open("w", encoding="utf-8") as fh:
-            fh.write(json.dumps(header, sort_keys=True) + "\n")
-            for s in rows:
-                fh.write(
-                    json.dumps(
-                        {
-                            "t": s.t,
-                            "member_id": s.member_id,
-                            "category_id": s.category_id,
-                            "weights": list(s.weights),
-                            "update_count": s.update_count,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+        write_jsonl(path, chain([header], map(vars, rows)))
 
     @classmethod
     def load(cls, path: str | Path) -> "TrajectoryStore":
@@ -103,27 +91,12 @@ class TrajectoryStore:
         malformed, a weight vector is not N_FEATURES finite numbers, or
         update_count or t is not a non-negative JSON integer."""
         store = cls()
-        with Path(path).open(encoding="utf-8") as fh:
-            lineno = 1
-            try:
-                header = json.loads(fh.readline())
-                if header.get("feature_order_version") != FEATURE_ORDER_VERSION:
-                    raise ValueError("trajectory feature order version mismatch")
-                for lineno, line in enumerate(fh, start=2):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    obj = json.loads(line)
-                    store.record(
-                        obj["member_id"],
-                        obj["category_id"],
-                        finite_weights(obj["weights"]),
-                        json_count(obj["update_count"], "update_count"),
-                        json_count(obj["t"], "t"),
-                    )
-            except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-                reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-                raise ConfigError(f"trajectory {path} line {lineno}: {reason}") from None
+
+        def add(obj: dict) -> None:
+            store.record(obj["member_id"], obj["category_id"], finite_weights(obj["weights"]),
+                         json_count(obj["update_count"], "update_count"), json_count(obj["t"], "t"))
+
+        read_versioned_jsonl(path, "trajectory", FEATURE_ORDER_VERSION, add)
         return store
 
 

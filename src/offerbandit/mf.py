@@ -8,14 +8,13 @@ feature and the offer-level bias.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import Offer, Transaction
+from .data import MF_SCORE_FIELDS, Offer, Transaction, write_csv
 from .errors import ConfigError
 
 MEMBER_BLOCK = 32  # members scored per block in member_offer_scores
@@ -106,8 +105,4 @@ def member_offer_scores(
 
 
 def write_mf_scores(path: str | Path, scores: Mapping[tuple[str, str], float]) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["member_id", "offer_id", "score"])
-        for (member, offer), score in sorted(scores.items()):
-            writer.writerow([member, offer, score])
+    write_csv(path, MF_SCORE_FIELDS, ([member, offer, score] for (member, offer), score in sorted(scores.items())))

@@ -486,6 +486,24 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match=f"{path.name} line {line}: {field} must be a non-negative integer"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("damage", [
+        lambda line: line[:20] + b"\xff" + line[20:],
+        lambda line: b"[" * 100_000,
+    ], ids=["undecodable", "too-deep"])
+    def test_damaged_line_rejected_with_its_true_line_number(self, tmp_path, damage):
+        # Far enough into the file that a chunked text decoder would read
+        # the damaged bytes ahead of the line being parsed.
+        store = ModelStore()
+        for i in range(399):
+            store.get(f"m{i:03d}", "c1")
+        path = tmp_path / "checkpoint.jsonl"
+        save_checkpoint(path, store, LearnerConfig())
+        lines = path.read_bytes().split(b"\n")
+        lines[299] = damage(lines[299])
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ConfigError, match=f"{path.name} line 300:"):
+            load_checkpoint(path)
+
     def test_rows_are_the_json_dumps_lines(self, tmp_path, rng):
         cfg = LearnerConfig(learning_rate=0.07)
         store = ModelStore(np.full(N_FEATURES, -0.0))

@@ -42,6 +42,14 @@ def stderr_error(capsys):
 RUN_FILES = ("rounds.jsonl", "metrics.csv", "summary.json", "trajectory.jsonl", "manifest.json")
 
 
+def set_cell(csv_text, line, column, value):
+    """The CSV text with the named column of its line (1-based, header
+    included) set to value."""
+    rows = [row.split(",") for row in csv_text.splitlines()]
+    rows[line - 1][rows[0].index(column)] = value
+    return "\n".join(",".join(row) for row in rows) + "\n"
+
+
 class TestSimulate:
     def test_writes_complete_run_directory(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -116,6 +124,15 @@ class TestSimulate:
         error = stderr_error(capsys)
         assert error["error"] == "config"
         assert "learner.lr" in error["message"]
+
+    @pytest.mark.parametrize("content", [b'{"run": {"seed": 1\xff}}', b"[" * 100_000], ids=["undecodable", "too-deep"])
+    def test_unreadable_config_file_exits_2_naming_it(self, tmp_path, capsys, content):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(content)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        error = stderr_error(capsys)
+        assert error["error"] == "config"
+        assert str(cfg) in error["message"]
 
     def test_unknown_policy_fails_with_exit_2(self, tmp_path, capsys):
         assert main(["simulate", "--policy", "ucb1", "--out", str(tmp_path / "run")]) == 2
@@ -354,6 +371,7 @@ class TestConfigRanges:
     @pytest.mark.parametrize("section, key, value", [
         ("features", "cold_start_mpg", -1.0),
         ("features", "default_cycle_days", 0),
+        ("features", "smoothing_window", 2),
         ("learner", "learning_rate", 0),
         ("learner", "positive_boost", 0.5),
         ("learner", "l2_lambda", -1),
@@ -455,10 +473,14 @@ class TestReport:
         ("summary.json", lambda text: json.dumps([json.loads(text)])),
         ("summary.json", lambda text: json.dumps(dict(json.loads(text), cumulative_reward="12"))),
         ("summary.json", lambda text: json.dumps(dict(json.loads(text), regret="7"))),
+        ("summary.json", lambda text: json.dumps(dict(json.loads(text), cumulative_reward=float("nan")))),
         ("summary.json", lambda text: text[:-5]),
         ("metrics.csv", lambda text: "\n".join(",".join(row.split(",")[:-1]) for row in text.splitlines())),
         ("metrics.csv", lambda text: text.rsplit(",", 1)[0] + "\n"),
-    ], ids=["no-reward", "not-object", "string-reward", "string-regret", "bad-json", "missing-column", "short-row"])
+        ("metrics.csv", lambda text: set_cell(text, 2, "cum_reward", "abc")),
+        ("metrics.csv", lambda text: set_cell(text, 3, "avg_reward", "nan")),
+    ], ids=["no-reward", "not-object", "string-reward", "string-regret", "nan-reward", "bad-json", "missing-column",
+            "short-row", "non-numeric", "non-finite"])
     def test_unreadable_run_file_exits_2_naming_it(self, tmp_path, capsys, name, corrupt):
         good, bad = tmp_path / "good", tmp_path / "bad"
         for out in (good, bad):

@@ -154,6 +154,25 @@ class TestTrajectoryStore:
             TrajectoryStore.load(path)
 
 
+    @pytest.mark.parametrize("damage", [
+        lambda line: line[:20] + b"\xff" + line[20:],
+        lambda line: b"[" * 100_000,
+    ], ids=["undecodable", "too-deep"])
+    def test_load_rejects_damaged_line_with_its_true_line_number(self, tmp_path, damage):
+        # Far enough into the file that a chunked text decoder would read
+        # the damaged bytes ahead of the line being parsed.
+        store = TrajectoryStore()
+        for t in range(1, 400):
+            store.record("m", "c", np.zeros(9), t, t)
+        path = tmp_path / "traj.jsonl"
+        store.save(path)
+        lines = path.read_bytes().split(b"\n")
+        lines[299] = damage(lines[299])
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ConfigError, match=f"{path.name} line 300:"):
+            TrajectoryStore.load(path)
+
+
 class TestDetectChanges:
     def test_abrupt_step_fires_exactly_once(self):
         cfg = DetectionConfig()

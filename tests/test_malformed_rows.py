@@ -1,9 +1,10 @@
 """Malformed input rows are skipped and tallied; they never abort a run.
 
 Each example corrupts one field of one record of a small generated
-dataset, or replaces a whole JSONL line with a value that is not an
-object, then runs ingest, backfit and replay on it. Every command must
-exit 0 and report a nonzero skip tally in its manifest.
+dataset, replaces a whole JSONL line with a value that is not an object,
+or damages the bytes of one line of any of the four inputs, then runs
+ingest, backfit and replay on it. Every command must exit 0 and report a
+nonzero skip tally in its manifest.
 """
 
 import csv
@@ -18,11 +19,27 @@ from hypothesis import strategies as st
 
 from offerbandit.cli import main
 from offerbandit.datagen import generate_dataset
+from offerbandit.mf import write_mf_scores
 
 LINE = None  # key that replaces the whole record with the value
 MISSING = object()  # drop the field
 REPEAT = object()  # show the first shown offer a second time
 UNKNOWN = object()  # show an offer the catalog does not hold
+RAW = object()  # key whose value maps the record's line, as bytes, to new bytes
+
+
+def UNDECODABLE(line: bytes) -> bytes:
+    """A byte that is not UTF-8, inside the line's first id or key."""
+    return line[:2] + b"\xff" + line[2:]
+
+
+def TOO_DEEP(line: bytes) -> bytes:
+    """JSON nested past the interpreter's recursion limit."""
+    return b"[" * 100_000
+
+
+INPUTS = ("transactions", "offers", "impressions", "mf_scores")
+CSV_INPUTS = ("transactions", "mf_scores")
 
 NON_OBJECTS = ([1, 2], None, 5, "abc")
 
@@ -45,13 +62,17 @@ CORRUPTIONS = [
     *(("transactions", "quantity", v) for v in ("nan", "inf", "-1", "0", "2.7", MISSING)),
     *(("transactions", "event_date", v) for v in ("NaN", "2024-13-01", MISSING)),
     ("transactions", "member_id", ""),
+    *((name, RAW, damage) for name in INPUTS for damage in (UNDECODABLE, TOO_DEEP)),
 ]
 
 
 @pytest.fixture(scope="module")
 def clean_data(tmp_path_factory):
-    paths = generate_dataset(tmp_path_factory.mktemp("clean"), seed=3, n_members=5, n_categories=3,
-                             n_brands=3, n_offers=8, n_impressions=30)
+    out = tmp_path_factory.mktemp("clean")
+    paths = generate_dataset(out, seed=3, n_members=5, n_categories=3, n_brands=3, n_offers=8, n_impressions=30)
+    offer_ids = [json.loads(line)["offer_id"] for line in paths["offers"].read_text(encoding="utf-8").splitlines()]
+    paths["mf_scores"] = out / "mf_scores.csv"
+    write_mf_scores(paths["mf_scores"], {(f"m{m}", o): 0.1 * m for m in range(5) for o in offer_ids})
     return {name: Path(p).read_text(encoding="utf-8") for name, p in paths.items()}
 
 
@@ -82,17 +103,28 @@ def corrupt_csv(text: str, index: int, key: str, value) -> str:
     return "\n".join(",".join(r) for r in [header, *rows]) + "\n"
 
 
+def damage_line(text: str, index: int, damage) -> bytes:
+    lines = text.encode("utf-8").split(b"\n")
+    lines[index] = damage(lines[index])
+    return b"\n".join(lines)
+
+
 def assert_tallied_not_fatal(clean_data, name, key, value, position):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         files = {}
         for file_name, text in clean_data.items():
+            data = text.encode("utf-8")
             if file_name == name:
-                n_records = len(text.splitlines()) - (1 if name == "transactions" else 0)
-                corrupt = corrupt_csv if name == "transactions" else corrupt_jsonl
-                text = corrupt(text, position % n_records, key, value)
+                header = 1 if name in CSV_INPUTS else 0
+                index = position % (len(text.splitlines()) - header)
+                if key is RAW:
+                    data = damage_line(text, index + header, value)
+                else:
+                    corrupt = corrupt_csv if header else corrupt_jsonl
+                    data = corrupt(text, index, key, value).encode("utf-8")
             files[file_name] = tmp / f"{file_name}.data"
-            files[file_name].write_text(text, encoding="utf-8")
+            files[file_name].write_bytes(data)
         config = {"data": {k: str(p) for k, p in files.items()}, "run": {"seed": 1}}
         (tmp / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
         for command in ("ingest", "backfit", "replay"):
@@ -112,3 +144,9 @@ def test_single_field_corruption_is_tallied_not_fatal(clean_data, corruption, po
 @pytest.mark.parametrize("value", NON_OBJECTS, ids=repr)
 def test_non_object_line_is_tallied_not_fatal(clean_data, name, value):
     assert_tallied_not_fatal(clean_data, name, LINE, value, position=2)
+
+
+@pytest.mark.parametrize("name", INPUTS)
+@pytest.mark.parametrize("damage", [UNDECODABLE, TOO_DEEP], ids=["undecodable", "too-deep"])
+def test_damaged_line_is_tallied_not_fatal(clean_data, name, damage):
+    assert_tallied_not_fatal(clean_data, name, RAW, damage, position=2)

@@ -185,61 +185,26 @@ def offer_probabilities(
     return sigmoid_rows(z)
 
 
-class StoredModel:
-    """One (member, category) row of a ModelStore, read and written in place.
-
-    Stands in for a CategoryModel in predict_category and sgd_update:
-    weights is a view of the store's row (valid until the store next
-    grows), and assigning weights or update_count writes the row.
-    """
-
-    __slots__ = ("_store", "_row")
-
-    def __init__(self, store: "ModelStore", row: int):
-        self._store = store
-        self._row = row
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self._store._views[self._row]
-
-    @weights.setter
-    def weights(self, values: np.ndarray) -> None:
-        self._store._views[self._row][:] = values
-
-    @property
-    def update_count(self) -> int:
-        return int(self._store._counts[self._row])
-
-    @update_count.setter
-    def update_count(self, n: int) -> None:
-        self._store._counts[self._row] = n
-
-
 class ModelStore:
     """Lazily materialized (member, category) logistic models in one array.
 
-    Row r of a growable float64[n_pairs, n_features] weight matrix and of
-    an update-count vector belongs to the pair that a dict maps to r.
-    Pairs never seen before read as the prior; a row is only taken when
-    the pair takes its first update (or is fetched with get()). Reads
-    never change what any pair would predict.
-
-    Each taken row also has a view in a list, rebuilt when the matrix
-    grows: scoring and updates read a few scattered rows at a time, and
-    indexing the matrix would make a new view on every read.
+    Row r of a growable float64[n_pairs, N_FEATURES] weight matrix and of
+    an update-count vector belongs to the pair that a dict maps to r. The
+    store holds values: get() returns an independent CategoryModel and
+    put() writes one back. A row is taken only by put() or by backfit's
+    rows(); reads never materialize a pair, and pairs never seen read as
+    the prior.
     """
 
-    def __init__(self, prior_weights: np.ndarray | None = None, n_features: int = N_FEATURES):
+    def __init__(self, prior_weights: np.ndarray | None = None):
         self.prior = (
-            np.zeros(n_features) if prior_weights is None else np.asarray(prior_weights, dtype=float).copy()
+            np.zeros(N_FEATURES) if prior_weights is None else np.asarray(prior_weights, dtype=float).copy()
         )
-        if self.prior.shape != (n_features,):
-            raise ConfigError(f"prior weights must have {n_features} entries")
+        if self.prior.shape != (N_FEATURES,):
+            raise ConfigError(f"prior weights must have {N_FEATURES} entries")
         self._rows: dict[tuple[str, str], int] = {}
-        self._W = np.empty((64, n_features))
+        self._W = np.empty((64, N_FEATURES))
         self._counts = np.zeros(64, dtype=np.int64)
-        self._views: list[np.ndarray] = []
 
     @classmethod
     def from_config(cls, cfg: LearnerConfig) -> "ModelStore":
@@ -253,9 +218,7 @@ class ModelStore:
             if row == len(self._W):
                 self._W = np.concatenate([self._W, np.empty_like(self._W)])
                 self._counts = np.concatenate([self._counts, np.zeros_like(self._counts)])
-                self._views = list(self._W[:row])
             self._W[row] = self.prior
-            self._views.append(self._W[row])
             self._rows[key] = row
         return row
 
@@ -266,26 +229,40 @@ class ModelStore:
         pair = [codes.setdefault(key, len(codes)) for key in zip(member_ids, category_ids)]
         return np.array([self._row(key) for key in codes], dtype=np.intp)[pair]
 
-    def get(self, member_id: str, category_id: str) -> StoredModel:
-        return StoredModel(self, self._row((member_id, category_id)))
+    def get(self, member_id: str, category_id: str) -> CategoryModel:
+        """A copy of the pair's model; the prior with no updates if unseen."""
+        row = self._rows.get((member_id, category_id))
+        if row is None:
+            return CategoryModel(self.prior.copy())
+        return CategoryModel(self._W[row].copy(), int(self._counts[row]))
+
+    def put(self, member_id: str, category_id: str, model: CategoryModel) -> None:
+        """Write the model into the pair's row, taking the row if unseen."""
+        if model.weights.shape != self.prior.shape:
+            raise ValueError(f"weights {model.weights.shape} do not match the store's {self.prior.shape}")
+        row = self._row((member_id, category_id))
+        self._W[row] = model.weights
+        self._counts[row] = model.update_count
 
     def weights_for(self, member_id: str, category_id: str) -> np.ndarray:
-        """Current weights without materializing the pair. Do not mutate."""
-        row = self._rows.get((member_id, category_id))
-        return self.prior if row is None else self._views[row]
+        """A copy of the pair's weights; the prior if unseen."""
+        return self.get(member_id, category_id).weights
 
     def predict(self, member_id: str, category_id: str, x: np.ndarray) -> float:
-        return predict_category(CategoryModel(self.weights_for(member_id, category_id)), x)
+        return predict_category(self.get(member_id, category_id), x)
 
     def predict_rows(self, member_id: str, category_ids: Sequence[str], X: np.ndarray) -> np.ndarray:
         """predict() of every row X[r] under the member's model of
         category_ids[r]; unseen pairs read as the prior, unmaterialized."""
-        get, views, prior = self._rows.get, self._views, self.prior
-        W = np.array([prior if (row := get((member_id, c))) is None else views[row] for c in category_ids])
+        get = self._rows.get
+        # Row -1 stands for an unseen pair; its gathered weights become the prior.
+        rows = np.array([get((member_id, c), -1) for c in category_ids], dtype=np.intp)
+        W = self._W[rows]
+        W[rows < 0] = self.prior
         return sigmoid_rows(np.einsum("ij,ij->i", W, X))
 
-    def items_sorted(self) -> list[tuple[tuple[str, str], StoredModel]]:
-        return [(key, StoredModel(self, self._rows[key])) for key in sorted(self._rows)]
+    def items_sorted(self) -> list[tuple[tuple[str, str], CategoryModel]]:
+        return [(key, self.get(*key)) for key in sorted(self._rows)]
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -412,9 +389,10 @@ def finite_weights(values: list) -> list:
 
 def json_count(value, name: str) -> int:
     """A count read from a file, returned as is. Raises ValueError unless
-    it is a non-negative JSON integer; booleans are not counts."""
-    if type(value) is not int or value < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    it is a JSON integer in the store's int64 range [0, 2**63); booleans
+    are not counts."""
+    if type(value) is not int or not 0 <= value < 2**63:
+        raise ValueError(f"{name} must be a non-negative integer below 2**63, got {value!r}")
     return value
 
 
@@ -466,9 +444,8 @@ def load_checkpoint(path: str | Path) -> tuple[ModelStore, dict]:
         key = (obj["member_id"], obj["category_id"])
         if key in store:
             raise ValueError(f"duplicate model {key}")
-        model = store.get(*key)
-        model.weights = np.asarray(finite_weights(obj["weights"]), dtype=float)
-        model.update_count = json_count(obj["update_count"], "update_count")  # OverflowError past int64
+        count = json_count(obj["update_count"], "update_count")
+        store.put(*key, CategoryModel(finite_weights(obj["weights"]), count))
 
     header = read_versioned_jsonl(path, "checkpoint", FEATURE_ORDER_VERSION, add, start)
     if len(store) != header["n_models"]:

@@ -193,7 +193,8 @@ class CambPolicy:
         for category in sorted(candidate.category_vectors):
             model = self.store.get(candidate.member_id, category)
             sgd_update(model, candidate.category_vectors[category], reward, self.learner)
-            deltas.append((candidate.member_id, category, model.weights.copy(), model.update_count))
+            self.store.put(candidate.member_id, category, model)
+            deltas.append((candidate.member_id, category, model.weights, model.update_count))
         return deltas
 
 

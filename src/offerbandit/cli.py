@@ -207,10 +207,12 @@ def _write_run_outputs(out: OutputWriter, result, cfg: RunConfig, fingerprint: s
 
 def cmd_replay(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    dataset, issues = _load_dataset(cfg)
     store = None
-    if cfg.run.backfit_checkpoint:
-        store, _ = load_checkpoint(cfg.run.backfit_checkpoint)
+    if checkpoint := cfg.run.backfit_checkpoint:
+        if not Path(checkpoint).is_file():
+            raise ConfigError(f"missing checkpoint file for run.backfit_checkpoint: {checkpoint}")
+        store, _ = load_checkpoint(checkpoint)
+    dataset, issues = _load_dataset(cfg)
     policy = _build_policy(cfg, store=store)
     result = run_replay(dataset, policy, cfg.run.seed, thin_every=cfg.run.snapshot_every, **asdict(cfg.features))
     with OutputWriter(cfg.run.out_dir) as out:

@@ -12,6 +12,7 @@ JSON, JSONL and CSV writers that the outputs share live here too.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import sys
@@ -121,8 +122,9 @@ def _lines(fh) -> Iterator[bytes]:
 
 def _read_csv(path: str | Path, fields: Sequence[str], kind: str, parse: Callable[[list[str]], object]) -> IngestResult:
     """The skip-and-tally loop of a CSV input: check the header, then
-    keep parse(row) of each row, tallying the rows parse rejects and
-    those holding a line that is not valid UTF-8."""
+    keep parse(row) of each row, tallying the rows parse rejects, those
+    holding a line that is not valid UTF-8 and those the reader cannot
+    split."""
     records: list = []
     issues: list[tuple[int, str]] = []
     undecodable: list[UnicodeDecodeError] = []
@@ -137,15 +139,22 @@ def _read_csv(path: str | Path, fields: Sequence[str], kind: str, parse: Callabl
 
     with _open_checked(path) as fh:
         reader = csv.reader(decoded(fh))
-        header = next(reader, None)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:
+            raise IngestError(f"bad {kind} header in {path}: {exc}") from None
         if header is None or tuple(h.strip() for h in header) != fields:
             raise IngestError(f"bad {kind} header in {path}: {header}")
-        for idx, row in enumerate(reader):
+        for idx in itertools.count():
             try:
+                # The reader raises csv.Error (a field past the csv module's
+                # size limit) for one record and resumes at the next line.
+                if (row := next(reader, None)) is None:
+                    break
                 if undecodable:
                     raise undecodable[0]
                 records.append(parse(row))
-            except RECORD_ERRORS as exc:
+            except (csv.Error, *RECORD_ERRORS) as exc:
                 issues.append((idx, str(exc)))
                 undecodable.clear()
     return IngestResult(records, issues)

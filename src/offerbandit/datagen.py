@@ -153,22 +153,18 @@ def write_impressions_jsonl(path: str | Path, impressions: Sequence[Impression])
     ))
 
 
-def generate_dataset(out_dir: str | Path, seed: int = 0, **sizes) -> dict[str, Path]:
+def generate_dataset(
+    out_dir: str | Path, seed: int = 0, *, n_members: int = 20, n_categories: int = 6, n_brands: int = 8,
+    n_offers: int = 30, n_impressions: int = 400,
+) -> dict[str, Path]:
     """Write a consistent demo dataset; returns the file paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    n_members = sizes.get("n_members", 20)
-    n_categories = sizes.get("n_categories", 6)
-    n_brands = sizes.get("n_brands", 8)
     transactions = generate_transactions(
         n_members=n_members, n_categories=n_categories, n_brands=n_brands, seed=seed
     )
-    offers = generate_offers(
-        n_offers=sizes.get("n_offers", 30), n_categories=n_categories, n_brands=n_brands, seed=seed + 1
-    )
-    impressions = generate_impressions(
-        offers, n_members=n_members, n_impressions=sizes.get("n_impressions", 400), seed=seed + 2
-    )
+    offers = generate_offers(n_offers=n_offers, n_categories=n_categories, n_brands=n_brands, seed=seed + 1)
+    impressions = generate_impressions(offers, n_members=n_members, n_impressions=n_impressions, seed=seed + 2)
     paths = {
         "transactions": out / "transactions.csv",
         "offers": out / "offers.jsonl",

@@ -303,10 +303,10 @@ class RunningScaler:
 
     STD_FLOOR = 1e-6
 
-    def __init__(self, n_features: int = N_FEATURES):
+    def __init__(self):
         self.count = 0
-        self._mean = np.zeros(n_features)
-        self._m2 = np.zeros(n_features)
+        self._mean = np.zeros(N_FEATURES)
+        self._m2 = np.zeros(N_FEATURES)
 
     def update(self, values: np.ndarray) -> None:
         """Fold in one row or a stack of rows."""

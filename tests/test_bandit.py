@@ -241,20 +241,53 @@ class TestModelStore:
         assert len(store) == 0
         assert ("m1", "c1") not in store
 
-    def test_get_materializes_a_copy_of_the_prior(self):
+    def test_get_returns_a_copy_of_the_prior_without_materializing(self):
         prior = np.full(N_FEATURES, 0.25)
         store = ModelStore(prior)
         model = store.get("m1", "c1")
+        assert model.update_count == 0
         model.weights[3] = 9.0
         assert store.prior[3] == 0.25
-        assert len(store) == 1
-        # A second pair still starts from the untouched prior.
+        assert len(store) == 0 and ("m1", "c1") not in store
+        # Another pair, and the same one, still read as the untouched prior.
         np.testing.assert_array_equal(store.weights_for("m2", "c1"), prior)
+        np.testing.assert_array_equal(store.get("m1", "c1").weights, prior)
+
+    def test_put_materializes_and_get_returns_an_independent_copy(self):
+        store = ModelStore()
+        weights = np.linspace(-1.0, 1.0, N_FEATURES)
+        store.put("m1", "c1", CategoryModel(weights, update_count=4))
+        assert len(store) == 1 and ("m1", "c1") in store
+        weights[0] = 7.0  # the store copied the weights it was given
+        model = store.get("m1", "c1")
+        assert model.weights[0] == -1.0 and model.update_count == 4
+        model.weights[:] = 5.0
+        model.update_count = 9
+        again = store.get("m1", "c1")
+        np.testing.assert_array_equal(again.weights, np.linspace(-1.0, 1.0, N_FEATURES))
+        assert again.update_count == 4
+        assert again.weights is not model.weights
+
+    def test_put_rejects_weights_of_another_width(self):
+        store = ModelStore()
+        with pytest.raises(ValueError, match="do not match"):
+            store.put("m1", "c1", CategoryModel(np.zeros(N_FEATURES - 1)))
+        assert len(store) == 0
+
+    def test_put_keeps_rows_across_growth(self):
+        store = ModelStore()
+        for i in range(200):
+            store.put(f"m{i:03d}", "c1", CategoryModel(np.full(N_FEATURES, float(i)), i))
+        assert len(store) == 200
+        for i in (0, 63, 64, 199):
+            model = store.get(f"m{i:03d}", "c1")
+            np.testing.assert_array_equal(model.weights, float(i))
+            assert model.update_count == i
 
     def test_update_isolated_per_pair(self):
         store = ModelStore()
         x = np.ones(N_FEATURES)
-        sgd_update(store.get("m1", "c1"), x, 1, LearnerConfig())
+        train(store, "m1", "c1", x, 1, LearnerConfig())
         assert store.predict("m1", "c1", x) > 0.5
         assert store.predict("m1", "c2", x) == 0.5
         assert store.predict("m2", "c1", x) == 0.5
@@ -263,6 +296,13 @@ class TestModelStore:
         prior = tuple([0.1] * N_FEATURES)
         store = ModelStore.from_config(LearnerConfig(prior_weights=prior))
         np.testing.assert_allclose(store.prior, 0.1)
+
+
+def train(store, member, category, x, y, cfg):
+    """One sgd_update of the pair's model, written back with put()."""
+    model = store.get(member, category)
+    sgd_update(model, x, y, cfg)
+    store.put(member, category, model)
 
 
 def batch(events):
@@ -283,7 +323,7 @@ def sequential_backfit(store, events, cfg):
         if i >= (9 * n) // 10:
             model_losses.append(log_loss(p, y))
             prior_losses.append(log_loss(predict_category(prior, x), y))
-        sgd_update(store.get(member, category), x, y, cfg)
+        train(store, member, category, x, y, cfg)
     return sum(model_losses) / len(model_losses), sum(prior_losses) / len(prior_losses)
 
 
@@ -381,8 +421,8 @@ class TestBackfitWaves:
         cfg = LearnerConfig(learning_rate=0.05)
         expected, store = ModelStore(), ModelStore()
         for s in (expected, store):
-            s.get("m1", "c1").weights[:] = 0.3
-            s.get("m9", "c9")
+            s.put("m1", "c1", CategoryModel(np.full(N_FEATURES, 0.3)))
+            s.put("m9", "c9", s.get("m9", "c9"))
         sequential_backfit(expected, events, cfg)
         backfit(store, batch(events), cfg)
         assert len(store) == len(expected)
@@ -420,7 +460,7 @@ class TestCheckpoint:
         for member, category in [("m1", "c1"), ("m1", "c2"), ("m2", "c1")]:
             for _ in range(3):
                 x = rng.normal(0.0, 1.0, N_FEATURES)
-                sgd_update(store.get(member, category), x, int(rng.integers(0, 2)), cfg)
+                train(store, member, category, x, int(rng.integers(0, 2)), cfg)
         path = tmp_path / "checkpoint.jsonl"
         save_checkpoint(path, store, cfg)
         loaded, header = load_checkpoint(path)
@@ -461,8 +501,8 @@ class TestCheckpoint:
     )
     def test_malformed_checkpoint_rejected_with_file_and_line(self, tmp_path, corrupt, line):
         store = ModelStore()
-        store.get("m1", "c1")
-        store.get("m2", "c1")
+        store.put("m1", "c1", store.get("m1", "c1"))
+        store.put("m2", "c1", store.get("m2", "c1"))
         path = tmp_path / "checkpoint.jsonl"
         save_checkpoint(path, store, LearnerConfig())
         lines = [json.loads(l) for l in path.read_text(encoding="utf-8").splitlines()]
@@ -473,11 +513,12 @@ class TestCheckpoint:
 
 
     @pytest.mark.parametrize("field, line", [("update_count", 3), ("n_models", 1)])
-    @pytest.mark.parametrize("value", [2.7, -5, "3", True], ids=["fraction", "negative", "string", "bool"])
+    @pytest.mark.parametrize("value", [2.7, -5, "3", True, 2**63],
+                             ids=["fraction", "negative", "string", "bool", "past-int64"])
     def test_counts_must_be_nonnegative_json_integers(self, tmp_path, field, line, value):
         store = ModelStore()
-        store.get("m1", "c1")
-        store.get("m2", "c1")
+        store.put("m1", "c1", store.get("m1", "c1"))
+        store.put("m2", "c1", store.get("m2", "c1"))
         path = tmp_path / "checkpoint.jsonl"
         save_checkpoint(path, store, LearnerConfig())
         lines = [json.loads(l) for l in path.read_text(encoding="utf-8").splitlines()]
@@ -495,7 +536,7 @@ class TestCheckpoint:
         # the damaged bytes ahead of the line being parsed.
         store = ModelStore()
         for i in range(399):
-            store.get(f"m{i:03d}", "c1")
+            store.put(f"m{i:03d}", "c1", store.get(f"m{i:03d}", "c1"))
         path = tmp_path / "checkpoint.jsonl"
         save_checkpoint(path, store, LearnerConfig())
         lines = path.read_bytes().split(b"\n")
@@ -510,8 +551,8 @@ class TestCheckpoint:
         pairs = [("m1", "c1"), ('m"quoted"', "c\\2"), ("mémbre", "catégorie"), ("m\u4e2d", "c\n1"), ("m2", "c1")]
         for i, (member, category) in enumerate(pairs):
             for _ in range(i + 1):
-                sgd_update(store.get(member, category), rng.normal(0.0, 3.0, N_FEATURES), i % 2, cfg)
-        store.get("m3", "c3").weights[:] = [1e-300, -0.0, 1e20, 0.1, 1 / 3, -2.5e-8, 123456789.0, 5e-324, -1.0]
+                train(store, member, category, rng.normal(0.0, 3.0, N_FEATURES), i % 2, cfg)
+        store.put("m3", "c3", CategoryModel([1e-300, -0.0, 1e20, 0.1, 1 / 3, -2.5e-8, 123456789.0, 5e-324, -1.0]))
         path = tmp_path / "checkpoint.jsonl"
         save_checkpoint(path, store, cfg)
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -527,14 +568,14 @@ class TestCheckpoint:
         cfg = LearnerConfig()
         store = ModelStore(rng.normal(0.0, 1.0, N_FEATURES))
         for member, category in [("m1", "c1"), ("mé", 'c"'), ("m0", "c9")]:
-            sgd_update(store.get(member, category), rng.normal(0.0, 1.0, N_FEATURES), 1, cfg)
+            train(store, member, category, rng.normal(0.0, 1.0, N_FEATURES), 1, cfg)
         first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         save_checkpoint(first, store, cfg)
         loaded, _ = load_checkpoint(first)
         save_checkpoint(second, loaded, cfg)
         assert second.read_bytes() == first.read_bytes()
         # The loaded store keeps growing past the rows it was read with.
-        sgd_update(loaded.get("m_new", "c1"), np.ones(N_FEATURES), 0, cfg)
+        train(loaded, "m_new", "c1", np.ones(N_FEATURES), 0, cfg)
         assert len(loaded) == 4 and loaded.weights_for("m1", "c1") is not loaded.prior
 
 

@@ -211,6 +211,13 @@ class TestRandomPolicy:
         assert RandomPolicy().update(candidate_factory("o0", np.zeros(3)), 1) == []
 
 
+def set_weights(store, member, category, weights):
+    """Set every weight of the pair's model, as a value, and put it back."""
+    model = store.get(member, category)
+    model.weights[:] = weights
+    store.put(member, category, model)
+
+
 class TestCambPolicy:
     def make(self, exploration=None):
         store = ModelStore()
@@ -233,8 +240,8 @@ class TestCambPolicy:
     def test_offer_probability_matches_hand_aggregation(self, candidate_factory):
         policy = self.make()
         cand = self.two_category_candidate(candidate_factory)
-        policy.store.get("m0", "cA").weights[:] = np.linspace(-0.5, 0.5, N_FEATURES)
-        policy.store.get("m0", "cB").weights[:] = np.linspace(0.4, -0.4, N_FEATURES)
+        set_weights(policy.store, "m0", "cA", np.linspace(-0.5, 0.5, N_FEATURES))
+        set_weights(policy.store, "m0", "cB", np.linspace(0.4, -0.4, N_FEATURES))
         expected = aggregate_offer(
             {
                 "cA": policy.store.predict("m0", "cA", cand.category_vectors["cA"]),
@@ -252,7 +259,9 @@ class TestCambPolicy:
         hi = np.zeros(N_FEATURES)
         lo[0] = hi[0] = 1.0
         hi[1] = 2.0
-        policy.store.get("m0", "c0").weights[1] = 1.0
+        model = policy.store.get("m0", "c0")
+        model.weights[1] = 1.0
+        policy.store.put("m0", "c0", model)
         cands = [candidate_factory("hi", hi), candidate_factory("lo", lo)]
         ranking = policy.select(as_round(cands), rng, 1)
         assert ranking.order == ["hi", "lo"]
@@ -377,8 +386,8 @@ class TestCambArrayScoring:
     def test_seen_and_unseen_pairs_uneven_shares_and_mf(self, rng):
         policy = self.policy(mf_bias_coeff=0.8)
         for c in ("c0", "c2", "c3"):
-            policy.store.get("m0", c).weights[:] = rng.normal(0.0, 0.6, N_FEATURES)
-        policy.store.get("m1", "c1").weights[:] = 5.0  # another member's pair is never read
+            set_weights(policy.store, "m0", c, rng.normal(0.0, 0.6, N_FEATURES))
+        set_weights(policy.store, "m1", "c1", 5.0)  # another member's pair is never read
         offers = array_round(
             rng, [["c0", "c1", "c2"], ["c3"], ["c1", "c4"], ["c0", "c3"], ["c5", "c6"]],
             shares={"c0": 0.55, "c1": 0.05, "c2": 0.25, "c3": 0.15},
@@ -388,8 +397,8 @@ class TestCambArrayScoring:
 
     def test_probabilities_at_the_logit_clamp(self, rng):
         policy = self.policy()
-        policy.store.get("m0", "c0").weights[:] = 60.0
-        policy.store.get("m0", "c1").weights[:] = -60.0
+        set_weights(policy.store, "m0", "c0", 60.0)
+        set_weights(policy.store, "m0", "c1", -60.0)
         contexts = {"o00": {"c0": np.ones(N_FEATURES)}, "o01": {"c1": np.ones(N_FEATURES)},
                     "o02": {"c0": np.ones(N_FEATURES), "c1": np.ones(N_FEATURES)}, "o03": {"c2": np.ones(N_FEATURES)}}
         ranking = self.check(policy, make_round(RoundContexts.stack(contexts), "m0", {}, np.zeros(4)))
@@ -398,7 +407,7 @@ class TestCambArrayScoring:
 
     def test_one_offer_round(self, rng):
         policy = self.policy()
-        policy.store.get("m0", "c1").weights[:] = rng.normal(0.0, 0.6, N_FEATURES)
+        set_weights(policy.store, "m0", "c1", rng.normal(0.0, 0.6, N_FEATURES))
         ranking = self.check(policy, array_round(rng, [["c1", "c2"]], shares={"c1": 0.9, "c2": 0.1}))
         assert ranking.order == ["o00"]
 

@@ -283,6 +283,20 @@ class TestBackfitAndReplay:
         assert error["error"] == "config"
         assert "bad_checkpoint.jsonl line 2: update_count must be a non-negative integer" in error["message"]
 
+    def test_replay_from_missing_checkpoint_exits_2_before_ingest(self, tmp_path, capsys):
+        # The data files do not exist either: ingesting first would exit 3.
+        missing = {name: str(tmp_path / f"{name}.missing") for name in ("transactions", "offers", "impressions")}
+        cfg = write_config(
+            tmp_path / "replay_nockpt.json",
+            data=missing,
+            run={"out_dir": str(tmp_path / "replay_nockpt"), "backfit_checkpoint": str(tmp_path / "nope.jsonl")},
+        )
+        assert main(["replay", "--config", cfg]) == 2
+        error = stderr_error(capsys)
+        assert error["error"] == "config"
+        assert "run.backfit_checkpoint" in error["message"] and "nope.jsonl" in error["message"]
+        assert not (tmp_path / "replay_nockpt").exists()
+
     def test_replay_rerun_is_byte_identical(self, demo_data, tmp_path):
         outs = []
         for name in ("r1", "r2"):

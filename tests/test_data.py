@@ -364,3 +364,12 @@ def test_generate_dataset_is_self_consistent(tmp_path):
     for imp in imps.records:
         for oid in imp.offers_shown:
             assert catalog[oid].active_on(imp.timestamp.date())
+
+
+def test_generate_dataset_rejects_unknown_size_names(tmp_path):
+    with pytest.raises(TypeError, match="n_member"):
+        generate_dataset(tmp_path, seed=0, n_member=3, n_impression=10)
+    assert not any(tmp_path.iterdir())
+    paths = generate_dataset(tmp_path, seed=0, n_members=3, n_impressions=10)
+    imps = ingest_impressions(paths["impressions"]).records
+    assert len(imps) == 10 and {imp.member_id for imp in imps} <= {"m000", "m001", "m002"}

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from offerbandit.cli import main
+from offerbandit.data import ingest_mf_scores, ingest_transactions
 from offerbandit.datagen import generate_dataset
 from offerbandit.mf import write_mf_scores
 
@@ -36,6 +37,11 @@ def UNDECODABLE(line: bytes) -> bytes:
 def TOO_DEEP(line: bytes) -> bytes:
     """JSON nested past the interpreter's recursion limit."""
     return b"[" * 100_000
+
+
+def OVERSIZED(line: bytes) -> bytes:
+    """A field past the csv module's 131,072-character limit."""
+    return b"x" * 200_000
 
 
 INPUTS = ("transactions", "offers", "impressions", "mf_scores")
@@ -62,7 +68,7 @@ CORRUPTIONS = [
     *(("transactions", "quantity", v) for v in ("nan", "inf", "-1", "0", "2.7", MISSING)),
     *(("transactions", "event_date", v) for v in ("NaN", "2024-13-01", MISSING)),
     ("transactions", "member_id", ""),
-    *((name, RAW, damage) for name in INPUTS for damage in (UNDECODABLE, TOO_DEEP)),
+    *((name, RAW, damage) for name in INPUTS for damage in (UNDECODABLE, TOO_DEEP, OVERSIZED)),
 ]
 
 
@@ -146,7 +152,24 @@ def test_non_object_line_is_tallied_not_fatal(clean_data, name, value):
     assert_tallied_not_fatal(clean_data, name, LINE, value, position=2)
 
 
+def ingest_csv(name, path):
+    """(records loaded, tallied record indices) of a CSV input."""
+    if name == "transactions":
+        result = ingest_transactions(path)
+        return len(result.records), [i for i, _ in result.issues]
+    table, issues = ingest_mf_scores(path)
+    return len(table), [i for i, _ in issues]
+
+
 @pytest.mark.parametrize("name", INPUTS)
-@pytest.mark.parametrize("damage", [UNDECODABLE, TOO_DEEP], ids=["undecodable", "too-deep"])
-def test_damaged_line_is_tallied_not_fatal(clean_data, name, damage):
+@pytest.mark.parametrize("damage", [UNDECODABLE, TOO_DEEP, OVERSIZED], ids=["undecodable", "too-deep", "oversized"])
+def test_damaged_line_is_tallied_not_fatal(clean_data, tmp_path, name, damage):
     assert_tallied_not_fatal(clean_data, name, RAW, damage, position=2)
+    if name in CSV_INPUTS:
+        # Only the damaged record is lost: the rows after it still load.
+        clean, damaged = tmp_path / "clean.csv", tmp_path / "damaged.csv"
+        clean.write_text(clean_data[name], encoding="utf-8")
+        damaged.write_bytes(damage_line(clean_data[name], 3, damage))
+        n_clean, clean_issues = ingest_csv(name, clean)
+        assert clean_issues == []
+        assert ingest_csv(name, damaged) == (n_clean - 1, [2])

@@ -209,6 +209,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     store = None
     if checkpoint := cfg.run.backfit_checkpoint:
+        if cfg.policy != "camb":
+            raise ConfigError(f"run.backfit_checkpoint holds camb weights; policy {cfg.policy!r} cannot start from it")
         if not Path(checkpoint).is_file():
             raise ConfigError(f"missing checkpoint file for run.backfit_checkpoint: {checkpoint}")
         store, _ = load_checkpoint(checkpoint)

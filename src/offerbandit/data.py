@@ -317,8 +317,16 @@ def _parse_impression(obj: dict) -> Impression:
     clipped = frozenset(str(o) for o in obj.get("clipped", []))
     if not clipped.issubset(shown):
         raise ValueError(f"clipped offers {sorted(clipped - set(shown))} not shown")
+    try:
+        timestamp = datetime.fromisoformat(obj["timestamp"])
+    except ValueError:
+        raise ValueError(f"bad timestamp {obj['timestamp']!r}") from None
+    # Features read the calendar day, which a UTC offset leaves ambiguous;
+    # and aware and naive timestamps cannot be sorted together.
+    if timestamp.tzinfo is not None:
+        raise ValueError(f"timestamp {obj['timestamp']!r} carries a UTC offset; timestamps must be naive")
     return Impression(
-        timestamp=datetime.fromisoformat(obj["timestamp"]),
+        timestamp=timestamp,
         member_id=str(obj["member_id"]),
         offers_shown=shown,
         clipped=clipped,

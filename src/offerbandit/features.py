@@ -20,14 +20,11 @@ checkpoints and weight trajectories all reference it by index.
 
 from __future__ import annotations
 
-import statistics
-from bisect import bisect_right
-from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from datetime import date
 from functools import cached_property
-from itertools import accumulate
-from typing import Iterable, Mapping, Sequence
+from itertools import accumulate, chain
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -49,6 +46,10 @@ FEATURE_ORDER_VERSION = 1
 N_FEATURES = len(FEATURE_NAMES)
 
 WEEKS_PER_YEAR = 52
+# Date ordinals: the datetime64 epoch's, and one past the largest, so
+# that pair * _DAY_SPAN + ordinal keys sort by pair, then by day.
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+_DAY_SPAN = date.max.toordinal() + 1
 
 
 @dataclass
@@ -119,30 +120,37 @@ class SeasonalityProfile:
         if smoothing_window < 1 or smoothing_window % 2 == 0:
             raise ConfigError(f"smoothing_window must be odd and positive, got {smoothing_window}")
         self.smoothing_window = smoothing_window
-        self._smoothed: dict[str, np.ndarray] = {}
-        self._peak: dict[str, float] = {}
+        # Each category's smoothed weekly counts over their peak, or the
+        # counts themselves, all zeros, when the peak is 0.
+        self._scores: dict[str, np.ndarray] = {}
         for category, counts in weekly_counts.items():
             counts = np.asarray(counts, dtype=float)
             if counts.shape != (WEEKS_PER_YEAR,) or np.any(counts < 0):
                 raise ValueError(f"weekly counts for {category} must be 52 non-negative values")
             smoothed = _circular_moving_average(counts, smoothing_window)
-            self._smoothed[category] = smoothed
-            self._peak[category] = float(smoothed.max())
+            peak = float(smoothed.max())
+            self._scores[category] = smoothed / peak if peak else smoothed
 
     def score(self, category_id: str, day: date) -> float:
         """Seasonal score in [0, 1]; 0 for unseen or all-zero categories."""
-        smoothed = self._smoothed.get(category_id)
-        if smoothed is None:
-            return 0.0
-        peak = self._peak[category_id]
-        if peak == 0.0:
-            return 0.0
-        return float(smoothed[week_of_year(day)] / peak)
+        scores = self._scores.get(category_id)
+        return 0.0 if scores is None else float(scores[week_of_year(day)])
+
+    def table(self, categories: Sequence[str]) -> np.ndarray:
+        """The scores of these categories by week, one row each."""
+        zeros = np.zeros(WEEKS_PER_YEAR)
+        return np.array([self._scores.get(c, zeros) for c in categories]).reshape(-1, WEEKS_PER_YEAR)
 
 
 def week_of_year(day: date) -> int:
     """Map a date to a week index in [0, 51]; the last week absorbs day 365."""
     return min((day.timetuple().tm_yday - 1) // 7, WEEKS_PER_YEAR - 1)
+
+
+def weeks_of_year(ordinals: np.ndarray) -> np.ndarray:
+    """week_of_year of each date ordinal."""
+    days = (ordinals - _EPOCH_ORDINAL).astype("datetime64[D]")
+    return np.minimum((days - days.astype("datetime64[Y]")).astype(np.int64) // 7, WEEKS_PER_YEAR - 1)
 
 
 def _circular_moving_average(counts: np.ndarray, window: int) -> np.ndarray:
@@ -234,47 +242,122 @@ class RoundContexts:
         return np.array(list(accumulate(self.sizes, initial=0))[:-1], dtype=np.intp)
 
 
-def featurize(
-    member_id: str,
-    day: date,
-    offers: Sequence[Offer],
+@dataclass
+class RoundBatch:
+    """Consecutive rounds' contexts stacked in one RoundContexts.
+
+    Round i holds the offers offer_bounds[i]:offer_bounds[i + 1] and the
+    rows row_bounds[i]:row_bounds[i + 1]; both bounds start at 0.
+    """
+
+    contexts: RoundContexts
+    offer_bounds: np.ndarray
+    row_bounds: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.offer_bounds) - 1
+
+    def rounds(self) -> Iterator[RoundContexts]:
+        """Each round's contexts in order; their X are views."""
+        c = self.contexts
+        ob, rb = self.offer_bounds.tolist(), self.row_bounds.tolist()
+        for a, b, r0, r1 in zip(ob, ob[1:], rb, rb[1:]):
+            yield RoundContexts(c.offer_ids[a:b], c.categories[r0:r1], c.sizes[a:b], c.X[r0:r1])
+
+
+def featurize_rounds(
+    rounds: Sequence[tuple[str, date, Sequence[Offer]]],
     stats: MemberStatsIndex,
     profile: SeasonalityProfile,
     mf_table: MFScoreTable,
     cold_start_mpg: float = 1.0,
-) -> RoundContexts:
-    """Raw contexts of one round, offers in the order given.
+) -> RoundBatch:
+    """Raw contexts of (member_id, day, offers) rounds, rounds and offers
+    in the order given, each offer's categories sorted.
 
-    Every row equals build_context(...).values bit for bit. The
-    (member, category) features are worked out once per distinct category
-    of the round and the offer features once per offer; brand loyalty is
-    the largest brand count over the total, which the division leaves
-    equal to the largest share.
+    Every row equals build_context(...).values bit for bit. The rows of
+    all rounds are worked out together with array operations: the last
+    purchase by a searchsorted over the index's (pair, day) keys, brand
+    loyalty as the largest (pair, brand) count over the pair's total
+    (the division leaves it equal to the largest share), seasonality
+    from a (category, week) table, and the offer features once per
+    (offer, round).
     """
-    cats_per_offer = [sorted(o.category_ids) for o in offers]
-    per_category = {}
-    for c in {c for cats in cats_per_offer for c in cats}:
-        s = stats.stats(member_id, c, day)
-        counts = s.brand_counts
-        per_category[c] = (compute_mpg(day, s, cold_start_mpg), profile.score(c, day), counts, sum(counts.values()))
-    member_rows = []
-    for o, cats in zip(offers, cats_per_offer):
-        for c in cats:
-            mpg, season, counts, total = per_category[c]
-            loyalty = max(counts.get(b, 0) for b in o.brand_ids) / total if o.brand_ids and total else 0.0
-            member_rows.append((1.0, mpg, loyalty, season))
-    offer_rows = [
-        (compute_recency(o, day), float(o.duration_days()), float(o.discount_value), float(o.num_items),
-         mf_table.score(member_id, o.offer_id))
-        for o in offers
-    ]
-    sizes = [len(cats) for cats in cats_per_offer]
-    X = np.empty((len(member_rows), N_FEATURES))
-    X[:, :4] = np.array(member_rows, dtype=float).reshape(-1, 4)
-    X[:, 4:] = np.repeat(np.array(offer_rows, dtype=float).reshape(-1, 5), sizes, axis=0)
+    # Each distinct offer object once; every (round, offer) slot as a code into that list.
+    code_of: dict[int, int] = {}
+    distinct: list[Offer] = []
+    slots: list[int] = []
+    mf: list[float] = []
+    n_offers: list[int] = []
+    members: list[str] = []
+    days: list[int] = []
+    for member, day, offers in rounds:
+        for o in offers:
+            k = code_of.setdefault(id(o), len(distinct))
+            if k == len(distinct):
+                distinct.append(o)
+            slots.append(k)
+            mf.append(mf_table.score(member, o.offer_id))
+        n_offers.append(len(offers))
+        members.append(member)
+        days.append(day.toordinal())
+    cats = [sorted(o.category_ids) for o in distinct]
+    names, _, cat_entry = _encode(list(chain.from_iterable(cats)))
+    n_cats = np.array([len(cs) for cs in cats], dtype=np.intp)
+    brands = [[stats._brand_code.get(b, -1) for b in o.brand_ids] for o in distinct]
+    n_brands = np.array([len(bs) for bs in brands], dtype=np.intp)
+    brand_entry = np.array(list(chain.from_iterable(brands)), dtype=np.int64)
+    start = np.array([o.start_date.toordinal() for o in distinct], dtype=np.int64)
+    offer_cols = np.array(
+        [(float(o.duration_days()), float(o.discount_value), float(o.num_items)) for o in distinct], dtype=float
+    ).reshape(-1, 3)
+
+    slot = np.array(slots, dtype=np.intp)
+    slot_round = np.repeat(np.arange(len(n_offers)), n_offers)
+    day = np.array(days, dtype=np.int64)
+    # duration_days is the first offer column, a whole number of days.
+    recency = np.minimum(np.maximum((day[slot_round] - start[slot]) / offer_cols[slot, 0], 0.0), 1.0)
+    sizes = n_cats[slot]
+    row_slot = np.repeat(np.arange(len(slot)), sizes)
+    row_offer = slot[row_slot]
+    row_cat = cat_entry[_expand(_starts(n_cats)[slot], sizes)]
+    row_round = slot_round[row_slot]
+    member_code = np.array([stats._member_code.get(m, -1) for m in members], dtype=np.int64)
+    category_code = np.array([stats._category_code.get(c, -1) for c in names], dtype=np.int64)
+    pair = stats._pairs(member_code[row_round], category_code[row_cat])
+    row_brands = np.where(pair >= 0, n_brands[row_offer], 0)
+    brand_rows = brand_entry[_expand(_starts(n_brands)[row_offer], row_brands)]
+
+    X = np.empty((len(row_slot), N_FEATURES))
+    X[:, 0] = 1.0
+    X[:, 1] = stats._mpg(pair, day[row_round], cold_start_mpg)
+    X[:, 2] = stats._loyalty(pair, row_brands, brand_rows)
+    X[:, 3] = profile.table(names)[row_cat, weeks_of_year(day)[row_round]]
+    X[:, 4] = recency[row_slot]
+    X[:, 5:8] = offer_cols[row_offer]
+    X[:, 8] = np.array(mf, dtype=float)[row_slot]
     if not np.isfinite(X).all():
         raise ValueError("context vector contains non-finite values")
-    return RoundContexts([o.offer_id for o in offers], [c for cats in cats_per_offer for c in cats], sizes, X)
+    offer_bounds = np.array(list(accumulate(n_offers, initial=0)), dtype=np.intp)
+    row_ends = np.concatenate(([0], np.cumsum(sizes)))
+    contexts = RoundContexts(
+        [distinct[k].offer_id for k in slots],
+        list(chain.from_iterable(cats[k] for k in slots)),
+        sizes.tolist(),
+        X,
+    )
+    return RoundBatch(contexts, offer_bounds, row_ends[offer_bounds])
+
+
+def _starts(counts: np.ndarray) -> np.ndarray:
+    """Where each of consecutive runs of these lengths begins."""
+    return np.cumsum(counts) - counts
+
+
+def _expand(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The positions starts[i], ..., starts[i] + counts[i] - 1 of every
+    i, concatenated."""
+    return np.arange(int(counts.sum())) - np.repeat(_starts(counts) - starts, counts)
 
 
 def scale_round(raw: RoundContexts, scaler: RunningScaler) -> RoundContexts:
@@ -286,9 +369,36 @@ def scale_round(raw: RoundContexts, scaler: RunningScaler) -> RoundContexts:
     byte-identical output contract: offers as given (replay: sorted offer
     id; simulation: generation order; backfit: the impression's
     offers_shown order), and within each offer its sorted categories.
+    The contract holds for the batched path too: scale_rounds folds the
+    rounds in one at a time, in order, and gives each row these bytes.
     """
     scaler.update(raw.X)
     return RoundContexts(raw.offer_ids, raw.categories, raw.sizes, scaler.transform(raw.X))
+
+
+def scale_rounds(batch: RoundBatch, scaler: RunningScaler) -> None:
+    """scale_round of each round in turn, made in place on the batch's
+    rows with one transform for all of them.
+
+    Each round is folded into the scaler by its own update, in round
+    order, and the moments after it are kept; then every row is scaled
+    by its round's moments in one array operation, the arithmetic of
+    RunningScaler.transform. Before two samples the kept moments are
+    mean 0 and scale 1, which leave a row as it is, as transform does.
+    """
+    X = batch.contexts.X
+    bounds = batch.row_bounds.tolist()
+    mean = np.zeros((len(batch), N_FEATURES))
+    scale = np.ones((len(batch), N_FEATURES))
+    for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        scaler.update(X[a:b])
+        if scaler.count >= 2:
+            mean[i] = scaler.mean()
+            scale[i] = np.maximum(scaler.std(), scaler.STD_FLOOR)
+    rows = np.repeat(np.arange(len(batch)), np.diff(batch.row_bounds))
+    # The bias column passes through.
+    X[:, 1:] -= mean[rows, 1:]
+    X[:, 1:] /= scale[rows, 1:]
 
 
 class RunningScaler:
@@ -353,73 +463,141 @@ class MemberStatsIndex:
     distinct dates fall back to the category-level median and then to
     default_cycle_days. Brand counts and purchase shares are taken over the
     full log; the last-purchase date is resolved as of the query date.
+
+    The log is held as arrays built in one pass. Members, categories and
+    brands are coded in sorted order, and pair p is the p-th purchased
+    (member, category) in that order. Each pair's distinct purchase days
+    are one ascending run of the flat (pair, day) keys, which starts at
+    _day_starts[p]; brand counts are keyed by (pair, brand).
     """
 
     def __init__(self, transactions: Sequence[Transaction], default_cycle_days: float = 30.0):
         if default_cycle_days <= 0:
             raise ConfigError(f"default_cycle_days must be positive, got {default_cycle_days}")
         self.default_cycle_days = float(default_cycle_days)
-        dates: dict[tuple[str, str], list[date]] = defaultdict(list)
-        self._brand_counts: dict[tuple[str, str], Counter] = defaultdict(Counter)
-        self._member_totals: dict[str, Counter] = defaultdict(Counter)
-        for t in sorted(transactions, key=lambda t: t.event_date):
-            key = (t.member_id, t.category_id)
-            if not dates[key] or dates[key][-1] != t.event_date:
-                dates[key].append(t.event_date)
-            self._brand_counts[key][t.brand_id] += 1
-            self._member_totals[t.member_id][t.category_id] += 1
-        self._dates = dict(dates)
+        self._members, self._member_code, member = _encode([t.member_id for t in transactions])
+        self._categories, self._category_code, category = _encode([t.category_id for t in transactions])
+        self._brands, self._brand_code, brand = _encode([t.brand_id for t in transactions])
+        day = np.array([t.event_date.toordinal() for t in transactions], dtype=np.int64)
+        n_categories = max(len(self._categories), 1)
+        self._pair_keys, pair = np.unique(member * n_categories + category, return_inverse=True)
+        n_pairs = len(self._pair_keys)
+        self._day_keys = np.unique(pair * _DAY_SPAN + day)
+        day_pair, days = np.divmod(self._day_keys, _DAY_SPAN)
+        self._day_starts = np.searchsorted(day_pair, np.arange(n_pairs))
+        same = day_pair[1:] == day_pair[:-1]
+        gaps, gap_pair = np.diff(days)[same], day_pair[1:][same]
+        pair_category = self._pair_keys % n_categories
+        pair_cycle, pair_has = _group_medians(gap_pair, gaps, n_pairs)
+        category_cycle, category_has = _group_medians(pair_category[gap_pair], gaps, len(self._categories))
+        category_cycle = np.where(category_has, category_cycle, self.default_cycle_days)
+        self._category_cycle = np.where(category_cycle > 0, category_cycle, self.default_cycle_days)
+        cycle = np.where(pair_has, pair_cycle, category_cycle[pair_category])
+        self._cycle = np.where(cycle > 0, cycle, self.default_cycle_days)
+        self._brand_keys, self._brand_counts = np.unique(pair * len(self._brands) + brand, return_counts=True)
+        self._pair_totals = np.bincount(pair, minlength=n_pairs)
 
-        pair_gaps: dict[tuple[str, str], list[int]] = {}
-        category_gaps: dict[str, list[int]] = defaultdict(list)
-        for key, ds in self._dates.items():
-            gaps = [(b - a).days for a, b in zip(ds, ds[1:])]
-            pair_gaps[key] = gaps
-            category_gaps[key[1]].extend(gaps)
-        self._category_cycle = {
-            c: float(statistics.median(g)) for c, g in category_gaps.items() if g
-        }
-        self._pair_cycle = {}
-        for key, gaps in pair_gaps.items():
-            if gaps:
-                self._pair_cycle[key] = float(statistics.median(gaps))
+    def _pairs(self, members: np.ndarray, categories: np.ndarray) -> np.ndarray:
+        """The pair of each (member code, category code), -1 where a code
+        is -1 or the member never bought the category."""
+        if not len(self._pair_keys):
+            return np.full(len(members), -1, dtype=np.intp)
+        keys = members * max(len(self._categories), 1) + categories
+        pos = np.minimum(np.searchsorted(self._pair_keys, keys), len(self._pair_keys) - 1)
+        return np.where((members >= 0) & (categories >= 0) & (self._pair_keys[pos] == keys), pos, -1)
+
+    def _pair(self, member_id: str, category_id: str) -> int:
+        codes = (self._member_code.get(member_id, -1), self._category_code.get(category_id, -1))
+        return int(self._pairs(*(np.array([c], dtype=np.int64) for c in codes))[0])
+
+    def _mpg(self, pairs: np.ndarray, days: np.ndarray, cold_start_mpg: float) -> np.ndarray:
+        """compute_mpg of each (pair, day ordinal): days since the pair's
+        last purchase on or before the day over its cycle, cold_start_mpg
+        where there is none."""
+        mpg = np.full(len(pairs), cold_start_mpg, dtype=float)
+        rows = np.flatnonzero(pairs >= 0)
+        p, d = pairs[rows], days[rows]
+        last = np.searchsorted(self._day_keys, p * _DAY_SPAN + d, side="right") - 1
+        seen = last >= self._day_starts[p]
+        mpg[rows[seen]] = (d[seen] - self._day_keys[last[seen]] % _DAY_SPAN) / self._cycle[p[seen]]
+        return mpg
+
+    def _loyalty(self, pairs: np.ndarray, n_brands: np.ndarray, brands: np.ndarray) -> np.ndarray:
+        """Brand loyalty of each row: the largest count of the pair's
+        purchases on one of the row's n_brands brand codes (the next
+        entries of brands, -1 for a brand never bought) over the pair's
+        total; 0 for rows without brands."""
+        loyalty = np.zeros(len(pairs))
+        rows = np.flatnonzero(n_brands)
+        if not len(rows):
+            return loyalty
+        keys = np.repeat(pairs[rows], n_brands[rows]) * len(self._brands) + brands
+        pos = np.minimum(np.searchsorted(self._brand_keys, keys), len(self._brand_keys) - 1)
+        counts = np.where((brands >= 0) & (self._brand_keys[pos] == keys), self._brand_counts[pos], 0)
+        loyalty[rows] = np.maximum.reduceat(counts, _starts(n_brands[rows])) / self._pair_totals[pairs[rows]]
+        return loyalty
 
     def cycle_length(self, member_id: str, category_id: str) -> float:
-        cycle = self._pair_cycle.get((member_id, category_id))
-        if cycle is None:
-            cycle = self._category_cycle.get(category_id)
-        if cycle is None or cycle <= 0:
-            cycle = self.default_cycle_days
-        return cycle
+        p = self._pair(member_id, category_id)
+        if p >= 0:
+            return float(self._cycle[p])
+        c = self._category_code.get(category_id)
+        return self.default_cycle_days if c is None else float(self._category_cycle[c])
 
     def stats(self, member_id: str, category_id: str, as_of: date) -> MemberCategoryStats:
         """Stats visible on as_of: the most recent purchase on or before that day."""
-        ds = self._dates.get((member_id, category_id), [])
-        pos = bisect_right(ds, as_of)
-        last = ds[pos - 1] if pos else None
-        return MemberCategoryStats(
-            last_purchase_date=last,
-            cycle_length=self.cycle_length(member_id, category_id),
-            brand_counts=self._brand_counts.get((member_id, category_id), {}),
-        )
+        p = self._pair(member_id, category_id)
+        if p < 0:
+            return MemberCategoryStats(None, self.cycle_length(member_id, category_id), {})
+        pos = int(np.searchsorted(self._day_keys, p * _DAY_SPAN + as_of.toordinal(), side="right"))
+        last = date.fromordinal(int(self._day_keys[pos - 1] % _DAY_SPAN)) if pos > self._day_starts[p] else None
+        n = len(self._brands)
+        lo, hi = np.searchsorted(self._brand_keys, [p * n, (p + 1) * n])
+        counts = zip(self._brand_keys[lo:hi].tolist(), self._brand_counts[lo:hi].tolist())
+        return MemberCategoryStats(last, float(self._cycle[p]), {self._brands[k % n]: c for k, c in counts})
 
     def purchase_share(self, member_id: str) -> dict[str, float]:
         """Fraction of the member's purchase events per category."""
-        totals = self._member_totals.get(member_id)
-        if not totals:
+        m = self._member_code.get(member_id)
+        if m is None:
             return {}
-        grand = sum(totals.values())
-        return {c: n / grand for c, n in totals.items()}
+        n = len(self._categories)
+        lo, hi = np.searchsorted(self._pair_keys, [m * n, (m + 1) * n])
+        totals = self._pair_totals[lo:hi]
+        shares = (totals / totals.sum()).tolist()
+        return {self._categories[k % n]: s for k, s in zip(self._pair_keys[lo:hi].tolist(), shares)}
 
     def members(self) -> list[str]:
-        return sorted(self._member_totals)
+        return list(self._members)
+
+
+def _encode(values: Sequence[str]) -> tuple[list[str], dict[str, int], np.ndarray]:
+    """The sorted distinct values, the code of each (its position among
+    them), and the code of every value in turn."""
+    names = sorted(set(values))
+    code = {v: i for i, v in enumerate(names)}
+    return names, code, np.array([code[v] for v in values], dtype=np.int64)
+
+
+def _group_medians(groups: np.ndarray, values: np.ndarray, n_groups: int) -> tuple[np.ndarray, np.ndarray]:
+    """statistics.median of each group's integer values, as a float (0
+    for a group without values), and whether the group has any."""
+    v = values[np.lexsort((values, groups))]
+    counts = np.bincount(groups, minlength=n_groups)
+    has = counts > 0
+    first, n = _starts(counts)[has], counts[has]
+    medians = np.zeros(n_groups)
+    # The middle value, or the mean of the middle two: their sum is exact.
+    medians[has] = (v[first + (n - 1) // 2] + v[first + n // 2]) / 2
+    return medians, has
 
 
 def build_seasonality_profile(
     transactions: Iterable[Transaction], smoothing_window: int = 3
 ) -> SeasonalityProfile:
-    """Accumulate weekly purchase counts per category from the log."""
-    counts: dict[str, np.ndarray] = defaultdict(lambda: np.zeros(WEEKS_PER_YEAR))
-    for t in transactions:
-        counts[t.category_id][week_of_year(t.event_date)] += 1
-    return SeasonalityProfile(counts, smoothing_window)
+    """Count weekly purchases per category over the log, in one pass."""
+    transactions = list(transactions)
+    names, _, category = _encode([t.category_id for t in transactions])
+    week = weeks_of_year(np.array([t.event_date.toordinal() for t in transactions], dtype=np.int64))
+    counts = np.bincount(category * WEEKS_PER_YEAR + week, minlength=len(names) * WEEKS_PER_YEAR)
+    return SeasonalityProfile(dict(zip(names, counts.reshape(-1, WEEKS_PER_YEAR))), smoothing_window)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -33,8 +34,9 @@ from .features import (
     RoundContexts,
     RunningScaler,
     build_seasonality_profile,
-    featurize,
+    featurize_rounds,
     scale_round,
+    scale_rounds,
 )
 from .interpret import TrajectoryStore
 
@@ -407,12 +409,12 @@ def run_replay(
     stats = MemberStatsIndex(dataset.transactions, default_cycle_days)
     profile = build_seasonality_profile(dataset.transactions, smoothing_window)
     offers_sorted = sorted(dataset.offers, key=lambda o: o.offer_id)
-    scaler = RunningScaler()
     trajectories = TrajectoryStore(thin_every)
     records: list[RoundRecord] = []
     skip = {"rounds_without_candidates": 0, "shown_offers_not_featurized": 0}
     update_ordinal = 0
-    t = 0
+    impressions = []
+    rounds = []
     active_day = None
     for imp in dataset.impressions:
         day = imp.timestamp.date()
@@ -422,18 +424,25 @@ def run_replay(
         if not active:
             skip["rounds_without_candidates"] += 1
             continue
-        t += 1
-        member = imp.member_id
-        shares = stats.purchase_share(member)
+        impressions.append(imp)
         # `active` is in sorted offer-id order, the replay scaling order.
-        raw = featurize(member, day, active, stats, profile, dataset.mf_table, cold_start_mpg)
-        # mf_score, the last raw feature, is the same on each of an offer's rows.
-        offers = make_round(scale_round(raw, scaler), member, shares, raw.X[raw.starts, -1])
+        rounds.append((imp.member_id, day, active))
+    # The scaler sees only raw rows, never the policy, so every round is
+    # featurized and scaled before the first is played.
+    batch = featurize_rounds(rounds, stats, profile, dataset.mf_table, cold_start_mpg)
+    del rounds
+    # mf_score, the last raw feature, is the same on each of an offer's rows.
+    mf_scores = batch.contexts.X[batch.contexts.starts, -1]
+    scale_rounds(batch, RunningScaler())
+    bounds = batch.offer_bounds.tolist()
+    for t, (imp, contexts) in enumerate(zip(impressions, batch.rounds()), start=1):
+        member = imp.member_id
+        offers = make_round(contexts, member, stats.purchase_share(member), mf_scores[bounds[t - 1]:bounds[t]])
         ranking = policy.select(offers, rng, t)
         top = ranking.top
         matched = top in imp.offers_shown
         y = (1 if top in imp.clipped else 0) if matched else None
-        index = {oid: k for k, oid in enumerate(raw.offer_ids)}
+        index = {oid: k for k, oid in enumerate(contexts.offer_ids)}
         for oid in imp.offers_shown:
             k = index.get(oid)
             if k is None:
@@ -475,33 +484,28 @@ def backfit_events(
     profile = build_seasonality_profile(dataset.transactions, smoothing_window)
     catalog = dataset.catalog()
     rounds = []
+    clipped: list[bool] = []
     skipped = 0
     for imp in dataset.impressions:
         day = imp.timestamp.date()
         shown = [catalog.get(oid) for oid in imp.offers_shown]
         featurized = [o for o in shown if o is not None and o.active_on(day)]
         skipped += len(shown) - len(featurized)
-        rounds.append((imp, day, featurized))
-    # Every round's scaled rows go into one buffer sized up front; keeping
-    # each round's array until the end would hold two copies at the peak.
-    n = sum(len(o.category_ids) for _, _, offers in rounds for o in offers)
-    t = np.empty(n, dtype=np.int64)
-    X = np.empty((n, N_FEATURES))
-    y = np.empty(n, dtype=np.int64)
-    members: list[str] = []
-    categories: list[str] = []
-    scaler = RunningScaler()
-    end = 0
-    for idx, (imp, day, offers) in enumerate(rounds):
-        raw = featurize(imp.member_id, day, offers, stats, profile, dataset.mf_table, cold_start_mpg)
-        scaled = scale_round(raw, scaler)
-        start, end = end, end + len(scaled.X)
-        t[start:end] = idx
-        X[start:end] = scaled.X
-        y[start:end] = np.repeat([oid in imp.clipped for oid in scaled.offer_ids], scaled.sizes)
-        members += [imp.member_id] * (end - start)
-        categories += scaled.categories
-    return TrainingEvents(t, members, categories, X, y), {"shown_offers_not_featurized": skipped}
+        rounds.append((imp.member_id, day, featurized))
+        clipped += [o.offer_id in imp.clipped for o in featurized]
+    batch = featurize_rounds(rounds, stats, profile, dataset.mf_table, cold_start_mpg)
+    scale_rounds(batch, RunningScaler())
+    scaled = batch.contexts
+    per_round = np.diff(batch.row_bounds)
+    members = list(chain.from_iterable(repeat(m, n) for (m, _, _), n in zip(rounds, per_round.tolist())))
+    events = TrainingEvents(
+        np.repeat(np.arange(len(rounds)), per_round),
+        members,
+        scaled.categories,
+        scaled.X,
+        np.repeat(np.array(clipped, dtype=bool), scaled.sizes),
+    )
+    return events, {"shown_offers_not_featurized": skipped}
 
 
 def write_roundlog(path: str | Path, records: Sequence[RoundRecord]) -> None:

@@ -297,6 +297,23 @@ class TestBackfitAndReplay:
         assert "run.backfit_checkpoint" in error["message"] and "nope.jsonl" in error["message"]
         assert not (tmp_path / "replay_nockpt").exists()
 
+    @pytest.mark.parametrize("name", ["linucb", "ts", "egreedy", "random"])
+    def test_replay_checkpoint_with_another_policy_exits_2_before_loading(self, tmp_path, capsys, name):
+        # Neither the inputs nor a corrupt checkpoint are read: either would fail otherwise.
+        missing = {key: str(tmp_path / f"{key}.missing") for key in ("transactions", "offers", "impressions")}
+        bad = tmp_path / "bad_checkpoint.jsonl"
+        bad.write_text("not json\n", encoding="utf-8")
+        cfg = write_config(
+            tmp_path / "replay_other.json",
+            data=missing,
+            run={"out_dir": str(tmp_path / "replay_other"), "backfit_checkpoint": str(bad)},
+        )
+        assert main(["replay", "--config", cfg, "--policy", name]) == 2
+        error = stderr_error(capsys)
+        assert error["error"] == "config"
+        assert "run.backfit_checkpoint" in error["message"] and repr(name) in error["message"]
+        assert not (tmp_path / "replay_other").exists()
+
     def test_replay_rerun_is_byte_identical(self, demo_data, tmp_path):
         outs = []
         for name in ("r1", "r2"):

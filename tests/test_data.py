@@ -1,4 +1,5 @@
 import json
+import sys
 from datetime import date, datetime, timedelta
 
 import pytest
@@ -284,6 +285,22 @@ class TestImpressions:
         assert result.records == []
         assert len(result.issues) == 1
         assert f"{key} must be a JSON array" in result.issues[0][1]
+
+    OFFSET = "timestamp {!r} carries a UTC offset; timestamps must be naive"
+    UNPARSED = "bad timestamp {!r}"
+
+    # Python 3.10 does not parse the Z suffix, so there it is a bad timestamp.
+    @pytest.mark.parametrize("stamp, reason", [
+        ("2024-01-10T19:00:00+02:00", OFFSET),
+        ("2024-01-10T19:00:00Z", OFFSET if sys.version_info >= (3, 11) else UNPARSED),
+        ("2024-01-10 at 7pm", UNPARSED),
+    ], ids=["offset", "z-suffix", "unparsed"])
+    def test_offset_or_unparsed_timestamp_rejected(self, tmp_path, stamp, reason):
+        path = tmp_path / "i.jsonl"
+        path.write_text(self.imp_line() + "\n" + self.imp_line(timestamp=stamp) + "\n", encoding="utf-8")
+        result = ingest_impressions(path)
+        assert [i.timestamp for i in result.records] == [datetime(2024, 1, 10, 9, 30)]
+        assert result.issues == [(1, "bad impression record: " + reason.format(stamp))]
 
     def test_empty_shown_rejected(self, tmp_path):
         path = tmp_path / "i.jsonl"

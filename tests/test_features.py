@@ -16,6 +16,7 @@ from offerbandit.features import (
     ContextVector,
     MemberCategoryStats,
     MemberStatsIndex,
+    RoundBatch,
     RoundContexts,
     RunningScaler,
     SeasonalityProfile,
@@ -25,8 +26,9 @@ from offerbandit.features import (
     compute_mpg,
     compute_recency,
     compute_seasonality,
-    featurize,
+    featurize_rounds,
     scale_round,
+    scale_rounds,
     week_of_year,
 )
 
@@ -232,36 +234,80 @@ class TestBuildContext:
 class TestFeaturize:
     def test_rows_equal_build_context_bit_for_bit(self):
         transactions = generate_transactions(n_members=6, n_categories=4, events_per_member=25, seed=5)
+        d0 = transactions[0].event_date
+        transactions += [
+            # One purchase day: m_one's c00 cycle is c00's category median.
+            Transaction("m_one", "c00", "b01", d0, 1),
+            Transaction("m_one", "c00", "b02", d0, 1),
+            # c09 has no gap anywhere, so its pairs take the default cycle.
+            Transaction("m000", "c09", "b01", d0, 1),
+            Transaction("m_one", "c09", "b_new", d0, 1),
+        ]
         # Five offer categories over four purchased ones: c04 has no history.
         offers = generate_offers(n_offers=60, n_categories=5, seed=6)
         day0 = offers[0].start_date
         offers += [
             Offer("brandless", frozenset({"c00", "c02"}), frozenset(), 2.5, day0, day0 + timedelta(days=9), 3),
             Offer("one_day", frozenset({"c01"}), frozenset({"b01"}), 1.0, day0, day0, 1),
+            Offer("no_gaps", frozenset({"c09", "c00"}), frozenset({"b_new", "b_unsold"}), 1.5, day0,
+                  day0 + timedelta(days=200), 2),
         ]
         index = MemberStatsIndex(transactions)
+        assert index.cycle_length("m_one", "c00") == index.cycle_length("nobody", "c00") != 30.0
+        assert index.cycle_length("m000", "c09") == 30.0
         profile = build_seasonality_profile(transactions)
-        mf = MFScoreTable({("m000", offers[1].offer_id): 0.3, ("m002", "brandless"): -1.25}, default_score=0.1)
+        mf = MFScoreTable(
+            {("m000", offers[1].offer_id): 0.3, ("m000", "one_day"): 0.45, ("m002", "brandless"): -1.25},
+            default_score=0.1,
+        )
+        rounds = [
+            (member, day, [o for o in offers if o.active_on(day)])
+            for member in ("m000", "m002", "m005", "m_one", "cold")
+            for day in (day0 + timedelta(days=k) for k in (0, 7, 40, 90, 150))
+        ]
+        batch = featurize_rounds(rounds, index, profile, mf, cold_start_mpg=0.7)
+        assert len(batch) == len(rounds)
         rows_checked = 0
-        for member in ("m000", "m002", "m005", "cold"):
-            for day in (day0 + timedelta(days=k) for k in (0, 7, 40, 90, 150)):
-                active = [o for o in offers if o.active_on(day)]
-                raw = featurize(member, day, active, index, profile, mf, cold_start_mpg=0.7)
-                assert raw.offer_ids == [o.offer_id for o in active]
-                assert raw.X.shape == (len(raw.categories), N_FEATURES)
-                for offer, rows in zip(active, raw.offer_slices()):
-                    assert raw.categories[rows] == sorted(offer.category_ids)
-                    for c, x in zip(raw.categories[rows], raw.X[rows]):
-                        s = index.stats(member, c, day)
-                        ctx = build_context(member, offer, c, day, s, profile, mf, 0.7)
-                        assert x.tobytes() == ctx.values.tobytes(), (member, day, offer.offer_id, c)
-                        rows_checked += 1
-        assert rows_checked > 150
+        for (member, day, active), raw in zip(rounds, batch.rounds()):
+            assert raw.offer_ids == [o.offer_id for o in active]
+            assert raw.X.shape == (len(raw.categories), N_FEATURES)
+            for offer, rows in zip(active, raw.offer_slices()):
+                assert raw.categories[rows] == sorted(offer.category_ids)
+                for c, x in zip(raw.categories[rows], raw.X[rows]):
+                    s = index.stats(member, c, day)
+                    ctx = build_context(member, offer, c, day, s, profile, mf, 0.7)
+                    assert x.tobytes() == ctx.values.tobytes(), (member, day, offer.offer_id, c)
+                    rows_checked += 1
+        assert rows_checked == len(batch.contexts.X) > 250
+        X = batch.contexts.X
+        assert {0.45, -1.25, 0.1} <= set(X[:, 8].tolist())  # mf hits and misses
+        assert 0.7 in X[:, 1] and (X[:, 1] != 0.7).any()  # cold and warm rows
+
+    def test_one_round_alone_equals_its_rows_in_a_batch(self):
+        transactions = generate_transactions(n_members=4, n_categories=3, events_per_member=15, seed=2)
+        offers = generate_offers(n_offers=20, n_categories=3, seed=3)
+        index, profile = MemberStatsIndex(transactions), build_seasonality_profile(transactions)
+        day = offers[0].start_date
+        rounds = [(f"m00{i}", day + timedelta(days=3 * i), offers[i:i + 6]) for i in range(4)]
+        batch = featurize_rounds(rounds, index, profile, MFScoreTable())
+        for rnd, raw in zip(rounds, batch.rounds()):
+            (alone,) = featurize_rounds([rnd], index, profile, MFScoreTable()).rounds()
+            assert (alone.offer_ids, alone.categories, alone.sizes) == (raw.offer_ids, raw.categories, raw.sizes)
+            assert alone.X.tobytes() == raw.X.tobytes()
 
     def test_empty_round(self):
-        raw = featurize("m1", DAY, [], MemberStatsIndex([]), SeasonalityProfile({}), MFScoreTable())
-        assert raw.X.shape == (0, N_FEATURES)
-        assert raw.offer_ids == [] and raw.offer_slices() == []
+        index, profile = MemberStatsIndex([]), SeasonalityProfile({})
+        none = featurize_rounds([], index, profile, MFScoreTable())
+        assert len(none) == 0 and list(none.rounds()) == []
+        assert none.contexts.X.shape == (0, N_FEATURES)
+        empty = featurize_rounds([("m1", DAY, []), ("m2", DAY, [])], index, profile, MFScoreTable())
+        assert len(empty) == 2 and empty.contexts.X.shape == (0, N_FEATURES)
+        for raw in empty.rounds():
+            assert raw.X.shape == (0, N_FEATURES)
+            assert raw.offer_ids == [] and raw.offer_slices() == []
+        scaler = RunningScaler()
+        scale_rounds(empty, scaler)
+        assert empty.contexts.X.shape == (0, N_FEATURES) and scaler.count == 0
 
     @pytest.mark.parametrize("value, default", [(float("nan"), 0.0), (1.0, float("inf"))])
     def test_non_finite_row_raises(self, value, default):
@@ -270,7 +316,22 @@ class TestFeaturize:
             Offer("o2", frozenset({"c", "d"}), frozenset(), value, DAY, DAY, 1),
         ]
         with pytest.raises(ValueError, match="context vector contains non-finite values"):
-            featurize("m1", DAY, offers, MemberStatsIndex([]), SeasonalityProfile({}), MFScoreTable({}, default))
+            featurize_rounds([("m1", DAY, offers)], MemberStatsIndex([]), SeasonalityProfile({}), MFScoreTable({}, default))
+
+    def test_scale_rounds_equals_scale_round_per_round(self, rng):
+        rounds = []
+        for n in (1, 0, 3, 2, 5):
+            rows = rng.normal(size=(n, N_FEATURES)) * 10.0
+            rows[:, 0] = 1.0
+            rounds.append(RoundContexts([f"o{i}" for i in range(n)], ["c"] * n, [1] * n, rows))
+        bounds = np.cumsum([0] + [len(r.X) for r in rounds])
+        batch = RoundBatch(RoundContexts([], [], [], np.concatenate([r.X for r in rounds])), bounds, bounds)
+        one, many = RunningScaler(), RunningScaler()
+        scale_rounds(batch, many)
+        for raw, got in zip(rounds, batch.rounds()):
+            assert got.X.tobytes() == scale_round(raw, one).X.tobytes()
+        assert one.count == many.count == 11
+        assert one.mean().tobytes() == many.mean().tobytes() and one.std().tobytes() == many.std().tobytes()
 
     def test_scale_round_updates_once_then_transforms_the_batch(self, rng):
         offers = {f"o{i}": {c: rng.normal(size=N_FEATURES) for c in ("b", "a")} for i in range(3)}

@@ -21,8 +21,9 @@ from offerbandit.features import (
     MemberStatsIndex,
     RoundContexts,
     RunningScaler,
+    build_context,
     build_seasonality_profile,
-    featurize,
+    featurize_rounds,
     scale_round,
 )
 from offerbandit.harness import (
@@ -439,6 +440,50 @@ class TestReplay:
         assert ("m1", "catB") in camb.store
         assert camb.store.get("m1", "catA").update_count == 20
 
+    def test_scaled_rows_equal_a_per_round_build_context_reference(self):
+        transactions = generate_transactions(n_members=6, n_categories=4, events_per_member=20, seed=21)
+        offers = generate_offers(n_offers=30, n_categories=5, seed=22)
+        impressions = generate_impressions(offers, n_members=7, n_impressions=60, seed=23)
+        mf = MFScoreTable({("m001", offers[3].offer_id): 0.7}, default_score=-0.2)
+        dataset = ReplayDataset(transactions, offers, impressions, mf)
+        seen = []
+
+        class Recording:
+            inner = policy("random")
+
+            def select(self, offers, rng, t):
+                seen.append((offers.member_id, offers.contexts.offer_ids, offers.contexts.X.copy(), offers.mf_scores))
+                return self.inner.select(offers, rng, t)
+
+            def update(self, candidate, reward):
+                return []
+
+        result = run_replay(dataset, Recording(), seed=4, cold_start_mpg=0.8, default_cycle_days=25.0,
+                            smoothing_window=5)
+
+        stats = MemberStatsIndex(transactions, 25.0)
+        profile = build_seasonality_profile(transactions, 5)
+        scaler = RunningScaler()
+        expected = []
+        for imp in impressions:
+            day = imp.timestamp.date()
+            active = sorted((o for o in offers if o.active_on(day)), key=lambda o: o.offer_id)
+            if not active:
+                continue
+            rows = np.array([
+                build_context(imp.member_id, o, c, day, stats.stats(imp.member_id, c, day), profile, mf, 0.8).values
+                for o in active for c in sorted(o.category_ids)
+            ])
+            scaler.update(rows)
+            mf_scores = [mf.score(imp.member_id, o.offer_id) for o in active]
+            expected.append((imp.member_id, [o.offer_id for o in active], scaler.transform(rows), mf_scores))
+        assert len(seen) == len(expected) == result.summary.rounds > 40
+        assert any(0.7 in e_mf for *_, e_mf in expected)  # an mf table hit
+        for (member, ids, X, mf_scores), (e_member, e_ids, e_X, e_mf) in zip(seen, expected):
+            assert (member, ids) == (e_member, e_ids)
+            assert X.tobytes() == e_X.tobytes()
+            assert mf_scores.tolist() == e_mf
+
     def test_same_seed_byte_identical_roundlog(self, tmp_path):
         a = run_replay(replay_fixture(), policy("camb"), seed=11)
         b = run_replay(replay_fixture(), policy("camb"), seed=11)
@@ -471,7 +516,8 @@ class TestBackfitEvents:
         for idx, imp in enumerate(impressions):
             day = imp.timestamp.date()
             shown = [catalog[o] for o in imp.offers_shown if o in catalog and catalog[o].active_on(day)]
-            scaled = scale_round(featurize(imp.member_id, day, shown, stats, profile, mf, 0.6), scaler)
+            (raw,) = featurize_rounds([(imp.member_id, day, shown)], stats, profile, mf, 0.6).rounds()
+            scaled = scale_round(raw, scaler)
             for oid, rows in zip(scaled.offer_ids, scaled.offer_slices()):
                 for c, x in zip(scaled.categories[rows], scaled.X[rows]):
                     expected.append((idx, imp.member_id, c, x.tobytes(), int(oid in imp.clipped)))

@@ -63,6 +63,7 @@ CORRUPTIONS = [
     *(("impressions", "offers_shown", v) for v in (REPEAT, UNKNOWN, [], "o1", MISSING)),
     *(("impressions", key, MISSING) for key in ("timestamp", "member_id")),
     ("impressions", "timestamp", math.nan),
+    ("impressions", "timestamp", "2024-07-01T19:00:00+02:00"),
     ("impressions", "clipped", ["o_unknown"]),
     ("impressions", "clipped", "o1"),
     *(("transactions", "quantity", v) for v in ("nan", "inf", "-1", "0", "2.7", MISSING)),
@@ -150,6 +151,10 @@ def test_single_field_corruption_is_tallied_not_fatal(clean_data, corruption, po
 @pytest.mark.parametrize("value", NON_OBJECTS, ids=repr)
 def test_non_object_line_is_tallied_not_fatal(clean_data, name, value):
     assert_tallied_not_fatal(clean_data, name, LINE, value, position=2)
+
+
+def test_timestamp_with_utc_offset_is_tallied_not_fatal(clean_data):
+    assert_tallied_not_fatal(clean_data, "impressions", "timestamp", "2024-07-01T19:00:00+02:00", position=2)
 
 
 def ingest_csv(name, path):

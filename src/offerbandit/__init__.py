@@ -27,7 +27,6 @@ from .features import (
     FEATURE_NAMES,
     FEATURE_ORDER_VERSION,
     N_FEATURES,
-    ContextVector,
     RunningScaler,
     build_context,
 )
@@ -47,7 +46,6 @@ from .interpret import (
     TrajectoryStore,
     build_payload,
     detect_changes,
-    explain,
 )
 
 __version__ = "0.1.0"

@@ -244,10 +244,6 @@ class ModelStore:
         self._W[row] = model.weights
         self._counts[row] = model.update_count
 
-    def weights_for(self, member_id: str, category_id: str) -> np.ndarray:
-        """A copy of the pair's weights; the prior if unseen."""
-        return self.get(member_id, category_id).weights
-
     def predict(self, member_id: str, category_id: str, x: np.ndarray) -> float:
         return predict_category(self.get(member_id, category_id), x)
 

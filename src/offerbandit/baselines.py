@@ -29,7 +29,6 @@ from .bandit import (
     CategoryModel,
     LearnerConfig,
     ModelStore,
-    aggregate_offer,
     offer_probabilities,
     sgd_update,
     sigmoid_rows,
@@ -159,8 +158,7 @@ class CambPolicy:
     Per offer: predict a clip probability from each of the offer's
     (member, category) models, aggregate to an offer-level probability,
     then rank by a Beta(kappa*p, kappa*(1-p)) draw with kappa following
-    the configured schedule. select scores the whole round as arrays;
-    offer_probability is the same computation for one candidate.
+    the configured schedule. select scores the whole round as arrays.
     """
 
     name = "camb"
@@ -169,13 +167,6 @@ class CambPolicy:
         self.store = store
         self.learner = learner
         self.exploration = exploration
-
-    def offer_probability(self, candidate: OfferCandidate) -> float:
-        category_probs = {
-            c: self.store.predict(candidate.member_id, c, x)
-            for c, x in candidate.category_vectors.items()
-        }
-        return aggregate_offer(category_probs, candidate.shares, candidate.mf_score, self.learner)
 
     def select(self, offers: OfferRound, rng: np.random.Generator, t: int) -> Ranking:
         ctx = offers.contexts

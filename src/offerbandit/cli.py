@@ -56,7 +56,6 @@ from .interpret import (
     MockLLMClient,
     TrajectoryStore,
     build_payload,
-    explain,
 )
 from .mf import als_factorize, build_count_matrix, member_offer_scores, reconstruction_error, write_mf_scores
 
@@ -320,7 +319,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     store = TrajectoryStore.load(trajectory_path)
     payload = build_payload(store, args.member, as_of=args.as_of, detection=cfg.detection)
     client = MockLLMClient() if args.mock else HttpLLMClient()
-    print(explain(payload, client))
+    print(client.generate(payload))
     return 0
 
 

@@ -15,6 +15,7 @@ import csv
 import itertools
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 from datetime import date, datetime
@@ -160,11 +161,12 @@ def _read_csv(path: str | Path, fields: Sequence[str], kind: str, parse: Callabl
     return IngestResult(records, issues)
 
 
-def _read_jsonl(path: str | Path, parse: Callable[[object], object], kind: str, unique: str | None = None) -> IngestResult:
+def _read_jsonl(path: str | Path, parse: Callable[[dict], object], kind: str, unique: str | None = None) -> IngestResult:
     """The skip-and-tally loop of a JSONL input: keep parse(obj) of each
-    non-blank line's JSON value, tallying the lines that do not decode,
-    parse or pass parse as "bad <kind> record: ...", and with unique set,
-    records whose value of that attribute an earlier record holds."""
+    non-blank line's JSON object, tallying the lines that do not decode,
+    hold another JSON value, or parse or pass parse as "bad <kind> record:
+    ...", and with unique set, records whose value of that attribute an
+    earlier record holds."""
     records: list = []
     issues: list[tuple[int, str]] = []
     seen: set = set()
@@ -174,7 +176,10 @@ def _read_jsonl(path: str | Path, parse: Callable[[object], object], kind: str, 
                 text = line.decode("utf-8").strip()
                 if not text:
                     continue
-                record = parse(json.loads(text))
+                obj = json.loads(text)
+                if not isinstance(obj, dict):
+                    raise ValueError(f"record must be a JSON object, got {obj!r}")
+                record = parse(obj)
             except RECORD_ERRORS as exc:
                 issues.append((idx, f"bad {kind} record: {exc}"))
                 continue
@@ -230,14 +235,59 @@ def ingest_transactions(path: str | Path) -> IngestResult:
     return result
 
 
+# The timestamps datetime.fromisoformat reads on Python 3.10: a date, then
+# optionally one separator, a time and a UTC offset. Python 3.11 reads
+# more (2024-01-05T1010, a one-digit fraction, a Z suffix; 20240105 and
+# 2024-W02-1 as dates), so shapes are checked first and every supported
+# version takes the same rows.
+_TIMESTAMP = re.compile(
+    r"\d{4}-\d\d-\d\d(.\d\d(:\d\d(:\d\d(\.\d{3}(\d{3})?)?)?)?([+-]\d\d:\d\d(:\d\d(\.\d{6})?)?)?)?",
+    re.ASCII | re.DOTALL,
+)
+
+
+def _iso_date(text) -> date:
+    """date.fromisoformat of YYYY-MM-DD, the one form Python 3.10 reads."""
+    if not isinstance(text, str) or len(text) != 10 or text[4] != "-" or text[7] != "-":
+        raise ValueError(f"Invalid isoformat string: {text!r}")
+    return date.fromisoformat(text)
+
+
+def _iso_timestamp(stamp) -> datetime:
+    """datetime.fromisoformat of the forms Python 3.10 reads."""
+    if isinstance(stamp, str) and _TIMESTAMP.fullmatch(stamp):
+        try:
+            return datetime.fromisoformat(stamp)
+        except ValueError:  # a field out of range, such as month 13
+            pass
+    raise ValueError(f"bad timestamp {stamp!r}")
+
+
+def _json_id(value, key: str) -> str:
+    """An id read from JSON: a non-empty string, or a finite number in its
+    str() form. Null, booleans, NaN, infinities, arrays, objects and empty
+    strings raise."""
+    if (type(value) is str and value) or type(value) is int or (type(value) is float and math.isfinite(value)):
+        return str(value)
+    raise ValueError(f"bad {key} {value!r}: ids are non-empty strings or finite numbers")
+
+
+def _json_ids(values, key: str) -> list[str]:
+    """The _json_id of each entry of an id list, which must be a JSON
+    array: a string would split into characters."""
+    if not isinstance(values, list):
+        raise ValueError(f"{key} must be a JSON array, got {values!r}")
+    return [v if type(v) is str and v else _json_id(v, f"{key} entry") for v in values]
+
+
 def _parse_transaction(row: Sequence[str]) -> Transaction:
     if len(row) != 5:
         raise ValueError(f"expected 5 fields, got {len(row)}")
-    member, category, brand, day, qty = (f.strip() for f in row)
+    member, category, brand, day, qty = map(str.strip, row)
     if not member or not category or not brand:
         raise ValueError("empty id field")
     try:
-        event_date = date.fromisoformat(day)
+        event_date = _iso_date(day)
     except ValueError:
         raise ValueError(f"bad event_date {day!r}") from None
     try:
@@ -254,23 +304,13 @@ def ingest_offers(path: str | Path) -> IngestResult:
     return _read_jsonl(path, _parse_offer, "offer", unique="offer_id")
 
 
-def _check_record(obj, array_keys: Sequence[str]) -> None:
-    """A JSONL record must be an object, and its id lists JSON arrays: a
-    string would split into characters."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"record must be a JSON object, got {obj!r}")
-    for key in array_keys:
-        if not isinstance(obj.get(key, []), list):
-            raise ValueError(f"{key} must be a JSON array, got {obj[key]!r}")
-
-
 def _parse_offer(obj: dict) -> Offer:
-    _check_record(obj, ("category_ids", "brand_ids"))
-    categories = frozenset(str(c) for c in obj["category_ids"])
+    categories = frozenset(_json_ids(obj["category_ids"], "category_ids"))
+    brands = frozenset(_json_ids(obj.get("brand_ids", []), "brand_ids"))
     if not categories:
         raise ValueError("category_ids must be non-empty")
-    start = date.fromisoformat(obj["start_date"])
-    end = date.fromisoformat(obj["end_date"])
+    start = _iso_date(obj["start_date"])
+    end = _iso_date(obj["end_date"])
     if start > end:
         raise ValueError(f"start_date {start} after end_date {end}")
     value = obj["discount_value"]
@@ -285,9 +325,9 @@ def _parse_offer(obj: dict) -> Offer:
     if isinstance(num_items, bool) or not isinstance(num_items, int) or not 1 <= num_items <= sys.float_info.max:
         raise ValueError(f"num_items must be a JSON integer from 1 to {sys.float_info.max:g}, got {num_items!r}")
     return Offer(
-        offer_id=str(obj["offer_id"]),
+        offer_id=_json_id(obj["offer_id"], "offer_id"),
         category_ids=categories,
-        brand_ids=frozenset(str(b) for b in obj.get("brand_ids", [])),
+        brand_ids=brands,
         discount_value=value,
         start_date=start,
         end_date=end,
@@ -307,27 +347,24 @@ def ingest_impressions(path: str | Path) -> IngestResult:
 
 
 def _parse_impression(obj: dict) -> Impression:
-    _check_record(obj, ("offers_shown", "clipped"))
-    shown = tuple(str(o) for o in obj["offers_shown"])
+    shown = tuple(_json_ids(obj["offers_shown"], "offers_shown"))
+    clipped = frozenset(_json_ids(obj.get("clipped", []), "clipped"))
     if not shown:
         raise ValueError("offers_shown must be non-empty")
     if len(set(shown)) != len(shown):
         duplicates = sorted({o for o in shown if shown.count(o) > 1})
         raise ValueError(f"offers {duplicates} shown more than once")
-    clipped = frozenset(str(o) for o in obj.get("clipped", []))
     if not clipped.issubset(shown):
         raise ValueError(f"clipped offers {sorted(clipped - set(shown))} not shown")
-    try:
-        timestamp = datetime.fromisoformat(obj["timestamp"])
-    except ValueError:
-        raise ValueError(f"bad timestamp {obj['timestamp']!r}") from None
+    stamp = obj["timestamp"]
+    timestamp = _iso_timestamp(stamp)
     # Features read the calendar day, which a UTC offset leaves ambiguous;
     # and aware and naive timestamps cannot be sorted together.
     if timestamp.tzinfo is not None:
-        raise ValueError(f"timestamp {obj['timestamp']!r} carries a UTC offset; timestamps must be naive")
+        raise ValueError(f"timestamp {stamp!r} carries a UTC offset; timestamps must be naive")
     return Impression(
         timestamp=timestamp,
-        member_id=str(obj["member_id"]),
+        member_id=_json_id(obj["member_id"], "member_id"),
         offers_shown=shown,
         clipped=clipped,
     )
@@ -346,7 +383,9 @@ def ingest_mf_scores(path: str | Path, default_score: float = 0.0) -> tuple[MFSc
 def _parse_mf_score(row: Sequence[str]) -> tuple[tuple[str, str], float]:
     if len(row) != 3:
         raise ValueError(f"expected 3 fields, got {len(row)}")
-    member, offer, score = (f.strip() for f in row)
+    member, offer, score = map(str.strip, row)
+    if not member or not offer:
+        raise ValueError("empty id field")
     try:
         value = float(score)
     except ValueError:

@@ -53,27 +53,6 @@ _DAY_SPAN = date.max.toordinal() + 1
 
 
 @dataclass
-class ContextVector:
-    """A feature vector in the canonical order above.
-
-    values[0] is the bias and must be exactly 1.0. All entries are finite.
-    """
-
-    values: np.ndarray
-
-    feature_names = FEATURE_NAMES
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (N_FEATURES,):
-            raise ValueError(f"context vector must have {N_FEATURES} entries, got {self.values.shape}")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("context vector contains non-finite values")
-        if self.values[0] != 1.0:
-            raise ValueError(f"bias entry must be 1.0, got {self.values[0]}")
-
-
-@dataclass
 class MemberCategoryStats:
     """Per (member, category) purchase summary backing MPG and loyalty."""
 
@@ -179,7 +158,7 @@ def build_context(
     profile: SeasonalityProfile,
     mf_table: MFScoreTable,
     cold_start_mpg: float = 1.0,
-) -> ContextVector:
+) -> np.ndarray:
     """Assemble the raw (unnormalized) context for one offer/category pair.
 
     Brand loyalty for multi-brand offers is the max over the offer's
@@ -189,7 +168,7 @@ def build_context(
         loyalty = max(compute_brand_loyalty(b, stats) for b in offer.brand_ids)
     else:
         loyalty = 0.0
-    values = np.array(
+    return np.array(
         [
             1.0,
             compute_mpg(day, stats, cold_start_mpg),
@@ -202,7 +181,6 @@ def build_context(
             mf_table.score(member_id, offer.offer_id),
         ]
     )
-    return ContextVector(values)
 
 
 @dataclass
@@ -230,10 +208,6 @@ class RoundContexts:
             [len(cs) for cs in cats],
             np.array(rows, dtype=float).reshape(-1, N_FEATURES),
         )
-
-    def offer_slices(self) -> list[slice]:
-        """The rows of each offer, in offer order."""
-        return [slice(end - n, end) for end, n in zip(accumulate(self.sizes), self.sizes)]
 
     @cached_property
     def starts(self) -> np.ndarray:
@@ -275,7 +249,7 @@ def featurize_rounds(
     """Raw contexts of (member_id, day, offers) rounds, rounds and offers
     in the order given, each offer's categories sorted.
 
-    Every row equals build_context(...).values bit for bit. The rows of
+    Every row equals build_context(...) bit for bit. The rows of
     all rounds are worked out together with array operations: the last
     purchase by a searchsorted over the index's (pair, day) keys, brand
     loyalty as the largest (pair, brand) count over the pair's total
@@ -302,7 +276,7 @@ def featurize_rounds(
         members.append(member)
         days.append(day.toordinal())
     cats = [sorted(o.category_ids) for o in distinct]
-    names, _, cat_entry = _encode(list(chain.from_iterable(cats)))
+    names, _, cat_entry = encode(list(chain.from_iterable(cats)))
     n_cats = np.array([len(cs) for cs in cats], dtype=np.intp)
     brands = [[stats._brand_code.get(b, -1) for b in o.brand_ids] for o in distinct]
     n_brands = np.array([len(bs) for bs in brands], dtype=np.intp)
@@ -475,9 +449,9 @@ class MemberStatsIndex:
         if default_cycle_days <= 0:
             raise ConfigError(f"default_cycle_days must be positive, got {default_cycle_days}")
         self.default_cycle_days = float(default_cycle_days)
-        self._members, self._member_code, member = _encode([t.member_id for t in transactions])
-        self._categories, self._category_code, category = _encode([t.category_id for t in transactions])
-        self._brands, self._brand_code, brand = _encode([t.brand_id for t in transactions])
+        _, self._member_code, member = encode([t.member_id for t in transactions])
+        self._categories, self._category_code, category = encode([t.category_id for t in transactions])
+        self._brands, self._brand_code, brand = encode([t.brand_id for t in transactions])
         day = np.array([t.event_date.toordinal() for t in transactions], dtype=np.int64)
         n_categories = max(len(self._categories), 1)
         self._pair_keys, pair = np.unique(member * n_categories + category, return_inverse=True)
@@ -567,11 +541,8 @@ class MemberStatsIndex:
         shares = (totals / totals.sum()).tolist()
         return {self._categories[k % n]: s for k, s in zip(self._pair_keys[lo:hi].tolist(), shares)}
 
-    def members(self) -> list[str]:
-        return list(self._members)
 
-
-def _encode(values: Sequence[str]) -> tuple[list[str], dict[str, int], np.ndarray]:
+def encode(values: Sequence[str]) -> tuple[list[str], dict[str, int], np.ndarray]:
     """The sorted distinct values, the code of each (its position among
     them), and the code of every value in turn."""
     names = sorted(set(values))
@@ -597,7 +568,7 @@ def build_seasonality_profile(
 ) -> SeasonalityProfile:
     """Count weekly purchases per category over the log, in one pass."""
     transactions = list(transactions)
-    names, _, category = _encode([t.category_id for t in transactions])
+    names, _, category = encode([t.category_id for t in transactions])
     week = weeks_of_year(np.array([t.event_date.toordinal() for t in transactions], dtype=np.int64))
     counts = np.bincount(category * WEEKS_PER_YEAR + week, minlength=len(names) * WEEKS_PER_YEAR)
     return SeasonalityProfile(dict(zip(names, counts.reshape(-1, WEEKS_PER_YEAR))), smoothing_window)

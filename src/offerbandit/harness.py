@@ -176,8 +176,8 @@ class SyntheticWorld:
         else:
             rows = list(X)
             true_p = np.array([
-                self.true_probability(dict(zip(categories[r], rows[r])), mf)
-                for r, mf in zip(raw.offer_slices(), mf_scores.tolist())
+                self.true_probability(dict(zip(categories[s:s + n], rows[s:s + n])), mf)
+                for s, n, mf in zip(raw.starts.tolist(), raw.sizes, mf_scores.tolist())
             ])
         return member, raw, mf_scores, true_p
 
@@ -383,9 +383,6 @@ class ReplayDataset:
     impressions: list[Impression]
     mf_table: MFScoreTable = field(default_factory=MFScoreTable)
 
-    def catalog(self) -> dict[str, Offer]:
-        return {o.offer_id: o for o in self.offers}
-
 
 def run_replay(
     dataset: ReplayDataset,
@@ -482,7 +479,7 @@ def backfit_events(
     """
     stats = MemberStatsIndex(dataset.transactions, default_cycle_days)
     profile = build_seasonality_profile(dataset.transactions, smoothing_window)
-    catalog = dataset.catalog()
+    catalog = {o.offer_id: o for o in dataset.offers}
     rounds = []
     clipped: list[bool] = []
     skipped = 0

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from http.client import HTTPException
 from itertools import chain
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Sequence
 from urllib.request import Request, urlopen
 
 import numpy as np
@@ -280,53 +280,17 @@ def build_payload(
     )
 
 
-def payload_to_dict(payload: ExplanationPayload) -> dict:
-    return {
-        "member_id": payload.member_id,
-        "as_of": payload.as_of,
-        "feature_names": list(payload.feature_names),
-        "categories": [
-            {
-                "category_id": c.category_id,
-                "weights": c.weights,
-                "update_count": c.update_count,
-                "top_features": [[n, w] for n, w in c.top_features],
-                "slopes": c.slopes,
-            }
-            for c in payload.categories
-        ],
-        "events": [
-            {
-                "category_id": e.category_id,
-                "feature": e.feature,
-                "t": e.t,
-                "delta": e.delta,
-                "z": e.z,
-                "direction": e.direction,
-            }
-            for e in payload.events
-        ],
-    }
-
-
 PROMPT_TEMPLATE_PATH = Path(__file__).parent / "prompts" / "persona_v1.txt"
 
 
 def render_prompt(payload: ExplanationPayload) -> str:
-    """Fill the versioned prompt template with the payload JSON."""
+    """Fill the versioned prompt template with the payload JSON; events
+    leave out the member id, which the payload names once."""
+    fields = asdict(payload)
+    for event in fields["events"]:
+        del event["member_id"]
     template = PROMPT_TEMPLATE_PATH.read_text(encoding="utf-8")
-    return template.replace(
-        "{payload_json}", json.dumps(payload_to_dict(payload), sort_keys=True, indent=2)
-    )
-
-
-class ExplanationClient(Protocol):
-    def generate(self, payload: ExplanationPayload) -> str: ...
-
-
-def explain(payload: ExplanationPayload, client: ExplanationClient) -> str:
-    """Render a persona for the payload through the given client."""
-    return client.generate(payload)
+    return template.replace("{payload_json}", json.dumps(fields, sort_keys=True, indent=2))
 
 
 # Rule thresholds for the mock persona. A weight counts as "strong" when its

@@ -16,6 +16,7 @@ import numpy as np
 
 from .data import MF_SCORE_FIELDS, Offer, Transaction, write_csv
 from .errors import ConfigError
+from .features import encode
 
 MEMBER_BLOCK = 32  # members scored per block in member_offer_scores
 
@@ -39,15 +40,12 @@ class ALSConfig:
 def build_count_matrix(
     transactions: Sequence[Transaction],
 ) -> tuple[np.ndarray, list[str], list[str]]:
-    """Dense member x category matrix of purchase-event counts."""
-    members = sorted({t.member_id for t in transactions})
-    categories = sorted({t.category_id for t in transactions})
-    m_idx = {m: i for i, m in enumerate(members)}
-    c_idx = {c: j for j, c in enumerate(categories)}
-    counts = np.zeros((len(members), len(categories)))
-    for t in transactions:
-        counts[m_idx[t.member_id], c_idx[t.category_id]] += 1
-    return counts, members, categories
+    """Dense member x category matrix of purchase-event counts; members
+    and categories in sorted order."""
+    members, _, member = encode([t.member_id for t in transactions])
+    categories, _, category = encode([t.category_id for t in transactions])
+    counts = np.bincount(member * len(categories) + category, minlength=len(members) * len(categories))
+    return counts.reshape(len(members), len(categories)).astype(float), members, categories
 
 
 def als_factorize(matrix: np.ndarray, config: ALSConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -237,7 +237,7 @@ class TestModelStore:
         x = np.zeros(N_FEATURES)
         x[0] = 1.0
         assert store.predict("m1", "c1", x) == 0.5
-        np.testing.assert_array_equal(store.weights_for("m1", "c1"), store.prior)
+        np.testing.assert_array_equal(store.get("m1", "c1").weights, store.prior)
         assert len(store) == 0
         assert ("m1", "c1") not in store
 
@@ -250,7 +250,7 @@ class TestModelStore:
         assert store.prior[3] == 0.25
         assert len(store) == 0 and ("m1", "c1") not in store
         # Another pair, and the same one, still read as the untouched prior.
-        np.testing.assert_array_equal(store.weights_for("m2", "c1"), prior)
+        np.testing.assert_array_equal(store.get("m2", "c1").weights, prior)
         np.testing.assert_array_equal(store.get("m1", "c1").weights, prior)
 
     def test_put_materializes_and_get_returns_an_independent_copy(self):
@@ -345,7 +345,7 @@ class TestBackfit:
         report = backfit(store, batch([self.event(0, x, 1)]), cfg)
         assert report.n_updates == 1
         np.testing.assert_allclose(
-            store.weights_for("m1", "c1"), 2.0 * 0.1 * 0.5 * x, rtol=1e-12
+            store.get("m1", "c1").weights, 2.0 * 0.1 * 0.5 * x, rtol=1e-12
         )
 
     def test_unsorted_events_rejected(self):
@@ -576,7 +576,7 @@ class TestCheckpoint:
         assert second.read_bytes() == first.read_bytes()
         # The loaded store keeps growing past the rows it was read with.
         train(loaded, "m_new", "c1", np.ones(N_FEATURES), 0, cfg)
-        assert len(loaded) == 4 and loaded.weights_for("m1", "c1") is not loaded.prior
+        assert len(loaded) == 4 and loaded.get("m1", "c1").weights is not loaded.prior
 
 
 def test_log_loss_clamps_probabilities():

@@ -237,22 +237,6 @@ class TestCambPolicy:
             mf_score=0.3,
         )
 
-    def test_offer_probability_matches_hand_aggregation(self, candidate_factory):
-        policy = self.make()
-        cand = self.two_category_candidate(candidate_factory)
-        set_weights(policy.store, "m0", "cA", np.linspace(-0.5, 0.5, N_FEATURES))
-        set_weights(policy.store, "m0", "cB", np.linspace(0.4, -0.4, N_FEATURES))
-        expected = aggregate_offer(
-            {
-                "cA": policy.store.predict("m0", "cA", cand.category_vectors["cA"]),
-                "cB": policy.store.predict("m0", "cB", cand.category_vectors["cB"]),
-            },
-            cand.shares,
-            cand.mf_score,
-            policy.learner,
-        )
-        assert policy.offer_probability(cand) == pytest.approx(expected, rel=1e-12)
-
     def test_huge_kappa_select_orders_by_probability(self, rng, candidate_factory, as_round):
         policy = self.make(ExplorationConfig(kappa_initial=1e8))
         lo = np.zeros(N_FEATURES)
@@ -368,8 +352,8 @@ def array_round(rng, categories_per_offer, shares=None, mf_scores=None, member="
 
 
 class TestCambArrayScoring:
-    """select scores a round with arrays; offer_probability is the
-    per-candidate reference."""
+    """select scores a round with arrays; ModelStore.predict and
+    aggregate_offer per candidate are the reference."""
 
     def policy(self, exploration=None, **learner):
         return CambPolicy(ModelStore(), LearnerConfig(**learner), exploration or ExplorationConfig())
@@ -380,7 +364,9 @@ class TestCambArrayScoring:
         assert len(policy.store) == before  # reads materialize nothing
         for k in range(len(offers)):
             cand = offers.candidate(k)
-            assert ranking.scores[cand.offer_id] == pytest.approx(policy.offer_probability(cand), rel=0, abs=1e-12)
+            probs = {c: policy.store.predict(cand.member_id, c, x) for c, x in cand.category_vectors.items()}
+            expected = aggregate_offer(probs, cand.shares, cand.mf_score, policy.learner)
+            assert ranking.scores[cand.offer_id] == pytest.approx(expected, rel=0, abs=1e-12)
         return ranking
 
     def test_seen_and_unseen_pairs_uneven_shares_and_mf(self, rng):

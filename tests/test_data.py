@@ -1,5 +1,4 @@
 import json
-import sys
 from datetime import date, datetime, timedelta
 
 import pytest
@@ -84,6 +83,14 @@ class TestTransactions:
         assert "positive" in reasons[3]
         assert "5 fields" in reasons[4]
         assert "empty id" in reasons[5]
+
+    def test_only_the_extended_date_form_is_read(self, tmp_path):
+        # Python 3.11's date.fromisoformat also reads the basic and week
+        # forms; 3.10 does not, and ingest takes the same rows on both.
+        body = "m1,c1,b1,2024-01-05,1\nm1,c1,b1,20240105,1\nm1,c1,b1,2024-W02-1,1\n"
+        result = ingest_transactions(write_csv(tmp_path / "t.csv", body))
+        assert [t.event_date for t in result.records] == [date(2024, 1, 5)]
+        assert result.issues == [(1, "bad event_date '20240105'"), (2, "bad event_date '2024-W02-1'")]
 
     def test_missing_file_is_fatal(self, tmp_path):
         with pytest.raises(IngestError, match="missing input file"):
@@ -201,6 +208,45 @@ class TestOffers:
         assert all(key in reason for key, (_, reason) in zip(keys, result.issues[12:16]))
         assert "duplicate offer_id o1" in result.issues[16][1]
 
+    def test_only_the_extended_date_form_is_read(self, tmp_path):
+        lines = [
+            self.offer_line(),
+            self.offer_line(offer_id="o2", start_date="20240101"),
+            self.offer_line(offer_id="o3", end_date="2024-W05-3"),
+            self.offer_line(offer_id="o4", start_date=20240101),
+        ]
+        path = tmp_path / "o.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        result = ingest_offers(path)
+        assert [o.offer_id for o in result.records] == ["o1"]
+        assert result.issues == [
+            (1, "bad offer record: Invalid isoformat string: '20240101'"),
+            (2, "bad offer record: Invalid isoformat string: '2024-W05-3'"),
+            (3, "bad offer record: Invalid isoformat string: 20240101"),
+        ]
+
+    @pytest.mark.parametrize("key, value", [
+        ("offer_id", None), ("offer_id", ""), ("offer_id", True), ("offer_id", ["o1"]), ("offer_id", {}),
+        ("offer_id", float("nan")), ("category_ids", ["c1", None]), ("category_ids", [""]),
+        ("category_ids", [float("inf")]), ("brand_ids", [False]), ("brand_ids", [["b1"]]),
+    ], ids=repr)
+    def test_null_empty_and_non_scalar_ids_tallied(self, tmp_path, key, value):
+        path = tmp_path / "o.jsonl"
+        path.write_text(self.offer_line(offer_id="o0") + "\n" + self.offer_line(**{key: value}) + "\n",
+                        encoding="utf-8")
+        result = ingest_offers(path)
+        assert [o.offer_id for o in result.records] == ["o0"]
+        assert [idx for idx, _ in result.issues] == [1]
+        assert key in result.issues[0][1]
+
+    def test_numeric_ids_keep_their_str_form(self, tmp_path):
+        path = tmp_path / "o.jsonl"
+        path.write_text(self.offer_line(offer_id=7, category_ids=[1, 2.5], brand_ids=[3]) + "\n", encoding="utf-8")
+        result = ingest_offers(path)
+        assert result.issues == []
+        (offer,) = result.records
+        assert (offer.offer_id, offer.category_ids, offer.brand_ids) == ("7", {"1", "2.5"}, {"3"})
+
     def test_missing_file_is_fatal(self, tmp_path):
         with pytest.raises(IngestError):
             ingest_offers(tmp_path / "gone.jsonl")
@@ -289,18 +335,56 @@ class TestImpressions:
     OFFSET = "timestamp {!r} carries a UTC offset; timestamps must be naive"
     UNPARSED = "bad timestamp {!r}"
 
-    # Python 3.10 does not parse the Z suffix, so there it is a bad timestamp.
+    # The Z suffix, a basic-form time and a one-digit fraction parse on
+    # Python 3.11 but not on 3.10; they are bad timestamps on both.
     @pytest.mark.parametrize("stamp, reason", [
         ("2024-01-10T19:00:00+02:00", OFFSET),
-        ("2024-01-10T19:00:00Z", OFFSET if sys.version_info >= (3, 11) else UNPARSED),
+        ("2024-01-10T19:00:00Z", UNPARSED),
+        ("2024-01-10T1900", UNPARSED),
+        ("2024-01-10T19:00:00.5", UNPARSED),
+        ("20240110T19:00:00", UNPARSED),
         ("2024-01-10 at 7pm", UNPARSED),
-    ], ids=["offset", "z-suffix", "unparsed"])
+        (None, UNPARSED),
+    ], ids=["offset", "z-suffix", "basic-time", "short-fraction", "basic-date", "unparsed", "null"])
     def test_offset_or_unparsed_timestamp_rejected(self, tmp_path, stamp, reason):
         path = tmp_path / "i.jsonl"
         path.write_text(self.imp_line() + "\n" + self.imp_line(timestamp=stamp) + "\n", encoding="utf-8")
         result = ingest_impressions(path)
         assert [i.timestamp for i in result.records] == [datetime(2024, 1, 10, 9, 30)]
         assert result.issues == [(1, "bad impression record: " + reason.format(stamp))]
+
+    @pytest.mark.parametrize("stamp, expected", [
+        ("2024-01-10", datetime(2024, 1, 10)),
+        ("2024-01-10 07", datetime(2024, 1, 10, 7)),
+        ("2024-01-10T07:05", datetime(2024, 1, 10, 7, 5)),
+        ("2024-01-10T07:05:09.250", datetime(2024, 1, 10, 7, 5, 9, 250000)),
+        ("2024-01-10T07:05:09.000250", datetime(2024, 1, 10, 7, 5, 9, 250)),
+    ])
+    def test_python_3_10_timestamp_forms_read(self, tmp_path, stamp, expected):
+        path = tmp_path / "i.jsonl"
+        path.write_text(self.imp_line(timestamp=stamp) + "\n", encoding="utf-8")
+        result = ingest_impressions(path)
+        assert result.issues == []
+        assert [i.timestamp for i in result.records] == [expected]
+
+    @pytest.mark.parametrize("over, key", [
+        ({"member_id": None}, "member_id"),
+        ({"member_id": ""}, "member_id"),
+        ({"member_id": False}, "member_id"),
+        ({"member_id": float("-inf")}, "member_id"),
+        ({"offers_shown": [None], "clipped": []}, "offers_shown"),
+        ({"offers_shown": ["o1", {}], "clipped": []}, "offers_shown"),
+        ({"offers_shown": ["o1", ""], "clipped": []}, "offers_shown"),
+        ({"clipped": [None]}, "clipped"),
+        ({"clipped": [True]}, "clipped"),
+    ], ids=repr)
+    def test_null_empty_and_non_scalar_ids_tallied(self, tmp_path, over, key):
+        path = tmp_path / "i.jsonl"
+        path.write_text(self.imp_line() + "\n" + self.imp_line(**over) + "\n", encoding="utf-8")
+        result = ingest_impressions(path)
+        assert [i.member_id for i in result.records] == ["m1"]
+        assert [idx for idx, _ in result.issues] == [1]
+        assert key in result.issues[0][1]
 
     def test_empty_shown_rejected(self, tmp_path):
         path = tmp_path / "i.jsonl"
@@ -341,6 +425,13 @@ class TestMFScores:
         table, issues = ingest_mf_scores(path)
         assert len(table) == 1
         assert [idx for idx, _ in issues] == [0, 1, 3, 4, 5]
+
+    def test_empty_ids_tallied(self, tmp_path):
+        path = tmp_path / "mf.csv"
+        path.write_text("member_id,offer_id,score\n,o1,0.5\nm1,,0.25\n , o2,0.1\nm1,o3,0.7\n", encoding="utf-8")
+        table, issues = ingest_mf_scores(path)
+        assert table.entries == {("m1", "o3"): 0.7}
+        assert issues == [(0, "empty id field"), (1, "empty id field"), (2, "empty id field")]
 
     def test_bad_header_is_fatal(self, tmp_path):
         path = tmp_path / "mf.csv"

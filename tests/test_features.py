@@ -13,7 +13,6 @@ from offerbandit.features import (
     FEATURE_ORDER_VERSION,
     N_FEATURES,
     WEEKS_PER_YEAR,
-    ContextVector,
     MemberCategoryStats,
     MemberStatsIndex,
     RoundBatch,
@@ -47,20 +46,6 @@ class TestFeatureOrder:
         )
         assert N_FEATURES == 9
         assert FEATURE_ORDER_VERSION == 1
-
-    def test_context_vector_validates_shape_bias_and_finiteness(self):
-        good = np.ones(9)
-        ContextVector(good)
-        with pytest.raises(ValueError, match="entries"):
-            ContextVector(np.ones(8))
-        bad_bias = good.copy()
-        bad_bias[0] = 0.5
-        with pytest.raises(ValueError, match="bias"):
-            ContextVector(bad_bias)
-        nan = good.copy()
-        nan[4] = np.nan
-        with pytest.raises(ValueError, match="finite"):
-            ContextVector(nan)
 
 
 class TestMPG:
@@ -222,13 +207,13 @@ class TestBuildContext:
             4.0,
             -0.4,
         ])
-        np.testing.assert_allclose(ctx.values, expected, rtol=1e-12)
+        np.testing.assert_allclose(ctx, expected, rtol=1e-12)
 
     def test_offer_without_brands_gets_zero_loyalty(self):
         offer = Offer("o1", frozenset({"c"}), frozenset(), 1.0, DAY, DAY, 1)
         s = MemberCategoryStats(None, 10.0, {"bA": 5})
         ctx = build_context("m1", offer, "c", DAY, s, SeasonalityProfile({}), MFScoreTable())
-        assert ctx.values[2] == 0.0
+        assert ctx[2] == 0.0
 
 
 class TestFeaturize:
@@ -271,12 +256,13 @@ class TestFeaturize:
         for (member, day, active), raw in zip(rounds, batch.rounds()):
             assert raw.offer_ids == [o.offer_id for o in active]
             assert raw.X.shape == (len(raw.categories), N_FEATURES)
-            for offer, rows in zip(active, raw.offer_slices()):
+            for offer, start, n in zip(active, raw.starts.tolist(), raw.sizes):
+                rows = slice(start, start + n)
                 assert raw.categories[rows] == sorted(offer.category_ids)
                 for c, x in zip(raw.categories[rows], raw.X[rows]):
                     s = index.stats(member, c, day)
                     ctx = build_context(member, offer, c, day, s, profile, mf, 0.7)
-                    assert x.tobytes() == ctx.values.tobytes(), (member, day, offer.offer_id, c)
+                    assert x.tobytes() == ctx.tobytes(), (member, day, offer.offer_id, c)
                     rows_checked += 1
         assert rows_checked == len(batch.contexts.X) > 250
         X = batch.contexts.X
@@ -304,7 +290,7 @@ class TestFeaturize:
         assert len(empty) == 2 and empty.contexts.X.shape == (0, N_FEATURES)
         for raw in empty.rounds():
             assert raw.X.shape == (0, N_FEATURES)
-            assert raw.offer_ids == [] and raw.offer_slices() == []
+            assert raw.offer_ids == [] and raw.sizes == [] and len(raw.starts) == 0
         scaler = RunningScaler()
         scale_rounds(empty, scaler)
         assert empty.contexts.X.shape == (0, N_FEATURES) and scaler.count == 0
@@ -478,10 +464,6 @@ class TestMemberStatsIndex:
         shares = index.purchase_share("m1")
         assert shares == pytest.approx({"catA": 0.75, "catB": 0.25})
         assert index.purchase_share("nobody") == {}
-
-    def test_members_listing(self):
-        index = MemberStatsIndex(self.base_rows())
-        assert index.members() == ["m1", "m2", "m3"]
 
     def test_nonpositive_default_cycle_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,6 +1,7 @@
 import csv
 import importlib
 import importlib.util
+import inspect
 import json
 from collections import Counter
 from datetime import date, datetime, timedelta
@@ -111,7 +112,8 @@ class TestVectorizedWorld:
         rng = np.random.default_rng(2)
         for t in range(30):
             _, raw, mf_scores, true_p = world.generate_round(t, rng)
-            for k, rows in enumerate(raw.offer_slices()):
+            for k, (start, n) in enumerate(zip(raw.starts.tolist(), raw.sizes)):
+                rows = slice(start, start + n)
                 category_raw = dict(zip(raw.categories[rows], raw.X[rows]))
                 assert world.true_probability(category_raw, float(mf_scores[k])) == true_p[k]
                 standardized = {
@@ -126,7 +128,8 @@ class TestVectorizedWorld:
         replay = np.random.default_rng(3)
         replay.integers(world.config.n_members)
         keys = replay.random((world.config.offers_per_round, 12 + 5))[:, :12]
-        for k, rows in enumerate(raw.offer_slices()):
+        for k, (start, n) in enumerate(zip(raw.starts.tolist(), raw.sizes)):
+            rows = slice(start, start + n)
             cats = raw.categories[rows]
             assert cats == sorted(set(cats))  # distinct, in name order ("c10" before "c2")
             assert set(cats) == {f"c{j}" for j in np.argsort(keys[k])[:len(cats)]}  # the smallest keys
@@ -141,7 +144,9 @@ class TestVectorizedWorld:
         for t in range(2000):
             _, raw, _, _ = world.generate_round(t, rng)
             sizes.update(raw.sizes)
-            subsets.update(tuple(raw.categories[rows]) for rows in raw.offer_slices() if rows.stop - rows.start == 2)
+            subsets.update(
+                tuple(raw.categories[start:start + 2]) for start, n in zip(raw.starts.tolist(), raw.sizes) if n == 2
+            )
         n = 2000 * 5
         assert abs(sizes[1] / n - 0.5) < 0.02
         assert len(subsets) == 6  # every pair of the 4 categories
@@ -158,7 +163,7 @@ class TestVectorizedWorld:
 
         world = HookWorld(SyntheticWorldConfig(offers_per_round=4, seed=2))
         _, raw, _, true_p = world.generate_round(1, np.random.default_rng(0))
-        assert calls == [raw.categories[rows] for rows in raw.offer_slices()]
+        assert calls == [raw.categories[start:start + n] for start, n in zip(raw.starts.tolist(), raw.sizes)]
         assert true_p.tolist() == [0.26, 0.27, 0.28, 0.29]
 
 
@@ -167,14 +172,20 @@ class TestTracerTargets:
     select's offers with len(); both must keep working."""
 
     def test_every_target_resolves(self):
+        # Resolved the way Tracer.install finds them, without installing
+        # wrappers that would outlive this test.
         spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
         tracer = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tracer)
         for module_name, attr in tracer.TARGETS:
-            obj = importlib.import_module(f"offerbandit.{module_name}")
-            for part in attr.split("."):
-                obj = getattr(obj, part)
-            assert callable(obj), f"{module_name}.{attr}"
+            module = importlib.import_module(f"offerbandit.{module_name}")
+            if "." in attr:
+                cls_name, method = attr.split(".")
+                obj = inspect.getattr_static(getattr(module, cls_name), method, None)
+                obj = obj.__func__ if isinstance(obj, classmethod) else obj
+            else:
+                obj = getattr(module, attr, None)
+            assert inspect.isfunction(obj), f"{module_name}.{attr}"
 
     def test_len_of_a_round_is_its_offer_count(self):
         contexts = {"o1": {"c0": np.ones(9), "c1": np.ones(9)}, "o2": {"c2": np.ones(9)}, "o3": {"c0": np.ones(9)}}
@@ -471,7 +482,7 @@ class TestReplay:
             if not active:
                 continue
             rows = np.array([
-                build_context(imp.member_id, o, c, day, stats.stats(imp.member_id, c, day), profile, mf, 0.8).values
+                build_context(imp.member_id, o, c, day, stats.stats(imp.member_id, c, day), profile, mf, 0.8)
                 for o in active for c in sorted(o.category_ids)
             ])
             scaler.update(rows)
@@ -510,7 +521,7 @@ class TestBackfitEvents:
 
         stats = MemberStatsIndex(transactions, 20.0)
         profile = build_seasonality_profile(transactions, 5)
-        catalog = dataset.catalog()
+        catalog = {o.offer_id: o for o in offers}
         scaler = RunningScaler()
         expected = []
         for idx, imp in enumerate(impressions):
@@ -518,7 +529,8 @@ class TestBackfitEvents:
             shown = [catalog[o] for o in imp.offers_shown if o in catalog and catalog[o].active_on(day)]
             (raw,) = featurize_rounds([(imp.member_id, day, shown)], stats, profile, mf, 0.6).rounds()
             scaled = scale_round(raw, scaler)
-            for oid, rows in zip(scaled.offer_ids, scaled.offer_slices()):
+            for oid, start, n in zip(scaled.offer_ids, scaled.starts.tolist(), scaled.sizes):
+                rows = slice(start, start + n)
                 for c, x in zip(scaled.categories[rows], scaled.X[rows]):
                     expected.append((idx, imp.member_id, c, x.tobytes(), int(oid in imp.clipped)))
         got = [

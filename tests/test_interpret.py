@@ -23,8 +23,6 @@ from offerbandit.interpret import (
     WeightSnapshot,
     build_payload,
     detect_changes,
-    explain,
-    payload_to_dict,
     render_prompt,
     trend_slopes,
 )
@@ -277,7 +275,7 @@ class TestBuildPayload:
         before = {pair: store.series(*pair) for pair in store.pairs()}
         a = build_payload(store, "m1")
         b = build_payload(store, "m1")
-        assert payload_to_dict(a) == payload_to_dict(b)
+        assert a == b
         assert {pair: store.series(*pair) for pair in store.pairs()} == before
 
     def test_unknown_member_rejected(self):
@@ -411,10 +409,25 @@ class TestPromptAndExplain:
         prompt = render_prompt(payload)
         assert "{payload_json}" not in prompt
         assert '"member_id": "m7"' in prompt
-
-    def test_explain_delegates_to_client(self):
-        payload = make_payload({"mpg": 0.4})
-        assert explain(payload, MockLLMClient()) == MockLLMClient().generate(payload)
+        # The exact JSON of a payload with one event: the member id appears
+        # once, at the top, and not in the event.
+        event = ChangeEvent("m7", "c0", "value", 12, 0.3, 5.0, "up")
+        prompt = render_prompt(make_payload({"value": 0.5}, events=[event]))
+        expected = {
+            "as_of": None,
+            "categories": [{
+                "category_id": "c0",
+                "slopes": dict.fromkeys(FEATURE_NAMES, 0.0),
+                "top_features": [["value", 0.5], ["brand_loyalty", 0.0], ["duration", 0.0]],
+                "update_count": 10,
+                "weights": {**dict.fromkeys(FEATURE_NAMES, 0.0), "value": 0.5},
+            }],
+            "events": [{"category_id": "c0", "delta": 0.3, "direction": "up", "feature": "value", "t": 12, "z": 5.0}],
+            "feature_names": list(FEATURE_NAMES),
+            "member_id": "m7",
+        }
+        template = interpret_module.PROMPT_TEMPLATE_PATH.read_text(encoding="utf-8")
+        assert prompt == template.replace("{payload_json}", json.dumps(expected, sort_keys=True, indent=2))
 
 
 class FakeResponse:

@@ -49,8 +49,6 @@ CSV_INPUTS = ("transactions", "mf_scores")
 
 NON_OBJECTS = ([1, 2], None, 5, "abc")
 
-TRANSACTION_COLUMNS = {"member_id": 0, "category_id": 1, "brand_id": 2, "event_date": 3, "quantity": 4}
-
 CORRUPTIONS = [
     *(("offers", "discount_value", v) for v in (math.nan, math.inf, -math.inf, -1.0, "3", True, MISSING)),
     *(("offers", "num_items", v) for v in (2.7, True, 0, -2, math.nan, math.inf, 10**400, "2", MISSING)),
@@ -59,16 +57,24 @@ CORRUPTIONS = [
     ("offers", "category_ids", "c1"),
     ("offers", "brand_ids", "b1"),
     ("offers", "end_date", "2023-01-01"),
+    # Date and timestamp forms that only Python 3.11 reads.
+    *(("offers", key, v) for key in ("start_date", "end_date") for v in ("20240105", "2024-W02-1")),
+    *(("offers", "offer_id", v) for v in (None, "", True, ["o1"], {}, math.nan)),
+    *(("offers", key, [v]) for key in ("category_ids", "brand_ids") for v in (None, "", False, [], {}, math.inf)),
     *((name, LINE, v) for name in ("offers", "impressions") for v in NON_OBJECTS),
     *(("impressions", "offers_shown", v) for v in (REPEAT, UNKNOWN, [], "o1", MISSING)),
     *(("impressions", key, MISSING) for key in ("timestamp", "member_id")),
     ("impressions", "timestamp", math.nan),
     ("impressions", "timestamp", "2024-07-01T19:00:00+02:00"),
+    *(("impressions", "timestamp", v) for v in ("2024-07-01T1900", "2024-07-01T19:00:00.5", "2024-07-01T19:00:00Z")),
+    *(("impressions", "member_id", v) for v in (None, "", True, ["m1"], {}, math.nan)),
+    *(("impressions", key, [v]) for key in ("offers_shown", "clipped") for v in (None, "", False, [], {}, -math.inf)),
     ("impressions", "clipped", ["o_unknown"]),
     ("impressions", "clipped", "o1"),
     *(("transactions", "quantity", v) for v in ("nan", "inf", "-1", "0", "2.7", MISSING)),
-    *(("transactions", "event_date", v) for v in ("NaN", "2024-13-01", MISSING)),
+    *(("transactions", "event_date", v) for v in ("NaN", "2024-13-01", "20240105", "2024-W02-1", MISSING)),
     ("transactions", "member_id", ""),
+    *(("mf_scores", key, "") for key in ("member_id", "offer_id")),
     *((name, RAW, damage) for name in INPUTS for damage in (UNDECODABLE, TOO_DEEP, OVERSIZED)),
 ]
 
@@ -104,9 +110,9 @@ def corrupt_csv(text: str, index: int, key: str, value) -> str:
     header, *rows = list(csv.reader(text.splitlines()))
     row = rows[index]
     if value is MISSING:
-        del row[TRANSACTION_COLUMNS[key]]
+        del row[header.index(key)]
     else:
-        row[TRANSACTION_COLUMNS[key]] = value
+        row[header.index(key)] = value
     return "\n".join(",".join(r) for r in [header, *rows]) + "\n"
 
 

@@ -281,8 +281,7 @@ class EpsilonGreedyPolicy:
 
     name = "egreedy"
 
-    def __init__(self, epsilon: float = 0.1, decay: str = "constant",
-                 learner: LearnerConfig | None = None, dim: int = N_FEATURES):
+    def __init__(self, epsilon: float = 0.1, decay: str = "constant", learner: LearnerConfig | None = None):
         if not (0.0 <= epsilon <= 1.0):
             raise ConfigError(f"epsilon must be in [0, 1], got {epsilon}")
         if decay not in EPSILON_DECAYS:

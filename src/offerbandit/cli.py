@@ -329,9 +329,9 @@ def cmd_mf(args: argparse.Namespace) -> int:
     offers = ingest_offers(_require(cfg.data.offers, "data.offers"))
     matrix, members, categories = build_count_matrix(tx.records)
     U, V = als_factorize(matrix, cfg.als_config())
-    scores = member_offer_scores(U, V, members, categories, offers.records)
+    offer_ids, scores = member_offer_scores(U, V, categories, offers.records)
     with OutputWriter(cfg.run.out_dir) as out:
-        write_mf_scores(out.register("mf_scores.csv"), scores)
+        write_mf_scores(out.register("mf_scores.csv"), scores.ravel(), members, offer_ids)
         manifest = build_manifest(
             cfg.run.seed, cfg.to_dict(),
             files_fingerprint([cfg.data.transactions, cfg.data.offers]),
@@ -342,7 +342,7 @@ def cmd_mf(args: argparse.Namespace) -> int:
         )
         write_manifest(out.register("manifest.json"), manifest)
     print(f"factorized {matrix.shape[0]}x{matrix.shape[1]} counts at rank {cfg.mf.rank}; "
-          f"{len(scores)} scores -> {cfg.run.out_dir}")
+          f"{scores.size} scores -> {cfg.run.out_dir}")
     return 0
 
 

@@ -11,6 +11,7 @@ JSON, JSONL and CSV writers that the outputs share live here too.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import itertools
 import json
@@ -116,7 +117,11 @@ def _open_checked(path: str | Path):
 def _lines(fh) -> Iterator[bytes]:
     """Lines of a binary file with their endings, split where text mode
     with newline="" splits them (\n, \r, \r\n), to be decoded one by one
-    so a bad byte spoils only its line. No read ends inside a \r\n."""
+    so a bad byte spoils only its line. No read ends inside a \r\n. A
+    UTF-8 byte-order mark before the first line, which Excel and Notepad
+    write, is dropped."""
+    if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
+        fh.seek(0)
     while block := fh.readlines(1 << 16):
         yield from b"".join(block).splitlines(keepends=True)
 
@@ -246,11 +251,15 @@ _TIMESTAMP = re.compile(
 )
 
 
-def _iso_date(text) -> date:
-    """date.fromisoformat of YYYY-MM-DD, the one form Python 3.10 reads."""
-    if not isinstance(text, str) or len(text) != 10 or text[4] != "-" or text[7] != "-":
-        raise ValueError(f"Invalid isoformat string: {text!r}")
-    return date.fromisoformat(text)
+def _iso_date(text, key: str) -> date:
+    """date.fromisoformat of YYYY-MM-DD, the one form Python 3.10 reads;
+    anything else raises ValueError("bad <key> <text>")."""
+    if isinstance(text, str) and len(text) == 10 and text[4] == "-" and text[7] == "-":
+        try:
+            return date.fromisoformat(text)
+        except ValueError:  # a field out of range, such as month 13
+            pass
+    raise ValueError(f"bad {key} {text!r}")
 
 
 def _iso_timestamp(stamp) -> datetime:
@@ -286,10 +295,7 @@ def _parse_transaction(row: Sequence[str]) -> Transaction:
     member, category, brand, day, qty = map(str.strip, row)
     if not member or not category or not brand:
         raise ValueError("empty id field")
-    try:
-        event_date = _iso_date(day)
-    except ValueError:
-        raise ValueError(f"bad event_date {day!r}") from None
+    event_date = _iso_date(day, "event_date")
     try:
         quantity = int(qty)
     except ValueError:
@@ -309,8 +315,8 @@ def _parse_offer(obj: dict) -> Offer:
     brands = frozenset(_json_ids(obj.get("brand_ids", []), "brand_ids"))
     if not categories:
         raise ValueError("category_ids must be non-empty")
-    start = _iso_date(obj["start_date"])
-    end = _iso_date(obj["end_date"])
+    start = _iso_date(obj["start_date"], "start_date")
+    end = _iso_date(obj["end_date"], "end_date")
     if start > end:
         raise ValueError(f"start_date {start} after end_date {end}")
     value = obj["discount_value"]

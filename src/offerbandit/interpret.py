@@ -227,14 +227,19 @@ def trend_slopes(snapshots: Sequence[WeightSnapshot], window: int) -> dict[str, 
     return {name: float(slopes[j]) for j, name in enumerate(names)}
 
 
+# A payload's slopes span the trailing TREND_WINDOW snapshots; it keeps
+# the TOP_K largest non-bias weights per category and the last MAX_EVENTS
+# change events.
+TREND_WINDOW = 50
+TOP_K = 3
+MAX_EVENTS = 10
+
+
 def build_payload(
     trajectories: TrajectoryStore,
     member_id: str,
     as_of: int | None = None,
     detection: DetectionConfig | None = None,
-    trend_window: int = 50,
-    top_k: int = 3,
-    max_events: int = 10,
 ) -> ExplanationPayload:
     """Summarize a member's weight trajectories for explanation.
 
@@ -257,14 +262,14 @@ def build_payload(
         latest = series[-1]
         weights = {name: float(w) for name, w in zip(FEATURE_NAMES, latest.weights)}
         behavioral = [(name, w) for name, w in weights.items() if name != "bias"]
-        top = sorted(behavioral, key=lambda nw: (-abs(nw[1]), nw[0]))[:top_k]
+        top = sorted(behavioral, key=lambda nw: (-abs(nw[1]), nw[0]))[:TOP_K]
         summaries.append(
             CategoryWeightSummary(
                 category_id=category,
                 weights=weights,
                 update_count=latest.update_count,
                 top_features=top,
-                slopes=trend_slopes(series, trend_window),
+                slopes=trend_slopes(series, TREND_WINDOW),
             )
         )
         events.extend(detect_changes(series, detection))
@@ -275,7 +280,7 @@ def build_payload(
         member_id=member_id,
         feature_names=FEATURE_NAMES,
         categories=summaries,
-        events=events[-max_events:],
+        events=events[-MAX_EVENTS:],
         as_of=as_of,
     )
 

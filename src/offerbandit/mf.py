@@ -10,15 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .data import MF_SCORE_FIELDS, Offer, Transaction, write_csv
 from .errors import ConfigError
 from .features import encode
-
-MEMBER_BLOCK = 32  # members scored per block in member_offer_scores
 
 
 @dataclass
@@ -75,32 +73,31 @@ def reconstruction_error(matrix: np.ndarray, U: np.ndarray, V: np.ndarray) -> fl
 def member_offer_scores(
     U: np.ndarray,
     V: np.ndarray,
-    members: Sequence[str],
     categories: Sequence[str],
     offers: Sequence[Offer],
-) -> dict[tuple[str, str], float]:
-    """Predicted affinity per (member, offer): the mean factor product over
-    the offer's categories that appear in the factorization."""
+) -> tuple[list[str], np.ndarray]:
+    """The sorted ids of the offers with a category in the factorization,
+    and a members x offers array of predicted affinities: each the mean
+    factor product over the offer's categories that appear in it."""
     c_idx = {c: j for j, c in enumerate(categories)}
     # Sorted, so the mean sums in the same order in every process;
     # frozenset order follows the string hash seed.
-    offer_cols = [(o.offer_id, [c_idx[c] for c in sorted(o.category_ids) if c in c_idx]) for o in offers]
-    scored = [(offer_id, cols) for offer_id, cols in offer_cols if cols]
-    scores: dict[tuple[str, str], float] = {}
-    # Blocks of members keep the array of means small: one members x offers
-    # array raised peak memory by more than a megabyte on a 500 x 300 log.
-    for lo in range(0, len(members), MEMBER_BLOCK):
-        block = members[lo:lo + MEMBER_BLOCK]
-        # One product per member, as U[i] @ V.T, then one mean per offer;
-        # each score sums in the same order as a per-pair mean.
-        affinities = np.array([U[i] @ V.T for i in range(lo, lo + len(block))]).reshape(len(block), len(V))
-        means = np.empty((len(block), len(scored)))
-        for j, (_, cols) in enumerate(scored):
-            means[:, j] = affinities[:, cols].mean(axis=1)
-        for member, row in zip(block, means.tolist()):
-            scores.update(zip([(member, offer_id) for offer_id, _ in scored], row))
-    return scores
+    cols = {o.offer_id: tuple(c_idx[c] for c in sorted(o.category_ids) if c in c_idx) for o in offers}
+    offer_ids = sorted(o for o, c in cols.items() if c)
+    # One product per member, as U[i] @ V.T: a single U @ V.T sums in
+    # another order and changes the written scores.
+    affinities = np.array([U[i] @ V.T for i in range(len(U))]).reshape(len(U), len(V))
+    # Offers with the same categories share one mean.
+    means = {c: affinities[:, c].mean(axis=1) for c in {cols[o] for o in offer_ids}}
+    scores = np.array([means[cols[o]] for o in offer_ids]).reshape(len(offer_ids), len(U))
+    return offer_ids, scores.T
 
 
-def write_mf_scores(path: str | Path, scores: Mapping[tuple[str, str], float]) -> None:
-    write_csv(path, MF_SCORE_FIELDS, ([member, offer, score] for (member, offer), score in sorted(scores.items())))
+def write_mf_scores(path: str | Path, scores: np.ndarray, members: Sequence[str], offer_ids: Sequence[str]) -> None:
+    """Write the members x offers scores, flattened row-major, one row per
+    (member, offer) pair."""
+    rows = scores.reshape(len(members), len(offer_ids))
+    write_csv(path, MF_SCORE_FIELDS, (
+        (member, offer_id, score)
+        for member, row in zip(members, rows) for offer_id, score in zip(offer_ids, row.tolist())
+    ))

@@ -624,6 +624,23 @@ class TestMF:
         assert manifest["matrix_shape"] == [6, 4]
         assert "factorized" in capsys.readouterr().out
 
+    def test_catalog_without_known_categories_writes_header_only(self, demo_data, tmp_path, capsys):
+        offers = tmp_path / "offers.jsonl"
+        offers.write_text(json.dumps({
+            "offer_id": "o1", "category_ids": ["c_unknown"], "discount_value": 1.0,
+            "start_date": "2024-01-01", "end_date": "2024-01-31", "num_items": 1,
+        }) + "\n", encoding="utf-8")
+        out = tmp_path / "mf"
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            data=data_section(demo_data, offers=str(offers)),
+            mf={"rank": 2},
+            run={"out_dir": str(out)},
+        )
+        assert main(["mf", "--config", cfg]) == 0
+        assert (out / "mf_scores.csv").read_bytes() == b"member_id,offer_id,score\r\n"
+        assert f"; 0 scores -> {out}" in capsys.readouterr().out
+
     def test_scores_feed_back_into_replay(self, demo_data, tmp_path):
         mf_out = tmp_path / "mf"
         cfg = write_config(

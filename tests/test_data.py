@@ -1,3 +1,4 @@
+import codecs
 import json
 from datetime import date, datetime, timedelta
 
@@ -15,6 +16,7 @@ from offerbandit.data import (
     ingest_mf_scores,
     ingest_offers,
     ingest_transactions,
+    read_versioned_jsonl,
     write_validation_report,
 )
 from offerbandit.datagen import (
@@ -220,9 +222,9 @@ class TestOffers:
         result = ingest_offers(path)
         assert [o.offer_id for o in result.records] == ["o1"]
         assert result.issues == [
-            (1, "bad offer record: Invalid isoformat string: '20240101'"),
-            (2, "bad offer record: Invalid isoformat string: '2024-W05-3'"),
-            (3, "bad offer record: Invalid isoformat string: 20240101"),
+            (1, "bad offer record: bad start_date '20240101'"),
+            (2, "bad offer record: bad end_date '2024-W05-3'"),
+            (3, "bad offer record: bad start_date 20240101"),
         ]
 
     @pytest.mark.parametrize("key, value", [
@@ -438,6 +440,31 @@ class TestMFScores:
         path.write_text("member,offer,score\nm1,o1,0.5\n", encoding="utf-8")
         with pytest.raises(IngestError, match="header"):
             ingest_mf_scores(path)
+
+
+def read_state(path):
+    rows = []
+    return read_versioned_jsonl(path, "state", 1, rows.append), rows
+
+
+OFFER = {"offer_id": "o1", "category_ids": ["c1"], "discount_value": 1.0,
+         "start_date": "2024-01-01", "end_date": "2024-01-31", "num_items": 1}
+IMPRESSION = {"timestamp": "2024-01-10T09:30:00", "member_id": "m1", "offers_shown": ["o1"]}
+
+
+@pytest.mark.parametrize("read, text", [
+    (ingest_transactions, HEADER + "m1,c1,b1,2024-01-05,1\nm1,c1,b1,20240105,1\nm2,c2,b2,2024-01-03,2\n"),
+    (ingest_offers, f"{json.dumps(OFFER)}\nnot json\n{json.dumps(dict(OFFER, offer_id='o2'))}\n"),
+    (ingest_impressions, f"{json.dumps(IMPRESSION)}\n[]\n{json.dumps(dict(IMPRESSION, member_id='m2'))}\n"),
+    (ingest_mf_scores, "member_id,offer_id,score\nm1,o1,0.5\nm1,o2,nan\nm2,o1,-1\n"),
+    (read_state, '{"feature_order_version": 1}\n{"t": 1}\n{"t": 2}\n'),
+], ids=["transactions", "offers", "impressions", "mf_scores", "state"])
+def test_leading_byte_order_mark_is_ignored(tmp_path, read, text):
+    # Excel's "CSV UTF-8" export and Notepad start a file with one.
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+    assert read(marked) == read(plain)
 
 
 def test_catalog_orphans_flag_unknown_offers():

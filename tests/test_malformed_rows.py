@@ -13,6 +13,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -83,9 +84,10 @@ CORRUPTIONS = [
 def clean_data(tmp_path_factory):
     out = tmp_path_factory.mktemp("clean")
     paths = generate_dataset(out, seed=3, n_members=5, n_categories=3, n_brands=3, n_offers=8, n_impressions=30)
-    offer_ids = [json.loads(line)["offer_id"] for line in paths["offers"].read_text(encoding="utf-8").splitlines()]
+    offer_ids = sorted(json.loads(line)["offer_id"] for line in paths["offers"].read_text(encoding="utf-8").splitlines())
     paths["mf_scores"] = out / "mf_scores.csv"
-    write_mf_scores(paths["mf_scores"], {(f"m{m}", o): 0.1 * m for m in range(5) for o in offer_ids})
+    members = [f"m{m}" for m in range(5)]
+    write_mf_scores(paths["mf_scores"], np.repeat(0.1 * np.arange(5), len(offer_ids)), members, offer_ids)
     return {name: Path(p).read_text(encoding="utf-8") for name, p in paths.items()}
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import offerbandit
-from offerbandit.data import Offer, Transaction, ingest_mf_scores
+from offerbandit.data import Offer, Transaction, ingest_mf_scores, ingest_offers, ingest_transactions
 from offerbandit.datagen import generate_dataset
 from offerbandit.errors import ConfigError
 from offerbandit.mf import (
@@ -104,34 +104,55 @@ class TestOfferScores:
         # is the mean over its categories exactly.
         U = np.array([[2.0], [3.0]])
         V = np.array([[1.0], [4.0], [0.5]])
-        members = ["m1", "m2"]
         categories = ["cA", "cB", "cC"]
         offers = [offer("o1", {"cA", "cB"}), offer("o2", {"cC"})]
-        scores = member_offer_scores(U, V, members, categories, offers)
-        assert scores[("m1", "o1")] == pytest.approx((2.0 * 1.0 + 2.0 * 4.0) / 2)
-        assert scores[("m2", "o2")] == pytest.approx(3.0 * 0.5)
+        offer_ids, scores = member_offer_scores(U, V, categories, offers)
+        assert offer_ids == ["o1", "o2"]
+        assert scores.shape == (2, 2)
+        assert scores[0, 0] == pytest.approx((2.0 * 1.0 + 2.0 * 4.0) / 2)
+        assert scores[1, 1] == pytest.approx(3.0 * 0.5)
 
     def test_offers_with_no_known_categories_are_skipped(self):
         U = np.ones((1, 1))
         V = np.ones((1, 1))
         offers = [offer("o1", {"cUnknown"}), offer("o2", {"cA"})]
-        scores = member_offer_scores(U, V, ["m1"], ["cA"], offers)
-        assert set(scores) == {("m1", "o2")}
+        offer_ids, scores = member_offer_scores(U, V, ["cA"], offers)
+        assert offer_ids == ["o2"]
+        assert scores.shape == (1, 1)
 
     def test_partially_known_offers_average_known_categories_only(self):
         U = np.array([[1.0]])
         V = np.array([[3.0]])
         offers = [offer("o1", {"cA", "cUnknown"})]
-        scores = member_offer_scores(U, V, ["m1"], ["cA"], offers)
-        assert scores[("m1", "o1")] == pytest.approx(3.0)
+        offer_ids, scores = member_offer_scores(U, V, ["cA"], offers)
+        assert offer_ids == ["o1"]
+        assert scores[0, 0] == pytest.approx(3.0)
+
+    def test_each_score_sums_as_the_members_own_product(self, tmp_path):
+        # The bits of every score are pinned: the mean over the offer's
+        # sorted known categories of that member's U[i] @ V.T. One U @ V.T
+        # for all members, or a mean of per-category products, sums in
+        # another order and changes the written file.
+        paths = generate_dataset(tmp_path, seed=5, n_members=40, n_offers=60)
+        counts, members, categories = build_count_matrix(ingest_transactions(paths["transactions"]).records)
+        U, V = als_factorize(counts, ALSConfig())
+        offers = ingest_offers(paths["offers"]).records
+        offer_ids, scores = member_offer_scores(U, V, categories, offers)
+        assert offer_ids == sorted(o.offer_id for o in offers)
+        cols = {o.offer_id: [categories.index(c) for c in sorted(o.category_ids)] for o in offers}
+        expected = np.array([[(U[i] @ V.T)[cols[o]].mean() for o in offer_ids] for i in range(len(members))])
+        assert scores.tobytes() == expected.tobytes()
 
     def test_written_scores_round_trip_through_ingest(self, tmp_path):
-        scores = {("m1", "o1"): 0.25, ("m2", "o9"): -1.5}
+        scores = np.array([[0.25, 7.0], [3.0, -1.5]])
         path = tmp_path / "mf_scores.csv"
-        write_mf_scores(path, scores)
+        write_mf_scores(path, scores.ravel(), ["m1", "m2"], ["o1", "o9"])
         table, issues = ingest_mf_scores(path)
         assert issues == []
+        assert len(table) == 4
         assert table.score("m1", "o1") == pytest.approx(0.25)
+        assert table.score("m1", "o9") == pytest.approx(7.0)
+        assert table.score("m2", "o1") == pytest.approx(3.0)
         assert table.score("m2", "o9") == pytest.approx(-1.5)
         assert table.score("m1", "oMissing") == 0.0
 
@@ -148,8 +169,9 @@ class TestEndToEnd:
         U, V = als_factorize(counts, ALSConfig(rank=3, iterations=30,
                                                regularization=0.05, seed=2))
         offers = [offer("o1", {"c0", "c1"}), offer("o2", {"c3"})]
-        scores = member_offer_scores(U, V, members, categories, offers)
-        assert len(scores) == len(members) * len(offers)
+        offer_ids, scores = member_offer_scores(U, V, categories, offers)
+        assert offer_ids == ["o1", "o2"]
+        assert scores.shape == (len(members), len(offers))
         # Reconstructed affinities track the actual counts closely enough
         # that the offer score correlates with the member's purchase volume.
         recon = U @ V.T

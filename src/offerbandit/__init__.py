@@ -20,7 +20,7 @@ from .baselines import (
     make_policy,
 )
 from .config import RunConfig
-from .data import Impression, MFScoreTable, Offer, Transaction
+from .data import Impression, MFScoreTable, Offer, TransactionLog
 from .errors import ConfigError
 from .exploration import ExplorationConfig, kappa_at, sample_score
 from .features import (

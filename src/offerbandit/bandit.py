@@ -304,7 +304,9 @@ class BackfitReport:
     holdout_log_loss is the mean prequential log loss over the final 10%
     of events (each scored before its own update); prior_log_loss scores
     the same events with the untouched prior. Both are None when there
-    are no events.
+    are no events. base_rate_log_loss scores them with a constant, the
+    mean label of the first 90%; it is None when there are no events or
+    none before the holdout.
     """
 
     n_events: int
@@ -312,6 +314,7 @@ class BackfitReport:
     holdout_size: int
     holdout_log_loss: float | None
     prior_log_loss: float | None
+    base_rate_log_loss: float | None
     empty: bool = False
 
 
@@ -341,7 +344,7 @@ def backfit(store: ModelStore, events: TrainingEvents, cfg: LearnerConfig) -> Ba
     """
     n = len(events)
     if n == 0:
-        return BackfitReport(0, 0, 0, None, None, empty=True)
+        return BackfitReport(0, 0, 0, None, None, None, empty=True)
     if np.any(events.t[1:] < events.t[:-1]):
         raise ValueError("backfit events must be sorted by t ascending")
     X, y = events.X, events.y
@@ -364,14 +367,16 @@ def backfit(store: ModelStore, events: TrainingEvents, cfg: LearnerConfig) -> Ba
             raise ValueError(DIVERGED)
         W[r] = w
         counts[r] += 1
-    tail = slice((9 * n) // 10, n)
-    y_tail = y[tail]
+    cut = (9 * n) // 10
+    y_tail = y[cut:]
+    base_rate = float(_log_loss_rows(np.full(len(y_tail), y[:cut].mean()), y_tail).mean()) if cut else None
     return BackfitReport(
         n_events=n,
         n_updates=n,
         holdout_size=len(y_tail),
-        holdout_log_loss=float(_log_loss_rows(p[tail], y_tail).mean()),
-        prior_log_loss=float(_log_loss_rows(sigmoid_rows(X[tail] @ store.prior), y_tail).mean()),
+        holdout_log_loss=float(_log_loss_rows(p[cut:], y_tail).mean()),
+        prior_log_loss=float(_log_loss_rows(sigmoid_rows(X[cut:] @ store.prior), y_tail).mean()),
+        base_rate_log_loss=base_rate,
     )
 
 

@@ -119,7 +119,7 @@ def _load_dataset(cfg: RunConfig) -> tuple[ReplayDataset, dict[str, list[tuple[i
         issues["mf_scores"] = mf_issues
     else:
         table = MFScoreTable(default_score=cfg.data.mf_default_score)
-    issues["impression_orphans"] = catalog_orphan_issues(imps.records, offers.records)
+    issues["impression_orphans"] = catalog_orphan_issues(imps, offers.records)
     return ReplayDataset(tx.records, offers.records, imps.records, table), issues
 
 

@@ -23,6 +23,8 @@ from datetime import date, datetime
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import ConfigError
 
 
@@ -34,15 +36,56 @@ TRANSACTION_FIELDS = ("member_id", "category_id", "brand_id", "event_date", "qua
 MF_SCORE_FIELDS = ("member_id", "offer_id", "score")
 
 
-@dataclass(frozen=True)
-class Transaction:
-    """One purchase event from the historical log."""
+@dataclass(eq=False)
+class TransactionLog:
+    """The purchase history as columns, one entry per transaction, in
+    event-date order (stable: same-day rows keep their order).
 
-    member_id: str
-    category_id: str
-    brand_id: str
-    event_date: date
-    quantity: int
+    member, category and brand hold each row's code, its position in the
+    sorted distinct names members, categories and brands; day holds date
+    ordinals. Quantities are checked at ingest but not kept: no feature
+    reads them.
+    """
+
+    members: list[str]
+    categories: list[str]
+    brands: list[str]
+    member: np.ndarray
+    category: np.ndarray
+    brand: np.ndarray
+    day: np.ndarray
+
+    @classmethod
+    def from_columns(cls, member_ids: Sequence[str], category_ids: Sequence[str], brand_ids: Sequence[str],
+                     days: Sequence[int]) -> TransactionLog:
+        """Code the id columns and put the rows in date order; days are
+        date ordinals."""
+        day = np.fromiter(days, dtype=np.int64, count=len(days))
+        order = np.argsort(day, kind="stable")
+        members, member = encode(member_ids)
+        categories, category = encode(category_ids)
+        brands, brand = encode(brand_ids)
+        return cls(members, categories, brands, member[order], category[order], brand[order], day[order])
+
+    def __len__(self) -> int:
+        return len(self.day)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TransactionLog):
+            return NotImplemented
+        names = (self.members, self.categories, self.brands) == (other.members, other.categories, other.brands)
+        return names and all(
+            np.array_equal(getattr(self, c), getattr(other, c)) for c in ("member", "category", "brand", "day")
+        )
+
+
+def encode(values: Sequence[str]) -> tuple[list[str], np.ndarray]:
+    """The sorted distinct values and the code of every value in turn,
+    its position among them. Python's sort and dict keep ids apart that a
+    numpy string array would merge, such as "m1" and "m1\x00"."""
+    names = sorted(set(values))
+    code = {v: i for i, v in enumerate(names)}
+    return names, np.fromiter(map(code.__getitem__, values), dtype=np.int64, count=len(values))
 
 
 @dataclass(frozen=True)
@@ -95,11 +138,13 @@ class IngestResult:
     """Parsed records plus the (record_index, reason) tally of skipped rows.
 
     record_index is the zero-based position of the record in the source
-    file, not counting the CSV header.
+    file, not counting the CSV header. The JSONL readers also give the
+    record_index of each record kept, in the order of records.
     """
 
-    records: list
+    records: list | TransactionLog
     issues: list[tuple[int, str]]
+    record_indices: list[int] = field(default_factory=list)
 
 
 # What a malformed record or state-file line can raise while it is parsed
@@ -174,6 +219,7 @@ def _read_jsonl(path: str | Path, parse: Callable[[dict], object], kind: str, un
     earlier record holds."""
     records: list = []
     issues: list[tuple[int, str]] = []
+    indices: list[int] = []
     seen: set = set()
     with _open_checked(path) as fh:
         for idx, line in enumerate(_lines(fh)):
@@ -195,7 +241,8 @@ def _read_jsonl(path: str | Path, parse: Callable[[dict], object], kind: str, un
                     continue
                 seen.add(key)
             records.append(record)
-    return IngestResult(records, issues)
+            indices.append(idx)
+    return IngestResult(records, issues, indices)
 
 
 def read_versioned_jsonl(path: str | Path, kind: str, version: int, row: Callable[[dict], object],
@@ -228,15 +275,35 @@ def read_versioned_jsonl(path: str | Path, kind: str, version: int, row: Callabl
 
 
 def ingest_transactions(path: str | Path) -> IngestResult:
-    """Read the transaction CSV, sorted by event_date ascending (stable).
+    """Read the transaction CSV into a TransactionLog, rows sorted by
+    event_date ascending (stable).
 
     Raises IngestError if the file is missing, the header is wrong, or no
     valid rows remain after validation.
     """
-    result = _read_csv(path, TRANSACTION_FIELDS, "transaction", _parse_transaction)
+    ordinals: dict[str, int] = {}  # each event_date text parsed so far
+
+    def parse(row: Sequence[str]) -> tuple[str, str, str, int]:
+        if len(row) != 5:
+            raise ValueError(f"expected 5 fields, got {len(row)}")
+        member, category, brand, day, qty = map(str.strip, row)
+        if not member or not category or not brand:
+            raise ValueError("empty id field")
+        ordinal = ordinals.get(day)
+        if ordinal is None:
+            ordinal = ordinals[day] = _iso_date(day, "event_date").toordinal()
+        try:
+            quantity = int(qty)
+        except ValueError:
+            raise ValueError(f"bad quantity {qty!r}") from None
+        if quantity < 1:
+            raise ValueError(f"quantity must be positive, got {quantity}")
+        return member, category, brand, ordinal
+
+    result = _read_csv(path, TRANSACTION_FIELDS, "transaction", parse)
     if not result.records:
         raise IngestError(f"no valid transactions in {path}")
-    result.records.sort(key=lambda t: t.event_date)
+    result.records = TransactionLog.from_columns(*zip(*result.records))
     return result
 
 
@@ -289,22 +356,6 @@ def _json_ids(values, key: str) -> list[str]:
     return [v if type(v) is str and v else _json_id(v, f"{key} entry") for v in values]
 
 
-def _parse_transaction(row: Sequence[str]) -> Transaction:
-    if len(row) != 5:
-        raise ValueError(f"expected 5 fields, got {len(row)}")
-    member, category, brand, day, qty = map(str.strip, row)
-    if not member or not category or not brand:
-        raise ValueError("empty id field")
-    event_date = _iso_date(day, "event_date")
-    try:
-        quantity = int(qty)
-    except ValueError:
-        raise ValueError(f"bad quantity {qty!r}") from None
-    if quantity < 1:
-        raise ValueError(f"quantity must be positive, got {quantity}")
-    return Transaction(member, category, brand, event_date, quantity)
-
-
 def ingest_offers(path: str | Path) -> IngestResult:
     """Read the offer catalog JSONL. Invalid records are tallied."""
     return _read_jsonl(path, _parse_offer, "offer", unique="offer_id")
@@ -348,7 +399,9 @@ def ingest_impressions(path: str | Path) -> IngestResult:
     an offer more than once, are rejected and tallied.
     """
     result = _read_jsonl(path, _parse_impression, "impression")
-    result.records.sort(key=lambda i: i.timestamp)
+    kept = sorted(zip(result.records, result.record_indices), key=lambda pair: pair[0].timestamp)
+    result.records = [imp for imp, _ in kept]
+    result.record_indices = [idx for _, idx in kept]
     return result
 
 
@@ -401,19 +454,20 @@ def _parse_mf_score(row: Sequence[str]) -> tuple[tuple[str, str], float]:
     return (member, offer), value
 
 
-def catalog_orphan_issues(impressions: Iterable[Impression], offers: Iterable[Offer]) -> list[tuple[int, str]]:
-    """Cross-check impressions against the catalog.
+def catalog_orphan_issues(impressions: IngestResult, offers: Iterable[Offer]) -> list[tuple[int, str]]:
+    """Cross-check ingested impressions against the catalog.
 
     Returns one issue per shown offer id that is absent from the catalog,
-    indexed by the impression's position in the (sorted) stream.
+    indexed by its impression's record_index, in file order.
     """
     known = {o.offer_id for o in offers}
-    issues = []
-    for idx, imp in enumerate(impressions):
-        for oid in imp.offers_shown:
-            if oid not in known:
-                issues.append((idx, f"unknown offer {oid} in impression"))
-    return issues
+    issues = [
+        (idx, f"unknown offer {oid} in impression")
+        for idx, imp in zip(impressions.record_indices, impressions.records)
+        for oid in imp.offers_shown
+        if oid not in known
+    ]
+    return sorted(issues, key=lambda issue: issue[0])
 
 
 def write_validation_report(path: str | Path, issues: Sequence[tuple[int, str]]) -> None:

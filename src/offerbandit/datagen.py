@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import TRANSACTION_FIELDS, Impression, Offer, Transaction, write_csv, write_jsonl
+from .data import TRANSACTION_FIELDS, Impression, Offer, write_csv, write_jsonl
 
 
 def generate_transactions(
@@ -25,9 +25,11 @@ def generate_transactions(
     days: int = 360,
     events_per_member: int = 40,
     seed: int = 0,
-) -> list[Transaction]:
+) -> list[tuple[str, str, str, date, int]]:
+    """Rows of a transaction log, (member_id, category_id, brand_id,
+    event_date, quantity), sorted by event_date."""
     rng = np.random.default_rng(seed)
-    rows: list[Transaction] = []
+    rows: list[tuple[str, str, str, date, int]] = []
     for m in range(n_members):
         member = f"m{m:03d}"
         prefs = rng.dirichlet(np.ones(n_categories) * 1.5)
@@ -39,16 +41,9 @@ def generate_transactions(
                 b = favorite_brand[c]
             else:
                 b = int(rng.integers(n_brands))
-            rows.append(
-                Transaction(
-                    member_id=member,
-                    category_id=f"c{c:02d}",
-                    brand_id=f"b{b:02d}",
-                    event_date=start + timedelta(days=int(rng.integers(days))),
-                    quantity=int(rng.integers(1, 5)),
-                )
-            )
-    rows.sort(key=lambda t: t.event_date)
+            event_date = start + timedelta(days=int(rng.integers(days)))
+            rows.append((member, f"c{c:02d}", f"b{b:02d}", event_date, int(rng.integers(1, 5))))
+    rows.sort(key=lambda row: row[3])
     return rows
 
 
@@ -120,9 +115,10 @@ def generate_impressions(
     return impressions
 
 
-def write_transactions_csv(path: str | Path, transactions: Sequence[Transaction]) -> None:
+def write_transactions_csv(path: str | Path, rows: Sequence[tuple[str, str, str, date, int]]) -> None:
     write_csv(path, TRANSACTION_FIELDS, (
-        [t.member_id, t.category_id, t.brand_id, t.event_date.isoformat(), t.quantity] for t in transactions
+        [member, category, brand, event_date.isoformat(), quantity]
+        for member, category, brand, event_date, quantity in rows
     ))
 
 

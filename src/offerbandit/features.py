@@ -24,11 +24,11 @@ from dataclasses import dataclass, field
 from datetime import date
 from functools import cached_property
 from itertools import accumulate, chain
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .data import MFScoreTable, Offer, Transaction
+from .data import MFScoreTable, Offer, TransactionLog, encode
 from .errors import ConfigError
 
 FEATURE_NAMES = (
@@ -276,7 +276,7 @@ def featurize_rounds(
         members.append(member)
         days.append(day.toordinal())
     cats = [sorted(o.category_ids) for o in distinct]
-    names, _, cat_entry = encode(list(chain.from_iterable(cats)))
+    names, cat_entry = encode(list(chain.from_iterable(cats)))
     n_cats = np.array([len(cs) for cs in cats], dtype=np.intp)
     brands = [[stats._brand_code.get(b, -1) for b in o.brand_ids] for o in distinct]
     n_brands = np.array([len(bs) for bs in brands], dtype=np.intp)
@@ -354,22 +354,35 @@ def scale_rounds(batch: RoundBatch, scaler: RunningScaler) -> None:
     """scale_round of each round in turn, made in place on the batch's
     rows with one transform for all of them.
 
-    Each round is folded into the scaler by its own update, in round
-    order, and the moments after it are kept; then every row is scaled
-    by its round's moments in one array operation, the arithmetic of
-    RunningScaler.transform. Before two samples the kept moments are
-    mean 0 and scale 1, which leave a row as it is, as transform does.
+    Every round's row mean and squared-deviation sum are taken in one
+    pass over the rows, rounds of one size together, each sum in the
+    sequential row order of update's np.add.reduce(axis=0). The scaler
+    then merges the rounds in round order and keeps the moments after
+    each; every row is scaled by its round's moments in one array
+    operation, the arithmetic of RunningScaler.transform. Rounds without
+    rows leave the moments as they were. Before two samples the kept
+    moments are mean 0 and scale 1, which leave a row as it is, as
+    transform does.
     """
     X = batch.contexts.X
-    bounds = batch.row_bounds.tolist()
-    mean = np.zeros((len(batch), N_FEATURES))
-    scale = np.ones((len(batch), N_FEATURES))
-    for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        scaler.update(X[a:b])
-        if scaler.count >= 2:
-            mean[i] = scaler.mean()
-            scale[i] = np.maximum(scaler.std(), scaler.STD_FLOOR)
-    rows = np.repeat(np.arange(len(batch)), np.diff(batch.row_bounds))
+    sizes = np.diff(batch.row_bounds)
+    rounds = np.flatnonzero(sizes)
+    n_b, first = sizes[rounds], batch.row_bounds[rounds]
+    mean_b = np.empty((len(rounds), N_FEATURES))
+    m2_b = np.empty((len(rounds), N_FEATURES))
+    for n in np.unique(n_b).tolist():
+        same = np.flatnonzero(n_b == n)
+        block = X[first[same, None] + np.arange(n)]  # rounds x rows x features
+        mean_b[same] = np.add.reduce(block, axis=1) / n
+        block -= mean_b[same, None]
+        block *= block
+        m2_b[same] = np.add.reduce(block, axis=1)
+    count, mean, m2 = scaler.merge(n_b, mean_b, m2_b)
+    warm = (count >= 2)[:, None]
+    scale = np.maximum(np.sqrt(m2 / np.maximum(count - 1, 1)[:, None]), scaler.STD_FLOOR)
+    mean = np.where(warm, mean, 0.0)
+    scale = np.where(warm, scale, 1.0)
+    rows = np.repeat(np.arange(len(rounds)), n_b)
     # The bias column passes through.
     X[:, 1:] -= mean[rows, 1:]
     X[:, 1:] /= scale[rows, 1:]
@@ -410,6 +423,38 @@ class RunningScaler:
         delta *= n_b / n
         self._mean += delta
 
+    def merge(self, n_b: np.ndarray, mean_b: np.ndarray, m2_b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Fold in batches given by their sizes n_b >= 1, means and
+        squared-deviation sums, in order, exactly as update would fold
+        their rows; returns the count, mean and m2 after each batch.
+
+        Only the mean recurrence runs batch by batch, one feature at a
+        time in Python floats, which round as numpy's do. Each m2 step
+        adds the batch's sum, then its delta term; all of them are one
+        sequential np.add.accumulate.
+        """
+        n_a = (self.count + np.cumsum(n_b) - n_b).tolist()
+        sizes = list(zip(n_a, n_b.tolist()))
+        weights = [b / (a + b) for a, b in sizes]
+        columns = []
+        for m, batch_means in zip(self._mean.tolist(), mean_b.T.tolist()):
+            column = []
+            for x, w in zip(batch_means, weights):
+                m += (x - m) * w
+                column.append(m)
+            columns.append(column)
+        means = np.array(columns, dtype=float).T
+        delta = mean_b - np.vstack([self._mean, means[:-1]])
+        steps = np.empty((2 * len(n_b) + 1, self._mean.size))
+        steps[0] = self._m2
+        steps[1::2] = m2_b
+        steps[2::2] = delta * delta * np.array([a * b / (a + b) for a, b in sizes])[:, None]
+        m2 = np.add.accumulate(steps, axis=0)[2::2]
+        count = self.count + np.cumsum(n_b)
+        if len(n_b):
+            self.count, self._mean, self._m2 = int(count[-1]), means[-1].copy(), m2[-1].copy()
+        return count, means, m2
+
     def mean(self) -> np.ndarray:
         return self._mean.copy()
 
@@ -438,21 +483,22 @@ class MemberStatsIndex:
     default_cycle_days. Brand counts and purchase shares are taken over the
     full log; the last-purchase date is resolved as of the query date.
 
-    The log is held as arrays built in one pass. Members, categories and
-    brands are coded in sorted order, and pair p is the p-th purchased
-    (member, category) in that order. Each pair's distinct purchase days
-    are one ascending run of the flat (pair, day) keys, which starts at
-    _day_starts[p]; brand counts are keyed by (pair, brand).
+    The log is held as arrays built in one pass over its columns. Codes
+    are the log's, and pair p is the p-th purchased (member, category) in
+    code order. Each pair's distinct purchase days are one ascending run
+    of the flat (pair, day) keys, which starts at _day_starts[p]; brand
+    counts are keyed by (pair, brand).
     """
 
-    def __init__(self, transactions: Sequence[Transaction], default_cycle_days: float = 30.0):
+    def __init__(self, log: TransactionLog, default_cycle_days: float = 30.0):
         if default_cycle_days <= 0:
             raise ConfigError(f"default_cycle_days must be positive, got {default_cycle_days}")
         self.default_cycle_days = float(default_cycle_days)
-        _, self._member_code, member = encode([t.member_id for t in transactions])
-        self._categories, self._category_code, category = encode([t.category_id for t in transactions])
-        self._brands, self._brand_code, brand = encode([t.brand_id for t in transactions])
-        day = np.array([t.event_date.toordinal() for t in transactions], dtype=np.int64)
+        self._member_code = {m: i for i, m in enumerate(log.members)}
+        self._categories, self._brands = log.categories, log.brands
+        self._category_code = {c: i for i, c in enumerate(log.categories)}
+        self._brand_code = {b: i for i, b in enumerate(log.brands)}
+        member, category, brand, day = log.member, log.category, log.brand, log.day
         n_categories = max(len(self._categories), 1)
         self._pair_keys, pair = np.unique(member * n_categories + category, return_inverse=True)
         n_pairs = len(self._pair_keys)
@@ -542,14 +588,6 @@ class MemberStatsIndex:
         return {self._categories[k % n]: s for k, s in zip(self._pair_keys[lo:hi].tolist(), shares)}
 
 
-def encode(values: Sequence[str]) -> tuple[list[str], dict[str, int], np.ndarray]:
-    """The sorted distinct values, the code of each (its position among
-    them), and the code of every value in turn."""
-    names = sorted(set(values))
-    code = {v: i for i, v in enumerate(names)}
-    return names, code, np.array([code[v] for v in values], dtype=np.int64)
-
-
 def _group_medians(groups: np.ndarray, values: np.ndarray, n_groups: int) -> tuple[np.ndarray, np.ndarray]:
     """statistics.median of each group's integer values, as a float (0
     for a group without values), and whether the group has any."""
@@ -563,12 +601,8 @@ def _group_medians(groups: np.ndarray, values: np.ndarray, n_groups: int) -> tup
     return medians, has
 
 
-def build_seasonality_profile(
-    transactions: Iterable[Transaction], smoothing_window: int = 3
-) -> SeasonalityProfile:
+def build_seasonality_profile(log: TransactionLog, smoothing_window: int = 3) -> SeasonalityProfile:
     """Count weekly purchases per category over the log, in one pass."""
-    transactions = list(transactions)
-    names, _, category = encode([t.category_id for t in transactions])
-    week = weeks_of_year(np.array([t.event_date.toordinal() for t in transactions], dtype=np.int64))
-    counts = np.bincount(category * WEEKS_PER_YEAR + week, minlength=len(names) * WEEKS_PER_YEAR)
-    return SeasonalityProfile(dict(zip(names, counts.reshape(-1, WEEKS_PER_YEAR))), smoothing_window)
+    week = weeks_of_year(log.day)
+    counts = np.bincount(log.category * WEEKS_PER_YEAR + week, minlength=len(log.categories) * WEEKS_PER_YEAR)
+    return SeasonalityProfile(dict(zip(log.categories, counts.reshape(-1, WEEKS_PER_YEAR))), smoothing_window)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .baselines import OfferCandidate, OfferRound, Policy, Ranking
 from .bandit import LearnerConfig, TrainingEvents, offer_probabilities, sigmoid_rows
-from .data import Impression, MFScoreTable, Offer, Transaction, write_csv, write_json, write_jsonl
+from .data import Impression, MFScoreTable, Offer, TransactionLog, write_csv, write_json, write_jsonl
 from .errors import ConfigError
 from .features import (
     FEATURE_NAMES,
@@ -378,7 +378,7 @@ def _ranked_entries(ranking: Ranking) -> list[tuple[str, float | None, float | N
 class ReplayDataset:
     """The four ingested inputs bundled for replay."""
 
-    transactions: list[Transaction]
+    transactions: TransactionLog
     offers: list[Offer]
     impressions: list[Impression]
     mf_table: MFScoreTable = field(default_factory=MFScoreTable)

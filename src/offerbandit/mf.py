@@ -14,9 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import MF_SCORE_FIELDS, Offer, Transaction, write_csv
+from .data import MF_SCORE_FIELDS, Offer, TransactionLog, write_csv
 from .errors import ConfigError
-from .features import encode
 
 
 @dataclass
@@ -35,14 +34,11 @@ class ALSConfig:
             raise ConfigError(f"regularization must be >= 0, got {self.regularization}")
 
 
-def build_count_matrix(
-    transactions: Sequence[Transaction],
-) -> tuple[np.ndarray, list[str], list[str]]:
+def build_count_matrix(log: TransactionLog) -> tuple[np.ndarray, list[str], list[str]]:
     """Dense member x category matrix of purchase-event counts; members
     and categories in sorted order."""
-    members, _, member = encode([t.member_id for t in transactions])
-    categories, _, category = encode([t.category_id for t in transactions])
-    counts = np.bincount(member * len(categories) + category, minlength=len(members) * len(categories))
+    members, categories = log.members, log.categories
+    counts = np.bincount(log.member * len(categories) + log.category, minlength=len(members) * len(categories))
     return counts.reshape(len(members), len(categories)).astype(float), members, categories
 
 

@@ -1,8 +1,11 @@
+from datetime import date
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 from offerbandit.baselines import OfferCandidate, OfferRound
+from offerbandit.data import TransactionLog
 from offerbandit.features import RoundContexts
 
 settings.register_profile(
@@ -13,6 +16,25 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+def transaction_log(rows):
+    """The TransactionLog of (member_id, category_id, brand_id,
+    event_date, ...) rows, such as datagen's; entries past the date are
+    ignored."""
+    rows = list(rows)
+    return TransactionLog.from_columns(
+        [r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows], [r[3].toordinal() for r in rows]
+    )
+
+
+def log_rows(log):
+    """The (member_id, category_id, brand_id, event_date) of each row of
+    a TransactionLog, in its order."""
+    columns = (log.member.tolist(), log.category.tolist(), log.brand.tolist(), log.day.tolist())
+    return [
+        (log.members[m], log.categories[c], log.brands[b], date.fromordinal(d)) for m, c, b, d in zip(*columns)
+    ]
 
 
 @pytest.fixture

@@ -334,7 +334,7 @@ class TestBackfit:
     def test_empty_events_flagged_and_store_untouched(self):
         store = ModelStore()
         report = backfit(store, batch([]), LearnerConfig())
-        assert report == BackfitReport(0, 0, 0, None, None, empty=True)
+        assert report == BackfitReport(0, 0, 0, None, None, None, empty=True)
         assert len(store) == 0
 
     def test_single_positive_event_applies_one_boosted_step(self):
@@ -378,6 +378,24 @@ class TestBackfit:
         report = backfit(ModelStore(), batch(events), LearnerConfig(learning_rate=0.01))
         assert report.holdout_size == 2
         assert report.prior_log_loss == pytest.approx(math.log(2.0), rel=1e-12)
+
+    def test_base_rate_is_the_training_mean_scored_on_the_holdout(self):
+        x = np.zeros(N_FEATURES)
+        x[0] = 1.0
+        # 18 training events with 6 clips, then a holdout of one clip and one miss.
+        labels = [1, 0, 0] * 6 + [1, 0]
+        report = backfit(ModelStore(), batch([self.event(t, x, y) for t, y in enumerate(labels)]), LearnerConfig())
+        assert report.holdout_size == 2
+        assert report.base_rate_log_loss == pytest.approx(-(math.log(1 / 3) + math.log(2 / 3)) / 2, rel=1e-12)
+        # With all of the training labels 1, the constant is clamped, not log(0).
+        report = backfit(ModelStore(), batch([self.event(t, x, int(t < 9)) for t in range(10)]), LearnerConfig())
+        assert report.base_rate_log_loss == pytest.approx(-math.log(1.0 - (1.0 - 1e-12)), rel=1e-12)
+
+    def test_base_rate_needs_a_training_event(self):
+        x = np.ones(N_FEATURES)
+        report = backfit(ModelStore(), batch([self.event(0, x, 1)]), LearnerConfig())
+        assert report.holdout_size == 1 and report.holdout_log_loss is not None
+        assert report.base_rate_log_loss is None
 
 
 class TestBackfitWaves:

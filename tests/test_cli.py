@@ -184,6 +184,33 @@ class TestIngest:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["skip_tallies"]["ingest_transactions"] == 1
 
+    def test_orphans_are_named_by_their_record_in_the_file(self, demo_data, tmp_path):
+        # Line 2 sorts before line 1, and both show an offer outside the
+        # catalog: each orphan names its own line, listed in file order.
+        known = json.loads(Path(demo_data["offers"]).read_text(encoding="utf-8").splitlines()[0])["offer_id"]
+        lines = ["not json"] + [json.dumps(obj) for obj in (
+            {"timestamp": "2024-07-02T09:00:00", "member_id": "m000", "offers_shown": [known, "o_gone"]},
+            {"timestamp": "2024-07-01T09:00:00", "member_id": "m000", "offers_shown": ["o_missing", known]},
+        )]
+        impressions = tmp_path / "impressions.jsonl"
+        impressions.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "ingested"
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            data=data_section(demo_data, impressions=str(impressions)),
+            run={"out_dir": str(out)},
+        )
+        assert main(["ingest", "--config", cfg]) == 0
+
+        def report(name):
+            return [json.loads(line) for line in (out / f"validation_{name}.jsonl").read_text().splitlines()]
+
+        assert [r["record_index"] for r in report("impressions")] == [0]
+        assert report("impression_orphans") == [
+            {"record_index": 1, "reason": "unknown offer o_gone in impression"},
+            {"record_index": 2, "reason": "unknown offer o_missing in impression"},
+        ]
+
     def test_missing_input_file_exits_3(self, demo_data, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "cfg.json",
@@ -217,6 +244,7 @@ class TestBackfitAndReplay:
         assert report["empty"] is False
         assert report["holdout_size"] >= 1
         assert report["holdout_log_loss"] > 0.0
+        assert report["base_rate_log_loss"] > 0.0
         manifest = json.loads((backfit_dir / "manifest.json").read_text())
         assert manifest["n_models"] > 0
 

@@ -3,14 +3,18 @@ import json
 from datetime import date, datetime, timedelta
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conftest import log_rows, transaction_log
 from offerbandit.data import (
+    TRANSACTION_FIELDS,
     Impression,
     IngestError,
+    IngestResult,
     Offer,
-    Transaction,
+    _iso_date,
+    _read_csv,
     catalog_orphan_issues,
     ingest_impressions,
     ingest_mf_scores,
@@ -37,6 +41,49 @@ def write_csv(path, body, header=HEADER):
     return path
 
 
+def row_by_row_ingest(path):
+    """The reference for ingest_transactions: each row parsed on its own
+    into (member_id, category_id, brand_id, event_date), then the kept
+    rows stably sorted by date. Returns (rows, issues)."""
+
+    def parse(row):
+        if len(row) != 5:
+            raise ValueError(f"expected 5 fields, got {len(row)}")
+        member, category, brand, day, qty = map(str.strip, row)
+        if not member or not category or not brand:
+            raise ValueError("empty id field")
+        event_date = _iso_date(day, "event_date")
+        try:
+            quantity = int(qty)
+        except ValueError:
+            raise ValueError(f"bad quantity {qty!r}") from None
+        if quantity < 1:
+            raise ValueError(f"quantity must be positive, got {quantity}")
+        return member, category, brand, event_date
+
+    result = _read_csv(path, TRANSACTION_FIELDS, "transaction", parse)
+    return sorted(result.records, key=lambda row: row[3]), result.issues
+
+
+# Transaction lines: ids that only a trailing NUL or a non-ASCII letter
+# tells apart, few dates (so same-day rows tie, in any file order), bad
+# dates and quantities, 2**64 among the good ones; and lines that are
+# not UTF-8, too long for the csv module, short or empty.
+TX_LINES = st.one_of(
+    st.tuples(
+        *[st.sampled_from(["m1", "m1\x00", " m2 ", "é", ""])] * 3,
+        st.sampled_from(["2024-07-01", "2024-07-02", " 2024-06-30", "2024-13-01", "20240701"]),
+        st.sampled_from(["1", " 3 ", str(2**64), str(2**63), "0", "-1", "2.5", "x"]),
+    ).map(lambda fields: (",".join(fields) + "\n").encode("utf-8")),
+    st.sampled_from([
+        b"m\xff1,c1,b1,2024-07-01,1\n",
+        b"x" * 200_000 + b",c1,b1,2024-07-01,1\n",
+        b"m1,c1,b1,2024-07-01\n",
+        b"\n",
+    ]),
+)
+
+
 class TestTransactions:
     def test_round_trip_preserves_records(self, tmp_path):
         rows = generate_transactions(n_members=6, events_per_member=15, seed=3)
@@ -44,7 +91,8 @@ class TestTransactions:
         write_transactions_csv(path, rows)
         result = ingest_transactions(path)
         assert result.issues == []
-        assert result.records == sorted(rows, key=lambda t: t.event_date)
+        assert log_rows(result.records) == [row[:4] for row in sorted(rows, key=lambda row: row[3])]
+        assert result.records == transaction_log(rows)
 
     def test_output_sorted_by_event_date(self, tmp_path):
         body = (
@@ -53,9 +101,9 @@ class TestTransactions:
             "m3,c1,b1,2024-02-10,1\n"
         )
         result = ingest_transactions(write_csv(tmp_path / "t.csv", body))
-        dates = [t.event_date for t in result.records]
+        dates = [row[3] for row in log_rows(result.records)]
         assert dates == sorted(dates)
-        assert result.records[0].member_id == "m2"
+        assert log_rows(result.records)[0][0] == "m2"
 
     def test_sort_is_stable_within_a_date(self, tmp_path):
         body = (
@@ -64,7 +112,7 @@ class TestTransactions:
             "mC,c1,b1,2024-01-01,1\n"
         )
         result = ingest_transactions(write_csv(tmp_path / "t.csv", body))
-        assert [t.member_id for t in result.records] == ["mA", "mB", "mC"]
+        assert [row[0] for row in log_rows(result.records)] == ["mA", "mB", "mC"]
 
     def test_malformed_rows_tallied_with_index_and_reason(self, tmp_path):
         body = (
@@ -91,8 +139,31 @@ class TestTransactions:
         # forms; 3.10 does not, and ingest takes the same rows on both.
         body = "m1,c1,b1,2024-01-05,1\nm1,c1,b1,20240105,1\nm1,c1,b1,2024-W02-1,1\n"
         result = ingest_transactions(write_csv(tmp_path / "t.csv", body))
-        assert [t.event_date for t in result.records] == [date(2024, 1, 5)]
+        assert [row[3] for row in log_rows(result.records)] == [date(2024, 1, 5)]
         assert result.issues == [(1, "bad event_date '20240105'"), (2, "bad event_date '2024-W02-1'")]
+
+    @given(bom=st.booleans(), lines=st.lists(TX_LINES, min_size=1, max_size=25))
+    @example(bom=True, lines=[
+        b"m1\x00,c1,b1,2024-07-02," + str(2**64).encode() + b"\n",
+        b"m\xff1,c1,b1,2024-07-01,1\n",
+        b"m1,c1,b1,2024-07-02,1\n",
+        b"x" * 200_000 + b",c1,b1,2024-07-01,1\n",
+        b"m2,c1,b2,2024-07-01,2\n",
+        b"m1,c1,b1,2024-07-02,0\n",
+        b"m1,c2,b1,2024-07-01,3\n",
+    ])
+    def test_columnar_ingest_equals_the_row_by_row_reference(self, tmp_path_factory, bom, lines):
+        path = tmp_path_factory.mktemp("tx") / "t.csv"
+        path.write_bytes((codecs.BOM_UTF8 if bom else b"") + HEADER.encode("utf-8") + b"".join(lines))
+        rows, issues = row_by_row_ingest(path)
+        if not rows:
+            with pytest.raises(IngestError, match="no valid transactions"):
+                ingest_transactions(path)
+            return
+        result = ingest_transactions(path)
+        assert result.issues == issues
+        assert log_rows(result.records) == rows
+        assert result.records.members == sorted({row[0] for row in rows})
 
     def test_missing_file_is_fatal(self, tmp_path):
         with pytest.raises(IngestError, match="missing input file"):
@@ -129,15 +200,12 @@ class TestTransactions:
         )
     )
     def test_any_valid_rows_round_trip(self, tmp_path_factory, raw):
-        rows = [
-            Transaction(f"m{m}", f"c{c}", f"b{b}", date(2024, 1, 1) + timedelta(days=d), q)
-            for m, c, b, d, q in raw
-        ]
+        rows = [(f"m{m}", f"c{c}", f"b{b}", date(2024, 1, 1) + timedelta(days=d), q) for m, c, b, d, q in raw]
         path = tmp_path_factory.mktemp("tx") / "t.csv"
         write_transactions_csv(path, rows)
         result = ingest_transactions(path)
         assert result.issues == []
-        assert sorted(result.records, key=repr) == sorted(rows, key=repr)
+        assert sorted(log_rows(result.records)) == sorted(row[:4] for row in rows)
 
 
 class TestOffers:
@@ -474,7 +542,7 @@ def test_catalog_orphans_flag_unknown_offers():
         Impression(datetime(2024, 1, 5, 9), "m1", ("o1",), frozenset()),
         Impression(datetime(2024, 1, 6, 9), "m1", ("o1", "oX"), frozenset()),
     ]
-    issues = catalog_orphan_issues(imps, offers)
+    issues = catalog_orphan_issues(IngestResult(imps, [], [0, 1]), offers)
     assert issues == [(1, "unknown offer oX in impression")]
 
 
@@ -494,7 +562,7 @@ def test_generate_dataset_is_self_consistent(tmp_path):
     offers = ingest_offers(paths["offers"])
     imps = ingest_impressions(paths["impressions"])
     assert tx.issues == [] and offers.issues == [] and imps.issues == []
-    assert catalog_orphan_issues(imps.records, offers.records) == []
+    assert catalog_orphan_issues(imps, offers.records) == []
     catalog = {o.offer_id: o for o in offers.records}
     for imp in imps.records:
         for oid in imp.offers_shown:

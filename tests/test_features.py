@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from offerbandit.data import MFScoreTable, Offer, Transaction
+from conftest import transaction_log
+from offerbandit.data import MFScoreTable, Offer
 from offerbandit.datagen import generate_offers, generate_transactions
 from offerbandit.errors import ConfigError
 from offerbandit.features import (
@@ -156,11 +157,11 @@ class TestSeasonality:
 
     def test_profile_built_from_transactions(self):
         rows = [
-            Transaction("m1", "catA", "b1", week_start(20), 1),
-            Transaction("m2", "catA", "b1", week_start(20) + timedelta(days=3), 1),
-            Transaction("m1", "catA", "b1", week_start(40), 1),
+            ("m1", "catA", "b1", week_start(20)),
+            ("m2", "catA", "b1", week_start(20) + timedelta(days=3)),
+            ("m1", "catA", "b1", week_start(40)),
         ]
-        profile = build_seasonality_profile(rows)
+        profile = build_seasonality_profile(transaction_log(rows))
         assert compute_seasonality("catA", week_start(20), profile) == pytest.approx(1.0)
         assert compute_seasonality("catA", week_start(40), profile) == pytest.approx(0.5)
         assert compute_seasonality("catA", week_start(5), profile) == 0.0
@@ -218,16 +219,16 @@ class TestBuildContext:
 
 class TestFeaturize:
     def test_rows_equal_build_context_bit_for_bit(self):
-        transactions = generate_transactions(n_members=6, n_categories=4, events_per_member=25, seed=5)
-        d0 = transactions[0].event_date
-        transactions += [
+        rows = generate_transactions(n_members=6, n_categories=4, events_per_member=25, seed=5)
+        d0 = rows[0][3]
+        transactions = transaction_log(rows + [
             # One purchase day: m_one's c00 cycle is c00's category median.
-            Transaction("m_one", "c00", "b01", d0, 1),
-            Transaction("m_one", "c00", "b02", d0, 1),
+            ("m_one", "c00", "b01", d0),
+            ("m_one", "c00", "b02", d0),
             # c09 has no gap anywhere, so its pairs take the default cycle.
-            Transaction("m000", "c09", "b01", d0, 1),
-            Transaction("m_one", "c09", "b_new", d0, 1),
-        ]
+            ("m000", "c09", "b01", d0),
+            ("m_one", "c09", "b_new", d0),
+        ])
         # Five offer categories over four purchased ones: c04 has no history.
         offers = generate_offers(n_offers=60, n_categories=5, seed=6)
         day0 = offers[0].start_date
@@ -270,7 +271,7 @@ class TestFeaturize:
         assert 0.7 in X[:, 1] and (X[:, 1] != 0.7).any()  # cold and warm rows
 
     def test_one_round_alone_equals_its_rows_in_a_batch(self):
-        transactions = generate_transactions(n_members=4, n_categories=3, events_per_member=15, seed=2)
+        transactions = transaction_log(generate_transactions(n_members=4, n_categories=3, events_per_member=15, seed=2))
         offers = generate_offers(n_offers=20, n_categories=3, seed=3)
         index, profile = MemberStatsIndex(transactions), build_seasonality_profile(transactions)
         day = offers[0].start_date
@@ -282,7 +283,7 @@ class TestFeaturize:
             assert alone.X.tobytes() == raw.X.tobytes()
 
     def test_empty_round(self):
-        index, profile = MemberStatsIndex([]), SeasonalityProfile({})
+        index, profile = MemberStatsIndex(transaction_log([])), SeasonalityProfile({})
         none = featurize_rounds([], index, profile, MFScoreTable())
         assert len(none) == 0 and list(none.rounds()) == []
         assert none.contexts.X.shape == (0, N_FEATURES)
@@ -302,7 +303,8 @@ class TestFeaturize:
             Offer("o2", frozenset({"c", "d"}), frozenset(), value, DAY, DAY, 1),
         ]
         with pytest.raises(ValueError, match="context vector contains non-finite values"):
-            featurize_rounds([("m1", DAY, offers)], MemberStatsIndex([]), SeasonalityProfile({}), MFScoreTable({}, default))
+            featurize_rounds([("m1", DAY, offers)], MemberStatsIndex(transaction_log([])), SeasonalityProfile({}),
+                             MFScoreTable({}, default))
 
     def test_scale_rounds_equals_scale_round_per_round(self, rng):
         rounds = []
@@ -318,6 +320,33 @@ class TestFeaturize:
             assert got.X.tobytes() == scale_round(raw, one).X.tobytes()
         assert one.count == many.count == 11
         assert one.mean().tobytes() == many.mean().tobytes() and one.std().tobytes() == many.std().tobytes()
+
+    @pytest.mark.parametrize("sizes", [(1, 0, 3, 2, 5), (0, 2, 9, 0, 1, 17, 12, 9, 2, 0), (0, 0)])
+    @pytest.mark.parametrize("warm", [0, 1, 6])
+    def test_scale_rounds_sums_each_round_in_row_order(self, rng, sizes, warm):
+        # Magnitudes 1e-8..1e8 make a sum's order show in its last bits, in
+        # rounds of more than 8 rows too, where a pairwise sum would differ;
+        # signed zeros, and a column of -0.0 only, show the sign a sum
+        # starts from.
+        rounds = []
+        for n in sizes:
+            rows = rng.normal(size=(n, N_FEATURES)) * 10.0 ** rng.integers(-8, 9, size=(n, N_FEATURES))
+            rows[rng.random((n, N_FEATURES)) < 0.15] = 0.0
+            rows[rng.random((n, N_FEATURES)) < 0.15] = -0.0
+            rows[:, 0] = 1.0
+            rows[:, 7] = -0.0
+            rounds.append(RoundContexts([f"o{i}" for i in range(n)], ["c"] * n, [1] * n, rows))
+        bounds = np.cumsum([0] + [len(r.X) for r in rounds])
+        batch = RoundBatch(RoundContexts([], [], [], np.concatenate([r.X for r in rounds])), bounds, bounds)
+        warmup = rng.normal(size=(warm, N_FEATURES))
+        one, many = RunningScaler(), RunningScaler()
+        one.update(warmup)
+        many.update(warmup)
+        scale_rounds(batch, many)
+        for raw, got in zip(rounds, batch.rounds()):
+            assert got.X.tobytes() == scale_round(raw, one).X.tobytes()
+        assert one.count == many.count == warm + sum(sizes)
+        assert one._mean.tobytes() == many._mean.tobytes() and one._m2.tobytes() == many._m2.tobytes()
 
     def test_scale_round_updates_once_then_transforms_the_batch(self, rng):
         offers = {f"o{i}": {c: rng.normal(size=N_FEATURES) for c in ("b", "a")} for i in range(3)}
@@ -412,7 +441,7 @@ class TestRunningScaler:
 
 class TestMemberStatsIndex:
     def tx(self, member, category, brand, day):
-        return Transaction(member, category, brand, day, 1)
+        return member, category, brand, day
 
     def base_rows(self):
         d0 = date(2024, 1, 1)
@@ -425,18 +454,18 @@ class TestMemberStatsIndex:
         ]
 
     def test_pair_cycle_is_median_gap(self):
-        index = MemberStatsIndex(self.base_rows())
+        index = MemberStatsIndex(transaction_log(self.base_rows()))
         # Gaps for (m1, catA) are 10 and 20 days.
         assert index.cycle_length("m1", "catA") == 15.0
 
     def test_falls_back_to_category_then_default(self):
-        index = MemberStatsIndex(self.base_rows(), default_cycle_days=45.0)
+        index = MemberStatsIndex(transaction_log(self.base_rows()), default_cycle_days=45.0)
         assert index.cycle_length("m2", "catA") == 15.0  # category median
         assert index.cycle_length("m3", "catB") == 45.0  # no gaps anywhere
         assert index.cycle_length("mX", "catZ") == 45.0
 
     def test_last_purchase_resolved_as_of_date(self):
-        index = MemberStatsIndex(self.base_rows())
+        index = MemberStatsIndex(transaction_log(self.base_rows()))
         d0 = date(2024, 1, 1)
         assert index.stats("m1", "catA", d0 - timedelta(days=1)).last_purchase_date is None
         assert index.stats("m1", "catA", d0).last_purchase_date == d0
@@ -450,21 +479,31 @@ class TestMemberStatsIndex:
             self.tx("m1", "catA", "bA", d0),
             self.tx("m1", "catA", "bA", d0 + timedelta(days=8)),
         ]
-        assert MemberStatsIndex(rows).cycle_length("m1", "catA") == 8.0
+        assert MemberStatsIndex(transaction_log(rows)).cycle_length("m1", "catA") == 8.0
 
     def test_brand_counts_feed_loyalty(self):
-        index = MemberStatsIndex(self.base_rows())
+        index = MemberStatsIndex(transaction_log(self.base_rows()))
         s = index.stats("m1", "catA", date(2025, 1, 1))
         assert compute_brand_loyalty("bA", s) == pytest.approx(2 / 3)
         assert compute_brand_loyalty("bB", s) == pytest.approx(1 / 3)
 
     def test_purchase_shares_sum_to_one(self):
         rows = self.base_rows() + [self.tx("m1", "catB", "bC", date(2024, 2, 1))]
-        index = MemberStatsIndex(rows)
+        index = MemberStatsIndex(transaction_log(rows))
         shares = index.purchase_share("m1")
         assert shares == pytest.approx({"catA": 0.75, "catB": 0.25})
         assert index.purchase_share("nobody") == {}
 
+    def test_empty_log(self):
+        log = transaction_log([])
+        assert len(log) == 0 and log.members == log.categories == log.brands == []
+        index = MemberStatsIndex(log, default_cycle_days=12.0)
+        assert index.cycle_length("m1", "catA") == 12.0
+        s = index.stats("m1", "catA", date(2024, 1, 1))
+        assert s.last_purchase_date is None and s.brand_counts == {} and s.cycle_length == 12.0
+        assert index.purchase_share("m1") == {}
+        assert build_seasonality_profile(log).score("catA", date(2024, 1, 1)) == 0.0
+
     def test_nonpositive_default_cycle_rejected(self):
         with pytest.raises(ConfigError):
-            MemberStatsIndex([], default_cycle_days=0.0)
+            MemberStatsIndex(transaction_log([]), default_cycle_days=0.0)

@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import transaction_log
 from offerbandit.bandit import LearnerConfig, aggregate_offer, renormalize_shares, sigmoid
 from offerbandit.baselines import make_policy
-from offerbandit.data import Impression, MFScoreTable, Offer, Transaction
+from offerbandit.data import Impression, MFScoreTable, Offer
 from offerbandit.errors import ConfigError
 from offerbandit.exploration import ExplorationConfig
 from offerbandit.datagen import generate_impressions, generate_offers, generate_transactions
@@ -374,11 +375,11 @@ def replay_fixture(days_active=30, n_impressions=20, clip_all=True):
         Offer("o2", frozenset({"catB"}), frozenset({"bB"}), 4.0, start,
               start + timedelta(days=days_active), 1),
     ]
-    transactions = [
-        Transaction("m1", "catA", "bA", start - timedelta(days=20), 1),
-        Transaction("m1", "catA", "bA", start - timedelta(days=10), 1),
-        Transaction("m1", "catB", "bB", start - timedelta(days=5), 1),
-    ]
+    transactions = transaction_log([
+        ("m1", "catA", "bA", start - timedelta(days=20)),
+        ("m1", "catA", "bA", start - timedelta(days=10)),
+        ("m1", "catB", "bB", start - timedelta(days=5)),
+    ])
     impressions = []
     for i in range(n_impressions):
         clipped = frozenset({"o1", "o2"}) if clip_all else frozenset()
@@ -452,7 +453,7 @@ class TestReplay:
         assert camb.store.get("m1", "catA").update_count == 20
 
     def test_scaled_rows_equal_a_per_round_build_context_reference(self):
-        transactions = generate_transactions(n_members=6, n_categories=4, events_per_member=20, seed=21)
+        transactions = transaction_log(generate_transactions(n_members=6, n_categories=4, events_per_member=20, seed=21))
         offers = generate_offers(n_offers=30, n_categories=5, seed=22)
         impressions = generate_impressions(offers, n_members=7, n_impressions=60, seed=23)
         mf = MFScoreTable({("m001", offers[3].offer_id): 0.7}, default_score=-0.2)
@@ -506,7 +507,7 @@ class TestReplay:
 
 class TestBackfitEvents:
     def test_rows_equal_scale_round_of_featurize_bit_for_bit(self):
-        transactions = generate_transactions(n_members=8, n_categories=4, events_per_member=20, seed=11)
+        transactions = transaction_log(generate_transactions(n_members=8, n_categories=4, events_per_member=20, seed=11))
         offers = generate_offers(n_offers=25, n_categories=5, seed=12)
         impressions = generate_impressions(offers, n_members=9, n_impressions=120, seed=13)
         # A shown offer outside the catalog and one shown after it ended
@@ -542,7 +543,7 @@ class TestBackfitEvents:
         assert skips == {"shown_offers_not_featurized": 2}
 
     def test_empty_log_gives_an_empty_batch(self):
-        events, skips = backfit_events(ReplayDataset([], [], []))
+        events, skips = backfit_events(ReplayDataset(transaction_log([]), [], []))
         assert len(events) == 0 and events.X.shape == (0, 9)
         assert skips == {"shown_offers_not_featurized": 0}
 

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import offerbandit
-from offerbandit.data import Offer, Transaction, ingest_mf_scores, ingest_offers, ingest_transactions
+from conftest import transaction_log
+from offerbandit.data import Offer, ingest_mf_scores, ingest_offers, ingest_transactions
 from offerbandit.datagen import generate_dataset
 from offerbandit.errors import ConfigError
 from offerbandit.mf import (
@@ -23,7 +24,7 @@ from offerbandit.mf import (
 
 
 def tx(member, category, day=date(2024, 3, 1)):
-    return Transaction(member, category, "b1", day, 1)
+    return member, category, "b1", day
 
 
 def offer(offer_id, categories):
@@ -37,13 +38,13 @@ class TestCountMatrix:
             tx("m1", "cA"), tx("m1", "cA"), tx("m1", "cB"),
             tx("m2", "cB"),
         ]
-        counts, members, categories = build_count_matrix(transactions)
+        counts, members, categories = build_count_matrix(transaction_log(transactions))
         assert members == ["m1", "m2"]
         assert categories == ["cA", "cB"]
         np.testing.assert_array_equal(counts, [[2.0, 1.0], [0.0, 1.0]])
 
     def test_empty_transactions_give_empty_matrix(self):
-        counts, members, categories = build_count_matrix([])
+        counts, members, categories = build_count_matrix(transaction_log([]))
         assert counts.shape == (0, 0)
         assert members == [] and categories == []
 
@@ -165,7 +166,7 @@ class TestEndToEnd:
             for c in range(4):
                 for _ in range(int(rng.integers(1, 6))):
                     transactions.append(tx(f"m{m}", f"c{c}"))
-        counts, members, categories = build_count_matrix(transactions)
+        counts, members, categories = build_count_matrix(transaction_log(transactions))
         U, V = als_factorize(counts, ALSConfig(rank=3, iterations=30,
                                                regularization=0.05, seed=2))
         offers = [offer("o1", {"c0", "c1"}), offer("o2", {"c3"})]

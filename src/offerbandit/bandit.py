@@ -145,7 +145,7 @@ def renormalize_shares(categories: Sequence[str], shares: Mapping[str, float]) -
 
 def aggregate_offer(
     category_probs: Mapping[str, float],
-    purchase_shares: Mapping[str, float],
+    shares: Mapping[str, float],
     mf_score: float,
     cfg: LearnerConfig,
 ) -> float:
@@ -158,7 +158,7 @@ def aggregate_offer(
     if not category_probs:
         raise ValueError("aggregate_offer needs at least one category probability")
     cats = sorted(category_probs)
-    weights = renormalize_shares(cats, purchase_shares)
+    weights = renormalize_shares(cats, shares)
     z = 0.0
     for c in cats:
         p = min(max(category_probs[c], LOGIT_CLAMP), 1.0 - LOGIT_CLAMP)
@@ -172,16 +172,16 @@ def offer_probabilities(
     weights: np.ndarray,
     starts: np.ndarray,
     mf_scores: np.ndarray,
-    cfg: LearnerConfig,
+    mf_bias_coeff: float,
 ) -> np.ndarray:
-    """aggregate_offer for every offer of a round at once.
+    """aggregate_offer for every offer of a round at once, given mf_bias_coeff.
 
     Row r holds one category's probability and its renormalized share
     weights[r]; offer k owns the rows from starts[k] to the next start.
     """
     p = np.minimum(np.maximum(category_probs, LOGIT_CLAMP), 1.0 - LOGIT_CLAMP)
     z = np.add.reduceat(weights * np.log(p / (1.0 - p)), starts)
-    z += cfg.mf_bias_coeff * mf_scores
+    z += mf_bias_coeff * mf_scores
     return sigmoid_rows(z)
 
 

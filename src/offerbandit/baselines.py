@@ -171,7 +171,7 @@ class CambPolicy:
     def select(self, offers: OfferRound, rng: np.random.Generator, t: int) -> Ranking:
         ctx = offers.contexts
         category_probs = self.store.predict_rows(offers.member_id, ctx.categories, ctx.X)
-        probs = offer_probabilities(category_probs, offers.weights, ctx.starts, offers.mf_scores, self.learner)
+        probs = offer_probabilities(category_probs, offers.weights, ctx.starts, offers.mf_scores, self.learner.mf_bias_coeff)
         kappa = kappa_at(t - 1, self.exploration)
         # Drawn in sorted offer-id order, the order sample_scores uses.
         sampled = np.empty_like(probs)

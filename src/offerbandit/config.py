@@ -22,6 +22,7 @@ from pathlib import Path
 
 from .bandit import LearnerConfig
 from .baselines import POLICY_NAMES, EpsilonGreedyPolicy, LinUCBPolicy, ThompsonPolicy
+from .data import MAX_INPUT_MAGNITUDE
 from .errors import ConfigError
 from .exploration import ExplorationConfig
 from .features import SeasonalityProfile
@@ -122,6 +123,9 @@ class RunConfig:
             raise ConfigError(f"bad config value run.rounds={self.run.rounds}; must be >= 1")
         if self.run.snapshot_every < 1:
             raise ConfigError(f"bad config value run.snapshot_every={self.run.snapshot_every}; must be >= 1")
+        if not abs(self.data.mf_default_score) <= MAX_INPUT_MAGNITUDE:
+            raise ConfigError(f"bad config value data.mf_default_score={self.data.mf_default_score}; "
+                              f"magnitude must be at most {MAX_INPUT_MAGNITUDE:g}")
         if self.features.cold_start_mpg < 0:
             raise ConfigError(f"bad config value features.cold_start_mpg={self.features.cold_start_mpg}")
         if self.features.default_cycle_days <= 0:

@@ -17,7 +17,6 @@ import itertools
 import json
 import math
 import re
-import sys
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from pathlib import Path
@@ -34,6 +33,15 @@ class IngestError(RuntimeError):
 
 TRANSACTION_FIELDS = ("member_id", "category_id", "brand_id", "event_date", "quantity")
 MF_SCORE_FIELDS = ("member_id", "offer_id", "score")
+
+# The largest magnitude of an input number that becomes a feature: an mf
+# score, a discount_value or a num_items (and the mf default score). The
+# scaler sums squared deviations of raw features over every row of a run,
+# and rows seen before the scaler is warm reach the policies unscaled,
+# where LinUCB and TS add their outer products. Below 1e100 every such
+# square stays below 4e200, so no sum of fewer than 1e100 rows can leave
+# the float64 range (about 1.8e308). Larger values are malformed.
+MAX_INPUT_MAGNITUDE = 1e100
 
 
 @dataclass(eq=False)
@@ -375,12 +383,12 @@ def _parse_offer(obj: dict) -> Offer:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"discount_value must be a JSON number, got {value!r}")
     value = float(value)
-    if not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"discount_value must be finite and >= 0, got {value}")
+    if not 0 <= value <= MAX_INPUT_MAGNITUDE:  # NaN fails too
+        raise ValueError(f"discount_value must be a number from 0 to {MAX_INPUT_MAGNITUDE:g}, got {value}")
     num_items = obj["num_items"]
-    # bool is an int subclass; the bound keeps float(num_items) finite.
-    if isinstance(num_items, bool) or not isinstance(num_items, int) or not 1 <= num_items <= sys.float_info.max:
-        raise ValueError(f"num_items must be a JSON integer from 1 to {sys.float_info.max:g}, got {num_items!r}")
+    # bool is an int subclass.
+    if isinstance(num_items, bool) or not isinstance(num_items, int) or not 1 <= num_items <= MAX_INPUT_MAGNITUDE:
+        raise ValueError(f"num_items must be a JSON integer from 1 to {MAX_INPUT_MAGNITUDE:g}, got {num_items!r}")
     return Offer(
         offer_id=_json_id(obj["offer_id"], "offer_id"),
         category_ids=categories,
@@ -433,7 +441,7 @@ def ingest_mf_scores(path: str | Path, default_score: float = 0.0) -> tuple[MFSc
     """Read the (member_id, offer_id, score) CSV into an MFScoreTable.
 
     Later rows overwrite earlier duplicates. Rows whose score is not a
-    finite number are tallied.
+    number of magnitude at most MAX_INPUT_MAGNITUDE are tallied.
     """
     result = _read_csv(path, MF_SCORE_FIELDS, "mf score", _parse_mf_score)
     return MFScoreTable(dict(result.records), default_score), result.issues
@@ -449,8 +457,8 @@ def _parse_mf_score(row: Sequence[str]) -> tuple[tuple[str, str], float]:
         value = float(score)
     except ValueError:
         value = math.nan
-    if not math.isfinite(value):
-        raise ValueError(f"bad score {score!r}")
+    if not abs(value) <= MAX_INPUT_MAGNITUDE:  # NaN fails too
+        raise ValueError(f"bad score {score!r}: scores are numbers of magnitude at most {MAX_INPUT_MAGNITUDE:g}")
     return (member, offer), value
 
 

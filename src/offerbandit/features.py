@@ -222,11 +222,16 @@ class RoundBatch:
 
     Round i holds the offers offer_bounds[i]:offer_bounds[i + 1] and the
     rows row_bounds[i]:row_bounds[i + 1]; both bounds start at 0.
+    shares[r] is row r's pair's purchase count over its member's, 0 where
+    the member never bought the category; mf_scores[k] is offer slot k's
+    raw mf score.
     """
 
     contexts: RoundContexts
     offer_bounds: np.ndarray
     row_bounds: np.ndarray
+    shares: np.ndarray
+    mf_scores: np.ndarray
 
     def __len__(self) -> int:
         return len(self.offer_bounds) - 1
@@ -299,6 +304,8 @@ def featurize_rounds(
     member_code = np.array([stats._member_code.get(m, -1) for m in members], dtype=np.int64)
     category_code = np.array([stats._category_code.get(c, -1) for c in names], dtype=np.int64)
     pair = stats._pairs(member_code[row_round], category_code[row_cat])
+    shares = np.zeros(len(pair))
+    shares[pair >= 0] = stats._pair_shares[pair[pair >= 0]]
     row_brands = np.where(pair >= 0, n_brands[row_offer], 0)
     brand_rows = brand_entry[_expand(_starts(n_brands)[row_offer], row_brands)]
 
@@ -309,7 +316,8 @@ def featurize_rounds(
     X[:, 3] = profile.table(names)[row_cat, weeks_of_year(day)[row_round]]
     X[:, 4] = recency[row_slot]
     X[:, 5:8] = offer_cols[row_offer]
-    X[:, 8] = np.array(mf, dtype=float)[row_slot]
+    mf_scores = np.array(mf, dtype=float)
+    X[:, 8] = mf_scores[row_slot]
     if not np.isfinite(X).all():
         raise ValueError("context vector contains non-finite values")
     offer_bounds = np.array(list(accumulate(n_offers, initial=0)), dtype=np.intp)
@@ -320,7 +328,7 @@ def featurize_rounds(
         sizes.tolist(),
         X,
     )
-    return RoundBatch(contexts, offer_bounds, row_ends[offer_bounds])
+    return RoundBatch(contexts, offer_bounds, row_ends[offer_bounds], shares, mf_scores)
 
 
 def _starts(counts: np.ndarray) -> np.ndarray:
@@ -516,6 +524,8 @@ class MemberStatsIndex:
         self._cycle = np.where(cycle > 0, cycle, self.default_cycle_days)
         self._brand_keys, self._brand_counts = np.unique(pair * len(self._brands) + brand, return_counts=True)
         self._pair_totals = np.bincount(pair, minlength=n_pairs)
+        member_totals = np.bincount(member, minlength=len(log.members))
+        self._pair_shares = self._pair_totals / member_totals[self._pair_keys // n_categories]
 
     def _pairs(self, members: np.ndarray, categories: np.ndarray) -> np.ndarray:
         """The pair of each (member code, category code), -1 where a code
@@ -575,17 +585,6 @@ class MemberStatsIndex:
         lo, hi = np.searchsorted(self._brand_keys, [p * n, (p + 1) * n])
         counts = zip(self._brand_keys[lo:hi].tolist(), self._brand_counts[lo:hi].tolist())
         return MemberCategoryStats(last, float(self._cycle[p]), {self._brands[k % n]: c for k, c in counts})
-
-    def purchase_share(self, member_id: str) -> dict[str, float]:
-        """Fraction of the member's purchase events per category."""
-        m = self._member_code.get(member_id)
-        if m is None:
-            return {}
-        n = len(self._categories)
-        lo, hi = np.searchsorted(self._pair_keys, [m * n, (m + 1) * n])
-        totals = self._pair_totals[lo:hi]
-        shares = (totals / totals.sum()).tolist()
-        return {self._categories[k % n]: s for k, s in zip(self._pair_keys[lo:hi].tolist(), shares)}
 
 
 def _group_medians(groups: np.ndarray, values: np.ndarray, n_groups: int) -> tuple[np.ndarray, np.ndarray]:

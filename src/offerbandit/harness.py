@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .baselines import OfferCandidate, OfferRound, Policy, Ranking
-from .bandit import LearnerConfig, TrainingEvents, offer_probabilities, sigmoid_rows
+from .bandit import TrainingEvents, offer_probabilities, sigmoid_rows
 from .data import Impression, MFScoreTable, Offer, TransactionLog, write_csv, write_json, write_jsonl
 from .errors import ConfigError
 from .features import (
@@ -103,7 +103,6 @@ class SyntheticWorld:
             w = rng.normal(0.0, config.weight_scale, size=N_FEATURES)
             w[0] = rng.normal(config.bias_mean, config.bias_scale)
             self.true_weights[c] = w
-        self._agg = LearnerConfig(mf_bias_coeff=config.mf_bias_coeff)
         # Row j: category j's weights with the standardization folded in,
         # so that its dot product with a raw row (bias entry 1) equals
         # true_weights . standardize(raw).
@@ -137,7 +136,7 @@ class SyntheticWorld:
         shares. Row r of raw belongs to category rows[r] of the world."""
         p = sigmoid_rows(np.einsum("ij,ij->i", self._raw_weights[rows], raw.X))
         sizes = np.asarray(raw.sizes)
-        return offer_probabilities(p, (1.0 / sizes).repeat(sizes), raw.starts, mf_scores, self._agg)
+        return offer_probabilities(p, (1.0 / sizes).repeat(sizes), raw.starts, mf_scores, self.config.mf_bias_coeff)
 
     def generate_round(self, t: int, rng: np.random.Generator) -> tuple[str, RoundContexts, np.ndarray, np.ndarray]:
         """The round's member, raw contexts, mf scores and true clip
@@ -294,23 +293,20 @@ def compute_metrics(records: Sequence[RoundRecord]) -> MetricsSummary:
     )
 
 
-def make_round(scaled: RoundContexts, member_id: str, purchase_shares: Mapping[str, float],
+def make_round(scaled: RoundContexts, member_id: str, shares: np.ndarray | None,
                mf_scores: Sequence[float], true_p: Sequence[float] | None = None) -> OfferRound:
     """The round as its policy sees it, from its normalized contexts.
 
-    Each offer's row weights are renormalize_shares of the member's
-    purchase shares over its categories, and its offer vector is the
+    Each offer's row weights are renormalize_shares of its rows' purchase
+    shares (uniform when shares is None), and its offer vector is the
     share-weighted sum of its rows; both are worked out for all offers at
     once, with reduceat over each offer's rows.
     """
     sizes = np.asarray(scaled.sizes)
-    uniform = (1.0 / sizes).repeat(sizes)
-    if purchase_shares:
-        raw = np.maximum([purchase_shares.get(c, 0.0) for c in scaled.categories], 0.0)
-        total = np.add.reduceat(raw, scaled.starts).repeat(sizes)
-        weights = np.where(total > 0, raw / np.where(total > 0, total, 1.0), uniform)
-    else:
-        weights = uniform
+    weights = (1.0 / sizes).repeat(sizes)
+    if shares is not None:
+        total = np.add.reduceat(shares, scaled.starts).repeat(sizes)
+        weights = np.where(total > 0, shares / np.where(total > 0, total, 1.0), weights)
     pooled = np.add.reduceat(weights[:, None] * scaled.X, scaled.starts, axis=0)
     return OfferRound(
         scaled, member_id, weights, pooled, np.asarray(mf_scores, dtype=float),
@@ -340,7 +336,7 @@ def run_synthetic(
     update_ordinal = 0
     for t in range(1, rounds + 1):
         member, raw, mf_scores, true_p = world.generate_round(t, rng)
-        offers = make_round(scale_round(raw, scaler), member, {}, mf_scores, true_p)
+        offers = make_round(scale_round(raw, scaler), member, None, mf_scores, true_p)
         ranking = policy.select(offers, rng, t)
         chosen = offers.candidate(raw.offer_ids.index(ranking.top))
         y = 1 if rng.random() < chosen.true_p else 0
@@ -428,13 +424,11 @@ def run_replay(
     # featurized and scaled before the first is played.
     batch = featurize_rounds(rounds, stats, profile, dataset.mf_table, cold_start_mpg)
     del rounds
-    # mf_score, the last raw feature, is the same on each of an offer's rows.
-    mf_scores = batch.contexts.X[batch.contexts.starts, -1]
     scale_rounds(batch, RunningScaler())
-    bounds = batch.offer_bounds.tolist()
+    ob, rb = batch.offer_bounds.tolist(), batch.row_bounds.tolist()
     for t, (imp, contexts) in enumerate(zip(impressions, batch.rounds()), start=1):
         member = imp.member_id
-        offers = make_round(contexts, member, stats.purchase_share(member), mf_scores[bounds[t - 1]:bounds[t]])
+        offers = make_round(contexts, member, batch.shares[rb[t - 1]:rb[t]], batch.mf_scores[ob[t - 1]:ob[t]])
         ranking = policy.select(offers, rng, t)
         top = ranking.top
         matched = top in imp.offers_shown

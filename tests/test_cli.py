@@ -390,6 +390,55 @@ class TestNonFiniteConfig:
                         RunConfig.from_dict({section.name: {f.name: bad}})
 
 
+class TestHugeInputs:
+    """Numbers past the input bound, which the scaler's sums would take
+    past the float64 range, are malformed rows whose reason names the
+    field; backfit and replay finish without a RuntimeWarning, which
+    the suite turns into an error."""
+
+    def huge_data(self, demo_data, tmp_path, name, field):
+        """The demo inputs plus an mf score file, with the field past the
+        bound on every mf row, or on the first offer; and the number of
+        rows changed."""
+        paths = {k: Path(v) for k, v in demo_data.items()}
+        transactions = paths["transactions"].read_text(encoding="utf-8").splitlines()[1:]
+        offers = [json.loads(line) for line in paths["offers"].read_text(encoding="utf-8").splitlines()]
+        members = sorted({line.split(",")[0] for line in transactions})
+        paths["mf_scores"] = tmp_path / "mf_scores.csv"
+        score = "1e308" if field == "score" else "0.5"
+        paths["mf_scores"].write_text(
+            "member_id,offer_id,score\n" + "".join(f"{m},{o['offer_id']},{score}\n" for m in members for o in offers),
+            encoding="utf-8",
+        )
+        if name == "offers":
+            offers[0][field] = 10**308 if field == "num_items" else 1e308
+            paths["offers"] = tmp_path / "offers.jsonl"
+            paths["offers"].write_text("".join(json.dumps(o) + "\n" for o in offers), encoding="utf-8")
+        return paths, len(members) * len(offers) if name == "mf_scores" else 1
+
+    @pytest.mark.parametrize("name, field", [("mf_scores", "score"), ("offers", "discount_value"), ("offers", "num_items")])
+    def test_rows_are_tallied_naming_the_field(self, demo_data, tmp_path, name, field):
+        paths, changed = self.huge_data(demo_data, tmp_path, name, field)
+        cfg = write_config(tmp_path / "cfg.json", data=data_section(paths, mf_scores=str(paths["mf_scores"])))
+        for command in ("ingest", "backfit", "replay"):
+            out = tmp_path / command
+            assert main([command, "--config", cfg, "--out", str(out)]) == 0, command
+            tallies = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["skip_tallies"]
+            assert tallies[f"ingest_{name}"] == changed, command
+        report = (tmp_path / "ingest" / f"validation_{name}.jsonl").read_text(encoding="utf-8").splitlines()
+        assert len(report) == changed
+        assert all(field in json.loads(line)["reason"] for line in report)
+
+    def test_mf_default_score_past_the_bound_exits_2_naming_the_key(self, demo_data, tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path / "cfg.json", data=data_section(demo_data, mf_default_score=1e308))
+        assert main(["replay", "--config", cfg, "--out", str(out)]) == 2
+        error = stderr_error(capsys)
+        assert error["error"] == "config"
+        assert "data.mf_default_score=" in error["message"]
+        assert not out.exists()
+
+
 class TestConfigValueTypes:
     @pytest.mark.parametrize("section, key, value", [
         ("learner", "learning_rate", "0.1"),

@@ -1,3 +1,4 @@
+from collections import Counter
 from datetime import date, timedelta
 
 import numpy as np
@@ -31,6 +32,7 @@ from offerbandit.features import (
     scale_rounds,
     week_of_year,
 )
+from offerbandit.harness import make_round
 
 DAY = date(2024, 6, 1)
 
@@ -270,6 +272,51 @@ class TestFeaturize:
         assert {0.45, -1.25, 0.1} <= set(X[:, 8].tolist())  # mf hits and misses
         assert 0.7 in X[:, 1] and (X[:, 1] != 0.7).any()  # cold and warm rows
 
+    def test_share_and_mf_columns_equal_counts_from_the_log(self):
+        rows = generate_transactions(n_members=5, n_categories=4, events_per_member=20, seed=8)
+        d0 = rows[0][3]
+        # m_few bought c00 three times and c01 once, and nothing else.
+        rows += [("m_few", "c00", "b01", d0)] * 3 + [("m_few", "c01", "b02", d0 + timedelta(days=3))]
+        day0 = date(2024, 6, 1)
+        offers = generate_offers(n_offers=30, n_categories=4, seed=9) + [
+            Offer("unbought", frozenset({"c04", "c05"}), frozenset(), 1.0, day0, day0 + timedelta(days=90), 1),
+            Offer("half", frozenset({"c01", "c05"}), frozenset(), 1.0, day0, day0 + timedelta(days=90), 1),
+            Offer("few_miss", frozenset({"c02", "c03"}), frozenset(), 1.0, day0, day0 + timedelta(days=90), 1),
+        ]
+        mf = MFScoreTable({("m_few", "half"): 0.5, ("m001", offers[0].offer_id): -2.0}, default_score=0.25)
+        rounds = [
+            (member, day, [o for o in offers if o.active_on(day)])
+            for member in ("m000", "m001", "m_few", "absent")
+            for day in (day0 + timedelta(days=k) for k in (0, 20, 60))
+        ]
+        for log_rows in (rows, []):
+            pair_counts = Counter((m, c) for m, c, *_ in log_rows)
+            member_counts = Counter(m for m, *_ in log_rows)
+            log = transaction_log(log_rows)
+            batch = featurize_rounds(rounds, MemberStatsIndex(log), build_seasonality_profile(log), mf)
+            expected = [
+                pair_counts[member, c] / member_counts[member] if pair_counts[member, c] else 0.0
+                for (member, _, _), raw in zip(rounds, batch.rounds())
+                for c in raw.categories
+            ]
+            assert len(expected) == len(batch.contexts.X) > 100
+            assert batch.shares.tobytes() == np.array(expected).tobytes()
+            assert batch.mf_scores.tolist() == [mf.score(m, o.offer_id) for m, _, active in rounds for o in active]
+            # An offer none of whose categories the member bought, every
+            # offer of an absent member and every offer over an empty log
+            # weigh their rows uniformly.
+            uniform = set()
+            for (member, _, _), raw, shares in zip(
+                rounds, batch.rounds(), np.split(batch.shares, batch.row_bounds[1:-1])
+            ):
+                offer = make_round(raw, member, shares, np.zeros(len(raw.offer_ids)))
+                for oid, start, n in zip(raw.offer_ids, raw.starts.tolist(), raw.sizes):
+                    if not shares[start:start + n].any():
+                        assert offer.weights[start:start + n].tolist() == [1.0 / n] * n
+                        uniform.add((member, oid))
+            assert {("m_few", "few_miss"), ("absent", "half")} <= uniform
+            assert (("m_few", "half") in uniform) == (not log_rows)
+
     def test_one_round_alone_equals_its_rows_in_a_batch(self):
         transactions = transaction_log(generate_transactions(n_members=4, n_categories=3, events_per_member=15, seed=2))
         offers = generate_offers(n_offers=20, n_categories=3, seed=3)
@@ -313,7 +360,8 @@ class TestFeaturize:
             rows[:, 0] = 1.0
             rounds.append(RoundContexts([f"o{i}" for i in range(n)], ["c"] * n, [1] * n, rows))
         bounds = np.cumsum([0] + [len(r.X) for r in rounds])
-        batch = RoundBatch(RoundContexts([], [], [], np.concatenate([r.X for r in rounds])), bounds, bounds)
+        unused = np.zeros(bounds[-1])  # the share and mf columns, which scale_rounds does not read
+        batch = RoundBatch(RoundContexts([], [], [], np.concatenate([r.X for r in rounds])), bounds, bounds, unused, unused)
         one, many = RunningScaler(), RunningScaler()
         scale_rounds(batch, many)
         for raw, got in zip(rounds, batch.rounds()):
@@ -337,7 +385,8 @@ class TestFeaturize:
             rows[:, 7] = -0.0
             rounds.append(RoundContexts([f"o{i}" for i in range(n)], ["c"] * n, [1] * n, rows))
         bounds = np.cumsum([0] + [len(r.X) for r in rounds])
-        batch = RoundBatch(RoundContexts([], [], [], np.concatenate([r.X for r in rounds])), bounds, bounds)
+        unused = np.zeros(bounds[-1])  # the share and mf columns, which scale_rounds does not read
+        batch = RoundBatch(RoundContexts([], [], [], np.concatenate([r.X for r in rounds])), bounds, bounds, unused, unused)
         warmup = rng.normal(size=(warm, N_FEATURES))
         one, many = RunningScaler(), RunningScaler()
         one.update(warmup)
@@ -487,13 +536,6 @@ class TestMemberStatsIndex:
         assert compute_brand_loyalty("bA", s) == pytest.approx(2 / 3)
         assert compute_brand_loyalty("bB", s) == pytest.approx(1 / 3)
 
-    def test_purchase_shares_sum_to_one(self):
-        rows = self.base_rows() + [self.tx("m1", "catB", "bC", date(2024, 2, 1))]
-        index = MemberStatsIndex(transaction_log(rows))
-        shares = index.purchase_share("m1")
-        assert shares == pytest.approx({"catA": 0.75, "catB": 0.25})
-        assert index.purchase_share("nobody") == {}
-
     def test_empty_log(self):
         log = transaction_log([])
         assert len(log) == 0 and log.members == log.categories == log.brands == []
@@ -501,7 +543,6 @@ class TestMemberStatsIndex:
         assert index.cycle_length("m1", "catA") == 12.0
         s = index.stats("m1", "catA", date(2024, 1, 1))
         assert s.last_purchase_date is None and s.brand_counts == {} and s.cycle_length == 12.0
-        assert index.purchase_share("m1") == {}
         assert build_seasonality_profile(log).score("catA", date(2024, 1, 1)) == 0.0
 
     def test_nonpositive_default_cycle_rejected(self):

@@ -190,7 +190,7 @@ class TestTracerTargets:
 
     def test_len_of_a_round_is_its_offer_count(self):
         contexts = {"o1": {"c0": np.ones(9), "c1": np.ones(9)}, "o2": {"c2": np.ones(9)}, "o3": {"c0": np.ones(9)}}
-        offers = make_round(RoundContexts.stack(contexts), "m0", {}, [0.0, 0.0, 0.0])
+        offers = make_round(RoundContexts.stack(contexts), "m0", None, [0.0, 0.0, 0.0])
         assert len(offers) == 3
 
 
@@ -272,7 +272,8 @@ class TestMakeRound:
         purchase = {"c0": 0.5, "c1": 0.2, "c2": 0.3}
         scaled = RoundContexts.stack(contexts)
         mf_scores, true_ps = [0.1, 0.2, 0.3, 0.4], [0.5, 0.6, 0.7, 0.8]
-        offers = make_round(scaled, "m1", purchase, mf_scores, true_ps)
+        row_shares = np.array([purchase.get(c, 0.0) for c in scaled.categories])
+        offers = make_round(scaled, "m1", row_shares, mf_scores, true_ps)
         candidates = [offers.candidate(k) for k in range(len(offers))]
         assert [c.offer_id for c in candidates] == ["o1", "o2", "o3", "o4"]
         for k, cand in enumerate(candidates):

@@ -126,8 +126,9 @@ class RunConfig:
         if not abs(self.data.mf_default_score) <= MAX_INPUT_MAGNITUDE:
             raise ConfigError(f"bad config value data.mf_default_score={self.data.mf_default_score}; "
                               f"magnitude must be at most {MAX_INPUT_MAGNITUDE:g}")
-        if self.features.cold_start_mpg < 0:
-            raise ConfigError(f"bad config value features.cold_start_mpg={self.features.cold_start_mpg}")
+        if not 0 <= self.features.cold_start_mpg <= MAX_INPUT_MAGNITUDE:
+            raise ConfigError(f"bad config value features.cold_start_mpg={self.features.cold_start_mpg}; "
+                              f"must be from 0 to {MAX_INPUT_MAGNITUDE:g}")
         if self.features.default_cycle_days <= 0:
             raise ConfigError(f"bad config value features.default_cycle_days={self.features.default_cycle_days}")
         # The module configs checked their ranges when they were built; the

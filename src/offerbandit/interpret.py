@@ -14,7 +14,6 @@ import json
 import os
 from dataclasses import asdict, dataclass
 from http.client import HTTPException
-from itertools import chain
 from pathlib import Path
 from typing import Sequence
 from urllib.request import Request, urlopen
@@ -22,7 +21,7 @@ from urllib.request import Request, urlopen
 import numpy as np
 
 from .bandit import finite_weights, json_count
-from .data import read_versioned_jsonl, write_jsonl
+from .data import read_versioned_jsonl
 from .errors import ConfigError
 from .features import FEATURE_NAMES, FEATURE_ORDER_VERSION, N_FEATURES
 
@@ -76,13 +75,24 @@ class TrajectoryStore:
         return sorted(c for (m, c) in self._series if m == member_id)
 
     def save(self, path: str | Path) -> None:
-        """JSONL: a feature-order header line, then snapshots in t order."""
+        """JSONL: a feature-order header line, then snapshots in t order.
+        Weights are written by float.__repr__, so a non-finite one (which
+        sgd_update never leaves) would read back as invalid JSON."""
         header = {"feature_names": list(FEATURE_NAMES), "feature_order_version": FEATURE_ORDER_VERSION}
         rows = sorted(
             (s for series in self._series.values() for s in series),
             key=lambda s: (s.t, s.member_id, s.category_id),
         )
-        write_jsonl(path, chain([header], map(vars, rows)))
+        # Each line equals json.dumps of the snapshot's fields with
+        # sort_keys=True, which writes finite floats with float.__repr__.
+        lines = (
+            f'{{"category_id": {json.dumps(s.category_id)}, "member_id": {json.dumps(s.member_id)}, '
+            f'"t": {s.t}, "update_count": {s.update_count}, "weights": [{", ".join(map(float.__repr__, s.weights))}]}}\n'
+            for s in rows
+        )
+        with Path(path).open("w", encoding="utf-8") as fh:
+            fh.write(json.dumps(header, sort_keys=True) + "\n")
+            fh.writelines(lines)
 
     @classmethod
     def load(cls, path: str | Path) -> "TrajectoryStore":

@@ -8,13 +8,15 @@ feature and the offer-level bias.
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .data import MF_SCORE_FIELDS, Offer, TransactionLog, write_csv
+from .data import MF_SCORE_FIELDS, Offer, TransactionLog
 from .errors import ConfigError
 
 
@@ -91,9 +93,36 @@ def member_offer_scores(
 
 def write_mf_scores(path: str | Path, scores: np.ndarray, members: Sequence[str], offer_ids: Sequence[str]) -> None:
     """Write the members x offers scores, flattened row-major, one row per
-    (member, offer) pair."""
-    rows = scores.reshape(len(members), len(offer_ids))
-    write_csv(path, MF_SCORE_FIELDS, (
-        (member, offer_id, score)
-        for member, row in zip(members, rows) for offer_id, score in zip(offer_ids, row.tolist())
-    ))
+    (member, offer) pair, with the bytes csv.writer writes for them.
+
+    A member's scores hold one mean per distinct category set, so each
+    distinct value is formatted once, by float.__repr__ as csv.writer
+    does, and the rows are filled in from those strings. Each id is
+    quoted once, by csv.writer."""
+    # Distinct by bit pattern: np.unique on floats merges -0.0 with 0.0,
+    # whose reprs differ.
+    bits, inverse = np.unique(np.asarray(scores, dtype=float).view(np.int64), return_inverse=True)
+    texts = np.array(list(map(float.__repr__, bits.view(float).tolist())), dtype=object)
+    rows = texts[inverse.reshape(len(members), len(offer_ids))].tolist()
+    # A member's lines are one %-template: its id before each offer's
+    # "offer,%s\r\n", so ids have their "%" doubled.
+    parts = [""] + [field.replace("%", "%%") + ",%s\r\n" for field in _csv_fields(offer_ids)]
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(MF_SCORE_FIELDS)
+        if offer_ids:
+            for member, row in zip(_csv_fields(members), rows):
+                fh.write((member.replace("%", "%%") + ",").join(parts) % tuple(row))
+
+
+def _csv_fields(values: Sequence[str]) -> list[str]:
+    """Each value as csv.writer writes it as one field of a row of several
+    (a row of one empty field is written quoted)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    fields = []
+    for value in values:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((value, ""))
+        fields.append(buf.getvalue()[:-3])  # the empty field's "," and "\r\n"
+    return fields

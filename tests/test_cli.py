@@ -429,13 +429,22 @@ class TestHugeInputs:
         assert len(report) == changed
         assert all(field in json.loads(line)["reason"] for line in report)
 
-    def test_mf_default_score_past_the_bound_exits_2_naming_the_key(self, demo_data, tmp_path, capsys):
+    @pytest.mark.parametrize("section, key, value", [
+        ("data", "mf_default_score", 1e308),
+        ("features", "cold_start_mpg", 1e300),
+    ])
+    def test_a_value_past_the_input_bound_exits_2_naming_the_key(self, demo_data, tmp_path, capsys,
+                                                                  section, key, value):
+        # Past the bound on numbers in the input files, the scaler's sums
+        # of squares could leave the float range.
+        sections = {"data": data_section(demo_data)}
+        sections.setdefault(section, {})[key] = value
         out = tmp_path / "run"
-        cfg = write_config(tmp_path / "cfg.json", data=data_section(demo_data, mf_default_score=1e308))
+        cfg = write_config(tmp_path / "cfg.json", **sections)
         assert main(["replay", "--config", cfg, "--out", str(out)]) == 2
         error = stderr_error(capsys)
         assert error["error"] == "config"
-        assert "data.mf_default_score=" in error["message"]
+        assert f"{section}.{key}=" in error["message"]
         assert not out.exists()
 
 
@@ -478,6 +487,7 @@ class TestConfigValueTypes:
 class TestConfigRanges:
     @pytest.mark.parametrize("section, key, value", [
         ("features", "cold_start_mpg", -1.0),
+        ("features", "cold_start_mpg", 1e300),
         ("features", "default_cycle_days", 0),
         ("features", "smoothing_window", 2),
         ("learner", "learning_rate", 0),

@@ -102,6 +102,20 @@ class TestTrajectoryStore:
         assert header["feature_order_version"] == FEATURE_ORDER_VERSION
         assert len(lines) == 2
 
+    def test_save_writes_each_snapshot_as_json_dumps_with_sorted_keys(self, tmp_path):
+        store = TrajectoryStore()
+        store.record("m0", "c", np.arange(9.0), 1, 1)
+        store.record("m0", "b", np.ones(9), 7, 2)
+        weights = [0.1, -0.0, 5e-324, 1e16, 1e-5, 1.7976931348623157e308, -2.5, 1 / 3, 0.0]
+        store.record('m "1"', "c\u00e9\n", np.array(weights), 3, 2)
+        path = tmp_path / "traj.jsonl"
+        store.save(path)
+        # Rows in (t, member_id, category_id) order.
+        rows = [store.series("m0", "c")[0], store.series('m "1"', "c\u00e9\n")[0], store.series("m0", "b")[0]]
+        header = {"feature_names": list(FEATURE_NAMES), "feature_order_version": FEATURE_ORDER_VERSION}
+        expected = "".join(json.dumps(obj, sort_keys=True) + "\n" for obj in [header, *map(vars, rows)])
+        assert path.read_bytes() == expected.encode("utf-8")
+
     def test_load_rejects_other_feature_order_versions(self, tmp_path):
         store = TrajectoryStore()
         store.record("m", "c", np.zeros(9), 1, 1)

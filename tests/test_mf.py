@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -10,7 +11,9 @@ import pytest
 
 import offerbandit
 from conftest import transaction_log
-from offerbandit.data import Offer, ingest_mf_scores, ingest_offers, ingest_transactions
+from offerbandit.cli import main
+from offerbandit.config import RunConfig
+from offerbandit.data import MF_SCORE_FIELDS, Offer, ingest_mf_scores, ingest_offers, ingest_transactions
 from offerbandit.datagen import generate_dataset
 from offerbandit.errors import ConfigError
 from offerbandit.mf import (
@@ -30,6 +33,17 @@ def tx(member, category, day=date(2024, 3, 1)):
 def offer(offer_id, categories):
     return Offer(offer_id, frozenset(categories), frozenset({"b1"}), 1.0,
                  date(2024, 1, 1), date(2024, 12, 31), 1)
+
+
+def csv_writer_bytes(path, scores, members, offer_ids):
+    """The file that csv.writer writes for the scores' (member, offer,
+    float) rows, in members x offers row-major order."""
+    rows = np.asarray(scores, dtype=float).reshape(len(members), len(offer_ids)).tolist()
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(MF_SCORE_FIELDS)
+        writer.writerows((m, o, score) for m, row in zip(members, rows) for o, score in zip(offer_ids, row))
+    return Path(path).read_bytes()
 
 
 class TestCountMatrix:
@@ -158,6 +172,40 @@ class TestOfferScores:
         assert table.score("m1", "oMissing") == 0.0
 
 
+class TestWriteScores:
+    MEMBERS = ["m,1", 'say "hi"', "two\nlines", " lead", "m%s", "plain"]
+    OFFERS = ["o,1", 'o"2', "o\r\n3", " o4", "o%d%%"]
+    VALUES = [0.0, -0.0, 5e-324, 1e16, 1e-5, 1.7976931348623157e308, 1 / 3, -2.5]
+
+    def grid(self):
+        # Row i holds values i, i+1, i, i+2, i+1: repeats within a row and
+        # across rows, with 0.0 and -0.0 in the same file.
+        cols = np.array([0, 1, 0, 2, 1])
+        return np.array(self.VALUES)[(np.arange(len(self.MEMBERS))[:, None] + cols) % len(self.VALUES)]
+
+    @pytest.mark.parametrize("layout", [
+        lambda grid: grid.ravel(),
+        lambda grid: np.ascontiguousarray(grid.T).T.ravel(),
+        lambda grid: np.repeat(grid.ravel(), 2)[::2],
+    ], ids=["contiguous", "transposed", "strided"])
+    def test_bytes_equal_csv_writer(self, tmp_path, layout):
+        scores = layout(self.grid())
+        np.testing.assert_array_equal(scores, self.grid().ravel())
+        write_mf_scores(tmp_path / "mf.csv", scores, self.MEMBERS, self.OFFERS)
+        expected = csv_writer_bytes(tmp_path / "oracle.csv", scores, self.MEMBERS, self.OFFERS)
+        assert (tmp_path / "mf.csv").read_bytes() == expected
+        assert b",-0.0\r\n" in expected and b",0.0\r\n" in expected
+
+    @pytest.mark.parametrize("members", [["m1", "m2"], []])
+    def test_zero_offers_write_the_header_only(self, tmp_path, members):
+        write_mf_scores(tmp_path / "mf.csv", np.zeros(0), members, [])
+        assert (tmp_path / "mf.csv").read_bytes() == b"member_id,offer_id,score\r\n"
+
+    def test_scores_of_another_size_are_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_mf_scores(tmp_path / "mf.csv", np.zeros(5), ["m1", "m2"], ["o1", "o2"])
+
+
 class TestEndToEnd:
     def test_transactions_to_scores_pipeline(self):
         rng = np.random.default_rng(11)
@@ -195,3 +243,15 @@ class TestEndToEnd:
             )
             outputs.append((out / "mf_scores.csv").read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_mf_command_writes_what_csv_writer_writes(self, tmp_path):
+        paths = generate_dataset(tmp_path / "data", seed=3, n_members=30, n_offers=50)
+        config = tmp_path / "mf.json"
+        config.write_text(json.dumps({"data": {k: str(v) for k, v in paths.items()}, "run": {"seed": 2}}),
+                          encoding="utf-8")
+        assert main(["mf", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        counts, members, categories = build_count_matrix(ingest_transactions(paths["transactions"]).records)
+        U, V = als_factorize(counts, RunConfig.load(config).als_config())
+        offer_ids, scores = member_offer_scores(U, V, categories, ingest_offers(paths["offers"]).records)
+        expected = csv_writer_bytes(tmp_path / "oracle.csv", scores, members, offer_ids)
+        assert (tmp_path / "out" / "mf_scores.csv").read_bytes() == expected

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -412,9 +413,10 @@ def save_checkpoint(path: str | Path, store: ModelStore, cfg: LearnerConfig) -> 
     keys = sorted(store._rows)
     rows = [store._rows[key] for key in keys]
     # Each line equals json.dumps of the row's dict with sort_keys=True,
-    # which writes floats with float.__repr__.
+    # which writes floats with float.__repr__; each distinct id is encoded once.
+    quoted = {i: json.dumps(i) for i in set(chain.from_iterable(keys))}
     lines = (
-        f'{{"category_id": {json.dumps(category)}, "member_id": {json.dumps(member)}, '
+        f'{{"category_id": {quoted[category]}, "member_id": {quoted[member]}, '
         f'"update_count": {count}, "weights": [{", ".join(map(float.__repr__, weights))}]}}\n'
         for (member, category), weights, count in zip(
             keys, store._W[rows].tolist(), store._counts[rows].tolist()

@@ -197,18 +197,6 @@ class RoundContexts:
     sizes: list[int]
     X: np.ndarray
 
-    @classmethod
-    def stack(cls, contexts: Mapping[str, Mapping[str, np.ndarray]]) -> RoundContexts:
-        """From {offer_id: {category_id: vector}}."""
-        cats = [sorted(vectors) for vectors in contexts.values()]
-        rows = [vectors[c] for vectors, cs in zip(contexts.values(), cats) for c in cs]
-        return cls(
-            list(contexts),
-            [c for cs in cats for c in cs],
-            [len(cs) for cs in cats],
-            np.array(rows, dtype=float).reshape(-1, N_FEATURES),
-        )
-
     @cached_property
     def starts(self) -> np.ndarray:
         """Each offer's first row, in offer order: the np.add.reduceat
@@ -220,18 +208,23 @@ class RoundContexts:
 class RoundBatch:
     """Consecutive rounds' contexts stacked in one RoundContexts.
 
-    Round i holds the offers offer_bounds[i]:offer_bounds[i + 1] and the
-    rows row_bounds[i]:row_bounds[i + 1]; both bounds start at 0.
-    shares[r] is row r's pair's purchase count over its member's, 0 where
-    the member never bought the category; mf_scores[k] is offer slot k's
-    raw mf score.
+    Round i is members[i]'s and holds the offers
+    offer_bounds[i]:offer_bounds[i + 1] and the rows
+    row_bounds[i]:row_bounds[i + 1]; both bounds start at 0. shares[r] is
+    row r's pair's purchase count over its member's, 0 where the member
+    never bought the category (None: uniform shares); mf_scores[k] is
+    offer slot k's raw mf score. Simulated rounds also carry each slot's
+    true clip probability and one reward uniform per round.
     """
 
     contexts: RoundContexts
     offer_bounds: np.ndarray
     row_bounds: np.ndarray
-    shares: np.ndarray
+    members: list[str]
+    shares: np.ndarray | None
     mf_scores: np.ndarray
+    true_p: np.ndarray | None = None
+    reward_draws: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.offer_bounds) - 1
@@ -328,7 +321,7 @@ def featurize_rounds(
         sizes.tolist(),
         X,
     )
-    return RoundBatch(contexts, offer_bounds, row_ends[offer_bounds], shares, mf_scores)
+    return RoundBatch(contexts, offer_bounds, row_ends[offer_bounds], members, shares, mf_scores)
 
 
 def _starts(counts: np.ndarray) -> np.ndarray:
@@ -342,25 +335,14 @@ def _expand(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(int(counts.sum())) - np.repeat(_starts(counts) - starts, counts)
 
 
-def scale_round(raw: RoundContexts, scaler: RunningScaler) -> RoundContexts:
-    """Normalize one round's raw contexts through the shared online scaler.
-
-    The scaler first takes the whole round as one batch, then transforms
-    it, so the round is scaled by moments that include it. Floating-point
-    sums depend on their order, so the row order is part of the
-    byte-identical output contract: offers as given (replay: sorted offer
-    id; simulation: generation order; backfit: the impression's
-    offers_shown order), and within each offer its sorted categories.
-    The contract holds for the batched path too: scale_rounds folds the
-    rounds in one at a time, in order, and gives each row these bytes.
-    """
-    scaler.update(raw.X)
-    return RoundContexts(raw.offer_ids, raw.categories, raw.sizes, scaler.transform(raw.X))
-
-
 def scale_rounds(batch: RoundBatch, scaler: RunningScaler) -> None:
-    """scale_round of each round in turn, made in place on the batch's
-    rows with one transform for all of them.
+    """Normalize every round's rows in place through the shared online
+    scaler: each round gets the bytes of RunningScaler.update with the
+    whole round, rounds in order, then transform. Floating-point sums
+    depend on their order, so the row order is part of the byte-identical
+    output contract: offers as given (replay: sorted offer id; simulation:
+    generation order; backfit: the impression's offers_shown order), and
+    within each offer its sorted categories.
 
     Every round's row mean and squared-deviation sum are taken in one
     pass over the rows, rounds of one size together, each sum in the
@@ -536,10 +518,6 @@ class MemberStatsIndex:
         pos = np.minimum(np.searchsorted(self._pair_keys, keys), len(self._pair_keys) - 1)
         return np.where((members >= 0) & (categories >= 0) & (self._pair_keys[pos] == keys), pos, -1)
 
-    def _pair(self, member_id: str, category_id: str) -> int:
-        codes = (self._member_code.get(member_id, -1), self._category_code.get(category_id, -1))
-        return int(self._pairs(*(np.array([c], dtype=np.int64) for c in codes))[0])
-
     def _mpg(self, pairs: np.ndarray, days: np.ndarray, cold_start_mpg: float) -> np.ndarray:
         """compute_mpg of each (pair, day ordinal): days since the pair's
         last purchase on or before the day over its cycle, cold_start_mpg
@@ -566,25 +544,6 @@ class MemberStatsIndex:
         counts = np.where((brands >= 0) & (self._brand_keys[pos] == keys), self._brand_counts[pos], 0)
         loyalty[rows] = np.maximum.reduceat(counts, _starts(n_brands[rows])) / self._pair_totals[pairs[rows]]
         return loyalty
-
-    def cycle_length(self, member_id: str, category_id: str) -> float:
-        p = self._pair(member_id, category_id)
-        if p >= 0:
-            return float(self._cycle[p])
-        c = self._category_code.get(category_id)
-        return self.default_cycle_days if c is None else float(self._category_cycle[c])
-
-    def stats(self, member_id: str, category_id: str, as_of: date) -> MemberCategoryStats:
-        """Stats visible on as_of: the most recent purchase on or before that day."""
-        p = self._pair(member_id, category_id)
-        if p < 0:
-            return MemberCategoryStats(None, self.cycle_length(member_id, category_id), {})
-        pos = int(np.searchsorted(self._day_keys, p * _DAY_SPAN + as_of.toordinal(), side="right"))
-        last = date.fromordinal(int(self._day_keys[pos - 1] % _DAY_SPAN)) if pos > self._day_starts[p] else None
-        n = len(self._brands)
-        lo, hi = np.searchsorted(self._brand_keys, [p * n, (p + 1) * n])
-        counts = zip(self._brand_keys[lo:hi].tolist(), self._brand_counts[lo:hi].tolist())
-        return MemberCategoryStats(last, float(self._cycle[p]), {self._brands[k % n]: c for k, c in counts})
 
 
 def _group_medians(groups: np.ndarray, values: np.ndarray, n_groups: int) -> tuple[np.ndarray, np.ndarray]:

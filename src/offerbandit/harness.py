@@ -1,14 +1,13 @@
 """Evaluation harness: simulated rounds, offline replay and metrics.
 
-Both entry points drive the same round loop: build candidate contexts,
-let the policy rank them, observe a reward for the top choice, update the
-policy, log the round. run_synthetic scores against a world with known
-ground truth, so regret and optimal-action rate are exact; run_replay
-scores against logged impressions with a top-1 rejection-match estimator,
-whose metrics are biased and labeled as such.
+Both entry points scale their rounds as batches, then drive the same
+round loop: build the round's offers, let the policy rank them, observe
+a reward, update the policy, log the round. run_synthetic scores against
+a world with known ground truth, so regret and optimal-action rate are
+exact; run_replay scores against logged impressions with a top-1
+rejection-match estimator, whose metrics are biased and labeled as such.
 
-A single seeded RNG owned by the loop drives everything random; outputs
-are byte-identical across reruns with the same config and seed.
+Outputs are byte-identical across reruns with the same config and seed.
 """
 
 from __future__ import annotations
@@ -16,9 +15,9 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, count, islice, repeat
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -31,11 +30,11 @@ from .features import (
     FEATURE_ORDER_VERSION,
     MemberStatsIndex,
     N_FEATURES,
+    RoundBatch,
     RoundContexts,
     RunningScaler,
     build_seasonality_profile,
     featurize_rounds,
-    scale_round,
     scale_rounds,
 )
 from .interpret import TrajectoryStore
@@ -55,6 +54,8 @@ SYNTHETIC_FEATURE_STD = np.array(
 # Ranges of the uniform offer features recency, duration and value.
 _OFFER_LOW = np.array([0.0, 3.0, 0.5])
 _OFFER_SPAN = np.array([1.0, 27.0, 9.5])
+# Rounds run_synthetic draws and scales at a time.
+CHUNK_ROUNDS = 1024
 
 
 @dataclass
@@ -90,8 +91,8 @@ class SyntheticWorld:
     one to max_categories_per_offer categories with freshly drawn features.
     An offer's true clip probability aggregates its per-category logistic
     probabilities exactly the way the learner does (uniform shares, same
-    mf coefficient), computed on standardized features. Each round's
-    features are drawn as arrays, one generator call per feature.
+    mf coefficient), computed on standardized features. Rounds are drawn
+    in batches, one generator call per feature for the whole batch.
     """
 
     def __init__(self, config: SyntheticWorldConfig):
@@ -123,7 +124,7 @@ class SyntheticWorld:
     def true_probability(self, category_raw: Mapping[str, np.ndarray], mf_score: float) -> float:
         """One offer's clip probability from its raw category rows (bias
         entry 1). Worlds that override this per-offer hook have it called
-        for every offer; the base world scores whole rounds at once with
+        for every offer; the base world scores whole batches at once with
         the same arithmetic."""
         cats = sorted(category_raw)
         raw = RoundContexts([""], cats, [len(cats)], np.array([category_raw[c] for c in cats]))
@@ -138,13 +139,14 @@ class SyntheticWorld:
         sizes = np.asarray(raw.sizes)
         return offer_probabilities(p, (1.0 / sizes).repeat(sizes), raw.starts, mf_scores, self.config.mf_bias_coeff)
 
-    def generate_round(self, t: int, rng: np.random.Generator) -> tuple[str, RoundContexts, np.ndarray, np.ndarray]:
-        """The round's member, raw contexts, mf scores and true clip
-        probabilities, offers in generation order. Each feature is drawn
-        for all of the round's offers or rows at once."""
+    def draw_rounds(self, n_rounds: int, rng: np.random.Generator) -> RoundBatch:
+        """n_rounds rounds as one batch of raw rows: each round's member,
+        offers in generation order, mf scores, true clip probabilities and
+        reward uniform. Each feature is drawn for all of the batch's
+        offers or rows with one generator call."""
         cfg = self.config
-        n = cfg.offers_per_round
-        member = f"m{int(rng.integers(cfg.n_members))}"
+        n = n_rounds * cfg.offers_per_round
+        members = [f"m{i}" for i in rng.integers(cfg.n_members, size=n_rounds).tolist()]
         # One uniform row per offer: a sort key per category, then the
         # category count, num_items, recency, duration and value.
         u = rng.random((n, cfg.n_categories + 5))
@@ -152,7 +154,7 @@ class SyntheticWorld:
         sizes, num_items = (1 + counts * self._count_range).astype(np.intp).T  # floor(k * u) + 1
         # Offer k takes the sizes[k] categories with the smallest keys, a
         # uniform random subset as choice(replace=False) would draw; its
-        # rows follow in category-name order, the order scale_round feeds
+        # rows follow in category-name order, the order scale_rounds feeds
         # the scaler.
         rank = keys.argsort(axis=1).argsort(axis=1)
         offer_of, col = np.nonzero(rank[:, self._by_name] < sizes[:, None])
@@ -169,16 +171,24 @@ class SyntheticWorld:
         X[:, 2] = rng.beta(2.0, 2.0, m)  # brand loyalty
         X[:, 3] = rng.random(m)  # seasonality
         X[:, 4:] = offer[offer_of]
-        raw = RoundContexts(self._offer_ids, categories, sizes.tolist(), X)
+        raw = RoundContexts(self._offer_ids * n_rounds, categories, sizes.tolist(), X)
         if type(self).true_probability is SyntheticWorld.true_probability:
             true_p = self._true_probabilities(raw, cat, mf_scores)
         else:
             rows = list(X)
             true_p = np.array([
-                self.true_probability(dict(zip(categories[s:s + n], rows[s:s + n])), mf)
-                for s, n, mf in zip(raw.starts.tolist(), raw.sizes, mf_scores.tolist())
+                self.true_probability(dict(zip(categories[s:s + k], rows[s:s + k])), mf)
+                for s, k, mf in zip(raw.starts.tolist(), raw.sizes, mf_scores.tolist())
             ])
-        return member, raw, mf_scores, true_p
+        offer_bounds = np.arange(0, n + 1, cfg.offers_per_round)
+        row_bounds = np.concatenate(([0], np.cumsum(sizes)))[offer_bounds]
+        return RoundBatch(raw, offer_bounds, row_bounds, members, None, mf_scores, true_p, rng.random(n_rounds))
+
+    def generate_round(self, t: int, rng: np.random.Generator) -> tuple[str, RoundContexts, np.ndarray, np.ndarray]:
+        """One round drawn as draw_rounds(1, rng) draws it: its member, raw
+        contexts, mf scores and true clip probabilities."""
+        batch = self.draw_rounds(1, rng)
+        return batch.members[0], batch.contexts, batch.mf_scores, batch.true_p
 
 
 class OraclePolicy:
@@ -314,6 +324,22 @@ def make_round(scaled: RoundContexts, member_id: str, shares: np.ndarray | None,
     )
 
 
+def _policy_rounds(
+    batch: RoundBatch, policy: Policy, rng: np.random.Generator, t: int
+) -> Iterator[tuple[int, OfferRound, Ranking]]:
+    """Each round of a scaled batch numbered from t, as its policy sees
+    it, with the policy's ranking; the one round loop of both harnesses."""
+    ob, rb = batch.offer_bounds.tolist(), batch.row_bounds.tolist()
+    for i, contexts in enumerate(batch.rounds()):
+        offers = make_round(
+            contexts, batch.members[i],
+            None if batch.shares is None else batch.shares[rb[i]:rb[i + 1]],
+            batch.mf_scores[ob[i]:ob[i + 1]],
+            None if batch.true_p is None else batch.true_p[ob[i]:ob[i + 1]],
+        )
+        yield t + i, offers, policy.select(offers, rng, t + i)
+
+
 def run_synthetic(
     world: SyntheticWorld,
     policy: Policy,
@@ -323,39 +349,44 @@ def run_synthetic(
 ) -> RunResult:
     """Run the policy for `rounds` simulated rounds.
 
-    Per round: generate offers, normalize their contexts through the
-    shared online scaler, rank, reward the top choice with a Bernoulli draw
-    on its true probability, update the policy with that single outcome.
+    The world draws full chunks of CHUNK_ROUNDS rounds on its own stream,
+    derived from seed, and each chunk is scaled as one batch; the policy
+    draws on default_rng(seed), so a run's first k rounds do not depend on
+    `rounds`. Per round: rank, reward the top choice when the round's
+    uniform falls below its true probability, update the policy with that
+    single outcome.
     """
     if rounds < 1:
         raise ConfigError(f"rounds must be >= 1, got {rounds}")
     rng = np.random.default_rng(seed)
+    world_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     scaler = RunningScaler()
     trajectories = TrajectoryStore(thin_every)
+    ordinals = count(1)
     records: list[RoundRecord] = []
-    update_ordinal = 0
-    for t in range(1, rounds + 1):
-        member, raw, mf_scores, true_p = world.generate_round(t, rng)
-        offers = make_round(scale_round(raw, scaler), member, None, mf_scores, true_p)
-        ranking = policy.select(offers, rng, t)
-        chosen = offers.candidate(raw.offer_ids.index(ranking.top))
-        y = 1 if rng.random() < chosen.true_p else 0
-        for member_id, category_id, weights, update_count in policy.update(chosen, y):
-            update_ordinal += 1
-            trajectories.record(member_id, category_id, weights, update_count, update_ordinal)
-        best = int(offers.by_id[np.argmax(offers.true_p[offers.by_id])])  # ties: the smallest id
-        records.append(
-            RoundRecord(
-                t=t,
-                member_id=member,
-                ranked=_ranked_entries(ranking),
-                chosen=chosen.offer_id,
-                y=y,
-                oracle_best=raw.offer_ids[best],
-                oracle_p=float(offers.true_p[best]),
-                chosen_true_p=chosen.true_p,
+    for t0 in range(1, rounds + 1, CHUNK_ROUNDS):
+        batch = world.draw_rounds(CHUNK_ROUNDS, world_rng)
+        scale_rounds(batch, scaler)
+        draws = batch.reward_draws.tolist()
+        for t, offers, ranking in islice(_policy_rounds(batch, policy, rng, t0), rounds - t0 + 1):
+            ids = offers.contexts.offer_ids
+            chosen = offers.candidate(ids.index(ranking.top))
+            y = 1 if draws[t - t0] < chosen.true_p else 0
+            for member_id, category_id, weights, update_count in policy.update(chosen, y):
+                trajectories.record(member_id, category_id, weights, update_count, next(ordinals))
+            best = int(offers.by_id[np.argmax(offers.true_p[offers.by_id])])  # ties: the smallest id
+            records.append(
+                RoundRecord(
+                    t=t,
+                    member_id=offers.member_id,
+                    ranked=_ranked_entries(ranking),
+                    chosen=chosen.offer_id,
+                    y=y,
+                    oracle_best=ids[best],
+                    oracle_p=float(offers.true_p[best]),
+                    chosen_true_p=chosen.true_p,
+                )
             )
-        )
     return RunResult(records, compute_metrics(records), trajectories)
 
 
@@ -405,7 +436,6 @@ def run_replay(
     trajectories = TrajectoryStore(thin_every)
     records: list[RoundRecord] = []
     skip = {"rounds_without_candidates": 0, "shown_offers_not_featurized": 0}
-    update_ordinal = 0
     impressions = []
     rounds = []
     active_day = None
@@ -425,15 +455,12 @@ def run_replay(
     batch = featurize_rounds(rounds, stats, profile, dataset.mf_table, cold_start_mpg)
     del rounds
     scale_rounds(batch, RunningScaler())
-    ob, rb = batch.offer_bounds.tolist(), batch.row_bounds.tolist()
-    for t, (imp, contexts) in enumerate(zip(impressions, batch.rounds()), start=1):
-        member = imp.member_id
-        offers = make_round(contexts, member, batch.shares[rb[t - 1]:rb[t]], batch.mf_scores[ob[t - 1]:ob[t]])
-        ranking = policy.select(offers, rng, t)
+    ordinals = count(1)
+    for imp, (t, offers, ranking) in zip(impressions, _policy_rounds(batch, policy, rng, 1)):
         top = ranking.top
         matched = top in imp.offers_shown
         y = (1 if top in imp.clipped else 0) if matched else None
-        index = {oid: k for k, oid in enumerate(contexts.offer_ids)}
+        index = {oid: k for k, oid in enumerate(offers.contexts.offer_ids)}
         for oid in imp.offers_shown:
             k = index.get(oid)
             if k is None:
@@ -441,12 +468,11 @@ def run_replay(
                 continue
             outcome = 1 if oid in imp.clipped else 0
             for member_id, category_id, weights, update_count in policy.update(offers.candidate(k), outcome):
-                update_ordinal += 1
-                trajectories.record(member_id, category_id, weights, update_count, update_ordinal)
+                trajectories.record(member_id, category_id, weights, update_count, next(ordinals))
         records.append(
             RoundRecord(
                 t=t,
-                member_id=member,
+                member_id=offers.member_id,
                 ranked=_ranked_entries(ranking),
                 chosen=top,
                 y=y,

@@ -14,6 +14,7 @@ import json
 import os
 from dataclasses import asdict, dataclass
 from http.client import HTTPException
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 from urllib.request import Request, urlopen
@@ -84,9 +85,11 @@ class TrajectoryStore:
             key=lambda s: (s.t, s.member_id, s.category_id),
         )
         # Each line equals json.dumps of the snapshot's fields with
-        # sort_keys=True, which writes finite floats with float.__repr__.
+        # sort_keys=True, which writes finite floats with float.__repr__;
+        # each distinct id is encoded once.
+        quoted = {i: json.dumps(i) for i in set(chain.from_iterable(self._series))}
         lines = (
-            f'{{"category_id": {json.dumps(s.category_id)}, "member_id": {json.dumps(s.member_id)}, '
+            f'{{"category_id": {quoted[s.category_id]}, "member_id": {quoted[s.member_id]}, '
             f'"t": {s.t}, "update_count": {s.update_count}, "weights": [{", ".join(map(float.__repr__, s.weights))}]}}\n'
             for s in rows
         )

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, settings
 
 from offerbandit.baselines import OfferCandidate, OfferRound
 from offerbandit.data import TransactionLog
-from offerbandit.features import RoundContexts
+from offerbandit.features import N_FEATURES, MemberCategoryStats, MemberStatsIndex, RoundContexts, RunningScaler
 
 settings.register_profile(
     "suite",
@@ -35,6 +35,58 @@ def log_rows(log):
     return [
         (log.members[m], log.categories[c], log.brands[b], date.fromordinal(d)) for m, c, b, d in zip(*columns)
     ]
+
+
+def _pair(index: MemberStatsIndex, member_id: str, category_id: str) -> int:
+    codes = (index._member_code.get(member_id, -1), index._category_code.get(category_id, -1))
+    return int(index._pairs(*(np.array([c], dtype=np.int64) for c in codes))[0])
+
+
+def cycle_length(index: MemberStatsIndex, member_id: str, category_id: str) -> float:
+    """The pair's replenishment cycle, the category's when the member never
+    bought it, the default for an unknown category."""
+    p = _pair(index, member_id, category_id)
+    if p >= 0:
+        return float(index._cycle[p])
+    c = index._category_code.get(category_id)
+    return index.default_cycle_days if c is None else float(index._category_cycle[c])
+
+
+def member_stats(index: MemberStatsIndex, member_id: str, category_id: str, as_of: date) -> MemberCategoryStats:
+    """The pair's stats visible on as_of, read one pair at a time from the
+    index's arrays: the most recent purchase on or before that day, the
+    cycle and the brand counts, as the reference build_context takes them."""
+    p = _pair(index, member_id, category_id)
+    if p < 0:
+        return MemberCategoryStats(None, cycle_length(index, member_id, category_id), {})
+    span = date.max.toordinal() + 1
+    pos = int(np.searchsorted(index._day_keys, p * span + as_of.toordinal(), side="right"))
+    last = date.fromordinal(int(index._day_keys[pos - 1] % span)) if pos > index._day_starts[p] else None
+    n = len(index._brands)
+    lo, hi = np.searchsorted(index._brand_keys, [p * n, (p + 1) * n])
+    counts = zip(index._brand_keys[lo:hi].tolist(), index._brand_counts[lo:hi].tolist())
+    return MemberCategoryStats(last, float(index._cycle[p]), {index._brands[k % n]: c for k, c in counts})
+
+
+def stack_contexts(contexts) -> RoundContexts:
+    """The RoundContexts of {offer_id: {category_id: vector}}: offers in
+    the mapping's order, each offer's categories sorted."""
+    cats = [sorted(vectors) for vectors in contexts.values()]
+    rows = [vectors[c] for vectors, cs in zip(contexts.values(), cats) for c in cs]
+    return RoundContexts(
+        list(contexts),
+        [c for cs in cats for c in cs],
+        [len(cs) for cs in cats],
+        np.array(rows, dtype=float).reshape(-1, N_FEATURES),
+    )
+
+
+def scale_round(raw: RoundContexts, scaler: RunningScaler) -> RoundContexts:
+    """Normalize one round's raw contexts through the shared online
+    scaler: fold the whole round in as one batch, then transform it. The
+    per-round reference scale_rounds must equal byte for byte."""
+    scaler.update(raw.X)
+    return RoundContexts(raw.offer_ids, raw.categories, raw.sizes, scaler.transform(raw.X))
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from conftest import stack_contexts
 from offerbandit.bandit import (
     LOGIT_CLAMP,
     CategoryModel,
@@ -24,7 +25,7 @@ from offerbandit.baselines import (
 )
 from offerbandit.errors import ConfigError
 from offerbandit.exploration import ExplorationConfig, sample_scores
-from offerbandit.features import N_FEATURES, RoundContexts
+from offerbandit.features import N_FEATURES
 from offerbandit.harness import make_round
 
 
@@ -348,7 +349,7 @@ def array_round(rng, categories_per_offer, shares=None, mf_scores=None, member="
         contexts[oid] = rows
     if mf_scores is None:
         mf_scores = rng.normal(0.0, 0.5, len(ids))
-    raw = RoundContexts.stack(contexts)
+    raw = stack_contexts(contexts)
     row_shares = None if shares is None else np.array([shares.get(c, 0.0) for c in raw.categories])
     return make_round(raw, member, row_shares, mf_scores)
 
@@ -389,7 +390,7 @@ class TestCambArrayScoring:
         set_weights(policy.store, "m0", "c1", -60.0)
         contexts = {"o00": {"c0": np.ones(N_FEATURES)}, "o01": {"c1": np.ones(N_FEATURES)},
                     "o02": {"c0": np.ones(N_FEATURES), "c1": np.ones(N_FEATURES)}, "o03": {"c2": np.ones(N_FEATURES)}}
-        ranking = self.check(policy, make_round(RoundContexts.stack(contexts), "m0", None, np.zeros(4)))
+        ranking = self.check(policy, make_round(stack_contexts(contexts), "m0", None, np.zeros(4)))
         assert ranking.scores["o00"] == pytest.approx(1.0 - LOGIT_CLAMP, rel=1e-9)
         assert ranking.scores["o01"] == pytest.approx(LOGIT_CLAMP, rel=1e-9)
 

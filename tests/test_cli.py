@@ -73,11 +73,13 @@ class TestSimulate:
         assert manifest["seed"] == 3
         assert "simulated 40 rounds" in capsys.readouterr().out
 
-    def test_rerun_reproduces_run_files_byte_for_byte(self, tmp_path):
+    @pytest.mark.parametrize("rounds", [30, 1100])  # 1100 crosses a chunk boundary
+    def test_rerun_reproduces_run_files_byte_for_byte(self, tmp_path, rounds):
         def run(out):
             cfg = write_config(
                 tmp_path / f"{out.name}.json",
-                run={"rounds": 30, "seed": 5, "out_dir": str(out)},
+                policy="camb",
+                run={"rounds": rounds, "seed": 5, "out_dir": str(out)},
             )
             assert main(["simulate", "--config", cfg]) == 0
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import transaction_log
+from conftest import cycle_length, member_stats, scale_round, stack_contexts, transaction_log
 from offerbandit.data import MFScoreTable, Offer
 from offerbandit.datagen import generate_offers, generate_transactions
 from offerbandit.errors import ConfigError
@@ -28,7 +28,6 @@ from offerbandit.features import (
     compute_recency,
     compute_seasonality,
     featurize_rounds,
-    scale_round,
     scale_rounds,
     week_of_year,
 )
@@ -241,8 +240,8 @@ class TestFeaturize:
                   day0 + timedelta(days=200), 2),
         ]
         index = MemberStatsIndex(transactions)
-        assert index.cycle_length("m_one", "c00") == index.cycle_length("nobody", "c00") != 30.0
-        assert index.cycle_length("m000", "c09") == 30.0
+        assert cycle_length(index, "m_one", "c00") == cycle_length(index, "nobody", "c00") != 30.0
+        assert cycle_length(index, "m000", "c09") == 30.0
         profile = build_seasonality_profile(transactions)
         mf = MFScoreTable(
             {("m000", offers[1].offer_id): 0.3, ("m000", "one_day"): 0.45, ("m002", "brandless"): -1.25},
@@ -263,7 +262,7 @@ class TestFeaturize:
                 rows = slice(start, start + n)
                 assert raw.categories[rows] == sorted(offer.category_ids)
                 for c, x in zip(raw.categories[rows], raw.X[rows]):
-                    s = index.stats(member, c, day)
+                    s = member_stats(index, member, c, day)
                     ctx = build_context(member, offer, c, day, s, profile, mf, 0.7)
                     assert x.tobytes() == ctx.tobytes(), (member, day, offer.offer_id, c)
                     rows_checked += 1
@@ -361,7 +360,8 @@ class TestFeaturize:
             rounds.append(RoundContexts([f"o{i}" for i in range(n)], ["c"] * n, [1] * n, rows))
         bounds = np.cumsum([0] + [len(r.X) for r in rounds])
         unused = np.zeros(bounds[-1])  # the share and mf columns, which scale_rounds does not read
-        batch = RoundBatch(RoundContexts([], [], [], np.concatenate([r.X for r in rounds])), bounds, bounds, unused, unused)
+        batch = RoundBatch(RoundContexts([], [], [], np.concatenate([r.X for r in rounds])), bounds, bounds,
+                           ["m"] * len(rounds), unused, unused)
         one, many = RunningScaler(), RunningScaler()
         scale_rounds(batch, many)
         for raw, got in zip(rounds, batch.rounds()):
@@ -386,7 +386,8 @@ class TestFeaturize:
             rounds.append(RoundContexts([f"o{i}" for i in range(n)], ["c"] * n, [1] * n, rows))
         bounds = np.cumsum([0] + [len(r.X) for r in rounds])
         unused = np.zeros(bounds[-1])  # the share and mf columns, which scale_rounds does not read
-        batch = RoundBatch(RoundContexts([], [], [], np.concatenate([r.X for r in rounds])), bounds, bounds, unused, unused)
+        batch = RoundBatch(RoundContexts([], [], [], np.concatenate([r.X for r in rounds])), bounds, bounds,
+                           ["m"] * len(rounds), unused, unused)
         warmup = rng.normal(size=(warm, N_FEATURES))
         one, many = RunningScaler(), RunningScaler()
         one.update(warmup)
@@ -399,7 +400,7 @@ class TestFeaturize:
 
     def test_scale_round_updates_once_then_transforms_the_batch(self, rng):
         offers = {f"o{i}": {c: rng.normal(size=N_FEATURES) for c in ("b", "a")} for i in range(3)}
-        raw = RoundContexts.stack(offers)
+        raw = stack_contexts(offers)
         assert raw.categories == ["a", "b"] * 3
         np.testing.assert_array_equal(raw.X[1], offers["o0"]["b"])
         scaler = RunningScaler()
@@ -505,21 +506,21 @@ class TestMemberStatsIndex:
     def test_pair_cycle_is_median_gap(self):
         index = MemberStatsIndex(transaction_log(self.base_rows()))
         # Gaps for (m1, catA) are 10 and 20 days.
-        assert index.cycle_length("m1", "catA") == 15.0
+        assert cycle_length(index, "m1", "catA") == 15.0
 
     def test_falls_back_to_category_then_default(self):
         index = MemberStatsIndex(transaction_log(self.base_rows()), default_cycle_days=45.0)
-        assert index.cycle_length("m2", "catA") == 15.0  # category median
-        assert index.cycle_length("m3", "catB") == 45.0  # no gaps anywhere
-        assert index.cycle_length("mX", "catZ") == 45.0
+        assert cycle_length(index, "m2", "catA") == 15.0  # category median
+        assert cycle_length(index, "m3", "catB") == 45.0  # no gaps anywhere
+        assert cycle_length(index, "mX", "catZ") == 45.0
 
     def test_last_purchase_resolved_as_of_date(self):
         index = MemberStatsIndex(transaction_log(self.base_rows()))
         d0 = date(2024, 1, 1)
-        assert index.stats("m1", "catA", d0 - timedelta(days=1)).last_purchase_date is None
-        assert index.stats("m1", "catA", d0).last_purchase_date == d0
-        assert index.stats("m1", "catA", d0 + timedelta(days=15)).last_purchase_date == d0 + timedelta(days=10)
-        assert index.stats("m1", "catA", date(2025, 1, 1)).last_purchase_date == d0 + timedelta(days=30)
+        assert member_stats(index, "m1", "catA", d0 - timedelta(days=1)).last_purchase_date is None
+        assert member_stats(index, "m1", "catA", d0).last_purchase_date == d0
+        assert member_stats(index, "m1", "catA", d0 + timedelta(days=15)).last_purchase_date == d0 + timedelta(days=10)
+        assert member_stats(index, "m1", "catA", date(2025, 1, 1)).last_purchase_date == d0 + timedelta(days=30)
 
     def test_same_day_repeat_purchases_do_not_create_zero_gaps(self):
         d0 = date(2024, 1, 1)
@@ -528,11 +529,11 @@ class TestMemberStatsIndex:
             self.tx("m1", "catA", "bA", d0),
             self.tx("m1", "catA", "bA", d0 + timedelta(days=8)),
         ]
-        assert MemberStatsIndex(transaction_log(rows)).cycle_length("m1", "catA") == 8.0
+        assert cycle_length(MemberStatsIndex(transaction_log(rows)), "m1", "catA") == 8.0
 
     def test_brand_counts_feed_loyalty(self):
         index = MemberStatsIndex(transaction_log(self.base_rows()))
-        s = index.stats("m1", "catA", date(2025, 1, 1))
+        s = member_stats(index, "m1", "catA", date(2025, 1, 1))
         assert compute_brand_loyalty("bA", s) == pytest.approx(2 / 3)
         assert compute_brand_loyalty("bB", s) == pytest.approx(1 / 3)
 
@@ -540,8 +541,8 @@ class TestMemberStatsIndex:
         log = transaction_log([])
         assert len(log) == 0 and log.members == log.categories == log.brands == []
         index = MemberStatsIndex(log, default_cycle_days=12.0)
-        assert index.cycle_length("m1", "catA") == 12.0
-        s = index.stats("m1", "catA", date(2024, 1, 1))
+        assert cycle_length(index, "m1", "catA") == 12.0
+        s = member_stats(index, "m1", "catA", date(2024, 1, 1))
         assert s.last_purchase_date is None and s.brand_counts == {} and s.cycle_length == 12.0
         assert build_seasonality_profile(log).score("catA", date(2024, 1, 1)) == 0.0
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import transaction_log
+from conftest import member_stats, scale_round, stack_contexts, transaction_log
 from offerbandit.bandit import LearnerConfig, aggregate_offer, renormalize_shares, sigmoid
 from offerbandit.baselines import make_policy
 from offerbandit.data import Impression, MFScoreTable, Offer
@@ -21,12 +21,12 @@ from offerbandit.exploration import ExplorationConfig
 from offerbandit.datagen import generate_impressions, generate_offers, generate_transactions
 from offerbandit.features import (
     MemberStatsIndex,
+    RoundBatch,
     RoundContexts,
     RunningScaler,
     build_context,
     build_seasonality_profile,
     featurize_rounds,
-    scale_round,
 )
 from offerbandit.harness import (
     OraclePolicy,
@@ -61,13 +61,15 @@ class TwoOfferWorld:
     def __init__(self, p_hi=0.8, p_lo=0.2):
         self.p = {"oA": p_hi, "oB": p_lo}
 
-    def generate_round(self, t, rng):
-        raw = {}
-        for oid in sorted(self.p):
-            x = np.ones(9)
-            x[1:] = rng.uniform(0.0, 1.0, size=8)
-            raw[oid] = {"c0": x}
-        return "m0", RoundContexts.stack(raw), np.zeros(len(raw)), np.array([self.p[oid] for oid in raw])
+    def draw_rounds(self, n_rounds, rng):
+        ids = sorted(self.p)
+        n = n_rounds * len(ids)
+        X = np.ones((n, 9))
+        X[:, 1:] = rng.uniform(0.0, 1.0, size=(n, 8))
+        bounds = np.arange(0, n + 1, len(ids))
+        contexts = RoundContexts(ids * n_rounds, ["c0"] * n, [1] * n, X)
+        true_p = np.array([self.p[oid] for oid in ids] * n_rounds)
+        return RoundBatch(contexts, bounds, bounds, ["m0"] * n_rounds, None, np.zeros(n), true_p, rng.random(n_rounds))
 
 
 class TestSyntheticWorld:
@@ -110,9 +112,10 @@ class TestVectorizedWorld:
         world = SyntheticWorld(SyntheticWorldConfig(
             n_categories=12, max_categories_per_offer=5, offers_per_round=40, mf_bias_coeff=0.7, seed=8,
         ))
-        rng = np.random.default_rng(2)
-        for t in range(30):
-            _, raw, mf_scores, true_p = world.generate_round(t, rng)
+        batch = world.draw_rounds(30, np.random.default_rng(2))
+        assert len(batch) == 30 and batch.offer_bounds[-1] == 30 * 40
+        for raw, o0, o1 in zip(batch.rounds(), batch.offer_bounds, batch.offer_bounds[1:]):
+            mf_scores, true_p = batch.mf_scores[o0:o1], batch.true_p[o0:o1]
             for k, (start, n) in enumerate(zip(raw.starts.tolist(), raw.sizes)):
                 rows = slice(start, start + n)
                 category_raw = dict(zip(raw.categories[rows], raw.X[rows]))
@@ -125,29 +128,30 @@ class TestVectorizedWorld:
 
     def test_rows_follow_category_names_and_offer_features_repeat(self):
         world = SyntheticWorld(SyntheticWorldConfig(n_categories=12, max_categories_per_offer=4, seed=1))
-        _, raw, mf_scores, _ = world.generate_round(1, np.random.default_rng(3))
+        batch = world.draw_rounds(6, np.random.default_rng(3))
         replay = np.random.default_rng(3)
-        replay.integers(world.config.n_members)
-        keys = replay.random((world.config.offers_per_round, 12 + 5))[:, :12]
-        for k, (start, n) in enumerate(zip(raw.starts.tolist(), raw.sizes)):
-            rows = slice(start, start + n)
-            cats = raw.categories[rows]
-            assert cats == sorted(set(cats))  # distinct, in name order ("c10" before "c2")
-            assert set(cats) == {f"c{j}" for j in np.argsort(keys[k])[:len(cats)]}  # the smallest keys
-            assert (raw.X[rows, 4:] == raw.X[rows.start, 4:]).all()
-            assert raw.X[rows.start, 8] == mf_scores[k]
-        assert (raw.X[:, 0] == 1.0).all()
+        members = replay.integers(world.config.n_members, size=6)
+        keys = replay.random((6 * world.config.offers_per_round, 12 + 5))[:, :12]
+        assert batch.members == [f"m{i}" for i in members.tolist()]
+        for i, raw in enumerate(batch.rounds()):
+            assert raw.offer_ids == [f"o{k:02d}" for k in range(world.config.offers_per_round)]
+            for k, (start, n) in enumerate(zip(raw.starts.tolist(), raw.sizes)):
+                rows = slice(start, start + n)
+                cats = raw.categories[rows]
+                assert cats == sorted(set(cats))  # distinct, in name order ("c10" before "c2")
+                slot = batch.offer_bounds[i] + k
+                assert set(cats) == {f"c{j}" for j in np.argsort(keys[slot])[:len(cats)]}  # the smallest keys
+                assert (raw.X[rows, 4:] == raw.X[rows.start, 4:]).all()
+                assert raw.X[rows.start, 8] == batch.mf_scores[slot]
+        assert (batch.contexts.X[:, 0] == 1.0).all()
 
     def test_category_subsets_and_counts_are_uniform(self):
         world = SyntheticWorld(SyntheticWorldConfig(n_categories=4, max_categories_per_offer=2, offers_per_round=5))
-        rng = np.random.default_rng(0)
-        sizes, subsets = Counter(), Counter()
-        for t in range(2000):
-            _, raw, _, _ = world.generate_round(t, rng)
-            sizes.update(raw.sizes)
-            subsets.update(
-                tuple(raw.categories[start:start + 2]) for start, n in zip(raw.starts.tolist(), raw.sizes) if n == 2
-            )
+        raw = world.draw_rounds(2000, np.random.default_rng(0)).contexts
+        sizes = Counter(raw.sizes)
+        subsets = Counter(
+            tuple(raw.categories[start:start + 2]) for start, n in zip(raw.starts.tolist(), raw.sizes) if n == 2
+        )
         n = 2000 * 5
         assert abs(sizes[1] / n - 0.5) < 0.02
         assert len(subsets) == 6  # every pair of the 4 categories
@@ -163,9 +167,21 @@ class TestVectorizedWorld:
                 return 0.25 + 0.01 * len(calls)
 
         world = HookWorld(SyntheticWorldConfig(offers_per_round=4, seed=2))
-        _, raw, _, true_p = world.generate_round(1, np.random.default_rng(0))
+        batch = world.draw_rounds(3, np.random.default_rng(0))
+        raw = batch.contexts
         assert calls == [raw.categories[start:start + n] for start, n in zip(raw.starts.tolist(), raw.sizes)]
-        assert true_p.tolist() == [0.26, 0.27, 0.28, 0.29]
+        assert batch.true_p.tolist() == [0.25 + 0.01 * k for k in range(1, 13)]
+
+    def test_generate_round_is_a_one_round_draw(self):
+        world = SyntheticWorld(SyntheticWorldConfig(n_categories=7, max_categories_per_offer=3, seed=6))
+        member, raw, mf_scores, true_p = world.generate_round(1, np.random.default_rng(4))
+        batch = world.draw_rounds(1, np.random.default_rng(4))
+        assert member == batch.members[0]
+        assert (raw.offer_ids, raw.categories, raw.sizes) == (
+            batch.contexts.offer_ids, batch.contexts.categories, batch.contexts.sizes
+        )
+        assert raw.X.tobytes() == batch.contexts.X.tobytes()
+        assert mf_scores.tobytes() == batch.mf_scores.tobytes() and true_p.tobytes() == batch.true_p.tobytes()
 
 
 class TestTracerTargets:
@@ -190,7 +206,7 @@ class TestTracerTargets:
 
     def test_len_of_a_round_is_its_offer_count(self):
         contexts = {"o1": {"c0": np.ones(9), "c1": np.ones(9)}, "o2": {"c2": np.ones(9)}, "o3": {"c0": np.ones(9)}}
-        offers = make_round(RoundContexts.stack(contexts), "m0", None, [0.0, 0.0, 0.0])
+        offers = make_round(stack_contexts(contexts), "m0", None, [0.0, 0.0, 0.0])
         assert len(offers) == 3
 
 
@@ -242,6 +258,46 @@ class TestSyntheticRun:
         with pytest.raises(ConfigError):
             run_synthetic(TwoOfferWorld(), policy("random"), rounds=0, seed=0)
 
+    @pytest.mark.parametrize("name", ["camb", "random"])
+    def test_a_short_run_is_a_prefix_of_a_long_one(self, name):
+        # 1500 rounds cross the first chunk boundary; the world draws its
+        # chunks full on its own stream, so the first 100 rounds are the same.
+        world = SyntheticWorld(SyntheticWorldConfig(seed=12))
+        short = run_synthetic(world, policy(name), rounds=100, seed=4)
+        long = run_synthetic(world, policy(name), rounds=1500, seed=4)
+        assert len(long.records) == 1500
+        assert [vars(r) for r in short.records] == [vars(r) for r in long.records[:100]]
+        for member, category in short.trajectories.pairs():
+            series = short.trajectories.series(member, category)
+            assert series == long.trajectories.series(member, category)[:len(series)]
+
+    def test_scaled_rows_and_rewards_follow_the_world_stream_across_chunks(self):
+        world = SyntheticWorld(SyntheticWorldConfig(seed=2))
+        seen = []
+
+        class Recording:
+            inner = policy("random")
+
+            def select(self, offers, rng, t):
+                seen.append(offers.contexts.X.copy())
+                return self.inner.select(offers, rng, t)
+
+            def update(self, candidate, reward):
+                return []
+
+        result = run_synthetic(world, Recording(), rounds=1100, seed=8)
+        world_rng = np.random.default_rng(np.random.SeedSequence(8).spawn(1)[0])
+        scaler = RunningScaler()
+        expected, draws = [], []
+        for _ in range(2):
+            batch = world.draw_rounds(1024, world_rng)
+            expected += [scale_round(raw, scaler).X for raw in batch.rounds()]
+            draws += batch.reward_draws.tolist()
+        assert len(seen) == 1100
+        assert all(got.tobytes() == want.tobytes() for got, want in zip(seen, expected))
+        # Each reward is the round's uniform below the chosen offer's true probability.
+        assert [r.y for r in result.records] == [int(u < r.chosen_true_p) for u, r in zip(draws, result.records)]
+
     def test_same_seed_byte_identical_roundlog(self, tmp_path):
         world_a = SyntheticWorld(SyntheticWorldConfig(seed=9))
         world_b = SyntheticWorld(SyntheticWorldConfig(seed=9))
@@ -270,7 +326,7 @@ class TestMakeRound:
             "o4": {"c1": rng.normal(size=9), "c2": rng.normal(size=9)},
         }
         purchase = {"c0": 0.5, "c1": 0.2, "c2": 0.3}
-        scaled = RoundContexts.stack(contexts)
+        scaled = stack_contexts(contexts)
         mf_scores, true_ps = [0.1, 0.2, 0.3, 0.4], [0.5, 0.6, 0.7, 0.8]
         row_shares = np.array([purchase.get(c, 0.0) for c in scaled.categories])
         offers = make_round(scaled, "m1", row_shares, mf_scores, true_ps)
@@ -484,7 +540,7 @@ class TestReplay:
             if not active:
                 continue
             rows = np.array([
-                build_context(imp.member_id, o, c, day, stats.stats(imp.member_id, c, day), profile, mf, 0.8)
+                build_context(imp.member_id, o, c, day, member_stats(stats, imp.member_id, c, day), profile, mf, 0.8)
                 for o in active for c in sorted(o.category_ids)
             ])
             scaler.update(rows)

@@ -81,15 +81,20 @@ class TestTrajectoryStore:
     def test_save_then_load_round_trips(self, tmp_path):
         store = TrajectoryStore()
         rng = np.random.default_rng(2)
+        # Ids with quotes, escapes and non-ASCII characters, one of them
+        # both a member and a category id.
+        pairs = [("m1", "cA"), ('m "2"', "cB\\"), ("m\u00e9\u4e2d", 'm "2"'), ("m1", "cat\u00e9gorie\n")]
         for t in range(1, 8):
-            store.record("m1", "cA", rng.normal(size=9), t, t)
-            store.record("m2", "cB", rng.normal(size=9), t, t + 7)
-        path = tmp_path / "traj.jsonl"
+            for i, (member, category) in enumerate(pairs):
+                store.record(member, category, rng.normal(size=9), t, 4 * t + i)
+        path, again = tmp_path / "traj.jsonl", tmp_path / "again.jsonl"
         store.save(path)
         loaded = TrajectoryStore.load(path)
-        assert loaded.pairs() == store.pairs()
+        assert loaded.pairs() == store.pairs() == sorted(pairs)
         for pair in store.pairs():
             assert loaded.series(*pair) == store.series(*pair)
+        loaded.save(again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_save_writes_feature_order_header(self, tmp_path):
         store = TrajectoryStore()

@@ -108,27 +108,36 @@ def predict_category(model: CategoryModel, x: np.ndarray) -> float:
     return sigmoid(float(model.weights @ x))
 
 
-def sgd_update(model: CategoryModel, x: np.ndarray, y: int, cfg: LearnerConfig) -> None:
-    """One gradient step on the log loss for observation (x, y).
+def sgd_step(w: np.ndarray, x: np.ndarray, y: int, cfg: LearnerConfig) -> np.ndarray:
+    """The weights w after one gradient step on the log loss for
+    observation (x, y), as a new array.
 
     The y=1 step is exactly positive_boost times the plain gradient step;
-    the y=0 step is unboosted. Raises if the weights leave the finite range
-    (learning rate too large for the feature scale).
+    the y=0 step is unboosted. Raises if the new weights leave the finite
+    range (learning rate too large for the feature scale).
     """
     if y not in (0, 1):
         raise ValueError(f"label must be 0 or 1, got {y}")
-    x = np.asarray(x, dtype=float)
-    p = predict_category(model, x)
+    p = sigmoid(float(w @ x))
     step = (cfg.learning_rate * (y - p)) * x
     if y == 1:
         step = cfg.positive_boost * step
-    w = model.weights
     if cfg.l2_lambda:
         step = step - (cfg.learning_rate * cfg.l2_lambda) * w
-    model.weights = w = w + step
-    model.update_count += 1
+    w = w + step
     if not np.isfinite(w).all():
         raise ValueError(DIVERGED)
+    return w
+
+
+def sgd_update(model: CategoryModel, x: np.ndarray, y: int, cfg: LearnerConfig) -> None:
+    """One sgd_step of the model for observation (x, y), counted; the
+    model is left as it was when the step raises."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != model.weights.shape:
+        raise ValueError(f"feature dim {x.shape} does not match weights {model.weights.shape}")
+    model.weights = sgd_step(model.weights, x, y, cfg)
+    model.update_count += 1
 
 
 def renormalize_shares(categories: Sequence[str], shares: Mapping[str, float]) -> dict[str, float]:
@@ -192,9 +201,9 @@ class ModelStore:
     Row r of a growable float64[n_pairs, N_FEATURES] weight matrix and of
     an update-count vector belongs to the pair that a dict maps to r. The
     store holds values: get() returns an independent CategoryModel and
-    put() writes one back. A row is taken only by put() or by backfit's
-    rows(); reads never materialize a pair, and pairs never seen read as
-    the prior.
+    put() writes one back; update() steps a pair's row in place. A row is
+    taken only by put(), update() or backfit's rows(); reads never
+    materialize a pair, and pairs never seen read as the prior.
     """
 
     def __init__(self, prior_weights: np.ndarray | None = None):
@@ -245,6 +254,21 @@ class ModelStore:
         self._W[row] = model.weights
         self._counts[row] = model.update_count
 
+    def update(self, member_id: str, category_id: str, x: np.ndarray, y: int, cfg: LearnerConfig) -> tuple[np.ndarray, int]:
+        """One sgd_step of the pair's model, written straight to its row
+        (taken if unseen) once the step has passed its divergence check.
+        Returns the new weights, an array the store does not hold, and the
+        pair's update count."""
+        key = (member_id, category_id)
+        row = self._rows.get(key)
+        w = sgd_step(self.prior if row is None else self._W[row], x, y, cfg)
+        if row is None:
+            row = self._row(key)
+        self._W[row] = w
+        count = int(self._counts[row]) + 1
+        self._counts[row] = count
+        return w, count
+
     def predict(self, member_id: str, category_id: str, x: np.ndarray) -> float:
         return predict_category(self.get(member_id, category_id), x)
 
@@ -253,9 +277,10 @@ class ModelStore:
         category_ids[r]; unseen pairs read as the prior, unmaterialized."""
         get = self._rows.get
         # Row -1 stands for an unseen pair; its gathered weights become the prior.
-        rows = np.array([get((member_id, c), -1) for c in category_ids], dtype=np.intp)
-        W = self._W[rows]
-        W[rows < 0] = self.prior
+        rows = [get((member_id, c), -1) for c in category_ids]
+        W = self._W.take(rows, axis=0)
+        if -1 in rows:
+            W[np.array(rows) < 0] = self.prior
         return sigmoid_rows(np.einsum("ij,ij->i", W, X))
 
     def items_sorted(self) -> list[tuple[tuple[str, str], CategoryModel]]:

@@ -20,19 +20,13 @@ Baselines:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
 
-from .bandit import (
-    CategoryModel,
-    LearnerConfig,
-    ModelStore,
-    offer_probabilities,
-    sgd_update,
-    sigmoid_rows,
-)
+from .bandit import CategoryModel, LearnerConfig, ModelStore, offer_probabilities, sgd_update, sigmoid_rows
 from .errors import ConfigError
 from .exploration import ExplorationConfig, kappa_at, sample_beta
 from .features import N_FEATURES, RoundContexts
@@ -85,8 +79,9 @@ class OfferRound:
     contexts.starts[k]. weights[r] is row r's share of its offer (the
     member's purchase shares renormalized over the offer's categories)
     and offer_vectors[k] is the share-weighted sum of offer k's rows.
-    true_p is set only by synthetic worlds. len() is the number of
-    offers; candidate(k) builds offer k's OfferCandidate for update().
+    by_id lists the offer indices in sorted offer-id order. true_p is set
+    only by synthetic worlds. len() is the number of offers; candidate(k)
+    builds offer k's OfferCandidate for update().
     """
 
     contexts: RoundContexts
@@ -94,19 +89,15 @@ class OfferRound:
     weights: np.ndarray
     offer_vectors: np.ndarray
     mf_scores: np.ndarray
+    by_id: list[int]
     true_p: np.ndarray | None = None
-    by_id: np.ndarray = field(init=False)  # offer indices in sorted offer-id order
-
-    def __post_init__(self) -> None:
-        ids = self.contexts.offer_ids
-        self.by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
 
     def __len__(self) -> int:
         return len(self.contexts.offer_ids)
 
     def sorted_ids(self) -> list[str]:
         ids = self.contexts.offer_ids
-        return [ids[k] for k in self.by_id.tolist()]
+        return [ids[k] for k in self.by_id]
 
     def candidate(self, k: int) -> OfferCandidate:
         ctx = self.contexts
@@ -122,16 +113,21 @@ class OfferRound:
             None if self.true_p is None else float(self.true_p[k]),
         )
 
-    def ranking(self, scores: np.ndarray, sampled: np.ndarray | None = None) -> Ranking:
+    def ranking(self, scores: list[float], sampled: list[float] | None = None) -> Ranking:
         """Offers by descending sampled score (point score when sampled is
-        None), ties in offer-id order: a stable sort over sorted ids."""
+        None), ties in offer-id order: a stable sort over by_id. Scores
+        hold one float per offer, in offer order."""
         ids = self.contexts.offer_ids
         key = scores if sampled is None else sampled
-        order = self.by_id[np.argsort(-key[self.by_id], kind="stable")]
+        if math.isnan(sum(key)):
+            # NaN ranks last, where a stable numpy sort of -key puts it.
+            order = sorted(self.by_id, key=lambda k: (key[k] != key[k], -key[k]))
+        else:
+            order = sorted(self.by_id, key=key.__getitem__, reverse=True)  # reverse keeps ties stable
         return Ranking(
-            order=[ids[k] for k in order.tolist()],
-            scores=dict(zip(ids, scores.tolist())),
-            sampled=None if sampled is None else dict(zip(ids, sampled.tolist())),
+            order=[ids[k] for k in order],
+            scores=dict(zip(ids, scores)),
+            sampled=None if sampled is None else dict(zip(ids, sampled)),
         )
 
 
@@ -171,22 +167,23 @@ class CambPolicy:
     def select(self, offers: OfferRound, rng: np.random.Generator, t: int) -> Ranking:
         ctx = offers.contexts
         category_probs = self.store.predict_rows(offers.member_id, ctx.categories, ctx.X)
-        probs = offer_probabilities(category_probs, offers.weights, ctx.starts, offers.mf_scores, self.learner.mf_bias_coeff)
+        probs = offer_probabilities(
+            category_probs, offers.weights, ctx.starts, offers.mf_scores, self.learner.mf_bias_coeff
+        ).tolist()
         kappa = kappa_at(t - 1, self.exploration)
         # Drawn in sorted offer-id order, the order sample_scores uses.
-        sampled = np.empty_like(probs)
-        by_id = offers.by_id
-        sampled[by_id] = sample_beta(probs[by_id], kappa, rng, self.exploration.probability_clamp)
+        draws = sample_beta([probs[k] for k in offers.by_id], kappa, rng, self.exploration.probability_clamp)
+        sampled = probs.copy()
+        for k, draw in zip(offers.by_id, draws):
+            sampled[k] = draw
         return offers.ranking(probs, sampled)
 
     def update(self, candidate: OfferCandidate, reward: int) -> list[ModelDelta]:
-        deltas: list[ModelDelta] = []
-        for category in sorted(candidate.category_vectors):
-            model = self.store.get(candidate.member_id, category)
-            sgd_update(model, candidate.category_vectors[category], reward, self.learner)
-            self.store.put(candidate.member_id, category, model)
-            deltas.append((candidate.member_id, category, model.weights, model.update_count))
-        return deltas
+        member, vectors = candidate.member_id, candidate.category_vectors
+        return [
+            (member, category, *self.store.update(member, category, vectors[category], reward, self.learner))
+            for category in sorted(vectors)
+        ]
 
 
 class RidgeStats:
@@ -236,7 +233,7 @@ class LinUCBPolicy(RidgeStats):
         return X @ self.theta() + self.alpha_explore * np.sqrt(widths)
 
     def select(self, offers: OfferRound, rng: np.random.Generator, t: int) -> Ranking:
-        return offers.ranking(self.scores(offers.offer_vectors))
+        return offers.ranking(self.scores(offers.offer_vectors).tolist())
 
 
 class ThompsonPolicy(RidgeStats):
@@ -268,7 +265,7 @@ class ThompsonPolicy(RidgeStats):
             z = rng.standard_normal(len(mu))
             theta = mu + self.v * np.linalg.solve(L.T, z)
         X = offers.offer_vectors
-        return offers.ranking(X @ mu, X @ theta)
+        return offers.ranking((X @ mu).tolist(), (X @ theta).tolist())
 
 
 class EpsilonGreedyPolicy:
@@ -304,7 +301,7 @@ class EpsilonGreedyPolicy:
             ids = offers.sorted_ids()
             order = [ids[i] for i in rng.permutation(len(ids))]
             return Ranking(order=order, scores=dict(zip(offers.contexts.offer_ids, scores.tolist())))
-        return offers.ranking(scores)
+        return offers.ranking(scores.tolist())
 
     def update(self, candidate: OfferCandidate, reward: int) -> list[ModelDelta]:
         sgd_update(self.model, candidate.offer_vector, reward, self.learner)

@@ -10,7 +10,7 @@ ranking. kappa can grow over rounds to anneal exploration away.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -60,17 +60,23 @@ def sample_score(p: float, kappa: float, rng: np.random.Generator, clamp: float 
     return float(rng.beta(kappa * p, kappa * (1.0 - p)))
 
 
-def sample_beta(p: np.ndarray, kappa: float, rng: np.random.Generator, clamp: float = 1e-4) -> np.ndarray:
-    """sample_score of every entry of p with one generator call.
+def sample_beta(p: Sequence[float], kappa: float, rng: np.random.Generator, clamp: float = 1e-4) -> list[float]:
+    """sample_score of every entry of p, in order.
 
-    numpy draws the entries in order, one after another, exactly as a loop
-    of sample_score calls would: the same draws, and the generator is left
-    in the same state.
+    Each entry is one scalar rng.beta call. numpy's array call
+    rng.beta(kappa * p, kappa * (1 - p)) draws its entries in the same
+    order from the same stream, so both give the same draws and leave the
+    generator in the same state; for a handful of offers the scalar calls
+    skip most of the array call's parameter checks.
     """
     if kappa <= 0:
         raise ConfigError(f"kappa must be positive, got {kappa}")
-    p = np.minimum(np.maximum(p, clamp), 1.0 - clamp)
-    return rng.beta(kappa * p, kappa * (1.0 - p))
+    beta, high = rng.beta, 1.0 - clamp
+    draws = []
+    for x in p:
+        x = min(max(x, clamp), high)
+        draws.append(beta(kappa * x, kappa * (1.0 - x)))
+    return draws
 
 
 def sample_scores(

@@ -229,6 +229,21 @@ class RoundBatch:
     def __len__(self) -> int:
         return len(self.offer_bounds) - 1
 
+    def head(self, n: int) -> RoundBatch:
+        """The batch of the first n rounds; its arrays are views of these."""
+        o, r = int(self.offer_bounds[n]), int(self.row_bounds[n])
+        c = self.contexts
+        return RoundBatch(
+            RoundContexts(c.offer_ids[:o], c.categories[:r], c.sizes[:o], c.X[:r]),
+            self.offer_bounds[:n + 1],
+            self.row_bounds[:n + 1],
+            self.members[:n],
+            None if self.shares is None else self.shares[:r],
+            self.mf_scores[:o],
+            None if self.true_p is None else self.true_p[:o],
+            None if self.reward_draws is None else self.reward_draws[:n],
+        )
+
     def rounds(self) -> Iterator[RoundContexts]:
         """Each round's contexts in order; their X are views."""
         c = self.contexts

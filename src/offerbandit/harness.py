@@ -1,9 +1,11 @@
 """Evaluation harness: simulated rounds, offline replay and metrics.
 
-Both entry points scale their rounds as batches, then drive the same
-round loop: build the round's offers, let the policy rank them, observe
-a reward, update the policy, log the round. run_synthetic scores against
-a world with known ground truth, so regret and optimal-action rate are
+Both entry points scale their rounds as batches and build every round's
+offers once per batch (offer_rounds), then drive the same round loop:
+let the policy rank the round's offers, observe a reward, update the
+policy, log the round. Only the work that reads or changes what the
+policy has learned runs round by round. run_synthetic scores against a
+world with known ground truth, so regret and optimal-action rate are
 exact; run_replay scores against logged impressions with a top-1
 rejection-match estimator, whose metrics are biased and labeled as such.
 
@@ -15,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from itertools import chain, count, islice, repeat
+from itertools import chain, count, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -197,7 +199,7 @@ class OraclePolicy:
     name = "oracle"
 
     def select(self, offers: OfferRound, rng: np.random.Generator, t: int) -> Ranking:
-        return offers.ranking(offers.true_p)
+        return offers.ranking(offers.true_p.tolist())
 
     def update(self, candidate: OfferCandidate, reward: int):
         return []
@@ -303,41 +305,57 @@ def compute_metrics(records: Sequence[RoundRecord]) -> MetricsSummary:
     )
 
 
-def make_round(scaled: RoundContexts, member_id: str, shares: np.ndarray | None,
-               mf_scores: Sequence[float], true_p: Sequence[float] | None = None) -> OfferRound:
-    """The round as its policy sees it, from its normalized contexts.
+def offer_rounds(batch: RoundBatch) -> Iterator[OfferRound]:
+    """Each round of a scaled batch as its policy sees it.
 
-    Each offer's row weights are renormalize_shares of its rows' purchase
-    shares (uniform when shares is None), and its offer vector is the
-    share-weighted sum of its rows; both are worked out for all offers at
-    once, with reduceat over each offer's rows.
+    Each offer's row weights are its rows' purchase shares renormalized
+    over the offer (uniform when the batch has no shares, or when the
+    member bought none of the offer's categories), and its offer vector
+    is the share-weighted sum of its rows. Both, and each round's offers
+    in sorted-id order, are worked out once for the whole batch, with
+    reduceat over each offer's rows; every round holds views of them.
     """
-    sizes = np.asarray(scaled.sizes)
+    ctx = batch.contexts
+    sizes = np.asarray(ctx.sizes)
     weights = (1.0 / sizes).repeat(sizes)
-    if shares is not None:
-        total = np.add.reduceat(shares, scaled.starts).repeat(sizes)
-        weights = np.where(total > 0, shares / np.where(total > 0, total, 1.0), weights)
-    pooled = np.add.reduceat(weights[:, None] * scaled.X, scaled.starts, axis=0)
-    return OfferRound(
-        scaled, member_id, weights, pooled, np.asarray(mf_scores, dtype=float),
-        None if true_p is None else np.asarray(true_p, dtype=float),
-    )
+    if batch.shares is not None:
+        total = np.add.reduceat(batch.shares, ctx.starts).repeat(sizes)
+        weights = np.where(total > 0, batch.shares / np.where(total > 0, total, 1.0), weights)
+    pooled = np.add.reduceat(weights[:, None] * ctx.X, ctx.starts, axis=0)
+    ob, rb = batch.offer_bounds.tolist(), batch.row_bounds.tolist()
+    offers_per_round = np.diff(batch.offer_bounds)
+    starts = ctx.starts - np.repeat(batch.row_bounds[:-1], offers_per_round)
+    # A stable sort by (round, offer id), as positions within each round.
+    round_of = np.repeat(np.arange(len(batch)), offers_per_round)
+    by_id = (np.lexsort((np.array(ctx.offer_ids, dtype=str), round_of)) - batch.offer_bounds[round_of]).tolist()
+    true_p = batch.true_p
+    for i, contexts in enumerate(batch.rounds()):
+        a, b, r0, r1 = ob[i], ob[i + 1], rb[i], rb[i + 1]
+        contexts.starts = starts[a:b]  # fills the cached property
+        yield OfferRound(
+            contexts, batch.members[i], weights[r0:r1], pooled[a:b], batch.mf_scores[a:b], by_id[a:b],
+            None if true_p is None else true_p[a:b],
+        )
 
 
 def _policy_rounds(
     batch: RoundBatch, policy: Policy, rng: np.random.Generator, t: int
 ) -> Iterator[tuple[int, OfferRound, Ranking]]:
-    """Each round of a scaled batch numbered from t, as its policy sees
-    it, with the policy's ranking; the one round loop of both harnesses."""
-    ob, rb = batch.offer_bounds.tolist(), batch.row_bounds.tolist()
-    for i, contexts in enumerate(batch.rounds()):
-        offers = make_round(
-            contexts, batch.members[i],
-            None if batch.shares is None else batch.shares[rb[i]:rb[i + 1]],
-            batch.mf_scores[ob[i]:ob[i + 1]],
-            None if batch.true_p is None else batch.true_p[ob[i]:ob[i + 1]],
-        )
-        yield t + i, offers, policy.select(offers, rng, t + i)
+    """Each round of a scaled batch numbered from t, as offer_rounds
+    builds it, with the policy's ranking; the one round loop of both
+    harnesses. Only select and the caller's update run per round."""
+    for i, offers in enumerate(offer_rounds(batch), start=t):
+        yield i, offers, policy.select(offers, rng, i)
+
+
+def oracle_best(batch: RoundBatch) -> np.ndarray:
+    """Each round's best offer slot in the batch: the highest true
+    probability, ties to the smallest offer id."""
+    ids = np.array(batch.contexts.offer_ids, dtype=str)
+    round_of = np.repeat(np.arange(len(batch)), np.diff(batch.offer_bounds))
+    # Sorted by round, then descending true probability, then offer id.
+    order = np.lexsort((ids, -batch.true_p, round_of))
+    return order[batch.offer_bounds[:-1]]
 
 
 def run_synthetic(
@@ -350,11 +368,12 @@ def run_synthetic(
     """Run the policy for `rounds` simulated rounds.
 
     The world draws full chunks of CHUNK_ROUNDS rounds on its own stream,
-    derived from seed, and each chunk is scaled as one batch; the policy
-    draws on default_rng(seed), so a run's first k rounds do not depend on
-    `rounds`. Per round: rank, reward the top choice when the round's
-    uniform falls below its true probability, update the policy with that
-    single outcome.
+    derived from seed; the policy draws on default_rng(seed), so a run's
+    first k rounds do not depend on `rounds`. Only the rounds the run
+    plays are scaled and assembled; no round's scaling depends on a later
+    round, so they get the same bytes. Per round: rank, reward the top
+    choice when the round's uniform falls below its true probability,
+    update the policy with that single outcome.
     """
     if rounds < 1:
         raise ConfigError(f"rounds must be >= 1, got {rounds}")
@@ -365,16 +384,18 @@ def run_synthetic(
     ordinals = count(1)
     records: list[RoundRecord] = []
     for t0 in range(1, rounds + 1, CHUNK_ROUNDS):
-        batch = world.draw_rounds(CHUNK_ROUNDS, world_rng)
+        batch = world.draw_rounds(CHUNK_ROUNDS, world_rng).head(min(CHUNK_ROUNDS, rounds + 1 - t0))
         scale_rounds(batch, scaler)
         draws = batch.reward_draws.tolist()
-        for t, offers, ranking in islice(_policy_rounds(batch, policy, rng, t0), rounds - t0 + 1):
-            ids = offers.contexts.offer_ids
-            chosen = offers.candidate(ids.index(ranking.top))
-            y = 1 if draws[t - t0] < chosen.true_p else 0
+        best = oracle_best(batch)
+        best_ids = [batch.contexts.offer_ids[k] for k in best.tolist()]
+        best_p = batch.true_p[best].tolist()
+        for t, offers, ranking in _policy_rounds(batch, policy, rng, t0):
+            i = t - t0
+            chosen = offers.candidate(offers.contexts.offer_ids.index(ranking.top))
+            y = 1 if draws[i] < chosen.true_p else 0
             for member_id, category_id, weights, update_count in policy.update(chosen, y):
                 trajectories.record(member_id, category_id, weights, update_count, next(ordinals))
-            best = int(offers.by_id[np.argmax(offers.true_p[offers.by_id])])  # ties: the smallest id
             records.append(
                 RoundRecord(
                     t=t,
@@ -382,8 +403,8 @@ def run_synthetic(
                     ranked=_ranked_entries(ranking),
                     chosen=chosen.offer_id,
                     y=y,
-                    oracle_best=ids[best],
-                    oracle_p=float(offers.true_p[best]),
+                    oracle_best=best_ids[i],
+                    oracle_p=best_p[i],
                     chosen_true_p=chosen.true_p,
                 )
             )

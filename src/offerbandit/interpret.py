@@ -54,6 +54,10 @@ class TrajectoryStore:
         self._offered: dict[tuple[str, str], int] = {}
 
     def record(self, member_id: str, category_id: str, weights: np.ndarray, update_count: int, t: int) -> None:
+        """Offer one snapshot of the pair's float weight array."""
+        self._add(member_id, category_id, tuple(weights.tolist()), update_count, t)
+
+    def _add(self, member_id: str, category_id: str, weights: tuple[float, ...], update_count: int, t: int) -> None:
         key = (member_id, category_id)
         series = self._series.setdefault(key, [])
         if series and t <= series[-1].t:
@@ -62,9 +66,7 @@ class TrajectoryStore:
         self._offered[key] = offered + 1
         if offered % self.thin_every:
             return
-        series.append(
-            WeightSnapshot(t, member_id, category_id, tuple(map(float, weights)), update_count)
-        )
+        series.append(WeightSnapshot(t, member_id, category_id, weights, update_count))
 
     def pairs(self) -> list[tuple[str, str]]:
         return sorted(self._series)
@@ -106,8 +108,8 @@ class TrajectoryStore:
         store = cls()
 
         def add(obj: dict) -> None:
-            store.record(obj["member_id"], obj["category_id"], finite_weights(obj["weights"]),
-                         json_count(obj["update_count"], "update_count"), json_count(obj["t"], "t"))
+            store._add(obj["member_id"], obj["category_id"], tuple(map(float, finite_weights(obj["weights"]))),
+                       json_count(obj["update_count"], "update_count"), json_count(obj["t"], "t"))
 
         read_versioned_jsonl(path, "trajectory", FEATURE_ORDER_VERSION, add)
         return store

@@ -89,6 +89,29 @@ def scale_round(raw: RoundContexts, scaler: RunningScaler) -> RoundContexts:
     return RoundContexts(raw.offer_ids, raw.categories, raw.sizes, scaler.transform(raw.X))
 
 
+def sorted_positions(ids) -> list[int]:
+    """The positions of ids in sorted-id order, ties in given order."""
+    return sorted(range(len(ids)), key=ids.__getitem__)
+
+
+def make_round(scaled: RoundContexts, member_id: str, shares, mf_scores, true_p=None) -> OfferRound:
+    """One round as its policy sees it, built on its own: each offer's row
+    weights are its rows' purchase shares renormalized over the offer
+    (uniform when shares is None or sum to 0), and its offer vector is the
+    share-weighted sum of its rows. The per-round reference that
+    harness.offer_rounds must equal byte for byte."""
+    sizes = np.asarray(scaled.sizes)
+    weights = (1.0 / sizes).repeat(sizes)
+    if shares is not None:
+        total = np.add.reduceat(shares, scaled.starts).repeat(sizes)
+        weights = np.where(total > 0, shares / np.where(total > 0, total, 1.0), weights)
+    pooled = np.add.reduceat(weights[:, None] * scaled.X, scaled.starts, axis=0)
+    return OfferRound(
+        scaled, member_id, weights, pooled, np.asarray(mf_scores, dtype=float), sorted_positions(scaled.offer_ids),
+        None if true_p is None else np.asarray(true_p, dtype=float),
+    )
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
@@ -132,6 +155,7 @@ def _as_round(candidates):
         np.array([c.shares[name] for c, names in zip(candidates, cats) for name in names]),
         np.array([c.offer_vector for c in candidates], dtype=float),
         np.array([c.mf_score for c in candidates], dtype=float),
+        sorted_positions(contexts.offer_ids),
         None if candidates[0].true_p is None else np.array([c.true_p for c in candidates]),
     )
 

@@ -292,6 +292,40 @@ class TestModelStore:
         assert store.predict("m1", "c2", x) == 0.5
         assert store.predict("m2", "c1", x) == 0.5
 
+    @pytest.mark.parametrize("l2", [0.0, 0.3])
+    def test_row_update_equals_get_sgd_update_put(self, rng, l2):
+        cfg = LearnerConfig(learning_rate=0.2, positive_boost=3.0, l2_lambda=l2)
+        stepped, reference = ModelStore(np.full(N_FEATURES, 0.1)), ModelStore(np.full(N_FEATURES, 0.1))
+        for i in range(60):
+            member, category = f"m{i % 3}", f"c{i % 4}"
+            x, y = rng.normal(size=N_FEATURES), int(rng.integers(2))
+            weights, count = stepped.update(member, category, x, y, cfg)
+            train(reference, member, category, x, y, cfg)
+            model = reference.get(member, category)
+            assert weights.tobytes() == model.weights.tobytes() and count == model.update_count
+        for (ka, a), (kb, b) in zip(stepped.items_sorted(), reference.items_sorted()):
+            assert ka == kb and a.update_count == b.update_count and a.weights.tobytes() == b.weights.tobytes()
+
+    def test_row_update_returns_weights_the_store_does_not_hold(self):
+        store = ModelStore()
+        weights, _ = store.update("m1", "c1", np.ones(N_FEATURES), 1, LearnerConfig())
+        weights[:] = 9.0
+        assert (store.get("m1", "c1").weights != 9.0).all()
+
+    def test_diverging_row_update_raises_before_writing(self):
+        x = np.full(N_FEATURES, 100.0)
+        store = ModelStore()
+        store.put("m1", "c1", CategoryModel(np.full(N_FEATURES, 0.5), 3))
+        cfg = LearnerConfig(learning_rate=1e308)
+        with np.errstate(over="ignore"):
+            for member in ("m1", "m2"):  # a seen pair and an unseen one
+                with pytest.raises(ValueError) as err:
+                    store.update(member, "c1", x, 0, cfg)
+                assert str(err.value) == DIVERGED
+        assert len(store) == 1 and ("m2", "c1") not in store
+        model = store.get("m1", "c1")
+        assert (model.weights == 0.5).all() and model.update_count == 3
+
     def test_from_config_uses_prior(self):
         prior = tuple([0.1] * N_FEATURES)
         store = ModelStore.from_config(LearnerConfig(prior_weights=prior))

@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import stack_contexts
+from conftest import make_round, stack_contexts
 from offerbandit.bandit import (
     LOGIT_CLAMP,
     CategoryModel,
@@ -26,7 +26,6 @@ from offerbandit.baselines import (
 from offerbandit.errors import ConfigError
 from offerbandit.exploration import ExplorationConfig, sample_scores
 from offerbandit.features import N_FEATURES
-from offerbandit.harness import make_round
 
 
 def basis_candidates(factory, k=4, dim=4, scale=1.0):
@@ -463,10 +462,10 @@ class TestRoundRanking:
         ids = [f"o{k}" for k in rng.permutation(n)]  # "o100" sorts before "o11"
         offers = array_round(rng, [["c0"]] * n, ids=ids)
         scores = rng.choice([0.25, 0.5, -0.0, 0.0], size=n)  # many ties, -0.0 equal to 0.0
-        ranking = offers.ranking(scores)
+        ranking = offers.ranking(scores.tolist())
         assert ranking.order == ordered(dict(zip(ids, scores.tolist())))
         sampled = rng.choice([0.1, 0.9], size=n)
-        ranking = offers.ranking(scores, sampled)
+        ranking = offers.ranking(scores.tolist(), sampled.tolist())
         assert ranking.order == ordered(dict(zip(ids, sampled.tolist())))
         assert ranking.scores == dict(zip(ids, scores.tolist()))
 

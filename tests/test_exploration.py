@@ -155,11 +155,36 @@ class TestSampleBeta:
         ids = sorted(f"o{k}" for k in range(n))
         for kappa in (0.5, 10.0, 1e6):
             array_rng, scalar_rng = np.random.default_rng(42), np.random.default_rng(42)
-            draws = sample_beta(probs, kappa, array_rng, 1e-3)
+            draws = sample_beta(probs.tolist(), kappa, array_rng, 1e-3)
             expected = sample_scores(dict(zip(ids, probs.tolist())), kappa, scalar_rng, 1e-3)
-            assert draws.tolist() == [expected[oid] for oid in ids]
+            assert draws == [expected[oid] for oid in ids]
             assert array_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_scalar_draws_equal_numpy_array_call(self, n):
+        clamp = 1e-4
+        rng = np.random.default_rng(n)
+        for p in (
+            rng.uniform(0.0, 1.0, n),
+            np.full(n, clamp),  # at the lower clamp
+            np.full(n, 1.0 - clamp),  # at the upper clamp
+            np.resize([clamp, 1.0 - clamp, 0.5], n),
+        ):
+            for kappa in (0.5, 10.0, 1e6):
+                ours, numpys = np.random.default_rng(7), np.random.default_rng(7)
+                draws = sample_beta(p.tolist(), kappa, ours, clamp)
+                assert draws == numpys.beta(kappa * p, kappa * (1.0 - p)).tolist()
+                assert ours.bit_generator.state == numpys.bit_generator.state
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_entries_past_the_clamps_draw_as_the_clamps(self, n):
+        clamp = 1e-3
+        p = np.resize([0.0, 1.0, -0.5, 2.0, 0.3], n)
+        ours, numpys = np.random.default_rng(3), np.random.default_rng(3)
+        clamped = np.clip(p, clamp, 1.0 - clamp)
+        assert sample_beta(p.tolist(), 4.0, ours, clamp) == numpys.beta(4.0 * clamped, 4.0 * (1.0 - clamped)).tolist()
+        assert ours.bit_generator.state == numpys.bit_generator.state
 
     def test_nonpositive_kappa_rejected(self, rng):
         with pytest.raises(ConfigError):
-            sample_beta(np.array([0.5]), 0.0, rng)
+            sample_beta([0.5], 0.0, rng)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import cycle_length, member_stats, scale_round, stack_contexts, transaction_log
+from conftest import cycle_length, make_round, member_stats, scale_round, stack_contexts, transaction_log
 from offerbandit.data import MFScoreTable, Offer
 from offerbandit.datagen import generate_offers, generate_transactions
 from offerbandit.errors import ConfigError
@@ -31,7 +31,7 @@ from offerbandit.features import (
     scale_rounds,
     week_of_year,
 )
-from offerbandit.harness import make_round
+from offerbandit.harness import SyntheticWorld, SyntheticWorldConfig
 
 DAY = date(2024, 6, 1)
 
@@ -397,6 +397,27 @@ class TestFeaturize:
             assert got.X.tobytes() == scale_round(raw, one).X.tobytes()
         assert one.count == many.count == warm + sum(sizes)
         assert one._mean.tobytes() == many._mean.tobytes() and one._m2.tobytes() == many._m2.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 37, 100])
+    def test_scaling_a_head_equals_the_head_of_the_scaled_batch(self, n):
+        # A round's moments depend on no later round, so scaling only the
+        # rounds a run plays leaves them as scaling the whole batch does.
+        world = SyntheticWorld(SyntheticWorldConfig(seed=4))
+        whole = world.draw_rounds(100, np.random.default_rng(9))
+        head = world.draw_rounds(100, np.random.default_rng(9)).head(n)
+        warmup = np.random.default_rng(1).normal(size=(3, N_FEATURES))
+        whole_scaler, head_scaler = RunningScaler(), RunningScaler()
+        whole_scaler.update(warmup)
+        head_scaler.update(warmup)
+        scale_rounds(whole, whole_scaler)
+        scale_rounds(head, head_scaler)
+        rows = int(whole.row_bounds[n])
+        assert len(head) == n and head.contexts.X.shape[0] == rows
+        assert head.contexts.X.tobytes() == whole.contexts.X[:rows].tobytes()
+        assert head.contexts.offer_ids == whole.contexts.offer_ids[:int(whole.offer_bounds[n])]
+        assert head.members == whole.members[:n] and head.reward_draws.tobytes() == whole.reward_draws[:n].tobytes()
+        assert head.true_p.tobytes() == whole.true_p[:int(whole.offer_bounds[n])].tobytes()
+        assert head_scaler.count == 3 + rows
 
     def test_scale_round_updates_once_then_transforms_the_batch(self, rng):
         offers = {f"o{i}": {c: rng.normal(size=N_FEATURES) for c in ("b", "a")} for i in range(3)}

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import member_stats, scale_round, stack_contexts, transaction_log
+from conftest import make_round, member_stats, scale_round, stack_contexts, transaction_log
 from offerbandit.bandit import LearnerConfig, aggregate_offer, renormalize_shares, sigmoid
 from offerbandit.baselines import make_policy
 from offerbandit.data import Impression, MFScoreTable, Offer
@@ -27,6 +27,7 @@ from offerbandit.features import (
     build_context,
     build_seasonality_profile,
     featurize_rounds,
+    scale_rounds,
 )
 from offerbandit.harness import (
     OraclePolicy,
@@ -39,7 +40,8 @@ from offerbandit.harness import (
     compute_metrics,
     config_hash,
     files_fingerprint,
-    make_round,
+    offer_rounds,
+    oracle_best,
     run_replay,
     run_synthetic,
     write_metrics_csv,
@@ -344,6 +346,93 @@ class TestMakeRound:
             assert (cand.member_id, cand.mf_score, cand.true_p) == ("m1", mf_scores[k], true_ps[k])
         assert candidates[1].shares == {"c3": 1.0}
         assert candidates[2].shares == {"c4": 0.5, "c5": 0.5}
+
+
+def assert_same_round(got, want):
+    """Two OfferRounds hold the same bytes in every array a policy reads."""
+    assert got.member_id == want.member_id
+    assert got.contexts.offer_ids == want.contexts.offer_ids and got.contexts.categories == want.contexts.categories
+    assert got.contexts.X.tobytes() == want.contexts.X.tobytes()
+    assert got.contexts.starts.tobytes() == want.contexts.starts.tobytes()
+    assert got.contexts.starts.dtype == want.contexts.starts.dtype
+    assert got.weights.tobytes() == want.weights.tobytes()
+    assert got.offer_vectors.tobytes() == want.offer_vectors.tobytes()
+    assert got.mf_scores.tobytes() == want.mf_scores.tobytes()
+    assert got.by_id == want.by_id
+    assert (got.true_p is None) == (want.true_p is None)
+    if want.true_p is not None:
+        assert got.true_p.tobytes() == want.true_p.tobytes()
+
+
+class TestOfferRounds:
+    """offer_rounds builds a whole batch's rounds at once; make_round, one
+    round at a time, is the reference."""
+
+    def per_round(self, batch):
+        ob, rb = batch.offer_bounds.tolist(), batch.row_bounds.tolist()
+        return [
+            make_round(
+                raw, batch.members[i], None if batch.shares is None else batch.shares[rb[i]:rb[i + 1]],
+                batch.mf_scores[ob[i]:ob[i + 1]], None if batch.true_p is None else batch.true_p[ob[i]:ob[i + 1]],
+            )
+            for i, raw in enumerate(batch.rounds())
+        ]
+
+    def test_replay_batch_with_shares_and_the_uniform_fallback(self):
+        rows = generate_transactions(n_members=6, n_categories=5, events_per_member=12, seed=3)
+        # m_few bought only c00, so an offer over c02 and c03 falls back to uniform weights.
+        rows += [("m_few", "c00", "b01", rows[0][3])] * 2
+        log = transaction_log(rows)
+        day0 = date(2024, 6, 1)
+        offers = generate_offers(n_offers=40, n_categories=5, seed=4) + [
+            Offer("few_miss", frozenset({"c02", "c03"}), frozenset(), 1.0, day0, day0 + timedelta(days=90), 1),
+        ]
+        rounds = [
+            (member, day, sorted((o for o in offers if o.active_on(day)), key=lambda o: o.offer_id))
+            for member in ("m000", "m003", "m_few")
+            for day in (day0 + timedelta(days=k) for k in (0, 15, 45))
+        ]
+        batch = featurize_rounds(rounds, MemberStatsIndex(log), build_seasonality_profile(log), MFScoreTable())
+        scale_rounds(batch, RunningScaler())
+        want = self.per_round(batch)
+        got = list(offer_rounds(batch))
+        assert len(got) == len(want) == len(rounds)
+        for g, w in zip(got, want):
+            assert_same_round(g, w)
+        fallback = [
+            (offers.member_id, offers.contexts.offer_ids[k])
+            for offers in got
+            for k, (start, n) in enumerate(zip(offers.contexts.starts.tolist(), offers.contexts.sizes))
+            if offers.weights[start:start + n].tolist() == [1.0 / n] * n and n > 1
+        ]
+        assert ("m_few", "few_miss") in fallback
+        assert len(set(batch.shares.tolist())) > 3  # renormalized shares, not only uniform ones
+
+    def test_synthetic_batch_sorts_o100_before_o11(self):
+        world = SyntheticWorld(SyntheticWorldConfig(offers_per_round=105, n_categories=4, seed=6))
+        batch = world.draw_rounds(3, np.random.default_rng(2))
+        scale_rounds(batch, RunningScaler())
+        got = list(offer_rounds(batch))
+        for g, w in zip(got, self.per_round(batch)):
+            assert_same_round(g, w)
+        ids = got[0].sorted_ids()
+        assert ids.index("o100") < ids.index("o11") and got[0].by_id != sorted(got[0].by_id)
+
+    def test_oracle_best_takes_the_smallest_id_among_ties(self):
+        world = SyntheticWorld(SyntheticWorldConfig(offers_per_round=103, seed=1))
+        batch = world.draw_rounds(4, np.random.default_rng(3))
+        # Round 0: o11 and o100 tie at the top; round 1: all tie; round 2: o05 leads.
+        batch.true_p[:] = 0.1
+        batch.true_p[[11, 100]] = 0.9
+        batch.true_p[103:206] = 0.5
+        batch.true_p[206 + 5] = 0.7
+        best = oracle_best(batch).tolist()
+        for i, offers in enumerate(offer_rounds(batch)):
+            by_id = np.array(offers.by_id)
+            want = int(by_id[np.argmax(offers.true_p[by_id])]) + int(batch.offer_bounds[i])
+            assert best[i] == want
+        ids = batch.contexts.offer_ids
+        assert [ids[k] for k in best[:3]] == ["o100", "o00", "o05"]
 
 
 class TestMetrics:

@@ -423,6 +423,14 @@ def json_count(value, name: str) -> int:
     return value
 
 
+def json_id(value, name: str) -> str:
+    """An id read from a state file, returned as is. Raises ValueError
+    unless it is a non-empty JSON string, as the writers write ids."""
+    if type(value) is not str or not value:
+        raise ValueError(f"{name} must be a non-empty string, got {value!r}")
+    return value
+
+
 def save_checkpoint(path: str | Path, store: ModelStore, cfg: LearnerConfig) -> None:
     """Write the store as JSONL: a header line, then one model per line."""
     header = {
@@ -457,9 +465,9 @@ def load_checkpoint(path: str | Path) -> tuple[ModelStore, dict]:
 
     Raises ConfigError naming the file and line when the feature order
     version differs, a line is malformed, the prior or a model's weights
-    are not N_FEATURES finite numbers, n_models or an update_count is not
-    a non-negative JSON integer, or the model rows do not match the
-    header's n_models.
+    are not N_FEATURES finite numbers, a member_id or category_id is not
+    a non-empty string, n_models or an update_count is not a non-negative
+    JSON integer, or the model rows do not match the header's n_models.
     """
     store = ModelStore()
 
@@ -469,7 +477,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelStore, dict]:
         store = ModelStore(finite_weights(header["prior_weights"]))
 
     def add(obj: dict) -> None:
-        key = (obj["member_id"], obj["category_id"])
+        key = (json_id(obj["member_id"], "member_id"), json_id(obj["category_id"], "category_id"))
         if key in store:
             raise ValueError(f"duplicate model {key}")
         count = json_count(obj["update_count"], "update_count")

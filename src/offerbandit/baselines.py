@@ -29,7 +29,7 @@ import numpy as np
 from .bandit import CategoryModel, LearnerConfig, ModelStore, offer_probabilities, sgd_update, sigmoid_rows
 from .errors import ConfigError
 from .exploration import ExplorationConfig, kappa_at, sample_beta
-from .features import N_FEATURES, RoundContexts
+from .features import N_FEATURES
 
 EPSILON_DECAYS = ("constant", "inverse_t")
 
@@ -75,16 +75,20 @@ class Ranking:
 class OfferRound:
     """One round's offers as arrays, the form every policy's select takes.
 
-    contexts holds the scaled rows, offer k owning the rows from
-    contexts.starts[k]. weights[r] is row r's share of its offer (the
-    member's purchase shares renormalized over the offer's categories)
-    and offer_vectors[k] is the share-weighted sum of offer k's rows.
-    by_id lists the offer indices in sorted offer-id order. true_p is set
-    only by synthetic worlds. len() is the number of offers; candidate(k)
-    builds offer k's OfferCandidate for update().
+    Offer k is offer_ids[k] and owns the scaled rows of X from starts[k]
+    to the next offer's start, row r of category categories[r].
+    weights[r] is row r's share of its offer (the member's purchase
+    shares renormalized over the offer's categories) and offer_vectors[k]
+    is the share-weighted sum of offer k's rows. by_id lists the offer
+    indices in sorted offer-id order. true_p is set only by synthetic
+    worlds. len() is the number of offers; candidate(k) builds offer k's
+    OfferCandidate for update().
     """
 
-    contexts: RoundContexts
+    offer_ids: list[str]
+    categories: list[str]
+    X: np.ndarray
+    starts: np.ndarray
     member_id: str
     weights: np.ndarray
     offer_vectors: np.ndarray
@@ -93,20 +97,20 @@ class OfferRound:
     true_p: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self.contexts.offer_ids)
+        return len(self.offer_ids)
 
     def sorted_ids(self) -> list[str]:
-        ids = self.contexts.offer_ids
+        ids = self.offer_ids
         return [ids[k] for k in self.by_id]
 
     def candidate(self, k: int) -> OfferCandidate:
-        ctx = self.contexts
-        rows = slice(ctx.starts[k], ctx.starts[k] + ctx.sizes[k])
-        cats = ctx.categories[rows]
+        end = self.starts[k + 1] if k + 1 < len(self.starts) else len(self.categories)
+        rows = slice(self.starts[k], end)
+        cats = self.categories[rows]
         return OfferCandidate(
-            ctx.offer_ids[k],
+            self.offer_ids[k],
             self.member_id,
-            dict(zip(cats, ctx.X[rows])),
+            dict(zip(cats, self.X[rows])),
             dict(zip(cats, self.weights[rows].tolist())),
             float(self.mf_scores[k]),
             self.offer_vectors[k],
@@ -117,7 +121,7 @@ class OfferRound:
         """Offers by descending sampled score (point score when sampled is
         None), ties in offer-id order: a stable sort over by_id. Scores
         hold one float per offer, in offer order."""
-        ids = self.contexts.offer_ids
+        ids = self.offer_ids
         key = scores if sampled is None else sampled
         if math.isnan(sum(key)):
             # NaN ranks last, where a stable numpy sort of -key puts it.
@@ -165,10 +169,9 @@ class CambPolicy:
         self.exploration = exploration
 
     def select(self, offers: OfferRound, rng: np.random.Generator, t: int) -> Ranking:
-        ctx = offers.contexts
-        category_probs = self.store.predict_rows(offers.member_id, ctx.categories, ctx.X)
+        category_probs = self.store.predict_rows(offers.member_id, offers.categories, offers.X)
         probs = offer_probabilities(
-            category_probs, offers.weights, ctx.starts, offers.mf_scores, self.learner.mf_bias_coeff
+            category_probs, offers.weights, offers.starts, offers.mf_scores, self.learner.mf_bias_coeff
         ).tolist()
         kappa = kappa_at(t - 1, self.exploration)
         # Drawn in sorted offer-id order, the order sample_scores uses.
@@ -300,7 +303,7 @@ class EpsilonGreedyPolicy:
         if rng.random() < self.epsilon_at(t):
             ids = offers.sorted_ids()
             order = [ids[i] for i in rng.permutation(len(ids))]
-            return Ranking(order=order, scores=dict(zip(offers.contexts.offer_ids, scores.tolist())))
+            return Ranking(order=order, scores=dict(zip(offers.offer_ids, scores.tolist())))
         return offers.ranking(scores.tolist())
 
     def update(self, candidate: OfferCandidate, reward: int) -> list[ModelDelta]:

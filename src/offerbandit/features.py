@@ -22,9 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import date
-from functools import cached_property
 from itertools import accumulate, chain
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -91,13 +90,15 @@ class SeasonalityProfile:
     """Per-category week-of-year demand, smoothed and peak-normalized.
 
     Weekly purchase counts are smoothed with a circular moving average
-    (window 3 by default) before taking the ratio to the category's peak
-    week, so a one-week spike credits its neighbors as well.
+    (an odd window of at most 51 weeks, 3 by default) before taking the
+    ratio to the category's peak week, so a one-week spike credits its
+    neighbors as well.
     """
 
     def __init__(self, weekly_counts: Mapping[str, np.ndarray], smoothing_window: int = 3):
-        if smoothing_window < 1 or smoothing_window % 2 == 0:
-            raise ConfigError(f"smoothing_window must be odd and positive, got {smoothing_window}")
+        # A window wider than the year would count some weeks twice.
+        if not 1 <= smoothing_window < WEEKS_PER_YEAR or smoothing_window % 2 == 0:
+            raise ConfigError(f"smoothing_window must be odd and in [1, {WEEKS_PER_YEAR - 1}], got {smoothing_window}")
         self.smoothing_window = smoothing_window
         # Each category's smoothed weekly counts over their peak, or the
         # counts themselves, all zeros, when the peak is 0.
@@ -184,31 +185,13 @@ def build_context(
 
 
 @dataclass
-class RoundContexts:
-    """One round's contexts as one array.
-
-    Offer k owns sizes[k] >= 1 consecutive rows of X, one per category,
-    with categories[r] naming row r's category. Offers keep the order
-    they were given in; each offer's categories are sorted.
-    """
-
-    offer_ids: list[str]
-    categories: list[str]
-    sizes: list[int]
-    X: np.ndarray
-
-    @cached_property
-    def starts(self) -> np.ndarray:
-        """Each offer's first row, in offer order: the np.add.reduceat
-        offsets that pool a round's rows per offer."""
-        return np.array(list(accumulate(self.sizes, initial=0))[:-1], dtype=np.intp)
-
-
-@dataclass
 class RoundBatch:
-    """Consecutive rounds' contexts stacked in one RoundContexts.
+    """Consecutive rounds' contexts as one array.
 
-    Round i is members[i]'s and holds the offers
+    Offer slot k is offer_ids[k] and owns sizes[k] >= 1 consecutive rows
+    of X, one per category, with categories[r] naming row r's category;
+    offers keep the order they were given in and each offer's categories
+    are sorted. Round i is members[i]'s and holds the offer slots
     offer_bounds[i]:offer_bounds[i + 1] and the rows
     row_bounds[i]:row_bounds[i + 1]; both bounds start at 0. shares[r] is
     row r's pair's purchase count over its member's, 0 where the member
@@ -217,7 +200,10 @@ class RoundBatch:
     true clip probability and one reward uniform per round.
     """
 
-    contexts: RoundContexts
+    offer_ids: list[str]
+    categories: list[str]
+    sizes: np.ndarray
+    X: np.ndarray
     offer_bounds: np.ndarray
     row_bounds: np.ndarray
     members: list[str]
@@ -232,9 +218,8 @@ class RoundBatch:
     def head(self, n: int) -> RoundBatch:
         """The batch of the first n rounds; its arrays are views of these."""
         o, r = int(self.offer_bounds[n]), int(self.row_bounds[n])
-        c = self.contexts
         return RoundBatch(
-            RoundContexts(c.offer_ids[:o], c.categories[:r], c.sizes[:o], c.X[:r]),
+            self.offer_ids[:o], self.categories[:r], self.sizes[:o], self.X[:r],
             self.offer_bounds[:n + 1],
             self.row_bounds[:n + 1],
             self.members[:n],
@@ -243,13 +228,6 @@ class RoundBatch:
             None if self.true_p is None else self.true_p[:o],
             None if self.reward_draws is None else self.reward_draws[:n],
         )
-
-    def rounds(self) -> Iterator[RoundContexts]:
-        """Each round's contexts in order; their X are views."""
-        c = self.contexts
-        ob, rb = self.offer_bounds.tolist(), self.row_bounds.tolist()
-        for a, b, r0, r1 in zip(ob, ob[1:], rb, rb[1:]):
-            yield RoundContexts(c.offer_ids[a:b], c.categories[r0:r1], c.sizes[a:b], c.X[r0:r1])
 
 
 def featurize_rounds(
@@ -330,13 +308,10 @@ def featurize_rounds(
         raise ValueError("context vector contains non-finite values")
     offer_bounds = np.array(list(accumulate(n_offers, initial=0)), dtype=np.intp)
     row_ends = np.concatenate(([0], np.cumsum(sizes)))
-    contexts = RoundContexts(
-        [distinct[k].offer_id for k in slots],
-        list(chain.from_iterable(cats[k] for k in slots)),
-        sizes.tolist(),
-        X,
+    return RoundBatch(
+        [distinct[k].offer_id for k in slots], list(chain.from_iterable(cats[k] for k in slots)), sizes, X,
+        offer_bounds, row_ends[offer_bounds], members, shares, mf_scores,
     )
-    return RoundBatch(contexts, offer_bounds, row_ends[offer_bounds], members, shares, mf_scores)
 
 
 def _starts(counts: np.ndarray) -> np.ndarray:
@@ -369,7 +344,7 @@ def scale_rounds(batch: RoundBatch, scaler: RunningScaler) -> None:
     moments are mean 0 and scale 1, which leave a row as it is, as
     transform does.
     """
-    X = batch.contexts.X
+    X = batch.X
     sizes = np.diff(batch.row_bounds)
     rounds = np.flatnonzero(sizes)
     n_b, first = sizes[rounds], batch.row_bounds[rounds]

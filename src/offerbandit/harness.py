@@ -33,7 +33,6 @@ from .features import (
     MemberStatsIndex,
     N_FEATURES,
     RoundBatch,
-    RoundContexts,
     RunningScaler,
     build_seasonality_profile,
     featurize_rounds,
@@ -129,17 +128,18 @@ class SyntheticWorld:
         for every offer; the base world scores whole batches at once with
         the same arithmetic."""
         cats = sorted(category_raw)
-        raw = RoundContexts([""], cats, [len(cats)], np.array([category_raw[c] for c in cats]))
+        X = np.array([category_raw[c] for c in cats])
         rows = np.array([self._index[c] for c in cats])
-        return float(self._true_probabilities(raw, rows, np.array([mf_score]))[0])
+        return float(self._true_probabilities(X, np.array([len(cats)]), rows, np.array([mf_score]))[0])
 
-    def _true_probabilities(self, raw: RoundContexts, rows: np.ndarray, mf_scores: np.ndarray) -> np.ndarray:
+    def _true_probabilities(self, X: np.ndarray, sizes: np.ndarray, rows: np.ndarray, mf_scores: np.ndarray):
         """Every offer's true clip probability: per-category logistic
         probabilities, aggregated by offer_probabilities with uniform
-        shares. Row r of raw belongs to category rows[r] of the world."""
-        p = sigmoid_rows(np.einsum("ij,ij->i", self._raw_weights[rows], raw.X))
-        sizes = np.asarray(raw.sizes)
-        return offer_probabilities(p, (1.0 / sizes).repeat(sizes), raw.starts, mf_scores, self.config.mf_bias_coeff)
+        shares. Offer k owns the next sizes[k] raw rows of X; row r
+        belongs to category rows[r] of the world."""
+        p = sigmoid_rows(np.einsum("ij,ij->i", self._raw_weights[rows], X))
+        starts = np.cumsum(sizes) - sizes
+        return offer_probabilities(p, (1.0 / sizes).repeat(sizes), starts, mf_scores, self.config.mf_bias_coeff)
 
     def draw_rounds(self, n_rounds: int, rng: np.random.Generator) -> RoundBatch:
         """n_rounds rounds as one batch of raw rows: each round's member,
@@ -173,24 +173,26 @@ class SyntheticWorld:
         X[:, 2] = rng.beta(2.0, 2.0, m)  # brand loyalty
         X[:, 3] = rng.random(m)  # seasonality
         X[:, 4:] = offer[offer_of]
-        raw = RoundContexts(self._offer_ids * n_rounds, categories, sizes.tolist(), X)
         if type(self).true_probability is SyntheticWorld.true_probability:
-            true_p = self._true_probabilities(raw, cat, mf_scores)
+            true_p = self._true_probabilities(X, sizes, cat, mf_scores)
         else:
             rows = list(X)
             true_p = np.array([
                 self.true_probability(dict(zip(categories[s:s + k], rows[s:s + k])), mf)
-                for s, k, mf in zip(raw.starts.tolist(), raw.sizes, mf_scores.tolist())
+                for s, k, mf in zip((np.cumsum(sizes) - sizes).tolist(), sizes.tolist(), mf_scores.tolist())
             ])
         offer_bounds = np.arange(0, n + 1, cfg.offers_per_round)
         row_bounds = np.concatenate(([0], np.cumsum(sizes)))[offer_bounds]
-        return RoundBatch(raw, offer_bounds, row_bounds, members, None, mf_scores, true_p, rng.random(n_rounds))
+        return RoundBatch(
+            self._offer_ids * n_rounds, categories, sizes, X, offer_bounds, row_bounds, members, None, mf_scores,
+            true_p, rng.random(n_rounds),
+        )
 
-    def generate_round(self, t: int, rng: np.random.Generator) -> tuple[str, RoundContexts, np.ndarray, np.ndarray]:
-        """One round drawn as draw_rounds(1, rng) draws it: its member, raw
-        contexts, mf scores and true clip probabilities."""
+    def generate_round(self, t: int, rng: np.random.Generator) -> tuple[str, RoundBatch, np.ndarray, np.ndarray]:
+        """One round drawn as draw_rounds(1, rng) draws it: its member, the
+        one-round batch of raw rows, mf scores and true clip probabilities."""
         batch = self.draw_rounds(1, rng)
-        return batch.members[0], batch.contexts, batch.mf_scores, batch.true_p
+        return batch.members[0], batch, batch.mf_scores, batch.true_p
 
 
 class OraclePolicy:
@@ -311,29 +313,29 @@ def offer_rounds(batch: RoundBatch) -> Iterator[OfferRound]:
     Each offer's row weights are its rows' purchase shares renormalized
     over the offer (uniform when the batch has no shares, or when the
     member bought none of the offer's categories), and its offer vector
-    is the share-weighted sum of its rows. Both, and each round's offers
-    in sorted-id order, are worked out once for the whole batch, with
-    reduceat over each offer's rows; every round holds views of them.
+    is the share-weighted sum of its rows. Both, each offer's first row
+    within its round and each round's offers in sorted-id order are
+    worked out once for the whole batch, with reduceat over each offer's
+    rows. Every round holds slices of the batch's lists and views of its
+    arrays.
     """
-    ctx = batch.contexts
-    sizes = np.asarray(ctx.sizes)
+    sizes = batch.sizes
+    starts = np.cumsum(sizes) - sizes
     weights = (1.0 / sizes).repeat(sizes)
     if batch.shares is not None:
-        total = np.add.reduceat(batch.shares, ctx.starts).repeat(sizes)
+        total = np.add.reduceat(batch.shares, starts).repeat(sizes)
         weights = np.where(total > 0, batch.shares / np.where(total > 0, total, 1.0), weights)
-    pooled = np.add.reduceat(weights[:, None] * ctx.X, ctx.starts, axis=0)
-    ob, rb = batch.offer_bounds.tolist(), batch.row_bounds.tolist()
+    pooled = np.add.reduceat(weights[:, None] * batch.X, starts, axis=0)
     offers_per_round = np.diff(batch.offer_bounds)
-    starts = ctx.starts - np.repeat(batch.row_bounds[:-1], offers_per_round)
+    starts -= np.repeat(batch.row_bounds[:-1], offers_per_round)
     # A stable sort by (round, offer id), as positions within each round.
     round_of = np.repeat(np.arange(len(batch)), offers_per_round)
-    by_id = (np.lexsort((np.array(ctx.offer_ids, dtype=str), round_of)) - batch.offer_bounds[round_of]).tolist()
-    true_p = batch.true_p
-    for i, contexts in enumerate(batch.rounds()):
-        a, b, r0, r1 = ob[i], ob[i + 1], rb[i], rb[i + 1]
-        contexts.starts = starts[a:b]  # fills the cached property
+    by_id = (np.lexsort((np.array(batch.offer_ids, dtype=str), round_of)) - batch.offer_bounds[round_of]).tolist()
+    ids, cats, X, mf, true_p = batch.offer_ids, batch.categories, batch.X, batch.mf_scores, batch.true_p
+    ob, rb = batch.offer_bounds.tolist(), batch.row_bounds.tolist()
+    for member, a, b, r0, r1 in zip(batch.members, ob, ob[1:], rb, rb[1:]):
         yield OfferRound(
-            contexts, batch.members[i], weights[r0:r1], pooled[a:b], batch.mf_scores[a:b], by_id[a:b],
+            ids[a:b], cats[r0:r1], X[r0:r1], starts[a:b], member, weights[r0:r1], pooled[a:b], mf[a:b], by_id[a:b],
             None if true_p is None else true_p[a:b],
         )
 
@@ -351,7 +353,7 @@ def _policy_rounds(
 def oracle_best(batch: RoundBatch) -> np.ndarray:
     """Each round's best offer slot in the batch: the highest true
     probability, ties to the smallest offer id."""
-    ids = np.array(batch.contexts.offer_ids, dtype=str)
+    ids = np.array(batch.offer_ids, dtype=str)
     round_of = np.repeat(np.arange(len(batch)), np.diff(batch.offer_bounds))
     # Sorted by round, then descending true probability, then offer id.
     order = np.lexsort((ids, -batch.true_p, round_of))
@@ -388,11 +390,11 @@ def run_synthetic(
         scale_rounds(batch, scaler)
         draws = batch.reward_draws.tolist()
         best = oracle_best(batch)
-        best_ids = [batch.contexts.offer_ids[k] for k in best.tolist()]
+        best_ids = [batch.offer_ids[k] for k in best.tolist()]
         best_p = batch.true_p[best].tolist()
         for t, offers, ranking in _policy_rounds(batch, policy, rng, t0):
             i = t - t0
-            chosen = offers.candidate(offers.contexts.offer_ids.index(ranking.top))
+            chosen = offers.candidate(offers.offer_ids.index(ranking.top))
             y = 1 if draws[i] < chosen.true_p else 0
             for member_id, category_id, weights, update_count in policy.update(chosen, y):
                 trajectories.record(member_id, category_id, weights, update_count, next(ordinals))
@@ -481,7 +483,7 @@ def run_replay(
         top = ranking.top
         matched = top in imp.offers_shown
         y = (1 if top in imp.clipped else 0) if matched else None
-        index = {oid: k for k, oid in enumerate(offers.contexts.offer_ids)}
+        index = {oid: k for k, oid in enumerate(offers.offer_ids)}
         for oid in imp.offers_shown:
             k = index.get(oid)
             if k is None:
@@ -533,15 +535,14 @@ def backfit_events(
         clipped += [o.offer_id in imp.clipped for o in featurized]
     batch = featurize_rounds(rounds, stats, profile, dataset.mf_table, cold_start_mpg)
     scale_rounds(batch, RunningScaler())
-    scaled = batch.contexts
     per_round = np.diff(batch.row_bounds)
     members = list(chain.from_iterable(repeat(m, n) for (m, _, _), n in zip(rounds, per_round.tolist())))
     events = TrainingEvents(
         np.repeat(np.arange(len(rounds)), per_round),
         members,
-        scaled.categories,
-        scaled.X,
-        np.repeat(np.array(clipped, dtype=bool), scaled.sizes),
+        batch.categories,
+        batch.X,
+        np.repeat(np.array(clipped, dtype=bool), batch.sizes),
     )
     return events, {"shown_offers_not_featurized": skipped}
 

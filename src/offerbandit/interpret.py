@@ -21,7 +21,7 @@ from urllib.request import Request, urlopen
 
 import numpy as np
 
-from .bandit import finite_weights, json_count
+from .bandit import finite_weights, json_count, json_id
 from .data import read_versioned_jsonl
 from .errors import ConfigError
 from .features import FEATURE_NAMES, FEATURE_ORDER_VERSION, N_FEATURES
@@ -103,12 +103,14 @@ class TrajectoryStore:
     def load(cls, path: str | Path) -> "TrajectoryStore":
         """Read a file written by save(). Raises ConfigError naming the file
         and line when the feature order version differs, a line is
-        malformed, a weight vector is not N_FEATURES finite numbers, or
+        malformed, a weight vector is not N_FEATURES finite numbers, a
+        member_id or category_id is not a non-empty string, or
         update_count or t is not a non-negative JSON integer."""
         store = cls()
 
         def add(obj: dict) -> None:
-            store._add(obj["member_id"], obj["category_id"], tuple(map(float, finite_weights(obj["weights"]))),
+            store._add(json_id(obj["member_id"], "member_id"), json_id(obj["category_id"], "category_id"),
+                       tuple(map(float, finite_weights(obj["weights"]))),
                        json_count(obj["update_count"], "update_count"), json_count(obj["t"], "t"))
 
         read_versioned_jsonl(path, "trajectory", FEATURE_ORDER_VERSION, add)

@@ -1,4 +1,6 @@
+from dataclasses import replace
 from datetime import date
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import HealthCheck, settings
 
 from offerbandit.baselines import OfferCandidate, OfferRound
 from offerbandit.data import TransactionLog
-from offerbandit.features import N_FEATURES, MemberCategoryStats, MemberStatsIndex, RoundContexts, RunningScaler
+from offerbandit.features import N_FEATURES, MemberCategoryStats, MemberStatsIndex, RoundBatch, RunningScaler
 
 settings.register_profile(
     "suite",
@@ -68,25 +70,52 @@ def member_stats(index: MemberStatsIndex, member_id: str, category_id: str, as_o
     return MemberCategoryStats(last, float(index._cycle[p]), {index._brands[k % n]: c for k, c in counts})
 
 
-def stack_contexts(contexts) -> RoundContexts:
-    """The RoundContexts of {offer_id: {category_id: vector}}: offers in
-    the mapping's order, each offer's categories sorted."""
-    cats = [sorted(vectors) for vectors in contexts.values()]
-    rows = [vectors[c] for vectors, cs in zip(contexts.values(), cats) for c in cs]
-    return RoundContexts(
-        list(contexts),
-        [c for cs in cats for c in cs],
-        [len(cs) for cs in cats],
-        np.array(rows, dtype=float).reshape(-1, N_FEATURES),
+def one_round(offer_ids, categories, sizes, X, member="m0", shares=None, mf_scores=None, true_p=None) -> RoundBatch:
+    """The one-round batch of these offers, offer k owning the next
+    sizes[k] rows of X; mf scores default to zeros."""
+    sizes = np.asarray(sizes, dtype=np.intp)
+    X = np.asarray(X, dtype=float).reshape(-1, N_FEATURES)
+    return RoundBatch(
+        list(offer_ids), list(categories), sizes, X, np.array([0, len(sizes)]), np.array([0, len(X)]), [member],
+        None if shares is None else np.asarray(shares, dtype=float),
+        np.zeros(len(sizes)) if mf_scores is None else np.asarray(mf_scores, dtype=float),
+        None if true_p is None else np.asarray(true_p, dtype=float),
     )
 
 
-def scale_round(raw: RoundContexts, scaler: RunningScaler) -> RoundContexts:
-    """Normalize one round's raw contexts through the shared online
-    scaler: fold the whole round in as one batch, then transform it. The
+def each_round(batch: RoundBatch):
+    """Each round of a batch in order, as a one-round batch of slices and
+    views of its columns."""
+    ob, rb = batch.offer_bounds.tolist(), batch.row_bounds.tolist()
+    for member, a, b, r0, r1 in zip(batch.members, ob, ob[1:], rb, rb[1:]):
+        yield one_round(
+            batch.offer_ids[a:b], batch.categories[r0:r1], batch.sizes[a:b], batch.X[r0:r1], member,
+            None if batch.shares is None else batch.shares[r0:r1], batch.mf_scores[a:b],
+            None if batch.true_p is None else batch.true_p[a:b],
+        )
+
+
+def offer_rows(sizes) -> list[slice]:
+    """The rows of each offer, offers owning sizes[k] consecutive rows."""
+    sizes = np.asarray(sizes).tolist()
+    return [slice(end - n, end) for end, n in zip(accumulate(sizes), sizes)]
+
+
+def stack_contexts(contexts, **round_fields) -> RoundBatch:
+    """The one-round batch of {offer_id: {category_id: vector}}: offers in
+    the mapping's order, each offer's categories sorted; round_fields go
+    to one_round."""
+    cats = [sorted(vectors) for vectors in contexts.values()]
+    rows = [vectors[c] for vectors, cs in zip(contexts.values(), cats) for c in cs]
+    return one_round(list(contexts), [c for cs in cats for c in cs], [len(cs) for cs in cats], rows, **round_fields)
+
+
+def scale_round(raw: RoundBatch, scaler: RunningScaler) -> RoundBatch:
+    """Normalize one round's raw rows through the shared online scaler:
+    fold the whole round in as one batch, then transform it. The
     per-round reference scale_rounds must equal byte for byte."""
     scaler.update(raw.X)
-    return RoundContexts(raw.offer_ids, raw.categories, raw.sizes, scaler.transform(raw.X))
+    return replace(raw, X=scaler.transform(raw.X))
 
 
 def sorted_positions(ids) -> list[int]:
@@ -94,21 +123,22 @@ def sorted_positions(ids) -> list[int]:
     return sorted(range(len(ids)), key=ids.__getitem__)
 
 
-def make_round(scaled: RoundContexts, member_id: str, shares, mf_scores, true_p=None) -> OfferRound:
-    """One round as its policy sees it, built on its own: each offer's row
-    weights are its rows' purchase shares renormalized over the offer
-    (uniform when shares is None or sum to 0), and its offer vector is the
-    share-weighted sum of its rows. The per-round reference that
-    harness.offer_rounds must equal byte for byte."""
-    sizes = np.asarray(scaled.sizes)
+def make_round(scaled: RoundBatch) -> OfferRound:
+    """A scaled one-round batch as its policy sees it, built on its own:
+    each offer's row weights are its rows' purchase shares renormalized
+    over the offer (uniform when shares is None or sum to 0), and its
+    offer vector is the share-weighted sum of its rows. The per-round
+    reference that harness.offer_rounds must equal byte for byte."""
+    sizes = scaled.sizes
+    starts = np.array(list(accumulate(sizes.tolist(), initial=0))[:-1], dtype=np.intp)
     weights = (1.0 / sizes).repeat(sizes)
-    if shares is not None:
-        total = np.add.reduceat(shares, scaled.starts).repeat(sizes)
-        weights = np.where(total > 0, shares / np.where(total > 0, total, 1.0), weights)
-    pooled = np.add.reduceat(weights[:, None] * scaled.X, scaled.starts, axis=0)
+    if scaled.shares is not None:
+        total = np.add.reduceat(scaled.shares, starts).repeat(sizes)
+        weights = np.where(total > 0, scaled.shares / np.where(total > 0, total, 1.0), weights)
+    pooled = np.add.reduceat(weights[:, None] * scaled.X, starts, axis=0)
     return OfferRound(
-        scaled, member_id, weights, pooled, np.asarray(mf_scores, dtype=float), sorted_positions(scaled.offer_ids),
-        None if true_p is None else np.asarray(true_p, dtype=float),
+        scaled.offer_ids, scaled.categories, scaled.X, starts, scaled.members[0], weights, pooled, scaled.mf_scores,
+        sorted_positions(scaled.offer_ids), scaled.true_p,
     )
 
 
@@ -143,19 +173,17 @@ def _as_round(candidates):
     in order: their category vectors as rows, their shares as row weights,
     their offer vectors, mf scores and true probabilities."""
     cats = [sorted(c.category_vectors) for c in candidates]
-    contexts = RoundContexts(
-        [c.offer_id for c in candidates],
-        [name for names in cats for name in names],
-        [len(names) for names in cats],
-        np.array([c.category_vectors[name] for c, names in zip(candidates, cats) for name in names], dtype=float),
-    )
+    ids = [c.offer_id for c in candidates]
     return OfferRound(
-        contexts,
+        ids,
+        [name for names in cats for name in names],
+        np.array([c.category_vectors[name] for c, names in zip(candidates, cats) for name in names], dtype=float),
+        np.array(list(accumulate((len(names) for names in cats), initial=0))[:-1], dtype=np.intp),
         candidates[0].member_id,
         np.array([c.shares[name] for c, names in zip(candidates, cats) for name in names]),
         np.array([c.offer_vector for c in candidates], dtype=float),
         np.array([c.mf_score for c in candidates], dtype=float),
-        sorted_positions(contexts.offer_ids),
+        sorted_positions(ids),
         None if candidates[0].true_p is None else np.array([c.true_p for c in candidates]),
     )
 

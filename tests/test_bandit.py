@@ -547,9 +547,14 @@ class TestCheckpoint:
             (lambda lines: lines[0].update(n_models=3), 1),
             (lambda lines: lines[2].update(member_id="m1", category_id="c1"), 3),
             (lambda lines: lines[1].pop("weights"), 2),
+            (lambda lines: lines[1].update(member_id=7), 2),
+            (lambda lines: lines[2].update(member_id=None), 3),
+            (lambda lines: lines[1].update(category_id=""), 2),
+            (lambda lines: lines[2].update(category_id=["c1"]), 3),
         ],
         ids=["short-weights", "nan-weights", "inf-weight", "long-prior", "row-count",
-             "duplicate-row", "missing-field"],
+             "duplicate-row", "missing-field", "number-member", "null-member", "empty-category",
+             "list-category"],
     )
     def test_malformed_checkpoint_rejected_with_file_and_line(self, tmp_path, corrupt, line):
         store = ModelStore()

@@ -348,9 +348,10 @@ def array_round(rng, categories_per_offer, shares=None, mf_scores=None, member="
         contexts[oid] = rows
     if mf_scores is None:
         mf_scores = rng.normal(0.0, 0.5, len(ids))
-    raw = stack_contexts(contexts)
-    row_shares = None if shares is None else np.array([shares.get(c, 0.0) for c in raw.categories])
-    return make_round(raw, member, row_shares, mf_scores)
+    raw = stack_contexts(contexts, member=member, mf_scores=mf_scores)
+    if shares is not None:
+        raw.shares = np.array([shares.get(c, 0.0) for c in raw.categories])
+    return make_round(raw)
 
 
 class TestCambArrayScoring:
@@ -389,7 +390,7 @@ class TestCambArrayScoring:
         set_weights(policy.store, "m0", "c1", -60.0)
         contexts = {"o00": {"c0": np.ones(N_FEATURES)}, "o01": {"c1": np.ones(N_FEATURES)},
                     "o02": {"c0": np.ones(N_FEATURES), "c1": np.ones(N_FEATURES)}, "o03": {"c2": np.ones(N_FEATURES)}}
-        ranking = self.check(policy, make_round(stack_contexts(contexts), "m0", None, np.zeros(4)))
+        ranking = self.check(policy, make_round(stack_contexts(contexts)))
         assert ranking.scores["o00"] == pytest.approx(1.0 - LOGIT_CLAMP, rel=1e-9)
         assert ranking.scores["o01"] == pytest.approx(LOGIT_CLAMP, rel=1e-9)
 
@@ -478,4 +479,4 @@ class TestRoundRanking:
 
     def test_len_is_the_offer_count(self, rng):
         offers = array_round(rng, [["c0", "c1", "c2"], ["c1"], ["c3", "c4"]])
-        assert len(offers) == 3 and len(offers.contexts.X) == 6
+        assert len(offers) == 3 and len(offers.X) == 6

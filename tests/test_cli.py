@@ -518,6 +518,8 @@ class TestConfigRanges:
         ("mf", "rank", 0),
         ("mf", "iterations", 0),
         ("mf", "regularization", -1),
+        ("features", "smoothing_window", 53),
+        ("features", "smoothing_window", 107),
     ])
     def test_camb_simulate_exits_2_naming_the_key(self, tmp_path, capsys, section, key, value):
         # Every section is checked at load, not only the chosen policy's.

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import cycle_length, make_round, member_stats, scale_round, stack_contexts, transaction_log
+from conftest import (
+    cycle_length, each_round, make_round, member_stats, offer_rows, one_round, scale_round, stack_contexts,
+    transaction_log,
+)
 from offerbandit.data import MFScoreTable, Offer
 from offerbandit.datagen import generate_offers, generate_transactions
 from offerbandit.errors import ConfigError
@@ -18,7 +21,6 @@ from offerbandit.features import (
     MemberCategoryStats,
     MemberStatsIndex,
     RoundBatch,
-    RoundContexts,
     RunningScaler,
     SeasonalityProfile,
     build_context,
@@ -143,10 +145,17 @@ class TestSeasonality:
         assert profile.score("other", DAY) == 0.0
 
     def test_even_or_nonpositive_window_rejected(self):
-        with pytest.raises(ConfigError):
-            SeasonalityProfile({}, smoothing_window=2)
-        with pytest.raises(ConfigError):
-            SeasonalityProfile({}, smoothing_window=0)
+        # So is a window wider than the year, which would count some weeks twice.
+        for window in (2, 0, -1, 53, 107):
+            with pytest.raises(ConfigError, match="smoothing_window must be odd and in \\[1, 51\\]"):
+                SeasonalityProfile({}, smoothing_window=window)
+
+    def test_widest_window_is_the_year_less_one_week(self):
+        counts = np.arange(WEEKS_PER_YEAR, dtype=float)
+        profile = SeasonalityProfile({"cat": counts}, smoothing_window=51)
+        # Each week's window leaves out only the week opposite it.
+        smoothed = (counts.sum() - np.roll(counts, -26)) / 51
+        np.testing.assert_allclose(profile.table(["cat"])[0], smoothed / smoothed.max(), rtol=1e-12)
 
     def test_scores_bounded_by_peak(self):
         rng = np.random.default_rng(11)
@@ -218,6 +227,17 @@ class TestBuildContext:
         assert ctx[2] == 0.0
 
 
+def stack_rounds(rounds):
+    """One batch of these one-round batches, in order."""
+    offer_bounds = np.cumsum([0] + [len(r.offer_ids) for r in rounds])
+    row_bounds = np.cumsum([0] + [len(r.X) for r in rounds])
+    return RoundBatch(
+        [oid for r in rounds for oid in r.offer_ids], [c for r in rounds for c in r.categories],
+        np.concatenate([r.sizes for r in rounds]), np.concatenate([r.X for r in rounds]), offer_bounds, row_bounds,
+        [r.members[0] for r in rounds], None, np.concatenate([r.mf_scores for r in rounds]),
+    )
+
+
 class TestFeaturize:
     def test_rows_equal_build_context_bit_for_bit(self):
         rows = generate_transactions(n_members=6, n_categories=4, events_per_member=25, seed=5)
@@ -255,19 +275,18 @@ class TestFeaturize:
         batch = featurize_rounds(rounds, index, profile, mf, cold_start_mpg=0.7)
         assert len(batch) == len(rounds)
         rows_checked = 0
-        for (member, day, active), raw in zip(rounds, batch.rounds()):
+        for (member, day, active), raw in zip(rounds, each_round(batch)):
             assert raw.offer_ids == [o.offer_id for o in active]
             assert raw.X.shape == (len(raw.categories), N_FEATURES)
-            for offer, start, n in zip(active, raw.starts.tolist(), raw.sizes):
-                rows = slice(start, start + n)
+            for offer, rows in zip(active, offer_rows(raw.sizes)):
                 assert raw.categories[rows] == sorted(offer.category_ids)
                 for c, x in zip(raw.categories[rows], raw.X[rows]):
                     s = member_stats(index, member, c, day)
                     ctx = build_context(member, offer, c, day, s, profile, mf, 0.7)
                     assert x.tobytes() == ctx.tobytes(), (member, day, offer.offer_id, c)
                     rows_checked += 1
-        assert rows_checked == len(batch.contexts.X) > 250
-        X = batch.contexts.X
+        assert rows_checked == len(batch.X) > 250
+        X = batch.X
         assert {0.45, -1.25, 0.1} <= set(X[:, 8].tolist())  # mf hits and misses
         assert 0.7 in X[:, 1] and (X[:, 1] != 0.7).any()  # cold and warm rows
 
@@ -295,24 +314,23 @@ class TestFeaturize:
             batch = featurize_rounds(rounds, MemberStatsIndex(log), build_seasonality_profile(log), mf)
             expected = [
                 pair_counts[member, c] / member_counts[member] if pair_counts[member, c] else 0.0
-                for (member, _, _), raw in zip(rounds, batch.rounds())
+                for (member, _, _), raw in zip(rounds, each_round(batch))
                 for c in raw.categories
             ]
-            assert len(expected) == len(batch.contexts.X) > 100
+            assert len(expected) == len(batch.X) > 100
             assert batch.shares.tobytes() == np.array(expected).tobytes()
             assert batch.mf_scores.tolist() == [mf.score(m, o.offer_id) for m, _, active in rounds for o in active]
             # An offer none of whose categories the member bought, every
             # offer of an absent member and every offer over an empty log
             # weigh their rows uniformly.
             uniform = set()
-            for (member, _, _), raw, shares in zip(
-                rounds, batch.rounds(), np.split(batch.shares, batch.row_bounds[1:-1])
-            ):
-                offer = make_round(raw, member, shares, np.zeros(len(raw.offer_ids)))
-                for oid, start, n in zip(raw.offer_ids, raw.starts.tolist(), raw.sizes):
-                    if not shares[start:start + n].any():
-                        assert offer.weights[start:start + n].tolist() == [1.0 / n] * n
-                        uniform.add((member, oid))
+            for raw in each_round(batch):
+                offer = make_round(raw)
+                for oid, rows in zip(raw.offer_ids, offer_rows(raw.sizes)):
+                    if not raw.shares[rows].any():
+                        n = rows.stop - rows.start
+                        assert offer.weights[rows].tolist() == [1.0 / n] * n
+                        uniform.add((raw.members[0], oid))
             assert {("m_few", "few_miss"), ("absent", "half")} <= uniform
             assert (("m_few", "half") in uniform) == (not log_rows)
 
@@ -323,24 +341,24 @@ class TestFeaturize:
         day = offers[0].start_date
         rounds = [(f"m00{i}", day + timedelta(days=3 * i), offers[i:i + 6]) for i in range(4)]
         batch = featurize_rounds(rounds, index, profile, MFScoreTable())
-        for rnd, raw in zip(rounds, batch.rounds()):
-            (alone,) = featurize_rounds([rnd], index, profile, MFScoreTable()).rounds()
-            assert (alone.offer_ids, alone.categories, alone.sizes) == (raw.offer_ids, raw.categories, raw.sizes)
-            assert alone.X.tobytes() == raw.X.tobytes()
+        for rnd, raw in zip(rounds, each_round(batch)):
+            alone = featurize_rounds([rnd], index, profile, MFScoreTable())
+            assert (alone.offer_ids, alone.categories) == (raw.offer_ids, raw.categories)
+            assert alone.sizes.tobytes() == raw.sizes.tobytes() and alone.X.tobytes() == raw.X.tobytes()
 
     def test_empty_round(self):
         index, profile = MemberStatsIndex(transaction_log([])), SeasonalityProfile({})
         none = featurize_rounds([], index, profile, MFScoreTable())
-        assert len(none) == 0 and list(none.rounds()) == []
-        assert none.contexts.X.shape == (0, N_FEATURES)
+        assert len(none) == 0 and list(each_round(none)) == []
+        assert none.X.shape == (0, N_FEATURES)
         empty = featurize_rounds([("m1", DAY, []), ("m2", DAY, [])], index, profile, MFScoreTable())
-        assert len(empty) == 2 and empty.contexts.X.shape == (0, N_FEATURES)
-        for raw in empty.rounds():
+        assert len(empty) == 2 and empty.X.shape == (0, N_FEATURES)
+        for raw in each_round(empty):
             assert raw.X.shape == (0, N_FEATURES)
-            assert raw.offer_ids == [] and raw.sizes == [] and len(raw.starts) == 0
+            assert raw.offer_ids == [] and len(raw.sizes) == 0
         scaler = RunningScaler()
         scale_rounds(empty, scaler)
-        assert empty.contexts.X.shape == (0, N_FEATURES) and scaler.count == 0
+        assert empty.X.shape == (0, N_FEATURES) and scaler.count == 0
 
     @pytest.mark.parametrize("value, default", [(float("nan"), 0.0), (1.0, float("inf"))])
     def test_non_finite_row_raises(self, value, default):
@@ -357,14 +375,11 @@ class TestFeaturize:
         for n in (1, 0, 3, 2, 5):
             rows = rng.normal(size=(n, N_FEATURES)) * 10.0
             rows[:, 0] = 1.0
-            rounds.append(RoundContexts([f"o{i}" for i in range(n)], ["c"] * n, [1] * n, rows))
-        bounds = np.cumsum([0] + [len(r.X) for r in rounds])
-        unused = np.zeros(bounds[-1])  # the share and mf columns, which scale_rounds does not read
-        batch = RoundBatch(RoundContexts([], [], [], np.concatenate([r.X for r in rounds])), bounds, bounds,
-                           ["m"] * len(rounds), unused, unused)
+            rounds.append(one_round([f"o{i}" for i in range(n)], ["c"] * n, [1] * n, rows))
+        batch = stack_rounds(rounds)
         one, many = RunningScaler(), RunningScaler()
         scale_rounds(batch, many)
-        for raw, got in zip(rounds, batch.rounds()):
+        for raw, got in zip(rounds, each_round(batch)):
             assert got.X.tobytes() == scale_round(raw, one).X.tobytes()
         assert one.count == many.count == 11
         assert one.mean().tobytes() == many.mean().tobytes() and one.std().tobytes() == many.std().tobytes()
@@ -383,17 +398,14 @@ class TestFeaturize:
             rows[rng.random((n, N_FEATURES)) < 0.15] = -0.0
             rows[:, 0] = 1.0
             rows[:, 7] = -0.0
-            rounds.append(RoundContexts([f"o{i}" for i in range(n)], ["c"] * n, [1] * n, rows))
-        bounds = np.cumsum([0] + [len(r.X) for r in rounds])
-        unused = np.zeros(bounds[-1])  # the share and mf columns, which scale_rounds does not read
-        batch = RoundBatch(RoundContexts([], [], [], np.concatenate([r.X for r in rounds])), bounds, bounds,
-                           ["m"] * len(rounds), unused, unused)
+            rounds.append(one_round([f"o{i}" for i in range(n)], ["c"] * n, [1] * n, rows))
+        batch = stack_rounds(rounds)
         warmup = rng.normal(size=(warm, N_FEATURES))
         one, many = RunningScaler(), RunningScaler()
         one.update(warmup)
         many.update(warmup)
         scale_rounds(batch, many)
-        for raw, got in zip(rounds, batch.rounds()):
+        for raw, got in zip(rounds, each_round(batch)):
             assert got.X.tobytes() == scale_round(raw, one).X.tobytes()
         assert one.count == many.count == warm + sum(sizes)
         assert one._mean.tobytes() == many._mean.tobytes() and one._m2.tobytes() == many._m2.tobytes()
@@ -412,9 +424,9 @@ class TestFeaturize:
         scale_rounds(whole, whole_scaler)
         scale_rounds(head, head_scaler)
         rows = int(whole.row_bounds[n])
-        assert len(head) == n and head.contexts.X.shape[0] == rows
-        assert head.contexts.X.tobytes() == whole.contexts.X[:rows].tobytes()
-        assert head.contexts.offer_ids == whole.contexts.offer_ids[:int(whole.offer_bounds[n])]
+        assert len(head) == n and head.X.shape[0] == rows
+        assert head.X.tobytes() == whole.X[:rows].tobytes()
+        assert head.offer_ids == whole.offer_ids[:int(whole.offer_bounds[n])]
         assert head.members == whole.members[:n] and head.reward_draws.tobytes() == whole.reward_draws[:n].tobytes()
         assert head.true_p.tobytes() == whole.true_p[:int(whole.offer_bounds[n])].tobytes()
         assert head_scaler.count == 3 + rows

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_round, member_stats, scale_round, stack_contexts, transaction_log
+from conftest import each_round, make_round, member_stats, offer_rows, scale_round, stack_contexts, transaction_log
 from offerbandit.bandit import LearnerConfig, aggregate_offer, renormalize_shares, sigmoid
 from offerbandit.baselines import make_policy
 from offerbandit.data import Impression, MFScoreTable, Offer
@@ -22,7 +22,6 @@ from offerbandit.datagen import generate_impressions, generate_offers, generate_
 from offerbandit.features import (
     MemberStatsIndex,
     RoundBatch,
-    RoundContexts,
     RunningScaler,
     build_context,
     build_seasonality_profile,
@@ -69,9 +68,9 @@ class TwoOfferWorld:
         X = np.ones((n, 9))
         X[:, 1:] = rng.uniform(0.0, 1.0, size=(n, 8))
         bounds = np.arange(0, n + 1, len(ids))
-        contexts = RoundContexts(ids * n_rounds, ["c0"] * n, [1] * n, X)
         true_p = np.array([self.p[oid] for oid in ids] * n_rounds)
-        return RoundBatch(contexts, bounds, bounds, ["m0"] * n_rounds, None, np.zeros(n), true_p, rng.random(n_rounds))
+        return RoundBatch(ids * n_rounds, ["c0"] * n, np.ones(n, dtype=np.intp), X, bounds, bounds, ["m0"] * n_rounds,
+                          None, np.zeros(n), true_p, rng.random(n_rounds))
 
 
 class TestSyntheticWorld:
@@ -116,10 +115,9 @@ class TestVectorizedWorld:
         ))
         batch = world.draw_rounds(30, np.random.default_rng(2))
         assert len(batch) == 30 and batch.offer_bounds[-1] == 30 * 40
-        for raw, o0, o1 in zip(batch.rounds(), batch.offer_bounds, batch.offer_bounds[1:]):
-            mf_scores, true_p = batch.mf_scores[o0:o1], batch.true_p[o0:o1]
-            for k, (start, n) in enumerate(zip(raw.starts.tolist(), raw.sizes)):
-                rows = slice(start, start + n)
+        for raw in each_round(batch):
+            mf_scores, true_p = raw.mf_scores, raw.true_p
+            for k, rows in enumerate(offer_rows(raw.sizes)):
                 category_raw = dict(zip(raw.categories[rows], raw.X[rows]))
                 assert world.true_probability(category_raw, float(mf_scores[k])) == true_p[k]
                 standardized = {
@@ -135,25 +133,22 @@ class TestVectorizedWorld:
         members = replay.integers(world.config.n_members, size=6)
         keys = replay.random((6 * world.config.offers_per_round, 12 + 5))[:, :12]
         assert batch.members == [f"m{i}" for i in members.tolist()]
-        for i, raw in enumerate(batch.rounds()):
+        for i, raw in enumerate(each_round(batch)):
             assert raw.offer_ids == [f"o{k:02d}" for k in range(world.config.offers_per_round)]
-            for k, (start, n) in enumerate(zip(raw.starts.tolist(), raw.sizes)):
-                rows = slice(start, start + n)
+            for k, rows in enumerate(offer_rows(raw.sizes)):
                 cats = raw.categories[rows]
                 assert cats == sorted(set(cats))  # distinct, in name order ("c10" before "c2")
                 slot = batch.offer_bounds[i] + k
                 assert set(cats) == {f"c{j}" for j in np.argsort(keys[slot])[:len(cats)]}  # the smallest keys
                 assert (raw.X[rows, 4:] == raw.X[rows.start, 4:]).all()
                 assert raw.X[rows.start, 8] == batch.mf_scores[slot]
-        assert (batch.contexts.X[:, 0] == 1.0).all()
+        assert (batch.X[:, 0] == 1.0).all()
 
     def test_category_subsets_and_counts_are_uniform(self):
         world = SyntheticWorld(SyntheticWorldConfig(n_categories=4, max_categories_per_offer=2, offers_per_round=5))
-        raw = world.draw_rounds(2000, np.random.default_rng(0)).contexts
-        sizes = Counter(raw.sizes)
-        subsets = Counter(
-            tuple(raw.categories[start:start + 2]) for start, n in zip(raw.starts.tolist(), raw.sizes) if n == 2
-        )
+        raw = world.draw_rounds(2000, np.random.default_rng(0))
+        sizes = Counter(raw.sizes.tolist())
+        subsets = Counter(tuple(raw.categories[rows]) for rows in offer_rows(raw.sizes) if rows.stop - rows.start == 2)
         n = 2000 * 5
         assert abs(sizes[1] / n - 0.5) < 0.02
         assert len(subsets) == 6  # every pair of the 4 categories
@@ -170,19 +165,16 @@ class TestVectorizedWorld:
 
         world = HookWorld(SyntheticWorldConfig(offers_per_round=4, seed=2))
         batch = world.draw_rounds(3, np.random.default_rng(0))
-        raw = batch.contexts
-        assert calls == [raw.categories[start:start + n] for start, n in zip(raw.starts.tolist(), raw.sizes)]
+        assert calls == [batch.categories[rows] for rows in offer_rows(batch.sizes)]
         assert batch.true_p.tolist() == [0.25 + 0.01 * k for k in range(1, 13)]
 
     def test_generate_round_is_a_one_round_draw(self):
         world = SyntheticWorld(SyntheticWorldConfig(n_categories=7, max_categories_per_offer=3, seed=6))
         member, raw, mf_scores, true_p = world.generate_round(1, np.random.default_rng(4))
         batch = world.draw_rounds(1, np.random.default_rng(4))
-        assert member == batch.members[0]
-        assert (raw.offer_ids, raw.categories, raw.sizes) == (
-            batch.contexts.offer_ids, batch.contexts.categories, batch.contexts.sizes
-        )
-        assert raw.X.tobytes() == batch.contexts.X.tobytes()
+        assert member == batch.members[0] and len(raw) == 1
+        assert (raw.offer_ids, raw.categories) == (batch.offer_ids, batch.categories)
+        assert raw.sizes.tobytes() == batch.sizes.tobytes() and raw.X.tobytes() == batch.X.tobytes()
         assert mf_scores.tobytes() == batch.mf_scores.tobytes() and true_p.tobytes() == batch.true_p.tobytes()
 
 
@@ -208,7 +200,7 @@ class TestTracerTargets:
 
     def test_len_of_a_round_is_its_offer_count(self):
         contexts = {"o1": {"c0": np.ones(9), "c1": np.ones(9)}, "o2": {"c2": np.ones(9)}, "o3": {"c0": np.ones(9)}}
-        offers = make_round(stack_contexts(contexts), "m0", None, [0.0, 0.0, 0.0])
+        offers = make_round(stack_contexts(contexts))
         assert len(offers) == 3
 
 
@@ -281,7 +273,7 @@ class TestSyntheticRun:
             inner = policy("random")
 
             def select(self, offers, rng, t):
-                seen.append(offers.contexts.X.copy())
+                seen.append(offers.X.copy())
                 return self.inner.select(offers, rng, t)
 
             def update(self, candidate, reward):
@@ -293,7 +285,7 @@ class TestSyntheticRun:
         expected, draws = [], []
         for _ in range(2):
             batch = world.draw_rounds(1024, world_rng)
-            expected += [scale_round(raw, scaler).X for raw in batch.rounds()]
+            expected += [scale_round(raw, scaler).X for raw in each_round(batch)]
             draws += batch.reward_draws.tolist()
         assert len(seen) == 1100
         assert all(got.tobytes() == want.tobytes() for got, want in zip(seen, expected))
@@ -328,10 +320,10 @@ class TestMakeRound:
             "o4": {"c1": rng.normal(size=9), "c2": rng.normal(size=9)},
         }
         purchase = {"c0": 0.5, "c1": 0.2, "c2": 0.3}
-        scaled = stack_contexts(contexts)
         mf_scores, true_ps = [0.1, 0.2, 0.3, 0.4], [0.5, 0.6, 0.7, 0.8]
-        row_shares = np.array([purchase.get(c, 0.0) for c in scaled.categories])
-        offers = make_round(scaled, "m1", row_shares, mf_scores, true_ps)
+        scaled = stack_contexts(contexts, member="m1", mf_scores=mf_scores, true_p=true_ps)
+        scaled.shares = np.array([purchase.get(c, 0.0) for c in scaled.categories])
+        offers = make_round(scaled)
         candidates = [offers.candidate(k) for k in range(len(offers))]
         assert [c.offer_id for c in candidates] == ["o1", "o2", "o3", "o4"]
         for k, cand in enumerate(candidates):
@@ -351,10 +343,10 @@ class TestMakeRound:
 def assert_same_round(got, want):
     """Two OfferRounds hold the same bytes in every array a policy reads."""
     assert got.member_id == want.member_id
-    assert got.contexts.offer_ids == want.contexts.offer_ids and got.contexts.categories == want.contexts.categories
-    assert got.contexts.X.tobytes() == want.contexts.X.tobytes()
-    assert got.contexts.starts.tobytes() == want.contexts.starts.tobytes()
-    assert got.contexts.starts.dtype == want.contexts.starts.dtype
+    assert got.offer_ids == want.offer_ids and got.categories == want.categories
+    assert got.X.tobytes() == want.X.tobytes()
+    assert got.starts.tobytes() == want.starts.tobytes()
+    assert got.starts.dtype == want.starts.dtype
     assert got.weights.tobytes() == want.weights.tobytes()
     assert got.offer_vectors.tobytes() == want.offer_vectors.tobytes()
     assert got.mf_scores.tobytes() == want.mf_scores.tobytes()
@@ -369,14 +361,7 @@ class TestOfferRounds:
     round at a time, is the reference."""
 
     def per_round(self, batch):
-        ob, rb = batch.offer_bounds.tolist(), batch.row_bounds.tolist()
-        return [
-            make_round(
-                raw, batch.members[i], None if batch.shares is None else batch.shares[rb[i]:rb[i + 1]],
-                batch.mf_scores[ob[i]:ob[i + 1]], None if batch.true_p is None else batch.true_p[ob[i]:ob[i + 1]],
-            )
-            for i, raw in enumerate(batch.rounds())
-        ]
+        return [make_round(raw) for raw in each_round(batch)]
 
     def test_replay_batch_with_shares_and_the_uniform_fallback(self):
         rows = generate_transactions(n_members=6, n_categories=5, events_per_member=12, seed=3)
@@ -399,14 +384,35 @@ class TestOfferRounds:
         assert len(got) == len(want) == len(rounds)
         for g, w in zip(got, want):
             assert_same_round(g, w)
-        fallback = [
-            (offers.member_id, offers.contexts.offer_ids[k])
-            for offers in got
-            for k, (start, n) in enumerate(zip(offers.contexts.starts.tolist(), offers.contexts.sizes))
-            if offers.weights[start:start + n].tolist() == [1.0 / n] * n and n > 1
-        ]
+        fallback = set()
+        for offers in got:
+            sizes = np.diff(offers.starts, append=len(offers.X))
+            for oid, rows, n in zip(offers.offer_ids, offer_rows(sizes), sizes.tolist()):
+                if n > 1 and offers.weights[rows].tolist() == [1.0 / n] * n:
+                    fallback.add((offers.member_id, oid))
         assert ("m_few", "few_miss") in fallback
         assert len(set(batch.shares.tolist())) > 3  # renormalized shares, not only uniform ones
+
+    @pytest.mark.parametrize("source", ["replay", "synthetic"])
+    def test_every_round_holds_views_of_the_batch(self, source):
+        if source == "replay":
+            log = transaction_log(generate_transactions(n_members=4, n_categories=4, events_per_member=10, seed=5))
+            offers = generate_offers(n_offers=20, n_categories=4, seed=6)
+            day = offers[0].start_date
+            rounds = [(f"m00{i}", day, [o for o in offers if o.active_on(day)]) for i in range(4)]
+            batch = featurize_rounds(rounds, MemberStatsIndex(log), build_seasonality_profile(log), MFScoreTable())
+        else:
+            batch = SyntheticWorld(SyntheticWorldConfig(seed=7)).draw_rounds(20, np.random.default_rng(1)).head(12)
+        scale_rounds(batch, RunningScaler())
+        got = list(offer_rounds(batch))
+        assert len(got) == len(batch) and all(len(offers) for offers in got)
+        for offers in got:
+            assert np.shares_memory(offers.X, batch.X) and np.shares_memory(offers.mf_scores, batch.mf_scores)
+            assert batch.true_p is None or np.shares_memory(offers.true_p, batch.true_p)
+        # Each of these arrays is worked out once for the whole batch.
+        for name in ("weights", "offer_vectors", "starts"):
+            bases = {id(getattr(offers, name).base) for offers in got}
+            assert len(bases) == 1 and getattr(got[0], name).base is not None, name
 
     def test_synthetic_batch_sorts_o100_before_o11(self):
         world = SyntheticWorld(SyntheticWorldConfig(offers_per_round=105, n_categories=4, seed=6))
@@ -431,7 +437,7 @@ class TestOfferRounds:
             by_id = np.array(offers.by_id)
             want = int(by_id[np.argmax(offers.true_p[by_id])]) + int(batch.offer_bounds[i])
             assert best[i] == want
-        ids = batch.contexts.offer_ids
+        ids = batch.offer_ids
         assert [ids[k] for k in best[:3]] == ["o100", "o00", "o05"]
 
 
@@ -610,7 +616,7 @@ class TestReplay:
             inner = policy("random")
 
             def select(self, offers, rng, t):
-                seen.append((offers.member_id, offers.contexts.offer_ids, offers.contexts.X.copy(), offers.mf_scores))
+                seen.append((offers.member_id, offers.offer_ids, offers.X.copy(), offers.mf_scores))
                 return self.inner.select(offers, rng, t)
 
             def update(self, candidate, reward):
@@ -674,10 +680,9 @@ class TestBackfitEvents:
         for idx, imp in enumerate(impressions):
             day = imp.timestamp.date()
             shown = [catalog[o] for o in imp.offers_shown if o in catalog and catalog[o].active_on(day)]
-            (raw,) = featurize_rounds([(imp.member_id, day, shown)], stats, profile, mf, 0.6).rounds()
+            raw = featurize_rounds([(imp.member_id, day, shown)], stats, profile, mf, 0.6)
             scaled = scale_round(raw, scaler)
-            for oid, start, n in zip(scaled.offer_ids, scaled.starts.tolist(), scaled.sizes):
-                rows = slice(start, start + n)
+            for oid, rows in zip(scaled.offer_ids, offer_rows(scaled.sizes)):
                 for c, x in zip(scaled.categories[rows], scaled.X[rows]):
                     expected.append((idx, imp.member_id, c, x.tobytes(), int(oid in imp.clipped)))
         got = [

@@ -171,6 +171,24 @@ class TestTrajectoryStore:
             TrajectoryStore.load(path)
 
 
+    @pytest.mark.parametrize("field", ["member_id", "category_id"])
+    @pytest.mark.parametrize("value", [7, None, "", ["m"]], ids=["number", "null", "empty", "list"])
+    def test_load_rejects_ids_that_are_not_nonempty_strings(self, tmp_path, field, value):
+        # A number id would load beside its string twin ("7" and 7) as
+        # another member, whose pairs no longer sort.
+        store = TrajectoryStore()
+        store.record("7", "c", np.zeros(9), 1, 1)
+        store.record("7", "c", np.ones(9), 2, 2)
+        path = tmp_path / "traj.jsonl"
+        store.save(path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        row = json.loads(lines[2])
+        row[field] = value
+        lines[2] = json.dumps(row)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"traj.jsonl line 3: {field} must be a non-empty string"):
+            TrajectoryStore.load(path)
+
     @pytest.mark.parametrize("damage", [
         lambda line: line[:20] + b"\xff" + line[20:],
         lambda line: b"[" * 100_000,

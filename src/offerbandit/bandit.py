@@ -202,8 +202,9 @@ class ModelStore:
     an update-count vector belongs to the pair that a dict maps to r. The
     store holds values: get() returns an independent CategoryModel and
     put() writes one back; update() steps a pair's row in place. A row is
-    taken only by put(), update() or backfit's rows(); reads never
-    materialize a pair, and pairs never seen read as the prior.
+    taken only by put(), update() or backfit's rows(), and from_rows()
+    builds a whole store; reads never materialize a pair, and pairs never
+    seen read as the prior.
     """
 
     def __init__(self, prior_weights: np.ndarray | None = None):
@@ -282,6 +283,19 @@ class ModelStore:
         if -1 in rows:
             W[np.array(rows) < 0] = self.prior
         return sigmoid_rows(np.einsum("ij,ij->i", W, X))
+
+    @classmethod
+    def from_rows(cls, prior_weights: Sequence[float], keys: list[tuple[str, str]], W: np.ndarray,
+                  counts: list[int]) -> "ModelStore":
+        """The store whose row r holds the model of pair keys[r]: weights
+        W[r] after counts[r] updates. Raises ValueError on a repeated pair."""
+        store = cls(prior_weights)
+        store._rows = dict(zip(keys, range(len(keys))))
+        if len(store._rows) != len(keys):
+            raise ValueError("duplicate model")
+        if keys:
+            store._W, store._counts = W, np.array(counts, dtype=np.int64)
+        return store
 
     def items_sorted(self) -> list[tuple[tuple[str, str], CategoryModel]]:
         return [(key, self.get(*key)) for key in sorted(self._rows)]
@@ -408,10 +422,25 @@ def backfit(store: ModelStore, events: TrainingEvents, cfg: LearnerConfig) -> Ba
 
 def finite_weights(values: list) -> list:
     """A weight list read from a file, returned as is. Raises ValueError or
-    TypeError unless it holds N_FEATURES finite numbers."""
-    if len(values) != N_FEATURES or not all(map(math.isfinite, values)):
+    TypeError unless it holds N_FEATURES finite numbers; booleans are not
+    numbers."""
+    if len(values) != N_FEATURES or bool in map(type, values) or not all(map(math.isfinite, values)):
         raise ValueError(f"weights must be {N_FEATURES} finite numbers, got {values!r}")
     return values
+
+
+def finite_weight_column(rows: list, name: str) -> list[list[float]]:
+    """finite_weights of every entry of a column read from a file, checked
+    at once: the lists as they are when every number is a float, else
+    converted to floats."""
+    kinds = set(map(type, chain.from_iterable(rows)))
+    if rows and (set(map(type, rows)) != {list} or set(map(len, rows)) != {N_FEATURES} or not kinds <= {float, int}):
+        raise ValueError(f"{name} must be lists of {N_FEATURES} finite numbers")
+    if int in kinds:
+        rows = [list(map(float, row)) for row in rows]
+    if not all(map(math.isfinite, chain.from_iterable(rows))):
+        raise ValueError(f"{name} must be lists of {N_FEATURES} finite numbers")
+    return rows
 
 
 def json_count(value, name: str) -> int:
@@ -431,8 +460,34 @@ def json_id(value, name: str) -> str:
     return value
 
 
+def json_count_column(column: list, name: str) -> list[int]:
+    """json_count of every entry of a column read from a file, checked at
+    once."""
+    if column and (set(map(type, column)) != {int} or min(column) < 0 or max(column) >= 2**63):
+        raise ValueError(f"{name} must be non-negative integers below 2**63")
+    return column
+
+
+def json_id_column(column: list, name: str) -> list[str]:
+    """json_id of every entry of a column read from a file, checked at
+    once."""
+    if column and (set(map(type, column)) != {str} or not all(column)):
+        raise ValueError(f"{name} must be non-empty strings")
+    return column
+
+
 def save_checkpoint(path: str | Path, store: ModelStore, cfg: LearnerConfig) -> None:
-    """Write the store as JSONL: a header line, then one model per line."""
+    """Write the store as JSONL: a header line, then one model per line.
+    Raises ValueError, naming the pair, when a model's weights are not
+    finite, which load_checkpoint would reject; so too for the prior."""
+    keys = sorted(store._rows)
+    rows = [store._rows[key] for key in keys]
+    W = store._W[rows]
+    finite = np.isfinite(W).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"model {keys[int(finite.argmin())]} has weights that are not finite")
+    if not np.isfinite(store.prior).all():
+        raise ValueError("the prior weights are not finite")
     header = {
         "feature_names": list(FEATURE_NAMES),
         "feature_order_version": FEATURE_ORDER_VERSION,
@@ -443,17 +498,13 @@ def save_checkpoint(path: str | Path, store: ModelStore, cfg: LearnerConfig) -> 
         "prior_weights": [float(w) for w in store.prior],
         "n_models": len(store),
     }
-    keys = sorted(store._rows)
-    rows = [store._rows[key] for key in keys]
     # Each line equals json.dumps of the row's dict with sort_keys=True,
     # which writes floats with float.__repr__; each distinct id is encoded once.
     quoted = {i: json.dumps(i) for i in set(chain.from_iterable(keys))}
     lines = (
         f'{{"category_id": {quoted[category]}, "member_id": {quoted[member]}, '
         f'"update_count": {count}, "weights": [{", ".join(map(float.__repr__, weights))}]}}\n'
-        for (member, category), weights, count in zip(
-            keys, store._W[rows].tolist(), store._counts[rows].tolist()
-        )
+        for (member, category), weights, count in zip(keys, W.tolist(), store._counts[rows].tolist())
     )
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
@@ -461,29 +512,38 @@ def save_checkpoint(path: str | Path, store: ModelStore, cfg: LearnerConfig) -> 
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelStore, dict]:
-    """Read a checkpoint written by save_checkpoint.
+    """Read a checkpoint written by save_checkpoint, its rows checked and
+    stored as whole columns.
 
-    Raises ConfigError naming the file and line when the feature order
-    version differs, a line is malformed, the prior or a model's weights
-    are not N_FEATURES finite numbers, a member_id or category_id is not
-    a non-empty string, n_models or an update_count is not a non-negative
-    JSON integer, or the model rows do not match the header's n_models.
+    Raises ConfigError naming the file and the first faulty line when the
+    feature order version differs, a line is malformed, the prior or a
+    model's weights are not N_FEATURES finite numbers (booleans are not
+    numbers), a member_id or category_id is not a non-empty string, a
+    pair repeats, n_models or an update_count is not a non-negative JSON
+    integer, or the model rows do not match the header's n_models.
     """
-    store = ModelStore()
+    prior: list = []
+    checked = ModelStore()
 
     def start(header: dict) -> None:
-        nonlocal store
+        nonlocal prior
         json_count(header["n_models"], "n_models")
-        store = ModelStore(finite_weights(header["prior_weights"]))
+        prior = finite_weights(header["prior_weights"])
 
-    def add(obj: dict) -> None:
+    def from_columns(members: list, categories: list, counts: list, weights: list) -> ModelStore:
+        keys = list(zip(json_id_column(members, "member_id"), json_id_column(categories, "category_id")))
+        W = np.array(finite_weight_column(weights, "weights"), dtype=float)
+        return ModelStore.from_rows(prior, keys, W, json_count_column(counts, "update_count"))
+
+    def check(obj: dict) -> None:
         key = (json_id(obj["member_id"], "member_id"), json_id(obj["category_id"], "category_id"))
-        if key in store:
+        if key in checked:
             raise ValueError(f"duplicate model {key}")
         count = json_count(obj["update_count"], "update_count")
-        store.put(*key, CategoryModel(finite_weights(obj["weights"]), count))
+        checked.put(*key, CategoryModel(finite_weights(obj["weights"]), count))
 
-    header = read_versioned_jsonl(path, "checkpoint", FEATURE_ORDER_VERSION, add, start)
+    fields = ("member_id", "category_id", "update_count", "weights")
+    header, store = read_versioned_jsonl(path, "checkpoint", FEATURE_ORDER_VERSION, fields, from_columns, check, start)
     if len(store) != header["n_models"]:
         raise ConfigError(f"checkpoint {path} line 1: n_models is {header['n_models']} but {len(store)} model rows follow")
     return store, header

@@ -12,15 +12,18 @@ JSON, JSONL and CSV writers that the outputs share live here too.
 from __future__ import annotations
 
 import codecs
+import contextlib
 import csv
+import gc
 import itertools
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -253,33 +256,105 @@ def _read_jsonl(path: str | Path, parse: Callable[[dict], object], kind: str, un
     return IngestResult(records, issues, indices)
 
 
-def read_versioned_jsonl(path: str | Path, kind: str, version: int, row: Callable[[dict], object],
-                         start: Callable[[dict], object] = lambda header: None) -> dict:
+T = TypeVar("T")
+
+# Lines parsed per step when a state file is read as columns, so that only
+# one step's parsed objects are alive beside the columns.
+SCAN_LINES = 1024
+
+
+def read_versioned_jsonl(path: str | Path, kind: str, version: int, fields: Sequence[str], load: Callable[..., T],
+                         check: Callable[[dict], object],
+                         start: Callable[[dict], object] = lambda header: None) -> tuple[dict, T]:
     """Read a state file: a JSON header line whose feature_order_version
     must equal version, then one JSON object per non-blank line.
 
-    start gets the header, then row each line's object in file order.
-    Returns the header. Every failure, including a line that is not valid
-    UTF-8, JSON nested too deeply and what start or row raise, becomes
-    ConfigError("<kind> <path> line <n>: <reason>").
+    start gets the header. The rest of the file is decoded once and split
+    into lines where _lines splits them; each line is parsed by one C
+    scan, and load gets one column per field, each holding that field of
+    every line in file order, checks them whole and returns what it
+    builds. Returns the header and what load returned. Only when a line
+    does not decode or parse, lacks a field, or load raises, is the file
+    read again line by line, each line's object going to check, so that
+    the first faulty line is the one named. Every failure, including a
+    line that is not valid UTF-8, JSON nested too deeply and what start
+    or check raise, becomes ConfigError("<kind> <path> line <n>: <reason>").
     """
     lineno = 1
     try:
+        header, texts = _split_state_file(path, kind, version)
+        start(header)
+        with _gc_paused():
+            loaded = None if texts is None else _load_columns(texts, fields, load)
+        if loaded is not None:
+            return header, loaded
         with Path(path).open("rb") as fh:
             lines = _lines(fh)
-            header = json.loads(next(lines, b"").decode("utf-8"))
-            found = header.get("feature_order_version")
-            if found != version:
-                raise ValueError(f"{kind} feature order version {found} does not match current version {version}")
-            start(header)
+            next(lines)  # the header, read above
             for lineno, line in enumerate(lines, start=2):
                 text = line.decode("utf-8").strip()
                 if text:
-                    row(json.loads(text))
+                    check(json.loads(text))
     except RECORD_ERRORS as exc:
         reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
         raise ConfigError(f"{kind} {path} line {lineno}: {reason}") from None
-    return header
+    raise RuntimeError(f"{kind} {path}: its lines pass the line checks that the column checks failed")
+
+
+def _split_state_file(path: str | Path, kind: str, version: int) -> tuple[dict, list[str] | None]:
+    """The header of a state file, checked for its version, and its other
+    lines split where _lines splits them, stripped, blank ones left out;
+    None for the lines when they are not all UTF-8."""
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
+    end = re.search(rb"\r\n?|\n", data)
+    cut = end.end() if end else len(data)
+    header = json.loads(data[:cut].decode("utf-8"))
+    found = header.get("feature_order_version")
+    if found != version:
+        raise ValueError(f"{kind} feature order version {found} does not match current version {version}")
+    try:
+        text = str(memoryview(data)[cut:], "utf-8")
+    except UnicodeDecodeError:
+        return header, None
+    del data  # before the lines are copied out of text
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return header, list(filter(None, map(str.strip, text.split("\n"))))
+
+
+def _load_columns(texts: list[str], fields: Sequence[str], load: Callable[..., T]) -> T | None:
+    """load of one column per field, each holding that field of the JSON
+    object of every text; None when a text is not one JSON object holding
+    every field, or load raises. The texts are parsed SCAN_LINES at a time."""
+    scan = json.JSONDecoder().scan_once
+    columns: list[list] = [[] for _ in fields]
+    try:
+        for at in range(0, len(texts), SCAN_LINES):
+            chunk = texts[at:at + SCAN_LINES]
+            # A text that starts no JSON value raises StopIteration, which
+            # ends the map early: the ends then fall short, or none unpack.
+            values, ends = zip(*map(scan, chunk, itertools.repeat(0)))
+            if ends != tuple(map(len, chunk)):
+                return None
+            for column, field in zip(columns, fields):
+                column.extend(map(operator.itemgetter(field), values))
+        return load(*columns)
+    except RECORD_ERRORS:
+        return None
+
+
+@contextlib.contextmanager
+def _gc_paused():
+    """Hold off the cyclic garbage collector: parsing a state file makes
+    two containers a line and no cycles, so collections while it runs
+    would only walk the heap again and again."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def ingest_transactions(path: str | Path) -> IngestResult:

@@ -11,6 +11,8 @@ mock client) or a live chat-completion endpoint.
 from __future__ import annotations
 
 import json
+import math
+import operator
 import os
 from dataclasses import asdict, dataclass
 from http.client import HTTPException
@@ -21,7 +23,14 @@ from urllib.request import Request, urlopen
 
 import numpy as np
 
-from .bandit import finite_weights, json_count, json_id
+from .bandit import (
+    finite_weight_column,
+    finite_weights,
+    json_count,
+    json_count_column,
+    json_id,
+    json_id_column,
+)
 from .data import read_versioned_jsonl
 from .errors import ConfigError
 from .features import FEATURE_NAMES, FEATURE_ORDER_VERSION, N_FEATURES
@@ -40,60 +49,102 @@ class WeightSnapshot:
 
 
 class TrajectoryStore:
-    """Append-only weight history per (member, category) pair.
+    """Append-only weight history per (member, category) pair, as columns.
 
+    Snapshot i is pair code pair[i]'s weights[i] after update_count[i]
+    updates, at t[i]; codes number the pairs in order of first record.
     Snapshots must arrive with strictly increasing t per pair. thin_every
-    keeps one snapshot out of every n offered per pair.
+    keeps one snapshot out of every n offered per pair. series() builds a
+    pair's WeightSnapshots when asked, from an index of snapshots by pair
+    that is built once after the last record.
     """
 
     def __init__(self, thin_every: int = 1):
         if thin_every < 1:
             raise ConfigError(f"thin_every must be >= 1, got {thin_every}")
         self.thin_every = thin_every
-        self._series: dict[tuple[str, str], list[WeightSnapshot]] = {}
-        self._offered: dict[tuple[str, str], int] = {}
+        self._codes: dict[tuple[str, str], int] = {}
+        # Per pair code: snapshots offered, and the t of the last one kept.
+        self._offered: list[int] = []
+        self._last_t: list[int] = []
+        # Per snapshot.
+        self._t: list[int] = []
+        self._pair: list[int] = []
+        self._update_count: list[int] = []
+        self._weights: list[list[float]] = []
+        self._by_pair: tuple[np.ndarray, np.ndarray] | None = None
 
     def record(self, member_id: str, category_id: str, weights: np.ndarray, update_count: int, t: int) -> None:
         """Offer one snapshot of the pair's float weight array."""
-        self._add(member_id, category_id, tuple(weights.tolist()), update_count, t)
-
-    def _add(self, member_id: str, category_id: str, weights: tuple[float, ...], update_count: int, t: int) -> None:
         key = (member_id, category_id)
-        series = self._series.setdefault(key, [])
-        if series and t <= series[-1].t:
-            raise ValueError(f"snapshot t={t} does not advance past t={series[-1].t} for {key}")
-        offered = self._offered.get(key, 0)
-        self._offered[key] = offered + 1
+        code = self._codes.get(key)
+        if code is None:
+            code = self._codes[key] = len(self._offered)
+            self._offered.append(0)
+            self._last_t.append(t)
+        elif t <= self._last_t[code]:
+            raise ValueError(f"snapshot t={t} does not advance past t={self._last_t[code]} for {key}")
+        offered = self._offered[code]
+        self._offered[code] = offered + 1
         if offered % self.thin_every:
             return
-        series.append(WeightSnapshot(t, member_id, category_id, weights, update_count))
+        self._last_t[code] = t
+        self._t.append(t)
+        self._pair.append(code)
+        self._update_count.append(update_count)
+        self._weights.append(weights.tolist())
+        self._by_pair = None
+
+    def _index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Snapshot indices grouped by pair code, each group in record
+        order, and the start of each code's group (and the end of the
+        last)."""
+        if self._by_pair is None:
+            pair = np.array(self._pair, dtype=np.intp)
+            starts = np.zeros(len(self._codes) + 1, dtype=np.intp)
+            np.cumsum(np.bincount(pair, minlength=len(self._codes)), out=starts[1:])
+            self._by_pair = (np.argsort(pair, kind="stable"), starts)
+        return self._by_pair
 
     def pairs(self) -> list[tuple[str, str]]:
-        return sorted(self._series)
+        return sorted(self._codes)
 
     def series(self, member_id: str, category_id: str) -> list[WeightSnapshot]:
-        return list(self._series.get((member_id, category_id), []))
+        code = self._codes.get((member_id, category_id))
+        if code is None:
+            return []
+        order, starts = self._index()
+        t, update_count, weights = self._t, self._update_count, self._weights
+        return [
+            WeightSnapshot(t[i], member_id, category_id, tuple(weights[i]), update_count[i])
+            for i in order[starts[code]:starts[code + 1]].tolist()
+        ]
 
     def member_categories(self, member_id: str) -> list[str]:
-        return sorted(c for (m, c) in self._series if m == member_id)
+        return sorted(c for (m, c) in self._codes if m == member_id)
 
     def save(self, path: str | Path) -> None:
-        """JSONL: a feature-order header line, then snapshots in t order.
-        Weights are written by float.__repr__, so a non-finite one (which
-        sgd_update never leaves) would read back as invalid JSON."""
+        """JSONL: a feature-order header line, then snapshots in t order,
+        ties by member_id then category_id. Raises ValueError, naming the
+        pair, when a weight is not finite, which load would reject."""
+        keys = list(self._codes)
+        if not all(map(math.isfinite, chain.from_iterable(self._weights))):
+            bad = next(i for i, w in enumerate(self._weights) if not all(map(math.isfinite, w)))
+            raise ValueError(f"snapshot t={self._t[bad]} of {keys[self._pair[bad]]} has weights that are not finite")
         header = {"feature_names": list(FEATURE_NAMES), "feature_order_version": FEATURE_ORDER_VERSION}
-        rows = sorted(
-            (s for series in self._series.values() for s in series),
-            key=lambda s: (s.t, s.member_id, s.category_id),
-        )
+        t, pair = self._t, self._pair
+        rows = range(len(t))
+        if not all(map(operator.lt, t, t[1:])):  # t is a run's update ordinal, so this is rare
+            rows = sorted(rows, key=lambda i: (t[i], keys[pair[i]]))
         # Each line equals json.dumps of the snapshot's fields with
         # sort_keys=True, which writes finite floats with float.__repr__;
         # each distinct id is encoded once.
-        quoted = {i: json.dumps(i) for i in set(chain.from_iterable(self._series))}
+        quoted = {i: json.dumps(i) for i in set(chain.from_iterable(keys))}
+        prefix = [f'{{"category_id": {quoted[c]}, "member_id": {quoted[m]}, "t": ' for m, c in keys]
         lines = (
-            f'{{"category_id": {quoted[s.category_id]}, "member_id": {quoted[s.member_id]}, '
-            f'"t": {s.t}, "update_count": {s.update_count}, "weights": [{", ".join(map(float.__repr__, s.weights))}]}}\n'
-            for s in rows
+            f'{prefix[pair[i]]}{t[i]}, "update_count": {self._update_count[i]}, '
+            f'"weights": [{", ".join(map(float.__repr__, self._weights[i]))}]}}\n'
+            for i in rows
         )
         with Path(path).open("w", encoding="utf-8") as fh:
             fh.write(json.dumps(header, sort_keys=True) + "\n")
@@ -101,20 +152,39 @@ class TrajectoryStore:
 
     @classmethod
     def load(cls, path: str | Path) -> "TrajectoryStore":
-        """Read a file written by save(). Raises ConfigError naming the file
-        and line when the feature order version differs, a line is
-        malformed, a weight vector is not N_FEATURES finite numbers, a
-        member_id or category_id is not a non-empty string, or
-        update_count or t is not a non-negative JSON integer."""
-        store = cls()
+        """Read a file written by save(), its snapshots checked and stored
+        as whole columns. Raises ConfigError naming the file and the first
+        faulty line when the feature order version differs, a line is
+        malformed, a weight vector is not N_FEATURES finite numbers
+        (booleans are not numbers), a member_id or category_id is not a
+        non-empty string, update_count or t is not a non-negative JSON
+        integer, or t does not advance past the pair's previous line."""
 
-        def add(obj: dict) -> None:
-            store._add(json_id(obj["member_id"], "member_id"), json_id(obj["category_id"], "category_id"),
-                       tuple(map(float, finite_weights(obj["weights"]))),
-                       json_count(obj["update_count"], "update_count"), json_count(obj["t"], "t"))
+        def from_columns(members: list, categories: list, weights: list, counts: list, ts: list) -> TrajectoryStore:
+            store = cls()
+            store._weights = finite_weight_column(weights, "weights")
+            store._update_count = json_count_column(counts, "update_count")
+            store._t = json_count_column(ts, "t")
+            codes = store._codes
+            keys = zip(json_id_column(members, "member_id"), json_id_column(categories, "category_id"))
+            store._pair = [codes.setdefault(key, len(codes)) for key in keys]
+            order, starts = store._index()
+            pair, t = np.array(store._pair)[order], np.array(store._t, dtype=np.int64)[order]
+            if np.any((pair[1:] == pair[:-1]) & (t[1:] <= t[:-1])):
+                raise ValueError("t does not advance within a pair")
+            store._offered = np.diff(starts).tolist()
+            store._last_t = t[starts[1:] - 1].tolist()
+            return store
 
-        read_versioned_jsonl(path, "trajectory", FEATURE_ORDER_VERSION, add)
-        return store
+        checked = cls()
+
+        def check(obj: dict) -> None:
+            checked.record(json_id(obj["member_id"], "member_id"), json_id(obj["category_id"], "category_id"),
+                           np.array(finite_weights(obj["weights"]), dtype=float),
+                           json_count(obj["update_count"], "update_count"), json_count(obj["t"], "t"))
+
+        fields = ("member_id", "category_id", "weights", "update_count", "t")
+        return read_versioned_jsonl(path, "trajectory", FEATURE_ORDER_VERSION, fields, from_columns, check)[1]
 
 
 @dataclass

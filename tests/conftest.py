@@ -1,14 +1,26 @@
+import json
 from dataclasses import replace
 from datetime import date
 from itertools import accumulate
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from offerbandit.bandit import CategoryModel, ModelStore, finite_weights, json_count, json_id
 from offerbandit.baselines import OfferCandidate, OfferRound
-from offerbandit.data import TransactionLog
-from offerbandit.features import N_FEATURES, MemberCategoryStats, MemberStatsIndex, RoundBatch, RunningScaler
+from offerbandit.data import RECORD_ERRORS, TransactionLog, _lines
+from offerbandit.errors import ConfigError
+from offerbandit.features import (
+    FEATURE_ORDER_VERSION,
+    N_FEATURES,
+    MemberCategoryStats,
+    MemberStatsIndex,
+    RoundBatch,
+    RunningScaler,
+)
+from offerbandit.interpret import WeightSnapshot
 
 settings.register_profile(
     "suite",
@@ -192,3 +204,70 @@ def _as_round(candidates):
 def as_round():
     """Turn a list of OfferCandidates into the OfferRound select takes."""
     return _as_round
+
+
+def read_state_per_line(path, kind: str, version: int, row, start=lambda header: None) -> dict:
+    """The per-line state-file reader that the column loaders replaced:
+    each line is decoded, parsed and checked on its own, start gets the
+    header and row each later line's value in file order. Returns the
+    header; every failure is ConfigError("<kind> <path> line <n>:
+    <reason>"). The reference the loaders' error reporting must match."""
+    lineno = 1
+    try:
+        with Path(path).open("rb") as fh:
+            lines = _lines(fh)
+            header = json.loads(next(lines, b"").decode("utf-8"))
+            found = header.get("feature_order_version")
+            if found != version:
+                raise ValueError(f"{kind} feature order version {found} does not match current version {version}")
+            start(header)
+            for lineno, line in enumerate(lines, start=2):
+                text = line.decode("utf-8").strip()
+                if text:
+                    row(json.loads(text))
+    except RECORD_ERRORS as exc:
+        reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        raise ConfigError(f"{kind} {path} line {lineno}: {reason}") from None
+    return header
+
+
+def load_trajectory_per_line(path) -> dict[tuple[str, str], list[WeightSnapshot]]:
+    """Each pair's snapshots of a trajectory file, read line by line as
+    TrajectoryStore.load once read it, one WeightSnapshot per line."""
+    series: dict[tuple[str, str], list[WeightSnapshot]] = {}
+
+    def add(obj) -> None:
+        member, category = json_id(obj["member_id"], "member_id"), json_id(obj["category_id"], "category_id")
+        weights = tuple(map(float, finite_weights(obj["weights"])))
+        count, t = json_count(obj["update_count"], "update_count"), json_count(obj["t"], "t")
+        key = (member, category)
+        pair = series.setdefault(key, [])
+        if pair and t <= pair[-1].t:
+            raise ValueError(f"snapshot t={t} does not advance past t={pair[-1].t} for {key}")
+        pair.append(WeightSnapshot(t, member, category, weights, count))
+
+    read_state_per_line(path, "trajectory", FEATURE_ORDER_VERSION, add)
+    return series
+
+
+def load_checkpoint_per_line(path) -> tuple[ModelStore, dict]:
+    """A checkpoint read line by line as load_checkpoint once read it,
+    one ModelStore.put per line."""
+    store = ModelStore()
+
+    def start(header) -> None:
+        nonlocal store
+        json_count(header["n_models"], "n_models")
+        store = ModelStore(finite_weights(header["prior_weights"]))
+
+    def add(obj) -> None:
+        key = (json_id(obj["member_id"], "member_id"), json_id(obj["category_id"], "category_id"))
+        if key in store:
+            raise ValueError(f"duplicate model {key}")
+        count = json_count(obj["update_count"], "update_count")
+        store.put(*key, CategoryModel(finite_weights(obj["weights"]), count))
+
+    header = read_state_per_line(path, "checkpoint", FEATURE_ORDER_VERSION, add, start)
+    if len(store) != header["n_models"]:
+        raise ConfigError(f"checkpoint {path} line 1: n_models is {header['n_models']} but {len(store)} model rows follow")
+    return store, header

@@ -551,10 +551,12 @@ class TestCheckpoint:
             (lambda lines: lines[2].update(member_id=None), 3),
             (lambda lines: lines[1].update(category_id=""), 2),
             (lambda lines: lines[2].update(category_id=["c1"]), 3),
+            (lambda lines: lines[2].update(weights=[1.0] * (N_FEATURES - 1) + [True]), 3),
+            (lambda lines: lines[0].update(prior_weights=[False] * N_FEATURES), 1),
         ],
         ids=["short-weights", "nan-weights", "inf-weight", "long-prior", "row-count",
              "duplicate-row", "missing-field", "number-member", "null-member", "empty-category",
-             "list-category"],
+             "list-category", "bool-weight", "bool-prior"],
     )
     def test_malformed_checkpoint_rejected_with_file_and_line(self, tmp_path, corrupt, line):
         store = ModelStore()
@@ -620,6 +622,18 @@ class TestCheckpoint:
         ]
         assert lines[1:] == expected
         assert json.loads(lines[0])["n_models"] == len(pairs) + 1
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("-inf")], ids=["nan", "inf"])
+    def test_save_refuses_weights_load_would_reject(self, tmp_path, bad):
+        store = ModelStore()
+        store.put("m1", "c1", CategoryModel(np.zeros(N_FEATURES)))
+        store.put("m2", "c1", CategoryModel(np.full(N_FEATURES, bad), 3))
+        path = tmp_path / "checkpoint.jsonl"
+        with pytest.raises(ValueError, match=r"\('m2', 'c1'\) has weights that are not finite"):
+            save_checkpoint(path, store, LearnerConfig())
+        assert not path.exists()
+        with pytest.raises(ValueError, match="prior weights are not finite"):
+            save_checkpoint(path, ModelStore(np.full(N_FEATURES, bad)), LearnerConfig())
 
     def test_save_load_save_is_byte_identical(self, tmp_path, rng):
         cfg = LearnerConfig()

@@ -313,6 +313,22 @@ class TestBackfitAndReplay:
         assert error["error"] == "config"
         assert "bad_checkpoint.jsonl line 2: update_count must be a non-negative integer" in error["message"]
 
+    def test_replay_from_checkpoint_with_boolean_weight_exits_2(self, demo_data, backfit_dir, tmp_path, capsys):
+        lines = (backfit_dir / "checkpoint.jsonl").read_text(encoding="utf-8").splitlines()
+        row = json.loads(lines[2])
+        row["weights"][4] = True
+        bad = tmp_path / "bad_checkpoint.jsonl"
+        bad.write_text("\n".join([lines[0], lines[1], json.dumps(row)] + lines[3:]) + "\n", encoding="utf-8")
+        cfg = write_config(
+            tmp_path / "replay_bad.json",
+            data=data_section(demo_data),
+            run={"out_dir": str(tmp_path / "replay_bad"), "backfit_checkpoint": str(bad)},
+        )
+        assert main(["replay", "--config", cfg]) == 2
+        error = stderr_error(capsys)
+        assert error["error"] == "config"
+        assert "bad_checkpoint.jsonl line 3: weights must be 9 finite numbers" in error["message"]
+
     def test_replay_from_missing_checkpoint_exits_2_before_ingest(self, tmp_path, capsys):
         # The data files do not exist either: ingesting first would exit 3.
         missing = {name: str(tmp_path / f"{name}.missing") for name in ("transactions", "offers", "impressions")}
@@ -674,6 +690,17 @@ class TestExplain:
         error = stderr_error(capsys)
         assert error["error"] == "config"
         assert "bad_trajectory.jsonl line 2:" in error["message"]
+
+    def test_trajectory_with_boolean_weight_exits_2(self, sim_run, tmp_path, capsys):
+        lines = (sim_run / "trajectory.jsonl").read_text(encoding="utf-8").splitlines()
+        row = json.loads(lines[2])
+        row["weights"][0] = False
+        bad = tmp_path / "bad_trajectory.jsonl"
+        bad.write_text("\n".join([lines[0], lines[1], json.dumps(row)] + lines[3:]) + "\n", encoding="utf-8")
+        assert main(["explain", "--member", "m0", "--mock", "--trajectory", str(bad)]) == 2
+        error = stderr_error(capsys)
+        assert error["error"] == "config"
+        assert "bad_trajectory.jsonl line 3: weights must be 9 finite numbers" in error["message"]
 
     def test_trajectory_with_negative_t_exits_2(self, sim_run, tmp_path, capsys):
         lines = (sim_run / "trajectory.jsonl").read_text(encoding="utf-8").splitlines()

@@ -121,6 +121,16 @@ class TestTrajectoryStore:
         expected = "".join(json.dumps(obj, sort_keys=True) + "\n" for obj in [header, *map(vars, rows)])
         assert path.read_bytes() == expected.encode("utf-8")
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_save_refuses_weights_load_would_reject(self, tmp_path, bad):
+        store = TrajectoryStore()
+        store.record("m", "c", np.zeros(9), 1, 1)
+        store.record("m", "c2", np.full(9, bad), 1, 2)
+        path = tmp_path / "traj.jsonl"
+        with pytest.raises(ValueError, match=r"\('m', 'c2'\) has weights that are not finite"):
+            store.save(path)
+        assert not path.exists()
+
     def test_load_rejects_other_feature_order_versions(self, tmp_path):
         store = TrajectoryStore()
         store.record("m", "c", np.zeros(9), 1, 1)
@@ -136,8 +146,8 @@ class TestTrajectoryStore:
 
     @pytest.mark.parametrize(
         "weights",
-        [[0.1, 0.2, 0.3], [float("nan")] * 9, [0.0] * 8 + [float("-inf")], "0.5"],
-        ids=["short", "nan", "inf", "not-a-list"],
+        [[0.1, 0.2, 0.3], [float("nan")] * 9, [0.0] * 8 + [float("-inf")], "0.5", [0.0] * 8 + [True]],
+        ids=["short", "nan", "inf", "not-a-list", "bool"],
     )
     def test_load_rejects_bad_weight_vectors_with_file_and_line(self, tmp_path, weights):
         store = TrajectoryStore()

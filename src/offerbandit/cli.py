@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -354,7 +355,10 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--out", help="override run.out_dir")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: each parse_args
+    call fills a new namespace."""
     parser = argparse.ArgumentParser(prog="offerbandit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -136,11 +136,15 @@ def _section_from_dict(section_cls: type, section_name: str, obj) -> object:
 def _has_type(value, hint) -> bool:
     """Whether a JSON value fits a field annotation. bool is an int
     subclass, but true and false are not numbers here; JSON admits NaN
-    and Infinity, but a float must be finite."""
+    and Infinity, but a float must be finite, and so must an int given
+    for one once it is a float."""
     if hint is float:
-        if isinstance(value, float):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return False
+        try:
             return math.isfinite(value)
-        return isinstance(value, int) and not isinstance(value, bool)
+        except OverflowError:  # an int too large for a float
+            return False
     if hint is int:
         return isinstance(value, int) and not isinstance(value, bool)
     if typing.get_origin(hint) is list:

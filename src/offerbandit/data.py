@@ -361,9 +361,17 @@ def ingest_transactions(path: str | Path) -> IngestResult:
     """Read the transaction CSV into a TransactionLog, rows sorted by
     event_date ascending (stable).
 
+    A plain file (see _plain_transactions) is split as byte columns; any
+    other goes through the per-row loop, which skips and tallies bad rows.
+    Both give the same log.
+
     Raises IngestError if the file is missing, the header is wrong, or no
     valid rows remain after validation.
     """
+    with _open_checked(path) as fh:
+        log = _plain_transactions(fh.read())
+    if log is not None:
+        return IngestResult(log, [])
     ordinals: dict[str, int] = {}  # each event_date text parsed so far
 
     def parse(row: Sequence[str]) -> tuple[str, str, str, int]:
@@ -388,6 +396,110 @@ def ingest_transactions(path: str | Path) -> IngestResult:
         raise IngestError(f"no valid transactions in {path}")
     result.records = TransactionLog.from_columns(*zip(*result.records))
     return result
+
+
+_PLAIN_HEADER = ",".join(TRANSACTION_FIELDS).encode("ascii")
+# The widest field of a plain transaction file whose column is gathered
+# as bytes. Gathering takes one pass over the rows and up to one byte a
+# row per position; a plain line is at least 19 bytes long, so 64
+# positions stay within a few times the size of the file.
+GATHER_WIDTH = 64
+
+
+def _plain_transactions(data: bytes) -> TransactionLog | None:
+    """The TransactionLog of a transaction file's bytes when the per-row
+    loop would keep every row, with the same values; None otherwise.
+
+    The file qualifies when, after an optional UTF-8 byte-order mark, it
+    is printable ASCII without a quote, its lines end in \n or \r\n (the
+    last may end in neither), its first line is the header exactly, and
+    each later line holds five fields, none empty, wider than the csv
+    module's field size limit or with a space at an edge: the csv reader
+    then splits each line at its commas, and strip changes no field. And
+    every distinct event_date must pass _iso_date, and every distinct
+    quantity be an integer of at least 1. The file is split once at its
+    line ends and commas, each column is coded by one np.unique over its
+    rows' bytes, and the rows are put in date order by one stable sort.
+    """
+    data = data.removeprefix(codecs.BOM_UTF8)
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    if b'"' in data or not data.startswith(_PLAIN_HEADER):
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    newlines = np.flatnonzero(buf == ord("\n"))
+    crs = np.flatnonzero(buf == ord("\r"))
+    # The only control bytes are line ends, each \r the first of a \r\n.
+    if (buf.max() > 0x7E or np.count_nonzero(buf < 0x20) != len(newlines) + len(crs)
+            or (buf[crs + 1] != ord("\n")).any()):
+        return None
+    del crs
+    # A line holds five fields when four more commas come before its
+    # newline than before the newline of the line before it.
+    commas = np.flatnonzero(buf == ord(","))
+    if len(newlines) < 2 or len(commas) != 4 * len(newlines) or not np.array_equal(
+        np.searchsorted(commas, newlines), np.arange(4, 4 * len(newlines) + 1, 4)
+    ):
+        return None
+    ends = newlines - (buf[newlines - 1] == ord("\r"))  # where each line's text ends
+    if ends[0] != len(_PLAIN_HEADER):
+        return None
+    # Each row's six cuts: the newline before it, its commas, its end.
+    cuts = np.column_stack((newlines[:-1], commas.reshape(-1, 4)[1:], ends[1:]))
+    del newlines, commas, ends
+    lens = np.diff(cuts, axis=1) - 1
+    if lens.min() < 1 or lens.max() > csv.field_size_limit():
+        return None
+    if (buf[cuts[:, :-1] + 1] == ord(" ")).any() or (buf[cuts[:, 1:] - 1] == ord(" ")).any():
+        return None
+    (members, member), (categories, category), (brands, brand), (dates, day), (quantities, _) = (
+        _code_field(data, cuts[:, k] + 1, lens[:, k]) for k in range(5)
+    )
+    try:
+        ordinals = np.array([_iso_date(d, "event_date").toordinal() for d in dates], dtype=np.int64)
+        if min(map(int, quantities)) < 1:
+            return None
+    except ValueError:
+        return None
+    day = ordinals[day]
+    order = np.argsort(day, kind="stable")
+    return TransactionLog(members, categories, brands, member[order], category[order], brand[order], day[order])
+
+
+def _code_field(data: bytes, starts: np.ndarray, lens: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The sorted distinct texts of one field of a plain file, given each
+    row's start and length, and each row's code: its position among them.
+
+    The rows' bytes are gathered one byte position at a time, zero past a
+    row's end; the positions where every row holds the same byte are
+    dropped, since they neither order nor tell apart any two rows. Up to 8
+    bytes left are read as one big-endian uint64 a row, whose order is
+    byte order and so sorted order for ASCII; more are sorted as bytes.
+    A field wider than GATHER_WIDTH is decoded row by row instead."""
+    width = int(lens.max())
+    if width > GATHER_WIDTH:
+        return encode(_texts(data, starts, lens))
+    buf = np.frombuffer(data, dtype=np.uint8)
+    varying = []
+    for j in range(width):
+        column = buf.take(starts + j, mode="clip")
+        column[lens <= j] = 0
+        if (column != column[0]).any():
+            varying.append(column)
+    varying += [np.zeros(len(lens), dtype=np.uint8)] * (8 - len(varying))
+    keys = np.column_stack(varying)
+    del varying
+    keys = keys.view(">u8").astype(np.uint64) if keys.shape[1] == 8 else keys.view(f"S{keys.shape[1]}")
+    distinct, code = np.unique(keys.ravel(), return_inverse=True)
+    code = code.astype(np.int64, copy=False)
+    first = np.empty(len(distinct), dtype=np.int64)
+    first[code] = np.arange(len(code))  # a row of each distinct text
+    return _texts(data, starts[first], lens[first]), code
+
+
+def _texts(data: bytes, starts: np.ndarray, lens: np.ndarray) -> list[str]:
+    """The ASCII text of each (start, length) slice of data."""
+    return [data[s:s + n].decode("ascii") for s, n in zip(starts.tolist(), lens.tolist())]
 
 
 # The timestamps datetime.fromisoformat reads on Python 3.10: a date, then

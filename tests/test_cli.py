@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from offerbandit.cli import OutputWriter, main
+from offerbandit.cli import OutputWriter, build_parser, main
 from offerbandit.config import RunConfig
 from offerbandit.data import ingest_mf_scores
 from offerbandit.datagen import generate_dataset
@@ -151,6 +151,23 @@ class TestSimulate:
         assert stderr_error(capsys)["error"] == "runtime"
         for name in ("rounds.jsonl", "metrics.csv", "summary.json", "manifest.json"):
             assert not (out / name).exists()
+
+
+class TestParser:
+    def test_each_call_gets_only_its_own_arguments(self, tmp_path, monkeypatch, capsys):
+        # The parser is built once per process and parses every call.
+        parser = build_parser()
+        parse, seen = parser.parse_args, []
+        monkeypatch.setattr(parser, "parse_args", lambda argv=None: seen.append(parse(argv)) or seen[-1])
+        run, merged = tmp_path / "run", tmp_path / "merged"
+        assert main(["simulate", "--seed", "3", "--rounds", "5", "--out", str(run)]) == 0
+        assert main(["report", str(run), "--out", str(merged)]) == 0
+        assert build_parser() is parser
+        first, second = (vars(args) for args in seen)
+        assert first == {"command": "simulate", "config": None, "seed": 3, "rounds": 5, "policy": None,
+                         "out": str(run), "func": first["func"]}
+        assert second == {"command": "report", "run_dirs": [str(run)], "out": str(merged), "func": second["func"]}
+        assert first["func"] is not second["func"]
 
 
 class TestIngest:
@@ -486,6 +503,19 @@ class TestConfigValueTypes:
         error = stderr_error(capsys)
         assert error["error"] == "config"
         assert f"{section}.{key}={value!r}" in error["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("learning_rate", 10**400),
+        ("prior_weights", [0.0] * 8 + [10**400]),
+    ], ids=["learning_rate", "prior_weights"])
+    def test_an_int_too_large_for_a_float_exits_2_naming_the_key(self, tmp_path, capsys, key, value):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path / "cfg.json", learner={key: value})
+        assert main(["simulate", "--config", cfg, "--rounds", "5", "--out", str(out)]) == 2
+        error = stderr_error(capsys)
+        assert error["error"] == "config"
+        assert f"learner.{key}=" in error["message"]
         assert not out.exists()
 
     def test_every_field_rejects_a_value_of_another_type(self):

@@ -1,5 +1,7 @@
 import codecs
+import csv
 import json
+import tracemalloc
 from datetime import date, datetime, timedelta
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import log_rows, transaction_log
+from offerbandit import data
 from offerbandit.data import (
     TRANSACTION_FIELDS,
     Impression,
@@ -14,6 +17,7 @@ from offerbandit.data import (
     IngestResult,
     Offer,
     _iso_date,
+    _plain_transactions,
     _read_csv,
     catalog_orphan_issues,
     ingest_impressions,
@@ -82,6 +86,50 @@ TX_LINES = st.one_of(
         b"\n",
     ]),
 )
+
+
+def assert_ingest_equals_reference(path):
+    """ingest_transactions of the file gives the row_by_row_ingest rows
+    in its order, each id column's sorted distinct names, and its tally;
+    or both keep no row."""
+    rows, issues = row_by_row_ingest(path)
+    if not rows:
+        with pytest.raises(IngestError, match="no valid transactions"):
+            ingest_transactions(path)
+        return
+    result = ingest_transactions(path)
+    assert result.issues == issues
+    assert log_rows(result.records) == rows
+    log = result.records
+    assert (log.members, log.categories, log.brands) == tuple(sorted({row[k] for row in rows}) for k in range(3))
+    assert all(getattr(log, c).dtype == "int64" for c in ("member", "category", "brand", "day"))
+
+
+# Ids of a plain file: printable ASCII but the comma and the quote, no
+# space at either end, of 1-8 bytes (one uint64 key) or 9-20.
+PLAIN_ID = st.one_of(
+    *(st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E, exclude_characters=',"'),
+              min_size=lo, max_size=hi) for lo, hi in ((1, 8), (9, 20)))
+).filter(lambda text: text == text.strip())
+
+
+@st.composite
+def plain_files(draw):
+    """The bytes of a transaction file that the per-row loop reads
+    without a skip: ids drawn from small pools, so they repeat, a few
+    dates, so same-day rows tie, quantities in the forms int() reads,
+    LF or CRLF line ends, an optional byte-order mark and an optional
+    last line end."""
+    pools = [draw(st.lists(PLAIN_ID, min_size=1, max_size=4)) for _ in range(3)]
+    days = draw(st.lists(st.dates().map(date.isoformat), min_size=1, max_size=3))
+    quantities = st.sampled_from(["1", "+3", "0007", "1_0"]) | st.integers(1, 10**6).map(str)
+    rows = draw(st.lists(st.tuples(*map(st.sampled_from, [*pools, days]), quantities), min_size=1, max_size=25))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join([HEADER.rstrip("\n"), *map(",".join, rows)]) + draw(st.sampled_from([eol, ""]))
+    return draw(st.sampled_from([b"", codecs.BOM_UTF8])) + text.encode("ascii")
+
+
+PLAIN_ROWS = "m1,c1,b1,2024-07-02,1\nm10,c2,b1,2024-07-01,2\nm1,c1,b2,2024-07-01,3\n"
 
 
 class TestTransactions:
@@ -155,15 +203,85 @@ class TestTransactions:
     def test_columnar_ingest_equals_the_row_by_row_reference(self, tmp_path_factory, bom, lines):
         path = tmp_path_factory.mktemp("tx") / "t.csv"
         path.write_bytes((codecs.BOM_UTF8 if bom else b"") + HEADER.encode("utf-8") + b"".join(lines))
-        rows, issues = row_by_row_ingest(path)
-        if not rows:
-            with pytest.raises(IngestError, match="no valid transactions"):
-                ingest_transactions(path)
-            return
-        result = ingest_transactions(path)
-        assert result.issues == issues
-        assert log_rows(result.records) == rows
-        assert result.records.members == sorted({row[0] for row in rows})
+        assert_ingest_equals_reference(path)
+
+    @given(raw=plain_files())
+    def test_a_plain_file_is_read_as_columns_equal_to_the_reference(self, tmp_path_factory, raw):
+        assert _plain_transactions(raw) is not None
+        path = tmp_path_factory.mktemp("tx") / "t.csv"
+        path.write_bytes(raw)
+        assert_ingest_equals_reference(path)
+
+    @pytest.mark.parametrize("body", [
+        "m 1,c1,b1,2024-07-01,1\n",
+        "x" * csv.field_size_limit() + ",c1,b1,2024-07-01,1\n",
+        "m" * 65 + ",c1,b1,2024-07-01,1\nm" + "0" * 64 + ",c1,b1,2024-07-01,1\n",
+        "m1,c1,b1,2024-07-01,1\r",
+    ], ids=["inner space", "field at the csv limit", "ids past the gather width", "last line ending in a lone CR"])
+    def test_plain_edge_cases_are_read_as_columns(self, tmp_path, body):
+        path = write_csv(tmp_path / "t.csv", PLAIN_ROWS + body)
+        assert _plain_transactions(path.read_bytes()) is not None
+        assert_ingest_equals_reference(path)
+
+    @pytest.mark.parametrize("body", [
+        '"m1",c1,b1,2024-07-01,1\n',
+        "m3\rm4,c1,b1,2024-07-01,1\n",
+        "m1,c1 ,b1,2024-07-01,1\n",
+        ",c1,b1,2024-07-01,1\n",
+        "\u00e9,c1,b1,2024-07-01,1\n",
+        "m1\x00,c1,b1,2024-07-01,1\n",
+        "\n",
+        "x" * (csv.field_size_limit() + 1) + ",c1,b1,2024-07-01,1\n",
+        "m1,c1,b1,2024-13-01,1\n",
+        "m1,c1,b1,2024-07-01,0\n",
+    ], ids=["quoted field", "lone CR", "space at a field edge", "empty id", "non-ASCII id", "NUL", "blank line",
+            "field past the csv limit", "bad date", "bad quantity"])
+    def test_a_row_the_columns_cannot_take_sends_the_file_to_the_per_row_loop(self, tmp_path, body):
+        # The odd row sits among plain ones; the per-row loop reads the
+        # whole file, and skips or keeps that row as it always did.
+        path = write_csv(tmp_path / "t.csv", PLAIN_ROWS + body + PLAIN_ROWS)
+        assert _plain_transactions(path.read_bytes()) is None
+        assert_ingest_equals_reference(path)
+
+    @pytest.mark.parametrize("header", [HEADER.replace("\n", " \n"), " " + HEADER])
+    def test_a_header_with_spaces_is_read_by_the_per_row_loop(self, tmp_path, header):
+        path = write_csv(tmp_path / "t.csv", PLAIN_ROWS, header=header)
+        assert _plain_transactions(path.read_bytes()) is None
+        assert_ingest_equals_reference(path)
+
+    def test_a_header_with_more_after_it_is_fatal(self, tmp_path):
+        path = write_csv(tmp_path / "t.csv", PLAIN_ROWS, header=HEADER.replace("\n", "_x\n"))
+        with pytest.raises(IngestError, match="header"):
+            ingest_transactions(path)
+
+    def test_a_plain_file_never_reaches_the_per_row_loop(self, tmp_path, monkeypatch):
+        path = write_csv(tmp_path / "t.csv", PLAIN_ROWS)
+        expected = ingest_transactions(path).records
+
+        def per_row_loop(*args):
+            raise AssertionError("a plain file went to the per-row loop")
+
+        monkeypatch.setattr(data, "_read_csv", per_row_loop)
+        assert ingest_transactions(path).records == expected
+        assert log_rows(expected) == row_by_row_ingest(path)[0]
+
+    def test_a_very_long_id_is_read_without_a_rows_by_width_array(self, tmp_path):
+        # 10,000 rows, one of whose member ids is 100,000 bytes long: its
+        # column is not gathered as 10,000 x 100,000 bytes, 3,000 times the
+        # file. The per-row loop's own peak is about 11 times the file.
+        rows = [f"m{i % 50},c{i % 7},b{i % 5},2024-07-{1 + i % 28:02d},{1 + i % 3}\n" for i in range(10_000)]
+        rows[5_000] = "m" * 100_000 + rows[5_000][rows[5_000].index(","):]
+        path = write_csv(tmp_path / "t.csv", "".join(rows))
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            ingest_transactions(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * size
+        assert _plain_transactions(path.read_bytes()) is not None
+        assert_ingest_equals_reference(path)
 
     def test_missing_file_is_fatal(self, tmp_path):
         with pytest.raises(IngestError, match="missing input file"):

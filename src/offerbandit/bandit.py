@@ -11,16 +11,14 @@ matrix-factorization bias.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import read_versioned_jsonl
+from .data import read_state_file, write_state_file
 from .errors import ConfigError, bounded, check_fields
 from .features import FEATURE_NAMES, FEATURE_ORDER_VERSION, N_FEATURES
 
@@ -46,11 +44,6 @@ def sigmoid_rows(z: np.ndarray) -> np.ndarray:
 
 def logit(p: float) -> float:
     return math.log(p / (1.0 - p))
-
-
-def log_loss(p: float, y: int) -> float:
-    p = min(max(p, 1e-12), 1.0 - 1e-12)
-    return -math.log(p) if y == 1 else -math.log(1.0 - p)
 
 
 @dataclass
@@ -203,7 +196,7 @@ class ModelStore:
     an update-count vector belongs to the pair that a dict maps to r. The
     store holds values: get() returns an independent CategoryModel and
     put() writes one back; update() steps a pair's row in place. A row is
-    taken only by put(), update() or backfit's rows(), and from_rows()
+    taken only by put(), update() or backfit's rows(), and load_checkpoint
     builds a whole store; reads never materialize a pair, and pairs never
     seen read as the prior.
     """
@@ -284,22 +277,6 @@ class ModelStore:
         if -1 in rows:
             W[np.array(rows) < 0] = self.prior
         return sigmoid_rows(np.einsum("ij,ij->i", W, X))
-
-    @classmethod
-    def from_rows(cls, prior_weights: Sequence[float], keys: list[tuple[str, str]], W: np.ndarray,
-                  counts: list[int]) -> "ModelStore":
-        """The store whose row r holds the model of pair keys[r]: weights
-        W[r] after counts[r] updates. Raises ValueError on a repeated pair."""
-        store = cls(prior_weights)
-        store._rows = dict(zip(keys, range(len(keys))))
-        if len(store._rows) != len(keys):
-            raise ValueError("duplicate model")
-        if keys:
-            store._W, store._counts = W, np.array(counts, dtype=np.int64)
-        return store
-
-    def items_sorted(self) -> list[tuple[tuple[str, str], CategoryModel]]:
-        return [(key, self.get(*key)) for key in sorted(self._rows)]
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -421,66 +398,11 @@ def backfit(store: ModelStore, events: TrainingEvents, cfg: LearnerConfig) -> Ba
     )
 
 
-def finite_weights(values: list) -> list:
-    """A weight list read from a file, returned as is. Raises ValueError or
-    TypeError unless it holds N_FEATURES finite numbers; booleans are not
-    numbers."""
-    if len(values) != N_FEATURES or bool in map(type, values) or not all(map(math.isfinite, values)):
-        raise ValueError(f"weights must be {N_FEATURES} finite numbers, got {values!r}")
-    return values
-
-
-def finite_weight_column(rows: list, name: str) -> list[list[float]]:
-    """finite_weights of every entry of a column read from a file, checked
-    at once: the lists as they are when every number is a float, else
-    converted to floats."""
-    kinds = set(map(type, chain.from_iterable(rows)))
-    if rows and (set(map(type, rows)) != {list} or set(map(len, rows)) != {N_FEATURES} or not kinds <= {float, int}):
-        raise ValueError(f"{name} must be lists of {N_FEATURES} finite numbers")
-    if int in kinds:
-        rows = [list(map(float, row)) for row in rows]
-    if not all(map(math.isfinite, chain.from_iterable(rows))):
-        raise ValueError(f"{name} must be lists of {N_FEATURES} finite numbers")
-    return rows
-
-
-def json_count(value, name: str) -> int:
-    """A count read from a file, returned as is. Raises ValueError unless
-    it is a JSON integer in the store's int64 range [0, 2**63); booleans
-    are not counts."""
-    if type(value) is not int or not 0 <= value < 2**63:
-        raise ValueError(f"{name} must be a non-negative integer below 2**63, got {value!r}")
-    return value
-
-
-def json_id(value, name: str) -> str:
-    """An id read from a state file, returned as is. Raises ValueError
-    unless it is a non-empty JSON string, as the writers write ids."""
-    if type(value) is not str or not value:
-        raise ValueError(f"{name} must be a non-empty string, got {value!r}")
-    return value
-
-
-def json_count_column(column: list, name: str) -> list[int]:
-    """json_count of every entry of a column read from a file, checked at
-    once."""
-    if column and (set(map(type, column)) != {int} or min(column) < 0 or max(column) >= 2**63):
-        raise ValueError(f"{name} must be non-negative integers below 2**63")
-    return column
-
-
-def json_id_column(column: list, name: str) -> list[str]:
-    """json_id of every entry of a column read from a file, checked at
-    once."""
-    if column and (set(map(type, column)) != {str} or not all(column)):
-        raise ValueError(f"{name} must be non-empty strings")
-    return column
-
-
 def save_checkpoint(path: str | Path, store: ModelStore, cfg: LearnerConfig) -> None:
-    """Write the store as JSONL: a header line, then one model per line.
-    Raises ValueError, naming the pair, when a model's weights are not
-    finite, which load_checkpoint would reject; so too for the prior."""
+    """Write the store as a state file: a header line, then one model per
+    line, in pair order. Raises ValueError, naming the pair, when a
+    model's weights are not finite, which load_checkpoint would reject;
+    so too for the prior."""
     keys = sorted(store._rows)
     rows = [store._rows[key] for key in keys]
     W = store._W[rows]
@@ -499,17 +421,7 @@ def save_checkpoint(path: str | Path, store: ModelStore, cfg: LearnerConfig) -> 
         "prior_weights": [float(w) for w in store.prior],
         "n_models": len(store),
     }
-    # Each line equals json.dumps of the row's dict with sort_keys=True,
-    # which writes floats with float.__repr__; each distinct id is encoded once.
-    quoted = {i: json.dumps(i) for i in set(chain.from_iterable(keys))}
-    lines = (
-        f'{{"category_id": {quoted[category]}, "member_id": {quoted[member]}, '
-        f'"update_count": {count}, "weights": [{", ".join(map(float.__repr__, weights))}]}}\n'
-        for (member, category), weights, count in zip(keys, W.tolist(), store._counts[rows].tolist())
-    )
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        fh.writelines(lines)
+    write_state_file(path, header, keys, range(len(keys)), store._counts[rows].tolist(), W.tolist())
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelStore, dict]:
@@ -519,32 +431,28 @@ def load_checkpoint(path: str | Path) -> tuple[ModelStore, dict]:
     Raises ConfigError naming the file and the first faulty line when the
     feature order version differs, a line is malformed, the prior or a
     model's weights are not N_FEATURES finite numbers (booleans are not
-    numbers), a member_id or category_id is not a non-empty string, a
-    pair repeats, n_models or an update_count is not a non-negative JSON
-    integer, or the model rows do not match the header's n_models.
+    numbers), a member_id or category_id is not a non-empty string,
+    n_models or an update_count is not a non-negative JSON integer, a
+    pair repeats, or the model rows do not match the header's n_models.
     """
-    prior: list = []
-    checked = ModelStore()
 
-    def start(header: dict) -> None:
-        nonlocal prior
-        json_count(header["n_models"], "n_models")
-        prior = finite_weights(header["prior_weights"])
+    def repeated_pair(members: list, categories: list, *_) -> tuple[int, str] | None:
+        seen: set = set()
+        for row, key in enumerate(zip(members, categories)):
+            if key in seen:
+                return row, f"duplicate model {key}"
+            seen.add(key)
 
-    def from_columns(members: list, categories: list, counts: list, weights: list) -> ModelStore:
-        keys = list(zip(json_id_column(members, "member_id"), json_id_column(categories, "category_id")))
-        W = np.array(finite_weight_column(weights, "weights"), dtype=float)
-        return ModelStore.from_rows(prior, keys, W, json_count_column(counts, "update_count"))
-
-    def check(obj: dict) -> None:
-        key = (json_id(obj["member_id"], "member_id"), json_id(obj["category_id"], "category_id"))
-        if key in checked:
-            raise ValueError(f"duplicate model {key}")
-        count = json_count(obj["update_count"], "update_count")
-        checked.put(*key, CategoryModel(finite_weights(obj["weights"]), count))
+    def build(n_models: int, prior: list, members: list, categories: list, counts: list, weights: list) -> ModelStore:
+        store = ModelStore(prior)
+        store._rows = dict(zip(zip(members, categories), range(len(members))))
+        if members:
+            store._W, store._counts = np.array(weights, dtype=float), np.array(counts, dtype=np.int64)
+        return store
 
     fields = ("member_id", "category_id", "update_count", "weights")
-    header, store = read_versioned_jsonl(path, "checkpoint", FEATURE_ORDER_VERSION, fields, from_columns, check, start)
+    header, store = read_state_file(path, "checkpoint", FEATURE_ORDER_VERSION, N_FEATURES, fields, repeated_pair,
+                                    build, header_fields=("n_models", "prior_weights"))
     if len(store) != header["n_models"]:
         raise ConfigError(f"checkpoint {path} line 1: n_models is {header['n_models']} but {len(store)} model rows follow")
     return store, header

@@ -245,9 +245,6 @@ class LinUCBPolicy(RidgeStats):
         super().__init__(l2_lambda, dim)
         self.alpha_explore = alpha_explore
 
-    def score(self, x: np.ndarray) -> float:
-        return float(self.scores(x[None, :])[0])
-
     def scores(self, X: np.ndarray) -> np.ndarray:
         """Score of every row of X; all widths come from one solve."""
         widths = np.einsum("ij,ji->i", X, np.linalg.solve(self.A, X.T))

@@ -23,7 +23,7 @@ import numpy as np
 
 from .bandit import ModelStore, backfit, load_checkpoint, save_checkpoint
 from .baselines import make_policy
-from .config import RunConfig
+from .config import RunConfig, has_type
 from .data import (
     IngestError,
     MFScoreTable,
@@ -268,7 +268,7 @@ def _read_run(run_dir: Path) -> tuple[list[dict[str, float | None]], dict]:
         value = obj.get(key)
         if value is None and key != "cumulative_reward":
             continue  # replay runs have no regret or optimal rate
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        if not has_type(value, float):  # a finite number; not a bool or an int past the float range
             raise ConfigError(f"{summary}: {key} must be a JSON number, got {value!r}")
     return rows, obj
 

@@ -123,7 +123,7 @@ def _section_from_dict(section_cls: type, section_name: str, obj) -> object:
     for key, value in obj.items():
         if key not in fields:
             raise ConfigError(f"unknown config key: {section_name}.{key}")
-        if not _has_type(value, hints[key]):
+        if not has_type(value, hints[key]):
             raise ConfigError(f"bad config value {section_name}.{key}={value!r}; "
                               f"expected {fields[key].type} (numbers must be finite)")
     # Checked first under the key's name; construction checks them again.
@@ -133,7 +133,7 @@ def _section_from_dict(section_cls: type, section_name: str, obj) -> object:
     return section_cls(**obj)
 
 
-def _has_type(value, hint) -> bool:
+def has_type(value, hint) -> bool:
     """Whether a JSON value fits a field annotation. bool is an int
     subclass, but true and false are not numbers here; JSON admits NaN
     and Infinity, but a float must be finite, and so must an int given
@@ -149,7 +149,7 @@ def _has_type(value, hint) -> bool:
         return isinstance(value, int) and not isinstance(value, bool)
     if typing.get_origin(hint) is list:
         (item,) = typing.get_args(hint)
-        return isinstance(value, list) and all(_has_type(v, item) for v in value)
+        return isinstance(value, list) and all(has_type(v, item) for v in value)
     if typing.get_origin(hint) in (types.UnionType, typing.Union):
-        return any(_has_type(value, h) for h in typing.get_args(hint))
+        return any(has_type(value, h) for h in typing.get_args(hint))
     return isinstance(value, hint)

@@ -5,14 +5,15 @@ Four inputs drive the engine: a transaction log (CSV), an offer catalog
 matrix-factorization affinity scores (CSV). Ingestion is skip-and-tally:
 malformed records are counted with a reason and never abort the run. The
 only fatal conditions are a missing file and a transaction log that yields
-zero valid rows. The reader of checkpoint and trajectory files and the
-JSON, JSONL and CSV writers that the outputs share live here too.
+zero valid rows. The JSON, JSONL and CSV writers that the outputs
+share live here too, and so does the one format of the state files,
+checkpoints and weight trajectories: one line writer, one checked reader
+and one check for each kind of field (ids, counts, weight lists).
 """
 
 from __future__ import annotations
 
 import codecs
-import contextlib
 import csv
 import gc
 import itertools
@@ -22,6 +23,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from datetime import date, datetime
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -263,42 +265,60 @@ T = TypeVar("T")
 SCAN_LINES = 1024
 
 
-def read_versioned_jsonl(path: str | Path, kind: str, version: int, fields: Sequence[str], load: Callable[..., T],
-                         check: Callable[[dict], object],
-                         start: Callable[[dict], object] = lambda header: None) -> tuple[dict, T]:
+def write_state_file(path: str | Path, header: dict, keys: Sequence[tuple[str, str]], pair: Iterable[int],
+                     counts: Iterable[int], weights: Iterable[Sequence[float]], t: Iterable[int] | None = None) -> None:
+    """Write a state file: the header, then line i holding the pair
+    keys[pair[i]], t[i] when t is given, counts[i] as update_count and
+    weights[i] (finite floats). Each line equals json.dumps of its fields
+    with sort_keys=True, which writes floats with float.__repr__; each
+    distinct id is encoded once."""
+    quoted = {i: json.dumps(i) for i in set(itertools.chain.from_iterable(keys))}
+    prefix = [f'{{"category_id": {quoted[c]}, "member_id": {quoted[m]}, ' for m, c in keys]
+    stamps = itertools.repeat("") if t is None else map('"t": {}, '.format, t)
+    lines = (
+        f'{prefix[p]}{stamp}"update_count": {n}, "weights": [{", ".join(map(float.__repr__, w))}]}}\n'
+        for p, stamp, n, w in zip(pair, stamps, counts, weights)
+    )
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.write(json.dumps(header, sort_keys=True) + "\n")
+        fh.writelines(lines)
+
+
+def read_state_file(path: str | Path, kind: str, version: int, width: int, fields: Sequence[str],
+                    rule: Callable[..., tuple[int, str] | None], build: Callable[..., T],
+                    header_fields: Sequence[str] = ()) -> tuple[dict, T]:
     """Read a state file: a JSON header line whose feature_order_version
     must equal version, then one JSON object per non-blank line.
 
-    start gets the header. The rest of the file is decoded once and split
-    into lines where _lines splits them; each line is parsed by one C
-    scan, and load gets one column per field, each holding that field of
-    every line in file order, checks them whole and returns what it
-    builds. Returns the header and what load returned. Only when a line
-    does not decode or parse, lacks a field, or load raises, is the file
-    read again line by line, each line's object going to check, so that
-    the first faulty line is the one named. Every failure, including a
-    line that is not valid UTF-8, JSON nested too deeply and what start
-    or check raise, becomes ConfigError("<kind> <path> line <n>: <reason>").
+    The header's header_fields and every line's fields are checked by
+    _check_field, width being the length of a weight list. rule gets the
+    checked columns, one per field in file order, and returns the row of
+    the first line that breaks the file's cross-line rule and why, or
+    None; build gets the checked header fields, then the columns.
+    Returns the header and what build returned. The lines are decoded at
+    once, parsed one C scan a line and checked a column at a time; only
+    a fault sends the file to _first_fault to name the first faulty line.
+    Every failure becomes ConfigError("<kind> <path> line <n>: <reason>").
     """
     lineno = 1
     try:
         header, texts = _split_state_file(path, kind, version)
-        start(header)
-        with _gc_paused():
-            loaded = None if texts is None else _load_columns(texts, fields, load)
+        head = [_check_field(name, [header[name]], width)[0] for name in header_fields]
+        # Parsing makes no cycles: the cyclic collector would only walk the heap.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            loaded = None if texts is None else _load_columns(texts, fields, width, rule, partial(build, *head))
+        finally:
+            if enabled:
+                gc.enable()
         if loaded is not None:
             return header, loaded
-        with Path(path).open("rb") as fh:
-            lines = _lines(fh)
-            next(lines)  # the header, read above
-            for lineno, line in enumerate(lines, start=2):
-                text = line.decode("utf-8").strip()
-                if text:
-                    check(json.loads(text))
+        lineno, fault = _first_fault(path, fields, width, rule)
     except RECORD_ERRORS as exc:
-        reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-        raise ConfigError(f"{kind} {path} line {lineno}: {reason}") from None
-    raise RuntimeError(f"{kind} {path}: its lines pass the line checks that the column checks failed")
+        fault = exc
+    reason = f"missing field {fault}" if isinstance(fault, KeyError) else fault
+    raise ConfigError(f"{kind} {path} line {lineno}: {reason}")
 
 
 def _split_state_file(path: str | Path, kind: str, version: int) -> tuple[dict, list[str] | None]:
@@ -322,10 +342,12 @@ def _split_state_file(path: str | Path, kind: str, version: int) -> tuple[dict, 
     return header, list(filter(None, map(str.strip, text.split("\n"))))
 
 
-def _load_columns(texts: list[str], fields: Sequence[str], load: Callable[..., T]) -> T | None:
-    """load of one column per field, each holding that field of the JSON
+def _load_columns(texts: list[str], fields: Sequence[str], width: int, rule: Callable[..., tuple[int, str] | None],
+                  build: Callable[..., T]) -> T | None:
+    """build of the checked columns, each holding one field of the JSON
     object of every text; None when a text is not one JSON object holding
-    every field, or load raises. The texts are parsed SCAN_LINES at a time."""
+    every field, or a check fails, the rule is broken or build raises.
+    The texts are parsed SCAN_LINES at a time."""
     scan = json.JSONDecoder().scan_once
     columns: list[list] = [[] for _ in fields]
     try:
@@ -338,23 +360,78 @@ def _load_columns(texts: list[str], fields: Sequence[str], load: Callable[..., T
                 return None
             for column, field in zip(columns, fields):
                 column.extend(map(operator.itemgetter(field), values))
-        return load(*columns)
+        columns = [_check_field(field, column, width) for field, column in zip(fields, columns)]
+        return None if rule(*columns) is not None else build(*columns)
     except RECORD_ERRORS:
         return None
 
 
-@contextlib.contextmanager
-def _gc_paused():
-    """Hold off the cyclic garbage collector: parsing a state file makes
-    two containers a line and no cycles, so collections while it runs
-    would only walk the heap again and again."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
+def _first_fault(path: str | Path, fields: Sequence[str], width: int,
+                 rule: Callable[..., tuple[int, str] | None]) -> tuple[int, Exception | str]:
+    """The number and the fault of the first faulty line of a state file,
+    found line by line: each line is decoded and parsed on its own and its
+    fields checked in order as one-entry columns, then the rule runs over
+    the lines before the first line that fails."""
+    columns: list[list] = [[] for _ in fields]
+    linenos, fault = [], None
+    with Path(path).open("rb") as fh:
+        try:
+            for lineno, line in enumerate(itertools.islice(_lines(fh), 1, None), start=2):
+                if text := line.decode("utf-8").strip():
+                    obj = json.loads(text)
+                    for column, value in zip(columns, [_check_field(f, [obj[f]], width)[0] for f in fields]):
+                        column.append(value)
+                    linenos.append(lineno)
+        except RECORD_ERRORS as exc:
+            fault = (lineno, exc)
+    broken = rule(*columns)
+    if broken is None and fault is None:
+        raise RuntimeError(f"{path}: its lines pass the line checks that the column checks failed")
+    return fault if broken is None else (linenos[broken[0]], broken[1])
+
+
+def _check_field(name: str, column: list, width: int) -> list:
+    """A column of the named state-file field, checked by the check of
+    its kind: ids end in _id, weight lists in weights, and every other
+    field is a count."""
+    if name.endswith("weights"):
+        return check_weights(column, width)
+    return (check_ids if name.endswith("_id") else check_counts)(column, name)
+
+
+def check_ids(column: list, name: str) -> list[str]:
+    """A column of ids read from a state file, as it is. Raises ValueError
+    naming the first entry that is not a non-empty string."""
+    if column and (set(map(type, column)) != {str} or not all(column)):
+        bad = next(v for v in column if type(v) is not str or not v)
+        raise ValueError(f"{name} must be a non-empty string, got {bad!r}")
+    return column
+
+
+def check_counts(column: list, name: str) -> list[int]:
+    """A column of counts read from a state file, as it is. Raises ValueError
+    naming the first entry that is not an integer in [0, 2**63); booleans
+    are not counts."""
+    if column and (set(map(type, column)) != {int} or min(column) < 0 or max(column) >= 2**63):
+        bad = next(v for v in column if type(v) is not int or not 0 <= v < 2**63)
+        raise ValueError(f"{name} must be a non-negative integer below 2**63, got {bad!r}")
+    return column
+
+
+def check_weights(column: list, width: int) -> list[list[float]]:
+    """A column of weight lists read from a state file, as it is when
+    every entry is width finite floats, else each entry as floats. For
+    the first entry that is not width finite numbers (booleans are not
+    numbers), raises what a check of that entry alone raises: ValueError
+    naming it, TypeError or OverflowError."""
+    if (set(map(type, column)) <= {list} and set(map(len, column)) <= {width}
+            and set(map(type, itertools.chain.from_iterable(column))) <= {float}
+            and all(map(math.isfinite, itertools.chain.from_iterable(column)))):
+        return column
+    for values in column:
+        if len(values) != width or bool in map(type, values) or not all(map(math.isfinite, values)):
+            raise ValueError(f"weights must be {width} finite numbers, got {values!r}")
+    return [list(map(float, values)) for values in column]
 
 
 def ingest_transactions(path: str | Path) -> IngestResult:

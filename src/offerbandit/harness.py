@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .baselines import OfferCandidate, OfferRound, Policy, Ranking
+from .baselines import OfferRound, Policy, Ranking
 from .bandit import TrainingEvents, offer_probabilities, sigmoid_rows
 from .data import Impression, MFScoreTable, Offer, TransactionLog, write_csv, write_json, write_jsonl
 from .errors import ConfigError, bounded, check_fields
@@ -196,18 +196,6 @@ class SyntheticWorld:
         one-round batch of raw rows, mf scores and true clip probabilities."""
         batch = self.draw_rounds(1, rng)
         return batch.members[0], batch, batch.mf_scores, batch.true_p
-
-
-class OraclePolicy:
-    """Ranks by the world's true probabilities; the regret-zero reference."""
-
-    name = "oracle"
-
-    def select(self, offers: OfferRound, rng: np.random.Generator, t: int) -> Ranking:
-        return offers.ranking(offers.true_p.tolist())
-
-    def update(self, candidate: OfferCandidate, reward: int):
-        return []
 
 
 @dataclass

@@ -23,15 +23,7 @@ from urllib.request import Request, urlopen
 
 import numpy as np
 
-from .bandit import (
-    finite_weight_column,
-    finite_weights,
-    json_count,
-    json_count_column,
-    json_id,
-    json_id_column,
-)
-from .data import read_versioned_jsonl
+from .data import read_state_file, write_state_file
 from .errors import ConfigError, bounded, check_fields
 from .features import FEATURE_NAMES, FEATURE_ORDER_VERSION, N_FEATURES
 
@@ -133,22 +125,11 @@ class TrajectoryStore:
             raise ValueError(f"snapshot t={self._t[bad]} of {keys[self._pair[bad]]} has weights that are not finite")
         header = {"feature_names": list(FEATURE_NAMES), "feature_order_version": FEATURE_ORDER_VERSION}
         t, pair = self._t, self._pair
-        rows = range(len(t))
+        columns = (pair, self._update_count, self._weights, t)
         if not all(map(operator.lt, t, t[1:])):  # t is a run's update ordinal, so this is rare
-            rows = sorted(rows, key=lambda i: (t[i], keys[pair[i]]))
-        # Each line equals json.dumps of the snapshot's fields with
-        # sort_keys=True, which writes finite floats with float.__repr__;
-        # each distinct id is encoded once.
-        quoted = {i: json.dumps(i) for i in set(chain.from_iterable(keys))}
-        prefix = [f'{{"category_id": {quoted[c]}, "member_id": {quoted[m]}, "t": ' for m, c in keys]
-        lines = (
-            f'{prefix[pair[i]]}{t[i]}, "update_count": {self._update_count[i]}, '
-            f'"weights": [{", ".join(map(float.__repr__, self._weights[i]))}]}}\n'
-            for i in rows
-        )
-        with Path(path).open("w", encoding="utf-8") as fh:
-            fh.write(json.dumps(header, sort_keys=True) + "\n")
-            fh.writelines(lines)
+            rows = sorted(range(len(t)), key=lambda i: (t[i], keys[pair[i]]))
+            columns = tuple([column[i] for i in rows] for column in columns)
+        write_state_file(path, header, keys, *columns)
 
     @classmethod
     def load(cls, path: str | Path) -> "TrajectoryStore":
@@ -160,31 +141,27 @@ class TrajectoryStore:
         non-empty string, update_count or t is not a non-negative JSON
         integer, or t does not advance past the pair's previous line."""
 
-        def from_columns(members: list, categories: list, weights: list, counts: list, ts: list) -> TrajectoryStore:
+        def stale_t(members: list, categories: list, weights: list, counts: list, ts: list) -> tuple[int, str] | None:
+            if all(map(operator.lt, ts, ts[1:])):  # t rises line by line, so within every pair
+                return None
+            last: dict[tuple[str, str], int] = {}
+            for row, (key, t) in enumerate(zip(zip(members, categories), ts)):
+                if t <= last.get(key, -1):
+                    return row, f"snapshot t={t} does not advance past t={last[key]} for {key}"
+                last[key] = t
+
+        def build(members: list, categories: list, weights: list, counts: list, ts: list) -> TrajectoryStore:
             store = cls()
-            store._weights = finite_weight_column(weights, "weights")
-            store._update_count = json_count_column(counts, "update_count")
-            store._t = json_count_column(ts, "t")
+            store._weights, store._update_count, store._t = weights, counts, ts
             codes = store._codes
-            keys = zip(json_id_column(members, "member_id"), json_id_column(categories, "category_id"))
-            store._pair = [codes.setdefault(key, len(codes)) for key in keys]
+            store._pair = [codes.setdefault(key, len(codes)) for key in zip(members, categories)]
             order, starts = store._index()
-            pair, t = np.array(store._pair)[order], np.array(store._t, dtype=np.int64)[order]
-            if np.any((pair[1:] == pair[:-1]) & (t[1:] <= t[:-1])):
-                raise ValueError("t does not advance within a pair")
             store._offered = np.diff(starts).tolist()
-            store._last_t = t[starts[1:] - 1].tolist()
+            store._last_t = np.array(ts, dtype=np.int64)[order][starts[1:] - 1].tolist()
             return store
 
-        checked = cls()
-
-        def check(obj: dict) -> None:
-            checked.record(json_id(obj["member_id"], "member_id"), json_id(obj["category_id"], "category_id"),
-                           np.array(finite_weights(obj["weights"]), dtype=float),
-                           json_count(obj["update_count"], "update_count"), json_count(obj["t"], "t"))
-
         fields = ("member_id", "category_id", "weights", "update_count", "t")
-        return read_versioned_jsonl(path, "trajectory", FEATURE_ORDER_VERSION, fields, from_columns, check)[1]
+        return read_state_file(path, "trajectory", FEATURE_ORDER_VERSION, N_FEATURES, fields, stale_t, build)[1]
 
 
 @dataclass
@@ -480,9 +457,10 @@ class HttpLLMClient:
     """Chat-completion client for any endpoint speaking the common shape.
 
     POSTs {model, messages} to {base}/chat/completions and reads
-    choices[0].message.content. Configured by arguments or the environment
-    variables LLM_API_BASE, LLM_API_KEY and LLM_MODEL. One retry on
-    transport failure, then LLMTransportError.
+    choices[0].message.content, which must be a non-empty string.
+    Configured by arguments or the environment variables LLM_API_BASE,
+    LLM_API_KEY and LLM_MODEL. One retry on a transport failure or a
+    malformed reply, then LLMTransportError.
     """
 
     def __init__(
@@ -521,7 +499,10 @@ class HttpLLMClient:
             try:
                 # urlopen raises HTTPError (an OSError) on a non-2xx status.
                 with urlopen(request, timeout=self.timeout) as resp:
-                    return json.loads(resp.read())["choices"][0]["message"]["content"]
+                    content = json.loads(resp.read())["choices"][0]["message"]["content"]
+                if isinstance(content, str) and content:
+                    return content
+                raise ValueError(f"reply content {content!r} is not a non-empty string")
             except (OSError, HTTPException, KeyError, IndexError, TypeError, ValueError) as exc:
                 last_error = exc
         raise LLMTransportError(f"explanation request failed: {last_error}", payload)

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from offerbandit.bandit import CategoryModel, ModelStore, finite_weights, json_count, json_id
+from offerbandit.bandit import CategoryModel, ModelStore
 from offerbandit.baselines import OfferCandidate, OfferRound
-from offerbandit.data import RECORD_ERRORS, TransactionLog, _lines
+from offerbandit.data import RECORD_ERRORS, TransactionLog, _lines, check_counts, check_ids, check_weights
 from offerbandit.errors import ConfigError
 from offerbandit.features import (
     FEATURE_ORDER_VERSION,
@@ -237,9 +237,9 @@ def load_trajectory_per_line(path) -> dict[tuple[str, str], list[WeightSnapshot]
     series: dict[tuple[str, str], list[WeightSnapshot]] = {}
 
     def add(obj) -> None:
-        member, category = json_id(obj["member_id"], "member_id"), json_id(obj["category_id"], "category_id")
-        weights = tuple(map(float, finite_weights(obj["weights"])))
-        count, t = json_count(obj["update_count"], "update_count"), json_count(obj["t"], "t")
+        member, category = check_ids([obj["member_id"]], "member_id")[0], check_ids([obj["category_id"]], "category_id")[0]
+        weights = tuple(map(float, check_weights([obj["weights"]], N_FEATURES)[0]))
+        count, t = check_counts([obj["update_count"]], "update_count")[0], check_counts([obj["t"]], "t")[0]
         key = (member, category)
         pair = series.setdefault(key, [])
         if pair and t <= pair[-1].t:
@@ -257,15 +257,15 @@ def load_checkpoint_per_line(path) -> tuple[ModelStore, dict]:
 
     def start(header) -> None:
         nonlocal store
-        json_count(header["n_models"], "n_models")
-        store = ModelStore(finite_weights(header["prior_weights"]))
+        check_counts([header["n_models"]], "n_models")
+        store = ModelStore(check_weights([header["prior_weights"]], N_FEATURES)[0])
 
     def add(obj) -> None:
-        key = (json_id(obj["member_id"], "member_id"), json_id(obj["category_id"], "category_id"))
+        key = (check_ids([obj["member_id"]], "member_id")[0], check_ids([obj["category_id"]], "category_id")[0])
+        count, weights = check_counts([obj["update_count"]], "update_count")[0], check_weights([obj["weights"]], N_FEATURES)[0]
         if key in store:
             raise ValueError(f"duplicate model {key}")
-        count = json_count(obj["update_count"], "update_count")
-        store.put(*key, CategoryModel(finite_weights(obj["weights"]), count))
+        store.put(*key, CategoryModel(weights, count))
 
     header = read_state_per_line(path, "checkpoint", FEATURE_ORDER_VERSION, add, start)
     if len(store) != header["n_models"]:

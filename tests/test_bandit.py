@@ -17,7 +17,6 @@ from offerbandit.bandit import (
     aggregate_offer,
     backfit,
     load_checkpoint,
-    log_loss,
     logit,
     predict_category,
     renormalize_shares,
@@ -303,7 +302,7 @@ class TestModelStore:
             train(reference, member, category, x, y, cfg)
             model = reference.get(member, category)
             assert weights.tobytes() == model.weights.tobytes() and count == model.update_count
-        for (ka, a), (kb, b) in zip(stepped.items_sorted(), reference.items_sorted()):
+        for (ka, a), (kb, b) in zip(items_sorted(stepped), items_sorted(reference)):
             assert ka == kb and a.update_count == b.update_count and a.weights.tobytes() == b.weights.tobytes()
 
     def test_row_update_returns_weights_the_store_does_not_hold(self):
@@ -330,6 +329,16 @@ class TestModelStore:
         prior = tuple([0.1] * N_FEATURES)
         store = ModelStore.from_config(LearnerConfig(prior_weights=prior))
         np.testing.assert_allclose(store.prior, 0.1)
+
+
+def log_loss(p: float, y: int) -> float:
+    p = min(max(p, 1e-12), 1.0 - 1e-12)
+    return -math.log(p) if y == 1 else -math.log(1.0 - p)
+
+
+def items_sorted(store):
+    """The store's (pair, model) items in pair order."""
+    return [(key, store.get(*key)) for key in sorted(store._rows)]
 
 
 def train(store, member, category, x, y, cfg):
@@ -458,11 +467,11 @@ class TestBackfitWaves:
         model_loss, prior_loss = sequential_backfit(expected, events, cfg)
         store = ModelStore.from_config(cfg)
         report = backfit(store, batch(events), cfg)
-        assert [k for k, _ in store.items_sorted()] == [k for k, _ in expected.items_sorted()]
-        for (_, a), (_, b) in zip(store.items_sorted(), expected.items_sorted()):
+        assert [k for k, _ in items_sorted(store)] == [k for k, _ in items_sorted(expected)]
+        for (_, a), (_, b) in zip(items_sorted(store), items_sorted(expected)):
             np.testing.assert_allclose(a.weights, b.weights, rtol=0, atol=1e-12)
             assert a.update_count == b.update_count
-        assert len({m.update_count for _, m in store.items_sorted()}) > 3  # uneven pairs
+        assert len({m.update_count for _, m in items_sorted(store)}) > 3  # uneven pairs
         assert report.n_events == report.n_updates == len(events)
         assert report.holdout_size == len(events) - (9 * len(events)) // 10
         assert report.holdout_log_loss == pytest.approx(model_loss, rel=0, abs=1e-12)
@@ -478,7 +487,7 @@ class TestBackfitWaves:
         sequential_backfit(expected, events, cfg)
         backfit(store, batch(events), cfg)
         assert len(store) == len(expected)
-        for (ka, a), (kb, b) in zip(store.items_sorted(), expected.items_sorted()):
+        for (ka, a), (kb, b) in zip(items_sorted(store), items_sorted(expected)):
             assert ka == kb and a.update_count == b.update_count
             np.testing.assert_allclose(a.weights, b.weights, rtol=0, atol=1e-12)
 
@@ -520,8 +529,8 @@ class TestCheckpoint:
         assert header["feature_names"] == list(FEATURE_NAMES)
         assert header["n_models"] == 3
         np.testing.assert_array_equal(loaded.prior, store.prior)
-        original = store.items_sorted()
-        restored = loaded.items_sorted()
+        original = items_sorted(store)
+        restored = items_sorted(loaded)
         assert [k for k, _ in restored] == [k for k, _ in original]
         for (_, a), (_, b) in zip(restored, original):
             np.testing.assert_array_equal(a.weights, b.weights)
@@ -618,7 +627,7 @@ class TestCheckpoint:
         expected = [
             json.dumps({"member_id": m, "category_id": c, "weights": [float(w) for w in model.weights],
                         "update_count": model.update_count}, sort_keys=True)
-            for (m, c), model in store.items_sorted()
+            for (m, c), model in items_sorted(store)
         ]
         assert lines[1:] == expected
         assert json.loads(lines[0])["n_models"] == len(pairs) + 1

@@ -776,6 +776,17 @@ class TestReport:
         assert str(path) in error["message"]
         assert not (merged_dir / "merged.json").exists()
 
+    @pytest.mark.parametrize("key", ["cumulative_reward", "regret", "optimal_action_rate"])
+    def test_integer_past_the_float_range_exits_2_naming_file_and_key(self, tmp_path, capsys, key):
+        run = tmp_path / "run"
+        assert main(["simulate", "--rounds", "5", "--out", str(run)]) == 0
+        summary = run / "summary.json"
+        summary.write_text(json.dumps(dict(json.loads(summary.read_text()), **{key: -(10**400)})), encoding="utf-8")
+        assert main(["report", str(run), "--out", str(tmp_path / "merged")]) == 2
+        error = stderr_error(capsys)
+        assert error["error"] == "config"
+        assert error["message"].startswith(f"{summary}: {key} must be a JSON number, got -1000")
+
 
 class TestExplain:
     @pytest.fixture()

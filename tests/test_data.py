@@ -24,7 +24,7 @@ from offerbandit.data import (
     ingest_mf_scores,
     ingest_offers,
     ingest_transactions,
-    read_versioned_jsonl,
+    read_state_file,
     write_validation_report,
 )
 from offerbandit.datagen import (
@@ -629,7 +629,7 @@ class TestMFScores:
 
 
 def read_state(path):
-    return read_versioned_jsonl(path, "state", 1, ("t",), list, lambda obj: None)
+    return read_state_file(path, "state", 1, 0, ("t",), lambda t: None, list)
 
 
 OFFER = {"offer_id": "o1", "category_ids": ["c1"], "discount_value": 1.0,

@@ -29,7 +29,6 @@ from offerbandit.features import (
     scale_rounds,
 )
 from offerbandit.harness import (
-    OraclePolicy,
     ReplayDataset,
     RoundRecord,
     backfit_events,
@@ -202,6 +201,18 @@ class TestTracerTargets:
         contexts = {"o1": {"c0": np.ones(9), "c1": np.ones(9)}, "o2": {"c2": np.ones(9)}, "o3": {"c0": np.ones(9)}}
         offers = make_round(stack_contexts(contexts))
         assert len(offers) == 3
+
+
+class OraclePolicy:
+    """Ranks by the world's true probabilities; the regret-zero reference."""
+
+    name = "oracle"
+
+    def select(self, offers, rng, t):
+        return offers.ranking(offers.true_p.tolist())
+
+    def update(self, candidate, reward):
+        return []
 
 
 class TestSyntheticRun:

@@ -582,6 +582,20 @@ class TestHttpClient:
         with pytest.raises(LLMTransportError):
             client.generate(make_payload())
 
+    @pytest.mark.parametrize("content", [None, 123, ""])
+    def test_reply_without_text_is_retried_then_raises_transport_error(self, monkeypatch, content):
+        calls = []
+
+        def fake_urlopen(request, timeout=None):
+            calls.append(request.full_url)
+            return FakeResponse(content=content)
+
+        monkeypatch.setattr(interpret_module, "urlopen", fake_urlopen)
+        client = HttpLLMClient(api_base="https://llm.example", model="m")
+        with pytest.raises(LLMTransportError, match="not a non-empty string"):
+            client.generate(make_payload())
+        assert len(calls) == 2
+
     def test_round_trip_against_a_local_server(self, monkeypatch):
         for var in ("no_proxy", "NO_PROXY"):
             monkeypatch.setenv(var, "127.0.0.1")

@@ -159,6 +159,53 @@ def test_type_fault_is_named_before_a_later_parse_fault(tmp_path, kind, later):
     assert rejected[0] == "rejected" and "line 5:" in rejected[1]
 
 
+def negative_count(line: str) -> bytes:
+    return line.replace('"update_count": ', '"update_count": -').encode("utf-8")
+
+
+@pytest.mark.parametrize("later", [*LATER_FAULTS.values(), negative_count], ids=[*LATER_FAULTS, "field"])
+@pytest.mark.parametrize("kind", LOADERS)
+def test_a_broken_rule_is_named_before_a_later_fault(tmp_path, kind, later):
+    text, load, per_line = LOADERS[kind]
+    lines = text().splitlines()
+    row, earlier = json.loads(lines[2]), json.loads(lines[1])
+    # Line 3 takes line 2's pair, and in a trajectory its t: a repeated
+    # pair, or a t that does not advance.
+    row.update({key: earlier[key] for key in ("member_id", "category_id", "t") if key in row})
+    raw = [line.encode("utf-8") for line in lines]
+    raw[2], raw[4] = json.dumps(row).encode("utf-8"), later(lines[4])
+    path = tmp_path / "state.jsonl"
+    path.write_bytes(b"\n".join(raw) + b"\n")
+    rejected = outcome(load, path)
+    assert rejected == outcome(per_line, path)
+    reason = "duplicate model" if kind == "checkpoint" else f"does not advance past t={earlier.get('t')}"
+    assert rejected[0] == "rejected" and "line 3: " in rejected[1] and reason in rejected[1]
+
+
+def two_faults(kind: str, row: dict, earlier: dict) -> str:
+    """Give a row two faults, and return the reason it is named for: a
+    line's fields are checked in file-field order, then the cross-line
+    rule."""
+    if kind == "checkpoint":  # a repeated pair and a string count
+        row.update(member_id=earlier["member_id"], category_id=earlier["category_id"], update_count="3")
+        return "update_count must be a non-negative integer below 2**63, got '3'"
+    row["weights"][0], row["t"] = True, -1  # a boolean weight and a negative t
+    return f"weights must be {N_FEATURES} finite numbers, got [True, "
+
+
+@pytest.mark.parametrize("kind", LOADERS)
+def test_a_line_with_two_faults_is_named_for_its_first(tmp_path, kind):
+    text, load, per_line = LOADERS[kind]
+    lines = text().splitlines()
+    row = json.loads(lines[2])
+    reason = two_faults(kind, row, json.loads(lines[1]))
+    path = tmp_path / "state.jsonl"
+    path.write_text("\n".join([*lines[:2], json.dumps(row), *lines[3:]]) + "\n", encoding="utf-8")
+    rejected = outcome(load, path)
+    assert rejected == outcome(per_line, path)
+    assert rejected[0] == "rejected" and f"{path} line 3: {reason}" in rejected[1]
+
+
 def test_trajectory_load_makes_no_snapshot_objects(tmp_path, monkeypatch):
     path = tmp_path / "traj.jsonl"
     path.write_text(trajectory_text(), encoding="utf-8")

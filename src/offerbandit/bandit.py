@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .data import read_state_file, write_state_file
 from .errors import ConfigError, bounded, check_fields
-from .features import FEATURE_NAMES, FEATURE_ORDER_VERSION, N_FEATURES
+from .features import FEATURE_NAMES, FEATURE_ORDER_VERSION, N_FEATURES, RoundBatch
 
 # Probabilities are clamped away from {0, 1} before the logit transform.
 LOGIT_CLAMP = 1e-6
@@ -227,7 +228,7 @@ class ModelStore:
             self._rows[key] = row
         return row
 
-    def rows(self, member_ids: Sequence[str], category_ids: Sequence[str]) -> np.ndarray:
+    def rows(self, member_ids: Iterable[str], category_ids: Iterable[str]) -> np.ndarray:
         """Row of each (member_ids[i], category_ids[i]) pair, materializing
         unseen pairs in order of first appearance."""
         codes: dict[tuple[str, str], int] = {}
@@ -286,36 +287,6 @@ class ModelStore:
 
 
 @dataclass
-class TrainingEvents:
-    """Labeled observations for backfitting as one columnar batch.
-
-    Event i is row X[i] with label y[i] for the pair (member_ids[i],
-    category_ids[i]), observed at t[i]; events are ordered by t.
-    """
-
-    t: np.ndarray
-    member_ids: list[str]
-    category_ids: list[str]
-    X: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.t = np.asarray(self.t, dtype=np.int64)
-        self.X = np.asarray(self.X, dtype=float)
-        self.y = np.asarray(self.y, dtype=np.int64)
-        n = len(self.t)
-        if self.t.ndim != 1 or self.X.ndim != 2 or not (
-            len(self.member_ids) == len(self.category_ids) == len(self.X) == len(self.y) == n
-        ):
-            raise ValueError("training event columns must hold one entry per event")
-        if not np.isin(self.y, (0, 1)).all():
-            raise ValueError(f"label must be 0 or 1, got {sorted(set(self.y.tolist()) - {0, 1})}")
-
-    def __len__(self) -> int:
-        return len(self.t)
-
-
-@dataclass
 class BackfitReport:
     """Outcome of a backfit pass.
 
@@ -353,22 +324,21 @@ def _waves(rows: np.ndarray) -> list[np.ndarray]:
     return np.split(np.argsort(rank, kind="stable"), np.cumsum(np.bincount(rank))[:-1])
 
 
-def backfit(store: ModelStore, events: TrainingEvents, cfg: LearnerConfig) -> BackfitReport:
-    """Train the store on historical events with the sgd_update step.
+def backfit(store: ModelStore, batch: RoundBatch, y: np.ndarray, cfg: LearnerConfig) -> BackfitReport:
+    """Train the store on a scaled batch with the sgd_update step.
 
-    Events must be sorted by t ascending. Updates to different pairs
-    commute, so the events go in waves: wave k applies the k-th event of
-    every pair at once, and each pair still sees its events in order.
+    Row r is one event with the 0/1 label y[r] for the pair of its
+    round's member and its own category; events go in row order. Updates
+    to different pairs commute, so the events go in waves: wave k applies
+    the k-th event of every pair at once, and each pair still sees its
+    events in order.
     """
-    n = len(events)
+    n = len(y)
     if n == 0:
         return BackfitReport(0, 0, 0, None, None, None, empty=True)
-    if np.any(events.t[1:] < events.t[:-1]):
-        raise ValueError("backfit events must be sorted by t ascending")
-    X, y = events.X, events.y
-    if X.shape[1] != store.prior.size:
-        raise ValueError(f"feature dim {X.shape[1]} does not match weights {store.prior.shape}")
-    rows = store.rows(events.member_ids, events.category_ids)
+    X = batch.X
+    per_round = np.diff(batch.row_bounds).tolist()
+    rows = store.rows(chain.from_iterable(map(repeat, batch.members, per_round)), batch.categories)
     W, counts = store._W, store._counts
     decay = cfg.learning_rate * cfg.l2_lambda
     p = np.empty(n)

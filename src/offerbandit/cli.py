@@ -175,9 +175,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def cmd_backfit(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     dataset, issues = _load_dataset(cfg)
-    events, event_skips = backfit_events(dataset, **asdict(cfg.features))
+    batch, y, event_skips = backfit_events(dataset, cfg.features)
     store = ModelStore.from_config(cfg.learner)
-    report = backfit(store, events, cfg.learner)
+    report = backfit(store, batch, y, cfg.learner)
     with OutputWriter(cfg.run.out_dir) as out:
         save_checkpoint(out.register("checkpoint.jsonl"), store, cfg.learner)
         write_json(out.register("backfit_report.json"), asdict(report))
@@ -216,7 +216,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         store, _ = load_checkpoint(checkpoint)
     dataset, issues = _load_dataset(cfg)
     policy = _build_policy(cfg, store=store)
-    result = run_replay(dataset, policy, cfg.run.seed, thin_every=cfg.run.snapshot_every, **asdict(cfg.features))
+    result = run_replay(dataset, policy, cfg.run.seed, cfg.features, cfg.run.snapshot_every)
     with OutputWriter(cfg.run.out_dir) as out:
         _write_run_outputs(
             out, result, cfg, files_fingerprint(_data_paths(cfg)), "replay", _skip_tallies(issues)

@@ -46,6 +46,11 @@ MF_SCORE_FIELDS = ("member_id", "offer_id", "score")
 # where LinUCB and TS add their outer products. Below 1e100 every such
 # square stays below 4e200, so no sum of fewer than 1e100 rows can leave
 # the float64 range (about 1.8e308). Larger values are malformed.
+# synthetic.weight_scale has the same bound. A world's true weights are
+# normal draws of that scale; SyntheticWorld divides them by feature
+# deviations of at least 0.2 and sums them against features of a few tens
+# at most, so below 1e100 its logits stay far inside the float64 range.
+# Near 1e308 that division overflows and a simulate's regret is NaN.
 MAX_INPUT_MAGNITUDE = 1e100
 
 

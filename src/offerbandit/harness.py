@@ -17,19 +17,21 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from itertools import chain, count, repeat
+from datetime import date
+from itertools import count
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .baselines import OfferRound, Policy, Ranking
-from .bandit import TrainingEvents, offer_probabilities, sigmoid_rows
-from .data import Impression, MFScoreTable, Offer, TransactionLog, write_csv, write_json, write_jsonl
+from .bandit import offer_probabilities, sigmoid_rows
+from .data import MAX_INPUT_MAGNITUDE, Impression, MFScoreTable, Offer, TransactionLog, write_csv, write_json, write_jsonl
 from .errors import ConfigError, bounded, check_fields
 from .features import (
     FEATURE_NAMES,
     FEATURE_ORDER_VERSION,
+    FeaturesSection,
     MemberStatsIndex,
     N_FEATURES,
     RoundBatch,
@@ -69,7 +71,7 @@ class WorldShape:
     n_members: int = bounded(4, lo=1)
     offers_per_round: int = bounded(5, lo=1)
     max_categories_per_offer: int = bounded(3, lo=1)
-    weight_scale: float = bounded(0.7, lo=0)
+    weight_scale: float = bounded(0.7, lo=0, hi=MAX_INPUT_MAGNITUDE)
     bias_mean: float = -0.4
     bias_scale: float = bounded(0.3, lo=0)
     mf_bias_coeff: float = 0.0
@@ -425,15 +427,21 @@ class ReplayDataset:
     mf_table: MFScoreTable = field(default_factory=MFScoreTable)
 
 
+def scaled_rounds(
+    dataset: ReplayDataset, rounds: Sequence[tuple[str, date, Sequence[Offer]]], features: FeaturesSection
+) -> RoundBatch:
+    """The (member_id, day, offers) rounds featurized against the dataset's
+    transactions and mf scores, then scaled by a fresh scaler: the one path
+    from a log to the rows replay plays and backfit trains on."""
+    stats = MemberStatsIndex(dataset.transactions, features.default_cycle_days)
+    profile = build_seasonality_profile(dataset.transactions, features.smoothing_window)
+    batch = featurize_rounds(rounds, stats, profile, dataset.mf_table, features.cold_start_mpg)
+    scale_rounds(batch, RunningScaler())
+    return batch
+
+
 def run_replay(
-    dataset: ReplayDataset,
-    policy: Policy,
-    seed: int,
-    *,
-    cold_start_mpg: float = 1.0,
-    default_cycle_days: float = 30.0,
-    smoothing_window: int = 3,
-    thin_every: int = 1,
+    dataset: ReplayDataset, policy: Policy, seed: int, features: FeaturesSection, thin_every: int = 1
 ) -> RunResult:
     """Evaluate the policy against logged impressions.
 
@@ -444,8 +452,6 @@ def run_replay(
     outcome, clipped as y=1, shown-but-unclipped as y=0.
     """
     rng = np.random.default_rng(seed)
-    stats = MemberStatsIndex(dataset.transactions, default_cycle_days)
-    profile = build_seasonality_profile(dataset.transactions, smoothing_window)
     offers_sorted = sorted(dataset.offers, key=lambda o: o.offer_id)
     trajectories = TrajectoryStore(thin_every)
     records: list[RoundRecord] = []
@@ -466,9 +472,8 @@ def run_replay(
         rounds.append((imp.member_id, day, active))
     # The scaler sees only raw rows, never the policy, so every round is
     # featurized and scaled before the first is played.
-    batch = featurize_rounds(rounds, stats, profile, dataset.mf_table, cold_start_mpg)
+    batch = scaled_rounds(dataset, rounds, features)
     del rounds
-    scale_rounds(batch, RunningScaler())
     ordinals = count(1)
     for imp, (t, offers, ranking) in zip(impressions, _policy_rounds(batch, policy, rng, 1)):
         top = ranking.top
@@ -498,21 +503,14 @@ def run_replay(
     return RunResult(records, summary, trajectories, skip)
 
 
-def backfit_events(
-    dataset: ReplayDataset,
-    *,
-    cold_start_mpg: float = 1.0,
-    default_cycle_days: float = 30.0,
-    smoothing_window: int = 3,
-) -> tuple[TrainingEvents, dict[str, int]]:
-    """Training events from logged impressions: one per shown offer per
-    category, in impression order, contexts normalized by a fresh scaler.
+def backfit_events(dataset: ReplayDataset, features: FeaturesSection) -> tuple[RoundBatch, np.ndarray, dict[str, int]]:
+    """Training rows from logged impressions: one round per impression,
+    its shown offers in offers_shown order, scaled by scaled_rounds, and
+    one label per row, 1 where the row's offer was clipped.
 
     Shown offers missing from the catalog or inactive on the impression
     date are skipped and tallied.
     """
-    stats = MemberStatsIndex(dataset.transactions, default_cycle_days)
-    profile = build_seasonality_profile(dataset.transactions, smoothing_window)
     catalog = {o.offer_id: o for o in dataset.offers}
     rounds = []
     clipped: list[bool] = []
@@ -524,18 +522,10 @@ def backfit_events(
         skipped += len(shown) - len(featurized)
         rounds.append((imp.member_id, day, featurized))
         clipped += [o.offer_id in imp.clipped for o in featurized]
-    batch = featurize_rounds(rounds, stats, profile, dataset.mf_table, cold_start_mpg)
-    scale_rounds(batch, RunningScaler())
-    per_round = np.diff(batch.row_bounds)
-    members = list(chain.from_iterable(repeat(m, n) for (m, _, _), n in zip(rounds, per_round.tolist())))
-    events = TrainingEvents(
-        np.repeat(np.arange(len(rounds)), per_round),
-        members,
-        batch.categories,
-        batch.X,
-        np.repeat(np.array(clipped, dtype=bool), batch.sizes),
-    )
-    return events, {"shown_offers_not_featurized": skipped}
+    batch = scaled_rounds(dataset, rounds, features)
+    # One byte a label: the labels live beside the batch through backfit.
+    y = np.repeat(np.array(clipped, dtype=np.int8), batch.sizes)
+    return batch, y, {"shown_offers_not_featurized": skipped}
 
 
 def write_roundlog(path: str | Path, records: Sequence[RoundRecord]) -> None:

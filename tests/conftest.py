@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 from datetime import date
 from itertools import accumulate
@@ -10,7 +11,7 @@ from hypothesis import HealthCheck, settings
 
 from offerbandit.bandit import CategoryModel, ModelStore
 from offerbandit.baselines import OfferCandidate, OfferRound
-from offerbandit.data import RECORD_ERRORS, TransactionLog, _lines, check_counts, check_ids, check_weights
+from offerbandit.data import RECORD_ERRORS, TransactionLog, _lines
 from offerbandit.errors import ConfigError
 from offerbandit.features import (
     FEATURE_ORDER_VERSION,
@@ -231,15 +232,37 @@ def read_state_per_line(path, kind: str, version: int, row, start=lambda header:
     return header
 
 
+def _id(value, name: str) -> str:
+    if type(value) is not str or not value:
+        raise ValueError(f"{name} must be a non-empty string, got {value!r}")
+    return value
+
+
+def _count(value, name: str) -> int:
+    # bool is an int subclass, and not a count.
+    if type(value) is not int or not 0 <= value < 2**63:
+        raise ValueError(f"{name} must be a non-negative integer below 2**63, got {value!r}")
+    return value
+
+
+def _weights(values) -> list[float]:
+    """N_FEATURES finite numbers, not booleans, as floats. A value that is
+    not a list, or an entry that is not a number, raises what len() or
+    math.isfinite() raises on it."""
+    if len(values) != N_FEATURES or any(type(v) is bool for v in values) or not all(map(math.isfinite, values)):
+        raise ValueError(f"weights must be {N_FEATURES} finite numbers, got {values!r}")
+    return [float(v) for v in values]
+
+
 def load_trajectory_per_line(path) -> dict[tuple[str, str], list[WeightSnapshot]]:
     """Each pair's snapshots of a trajectory file, read line by line as
     TrajectoryStore.load once read it, one WeightSnapshot per line."""
     series: dict[tuple[str, str], list[WeightSnapshot]] = {}
 
     def add(obj) -> None:
-        member, category = check_ids([obj["member_id"]], "member_id")[0], check_ids([obj["category_id"]], "category_id")[0]
-        weights = tuple(map(float, check_weights([obj["weights"]], N_FEATURES)[0]))
-        count, t = check_counts([obj["update_count"]], "update_count")[0], check_counts([obj["t"]], "t")[0]
+        member, category = _id(obj["member_id"], "member_id"), _id(obj["category_id"], "category_id")
+        weights = tuple(_weights(obj["weights"]))
+        count, t = _count(obj["update_count"], "update_count"), _count(obj["t"], "t")
         key = (member, category)
         pair = series.setdefault(key, [])
         if pair and t <= pair[-1].t:
@@ -257,12 +280,12 @@ def load_checkpoint_per_line(path) -> tuple[ModelStore, dict]:
 
     def start(header) -> None:
         nonlocal store
-        check_counts([header["n_models"]], "n_models")
-        store = ModelStore(check_weights([header["prior_weights"]], N_FEATURES)[0])
+        _count(header["n_models"], "n_models")
+        store = ModelStore(_weights(header["prior_weights"]))
 
     def add(obj) -> None:
-        key = (check_ids([obj["member_id"]], "member_id")[0], check_ids([obj["category_id"]], "category_id")[0])
-        count, weights = check_counts([obj["update_count"]], "update_count")[0], check_weights([obj["weights"]], N_FEATURES)[0]
+        key = (_id(obj["member_id"], "member_id"), _id(obj["category_id"], "category_id"))
+        count, weights = _count(obj["update_count"], "update_count"), _weights(obj["weights"])
         if key in store:
             raise ValueError(f"duplicate model {key}")
         store.put(*key, CategoryModel(weights, count))

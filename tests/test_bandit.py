@@ -13,7 +13,6 @@ from offerbandit.bandit import (
     LearnerConfig,
     ModelStore,
     DIVERGED,
-    TrainingEvents,
     aggregate_offer,
     backfit,
     load_checkpoint,
@@ -25,7 +24,7 @@ from offerbandit.bandit import (
     sigmoid,
 )
 from offerbandit.errors import ConfigError
-from offerbandit.features import FEATURE_NAMES, N_FEATURES
+from offerbandit.features import FEATURE_NAMES, N_FEATURES, RoundBatch
 
 
 class TestSigmoid:
@@ -349,10 +348,15 @@ def train(store, member, category, x, y, cfg):
 
 
 def batch(events):
-    """TrainingEvents from (t, x, y, member, category) tuples."""
-    t, x, y, members, categories = zip(*events) if events else ((), (), (), (), ())
-    return TrainingEvents(np.array(t), list(members), list(categories),
-                          np.array(x, dtype=float).reshape(-1, N_FEATURES), np.array(y))
+    """The (batch, labels) that backfit takes for (x, y, member, category)
+    events in order, each event a round of one single-category offer."""
+    x, y, members, categories = zip(*events) if events else ((), (), (), ())
+    n = len(events)
+    bounds = np.arange(n + 1)
+    X = np.array(x, dtype=float).reshape(-1, N_FEATURES)
+    rounds = RoundBatch(["o"] * n, list(categories), np.ones(n, dtype=np.intp), X, bounds, bounds, list(members),
+                        None, np.zeros(n))
+    return rounds, np.array(y, dtype=np.int64)
 
 
 def sequential_backfit(store, events, cfg):
@@ -361,7 +365,7 @@ def sequential_backfit(store, events, cfg):
     n = len(events)
     model_losses, prior_losses = [], []
     prior = CategoryModel(store.prior.copy())
-    for i, (t, x, y, member, category) in enumerate(events):
+    for i, (x, y, member, category) in enumerate(events):
         p = store.predict(member, category, x)
         if i >= (9 * n) // 10:
             model_losses.append(log_loss(p, y))
@@ -371,12 +375,12 @@ def sequential_backfit(store, events, cfg):
 
 
 class TestBackfit:
-    def event(self, t, x, y, member="m1", category="c1"):
-        return (t, x, y, member, category)
+    def event(self, x, y, member="m1", category="c1"):
+        return (x, y, member, category)
 
     def test_empty_events_flagged_and_store_untouched(self):
         store = ModelStore()
-        report = backfit(store, batch([]), LearnerConfig())
+        report = backfit(store, *batch([]), LearnerConfig())
         assert report == BackfitReport(0, 0, 0, None, None, None, empty=True)
         assert len(store) == 0
 
@@ -385,17 +389,11 @@ class TestBackfit:
         x[0], x[5] = 1.0, 2.0
         store = ModelStore()
         cfg = LearnerConfig(learning_rate=0.1, positive_boost=2.0)
-        report = backfit(store, batch([self.event(0, x, 1)]), cfg)
+        report = backfit(store, *batch([self.event(x, 1)]), cfg)
         assert report.n_updates == 1
         np.testing.assert_allclose(
             store.get("m1", "c1").weights, 2.0 * 0.1 * 0.5 * x, rtol=1e-12
         )
-
-    def test_unsorted_events_rejected(self):
-        x = np.ones(N_FEATURES)
-        events = [self.event(5, x, 1), self.event(3, x, 0)]
-        with pytest.raises(ValueError, match="sorted"):
-            backfit(ModelStore(), batch(events), LearnerConfig())
 
     def test_holdout_beats_prior_on_learnable_stream(self, rng):
         true_w = np.zeros(N_FEATURES)
@@ -405,9 +403,9 @@ class TestBackfit:
             x = rng.normal(0.0, 1.0, N_FEATURES)
             x[0] = 1.0
             y = int(rng.random() < sigmoid(float(true_w @ x)))
-            events.append(self.event(t, x, y))
+            events.append(self.event(x, y))
         store = ModelStore()
-        report = backfit(store, batch(events), LearnerConfig(learning_rate=0.1, positive_boost=1.0))
+        report = backfit(store, *batch(events), LearnerConfig(learning_rate=0.1, positive_boost=1.0))
         assert report.n_events == 600
         assert report.holdout_size == 60
         assert report.holdout_log_loss < report.prior_log_loss
@@ -417,8 +415,8 @@ class TestBackfit:
         # on every event no matter what the model learned earlier.
         x = np.zeros(N_FEATURES)
         x[0] = 1.0
-        events = [self.event(t, x, t % 2) for t in range(20)]
-        report = backfit(ModelStore(), batch(events), LearnerConfig(learning_rate=0.01))
+        events = [self.event(x, t % 2) for t in range(20)]
+        report = backfit(ModelStore(), *batch(events), LearnerConfig(learning_rate=0.01))
         assert report.holdout_size == 2
         assert report.prior_log_loss == pytest.approx(math.log(2.0), rel=1e-12)
 
@@ -427,16 +425,16 @@ class TestBackfit:
         x[0] = 1.0
         # 18 training events with 6 clips, then a holdout of one clip and one miss.
         labels = [1, 0, 0] * 6 + [1, 0]
-        report = backfit(ModelStore(), batch([self.event(t, x, y) for t, y in enumerate(labels)]), LearnerConfig())
+        report = backfit(ModelStore(), *batch([self.event(x, y) for y in labels]), LearnerConfig())
         assert report.holdout_size == 2
         assert report.base_rate_log_loss == pytest.approx(-(math.log(1 / 3) + math.log(2 / 3)) / 2, rel=1e-12)
         # With all of the training labels 1, the constant is clamped, not log(0).
-        report = backfit(ModelStore(), batch([self.event(t, x, int(t < 9)) for t in range(10)]), LearnerConfig())
+        report = backfit(ModelStore(), *batch([self.event(x, int(t < 9)) for t in range(10)]), LearnerConfig())
         assert report.base_rate_log_loss == pytest.approx(-math.log(1.0 - (1.0 - 1e-12)), rel=1e-12)
 
     def test_base_rate_needs_a_training_event(self):
         x = np.ones(N_FEATURES)
-        report = backfit(ModelStore(), batch([self.event(0, x, 1)]), LearnerConfig())
+        report = backfit(ModelStore(), *batch([self.event(x, 1)]), LearnerConfig())
         assert report.holdout_size == 1 and report.holdout_log_loss is not None
         assert report.base_rate_log_loss is None
 
@@ -454,7 +452,7 @@ class TestBackfitWaves:
         for i, k in enumerate(picks):
             x = rng.normal(0.0, 1.0, N_FEATURES)
             x[0] = 1.0
-            events.append((i // 3, x, int(rng.integers(0, 2)), *pairs[k]))
+            events.append((x, int(rng.integers(0, 2)), *pairs[k]))
         return events
 
     @pytest.mark.parametrize("l2", [0.0, 0.3])
@@ -466,7 +464,7 @@ class TestBackfitWaves:
         expected = ModelStore.from_config(cfg)
         model_loss, prior_loss = sequential_backfit(expected, events, cfg)
         store = ModelStore.from_config(cfg)
-        report = backfit(store, batch(events), cfg)
+        report = backfit(store, *batch(events), cfg)
         assert [k for k, _ in items_sorted(store)] == [k for k, _ in items_sorted(expected)]
         for (_, a), (_, b) in zip(items_sorted(store), items_sorted(expected)):
             np.testing.assert_allclose(a.weights, b.weights, rtol=0, atol=1e-12)
@@ -485,7 +483,7 @@ class TestBackfitWaves:
             s.put("m1", "c1", CategoryModel(np.full(N_FEATURES, 0.3)))
             s.put("m9", "c9", s.get("m9", "c9"))
         sequential_backfit(expected, events, cfg)
-        backfit(store, batch(events), cfg)
+        backfit(store, *batch(events), cfg)
         assert len(store) == len(expected)
         for (ka, a), (kb, b) in zip(items_sorted(store), items_sorted(expected)):
             assert ka == kb and a.update_count == b.update_count
@@ -494,24 +492,14 @@ class TestBackfitWaves:
     def test_divergence_raises_the_sgd_update_message(self):
         x = np.full(N_FEATURES, 100.0)
         x[0] = 1.0
-        events = [(0, x, 1, "m1", "c1"), (1, x, 0, "m2", "c1")]
+        events = [(x, 1, "m1", "c1"), (x, 0, "m2", "c1")]
         cfg = LearnerConfig(learning_rate=1e308)
         with np.errstate(over="ignore"):
             with pytest.raises(ValueError) as scalar:
                 sgd_update(CategoryModel(np.zeros(N_FEATURES)), x, 1, cfg)
             with pytest.raises(ValueError) as waves:
-                backfit(ModelStore(), batch(events), cfg)
+                backfit(ModelStore(), *batch(events), cfg)
         assert str(waves.value) == str(scalar.value) == DIVERGED
-
-    def test_unsorted_events_rejected_anywhere_in_the_batch(self, rng):
-        events = self.stream(rng, n=50)
-        events[30] = (0, *events[30][1:])
-        with pytest.raises(ValueError, match="sorted by t ascending"):
-            backfit(ModelStore(), batch(events), LearnerConfig())
-
-    def test_bad_label_rejected(self):
-        with pytest.raises(ValueError, match="label"):
-            batch([(0, np.zeros(N_FEATURES), 2, "m1", "c1")])
 
 
 class TestCheckpoint:

@@ -571,6 +571,7 @@ class TestConfigRanges:
         ("run", "seed", -1),
         ("synthetic", "world_seed", -1),
         ("synthetic", "weight_scale", -1.0),
+        ("synthetic", "weight_scale", 1e308),  # overflowed the world's weights into a NaN regret
         ("synthetic", "bias_scale", -1.0),
         ("learner", "l2_lambda", 1e308),  # learning_rate * l2_lambda must be < 2
     ])
@@ -621,7 +622,7 @@ EDGES = [
     ("synthetic", "n_members", [1], [0]),
     ("synthetic", "offers_per_round", [1], [0]),
     ("synthetic", "max_categories_per_offer", [1, 5], [0, 6]),
-    ("synthetic", "weight_scale", [0.0], [-TINY]),
+    ("synthetic", "weight_scale", [0.0, 1e100], [-TINY, ABOVE_1E100]),
     ("synthetic", "bias_scale", [0.0], [-TINY]),
     ("synthetic", "world_seed", [0], [-1]),
     ("run", "seed", [0], [-1]),

@@ -13,13 +13,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import each_round, make_round, member_stats, offer_rows, scale_round, stack_contexts, transaction_log
-from offerbandit.bandit import LearnerConfig, aggregate_offer, renormalize_shares, sigmoid
+from offerbandit.bandit import LearnerConfig, ModelStore, aggregate_offer, backfit, renormalize_shares, sigmoid
 from offerbandit.baselines import make_policy
 from offerbandit.data import Impression, MFScoreTable, Offer
 from offerbandit.errors import ConfigError
 from offerbandit.exploration import ExplorationConfig
 from offerbandit.datagen import generate_impressions, generate_offers, generate_transactions
 from offerbandit.features import (
+    FeaturesSection,
     MemberStatsIndex,
     RoundBatch,
     RunningScaler,
@@ -48,6 +49,7 @@ from offerbandit.harness import (
 
 LEARNER = LearnerConfig()
 EXPLORE = ExplorationConfig()
+FEATURES = FeaturesSection()
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -556,7 +558,7 @@ def replay_fixture(days_active=30, n_impressions=20, clip_all=True):
 class TestReplay:
     def test_all_clipped_stream_reward_equals_matched_rounds(self):
         dataset = replay_fixture(clip_all=True)
-        result = run_replay(dataset, policy("camb"), seed=0)
+        result = run_replay(dataset, policy("camb"), 0, FEATURES)
         s = result.summary
         assert s.rounds == 20
         assert s.matched_rounds == 20  # both offers always shown
@@ -565,21 +567,21 @@ class TestReplay:
 
     def test_unclipped_stream_yields_zero_reward(self):
         dataset = replay_fixture(clip_all=False)
-        result = run_replay(dataset, policy("camb"), seed=0)
+        result = run_replay(dataset, policy("camb"), 0, FEATURES)
         assert result.summary.cumulative_reward == 0
         assert result.summary.matched_rounds == 20
 
     def test_empty_impressions_yield_empty_summary(self):
         dataset = replay_fixture()
         dataset.impressions.clear()
-        result = run_replay(dataset, policy("camb"), seed=0)
+        result = run_replay(dataset, policy("camb"), 0, FEATURES)
         assert result.records == []
         assert result.summary.rounds == 0
         assert result.summary.matched_rounds == 0
 
     def test_rounds_without_active_offers_are_tallied_and_skipped(self):
         dataset = replay_fixture(days_active=3)
-        result = run_replay(dataset, policy("camb"), seed=0)
+        result = run_replay(dataset, policy("camb"), 0, FEATURES)
         assert result.skip_tallies["rounds_without_candidates"] == 16
         assert result.summary.rounds == 4
 
@@ -588,7 +590,7 @@ class TestReplay:
         dataset.impressions[0] = Impression(
             dataset.impressions[0].timestamp, "m1", ("o1", "oGone"), frozenset({"o1"})
         )
-        result = run_replay(dataset, policy("camb"), seed=0)
+        result = run_replay(dataset, policy("camb"), 0, FEATURES)
         assert result.skip_tallies["shown_offers_not_featurized"] == 1
 
     def test_unmatched_rounds_have_no_reward(self):
@@ -600,7 +602,7 @@ class TestReplay:
             Offer("o0", frozenset({"catA"}), frozenset({"bZ"}), 9.0, start,
                   start + timedelta(days=30), 3)
         )
-        result = run_replay(dataset, policy("random"), seed=3)
+        result = run_replay(dataset, policy("random"), 3, FEATURES)
         unmatched = [r for r in result.records if not r.matched]
         assert unmatched, "random policy should sometimes pick the unshown offer"
         assert all(r.y is None for r in unmatched)
@@ -609,7 +611,7 @@ class TestReplay:
     def test_policy_trains_on_every_shown_offer(self):
         dataset = replay_fixture(clip_all=True)
         camb = policy("camb")
-        run_replay(dataset, camb, seed=0)
+        run_replay(dataset, camb, 0, FEATURES)
         # Both shown offers train their categories regardless of the match.
         assert ("m1", "catA") in camb.store
         assert ("m1", "catB") in camb.store
@@ -633,8 +635,8 @@ class TestReplay:
             def update(self, candidate, reward):
                 return []
 
-        result = run_replay(dataset, Recording(), seed=4, cold_start_mpg=0.8, default_cycle_days=25.0,
-                            smoothing_window=5)
+        features = FeaturesSection(cold_start_mpg=0.8, default_cycle_days=25.0, smoothing_window=5)
+        result = run_replay(dataset, Recording(), 4, features)
 
         stats = MemberStatsIndex(transactions, 25.0)
         profile = build_seasonality_profile(transactions, 5)
@@ -660,8 +662,8 @@ class TestReplay:
             assert mf_scores.tolist() == e_mf
 
     def test_same_seed_byte_identical_roundlog(self, tmp_path):
-        a = run_replay(replay_fixture(), policy("camb"), seed=11)
-        b = run_replay(replay_fixture(), policy("camb"), seed=11)
+        a = run_replay(replay_fixture(), policy("camb"), 11, FEATURES)
+        b = run_replay(replay_fixture(), policy("camb"), 11, FEATURES)
         pa, pb = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         write_roundlog(pa, a.records)
         write_roundlog(pb, b.records)
@@ -681,7 +683,8 @@ class TestBackfitEvents:
         impressions.append(Impression(late, "m001", (offers[0].offer_id,), frozenset()))
         mf = MFScoreTable({("m001", offers[2].offer_id): 0.4}, default_score=-0.1)
         dataset = ReplayDataset(transactions, offers, impressions, mf)
-        events, skips = backfit_events(dataset, cold_start_mpg=0.6, default_cycle_days=20.0, smoothing_window=5)
+        batch, y, skips = backfit_events(dataset, FeaturesSection(cold_start_mpg=0.6, default_cycle_days=20.0,
+                                                                  smoothing_window=5))
 
         stats = MemberStatsIndex(transactions, 20.0)
         profile = build_seasonality_profile(transactions, 5)
@@ -696,17 +699,32 @@ class TestBackfitEvents:
             for oid, rows in zip(scaled.offer_ids, offer_rows(scaled.sizes)):
                 for c, x in zip(scaled.categories[rows], scaled.X[rows]):
                     expected.append((idx, imp.member_id, c, x.tobytes(), int(oid in imp.clipped)))
+        bounds = batch.row_bounds.tolist()
         got = [
-            (int(t), m, c, x.tobytes(), int(y))
-            for t, m, c, x, y in zip(events.t, events.member_ids, events.category_ids, events.X, events.y)
+            (i, member, c, x.tobytes(), int(label))
+            for i, (member, r0, r1) in enumerate(zip(batch.members, bounds, bounds[1:]))
+            for c, x, label in zip(batch.categories[r0:r1], batch.X[r0:r1], y[r0:r1])
         ]
         assert got == expected
         assert len(expected) > 200 and {y for *_, y in expected} == {0, 1}
         assert skips == {"shown_offers_not_featurized": 2}
 
+        # backfit trains each row's pair, its round's member and its own
+        # category, in row order: per-event updates of those pairs agree.
+        assert (batch.sizes > 1).any()  # a multi-category offer
+        store, reference = ModelStore(), ModelStore()
+        backfit(store, batch, y, LEARNER)
+        for _, member, c, x, label in expected:
+            reference.update(member, c, np.frombuffer(x), label, LEARNER)
+        assert sorted(store._rows) == sorted(reference._rows)
+        for key in reference._rows:
+            a, b = store.get(*key), reference.get(*key)
+            assert a.update_count == b.update_count
+            np.testing.assert_allclose(a.weights, b.weights, rtol=0, atol=1e-12)
+
     def test_empty_log_gives_an_empty_batch(self):
-        events, skips = backfit_events(ReplayDataset(transaction_log([]), [], []))
-        assert len(events) == 0 and events.X.shape == (0, 9)
+        batch, y, skips = backfit_events(ReplayDataset(transaction_log([]), [], []), FEATURES)
+        assert len(y) == 0 and batch.X.shape == (0, 9)
         assert skips == {"shown_offers_not_featurized": 0}
 
 

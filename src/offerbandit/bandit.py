@@ -26,6 +26,10 @@ from .features import FEATURE_NAMES, FEATURE_ORDER_VERSION, N_FEATURES, RoundBat
 # Probabilities are clamped away from {0, 1} before the logit transform.
 LOGIT_CLAMP = 1e-6
 
+# ModelStore.train_as_of gathers the weights it predicts with this many
+# rows at a time, which bounds its temporaries whatever the log's length.
+AS_OF_CHUNK = 4096
+
 DIVERGED = "model weights diverged to non-finite values; learning_rate is too large for the feature scale"
 
 
@@ -196,10 +200,11 @@ class ModelStore:
     Row r of a growable float64[n_pairs, N_FEATURES] weight matrix and of
     an update-count vector belongs to the pair that a dict maps to r. The
     store holds values: get() returns an independent CategoryModel and
-    put() writes one back; update() steps a pair's row in place. A row is
-    taken only by put(), update() or backfit's rows(), and load_checkpoint
-    builds a whole store; reads never materialize a pair, and pairs never
-    seen read as the prior.
+    put() writes one back; update() steps a pair's row in place, and
+    train() steps the rows of a block of events in waves. A row is taken
+    only by put(), update() or rows(), and load_checkpoint builds a whole
+    store; reads never materialize a pair, and pairs never seen read as
+    the prior.
     """
 
     def __init__(self, prior_weights: np.ndarray | None = None):
@@ -279,6 +284,86 @@ class ModelStore:
             W[np.array(rows) < 0] = self.prior
         return sigmoid_rows(np.einsum("ij,ij->i", W, X))
 
+    def train(self, rows: np.ndarray, X: np.ndarray, y: np.ndarray, cfg: LearnerConfig,
+              history: bool = False) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+        """Apply the events (rows[e], X[e], y[e]) in event order with the
+        sgd_update step; rows are rows() of the events' pairs and y holds
+        0/1 labels.
+
+        Updates to different pairs commute, so the events go in waves: wave
+        k applies the k-th event of every pair at once, and each pair still
+        sees its events in order. Returns each event's probability before
+        its own step and, with history, each event's weights and update
+        count after it (else None for both). Raises ValueError(DIVERGED),
+        leaving the earlier waves applied, when a wave's weights are not
+        finite.
+        """
+        W, counts = self._W, self._counts
+        decay = cfg.learning_rate * cfg.l2_lambda
+        p = np.empty(len(rows))
+        W_after = np.empty((len(rows), N_FEATURES)) if history else None
+        n_after = np.empty(len(rows), dtype=np.int64) if history else None
+        for wave in _waves(rows):
+            r, x, y_k = rows[wave], X[wave], y[wave]
+            w = W[r]
+            p_k = p[wave] = sigmoid_rows(np.einsum("ij,ij->i", w, x))
+            step = (cfg.learning_rate * (y_k - p_k))[:, None] * x
+            step[y_k == 1] *= cfg.positive_boost
+            if cfg.l2_lambda:
+                step -= decay * w
+            w += step
+            if not np.isfinite(w).all():
+                raise ValueError(DIVERGED)
+            W[r] = w
+            counts[r] += 1
+            if history:
+                W_after[wave] = w
+                n_after[wave] = counts[r]
+        return p, W_after, n_after
+
+    def find(self, member_ids: Iterable[str], category_ids: Iterable[str]) -> np.ndarray:
+        """Row of each (member_ids[i], category_ids[i]) pair, -1 where the
+        pair has none; nothing is materialized."""
+        get = self._rows.get
+        return np.array([get(key, -1) for key in zip(member_ids, category_ids)], dtype=np.intp)
+
+    def train_as_of(self, rows: np.ndarray, X: np.ndarray, y: np.ndarray, when: np.ndarray, at: np.ndarray,
+                    X_at: np.ndarray, at_when: np.ndarray, cfg: LearnerConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """train() the events with history, then predict each row X_at[i]
+        under row at[i]'s weights as they stood before at_when[i].
+
+        Event e happens at time when[e], which never falls as e rises; at
+        holds rows or -1 (an unseen pair, read as the prior). Row at[i]
+        reads the weights after its last event with when < at_when[i] (a
+        searchsorted over (row, when) keys), or, without one, the weights it
+        started with. Only the trained rows' starting weights are copied,
+        and the weights read are gathered AS_OF_CHUNK rows at a time.
+        Returns the predictions, then each event's weights and update count
+        after its step.
+        """
+        trained = np.unique(rows)
+        start = self._W[trained]
+        _, W_after, n_after = self.train(rows, X, y, cfg, history=True)
+        # Events sorted by row, each row's in event order, so by (row, when).
+        order = np.argsort(rows, kind="stable")
+        span = int(max(when[-1], at_when.max(initial=0))) + 1 if len(rows) else 1
+        keys = rows[order] * span + when[order]
+        p = np.empty(len(at))
+        for c in range(0, len(at), AS_OF_CHUNK):
+            a = at[c:c + AS_OF_CHUNK]
+            W = self._W.take(a, axis=0)
+            W[a < 0] = self.prior
+            if len(trained):
+                s = np.minimum(np.searchsorted(trained, a), len(trained) - 1)
+                started = trained[s] == a
+                W[started] = start[s[started]]
+                j = np.searchsorted(keys, a * span + at_when[c:c + AS_OF_CHUNK]) - 1
+                seen = j >= 0
+                seen[seen] = rows[order[j[seen]]] == a[seen]
+                W[seen] = W_after[order[j[seen]]]
+            p[c:c + AS_OF_CHUNK] = sigmoid_rows(np.einsum("ij,ij->i", W, X_at[c:c + AS_OF_CHUNK]))
+        return p, W_after, n_after
+
     def __len__(self) -> int:
         return len(self._rows)
 
@@ -325,13 +410,10 @@ def _waves(rows: np.ndarray) -> list[np.ndarray]:
 
 
 def backfit(store: ModelStore, batch: RoundBatch, y: np.ndarray, cfg: LearnerConfig) -> BackfitReport:
-    """Train the store on a scaled batch with the sgd_update step.
+    """Train the store on a scaled batch with ModelStore.train.
 
     Row r is one event with the 0/1 label y[r] for the pair of its
-    round's member and its own category; events go in row order. Updates
-    to different pairs commute, so the events go in waves: wave k applies
-    the k-th event of every pair at once, and each pair still sees its
-    events in order.
+    round's member and its own category; events go in row order.
     """
     n = len(y)
     if n == 0:
@@ -339,22 +421,7 @@ def backfit(store: ModelStore, batch: RoundBatch, y: np.ndarray, cfg: LearnerCon
     X = batch.X
     per_round = np.diff(batch.row_bounds).tolist()
     rows = store.rows(chain.from_iterable(map(repeat, batch.members, per_round)), batch.categories)
-    W, counts = store._W, store._counts
-    decay = cfg.learning_rate * cfg.l2_lambda
-    p = np.empty(n)
-    for wave in _waves(rows):
-        r, x, y_k = rows[wave], X[wave], y[wave]
-        w = W[r]
-        p_k = p[wave] = sigmoid_rows(np.einsum("ij,ij->i", w, x))
-        step = (cfg.learning_rate * (y_k - p_k))[:, None] * x
-        step[y_k == 1] *= cfg.positive_boost
-        if cfg.l2_lambda:
-            step -= decay * w
-        w += step
-        if not np.isfinite(w).all():
-            raise ValueError(DIVERGED)
-        W[r] = w
-        counts[r] += 1
+    p = store.train(rows, X, y, cfg)[0]
     cut = (9 * n) // 10
     y_tail = y[cut:]
     base_rate = float(_log_loss_rows(np.full(len(y_tail), y[:cut].mean()), y_tail).mean()) if cut else None

@@ -72,6 +72,16 @@ def sample_beta(p: Sequence[float], kappa: float, rng: np.random.Generator, clam
     return draws
 
 
+def sample_beta_rows(p: np.ndarray, kappa: np.ndarray, rng: np.random.Generator, clamp: float = 1e-4) -> np.ndarray:
+    """sample_score of every entry p[i] with its own kappa[i], in order, as
+    one array rng.beta call: the same draws, and the generator left in the
+    same state, as the scalar calls of sample_beta."""
+    if (kappa <= 0).any():
+        raise ConfigError(f"kappa must be positive, got {kappa[kappa <= 0][0]}")
+    p = np.minimum(np.maximum(p, clamp), 1.0 - clamp)
+    return rng.beta(kappa * p, kappa * (1.0 - p))
+
+
 def sample_scores(
     probs: Mapping[str, float], kappa: float, rng: np.random.Generator, clamp: float = 1e-4
 ) -> dict[str, float]:

@@ -4,7 +4,10 @@ Both entry points scale their rounds as batches and build every round's
 offers once per batch (offer_rounds), then drive the same round loop:
 let the policy rank the round's offers, observe a reward, update the
 policy, log the round. Only the work that reads or changes what the
-policy has learned runs round by round. run_synthetic scores against a
+policy has learned runs round by round. camb's replay is the exception:
+its updates do not depend on its choices, so it trains once over the
+whole log and ranks every round against the weights of that round's
+moment, with the same results. run_synthetic scores against a
 world with known ground truth, so regret and optimal-action rate are
 exact; run_replay scores against logged impressions with a top-1
 rejection-match estimator, whose metrics are biased and labeled as such.
@@ -18,16 +21,17 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from datetime import date
-from itertools import count
+from itertools import chain, count, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .baselines import OfferRound, Policy, Ranking
+from .baselines import CambPolicy, OfferRound, Policy, Ranking
 from .bandit import offer_probabilities, sigmoid_rows
 from .data import MAX_INPUT_MAGNITUDE, Impression, MFScoreTable, Offer, TransactionLog, write_csv, write_json, write_jsonl
 from .errors import ConfigError, bounded, check_fields
+from .exploration import kappa_at, sample_beta_rows
 from .features import (
     FEATURE_NAMES,
     FEATURE_ORDER_VERSION,
@@ -300,17 +304,14 @@ def compute_metrics(records: Sequence[RoundRecord]) -> MetricsSummary:
     )
 
 
-def offer_rounds(batch: RoundBatch) -> Iterator[OfferRound]:
-    """Each round of a scaled batch as its policy sees it.
+def offer_layout(batch: RoundBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each offer slot's first row in a scaled batch, each row's weight
+    within its offer, each slot's round, and the slots in (round, offer
+    id) order, a stable sort.
 
-    Each offer's row weights are its rows' purchase shares renormalized
-    over the offer (uniform when the batch has no shares, or when the
-    member bought none of the offer's categories), and its offer vector
-    is the share-weighted sum of its rows. Both, each offer's first row
-    within its round and each round's offers in sorted-id order are
-    worked out once for the whole batch, with reduceat over each offer's
-    rows. Every round holds slices of the batch's lists and views of its
-    arrays.
+    A row's weight is its purchase share renormalized over its offer:
+    uniform when the batch has no shares, or when the member bought none
+    of the offer's categories.
     """
     sizes = batch.sizes
     starts = np.cumsum(sizes) - sizes
@@ -318,12 +319,23 @@ def offer_rounds(batch: RoundBatch) -> Iterator[OfferRound]:
     if batch.shares is not None:
         total = np.add.reduceat(batch.shares, starts).repeat(sizes)
         weights = np.where(total > 0, batch.shares / np.where(total > 0, total, 1.0), weights)
+    round_of = np.repeat(np.arange(len(batch)), np.diff(batch.offer_bounds))
+    return starts, weights, round_of, np.lexsort((np.array(batch.offer_ids, dtype=str), round_of))
+
+
+def offer_rounds(batch: RoundBatch) -> Iterator[OfferRound]:
+    """Each round of a scaled batch as its policy sees it.
+
+    Each offer's offer vector is the share-weighted sum of its rows
+    (offer_layout). It, each offer's first row within its round and each
+    round's offers in sorted-id order are worked out once for the whole
+    batch, with reduceat over each offer's rows. Every round holds slices
+    of the batch's lists and views of its arrays.
+    """
+    starts, weights, round_of, by_id = offer_layout(batch)
     pooled = np.add.reduceat(weights[:, None] * batch.X, starts, axis=0)
-    offers_per_round = np.diff(batch.offer_bounds)
-    starts -= np.repeat(batch.row_bounds[:-1], offers_per_round)
-    # A stable sort by (round, offer id), as positions within each round.
-    round_of = np.repeat(np.arange(len(batch)), offers_per_round)
-    by_id = (np.lexsort((np.array(batch.offer_ids, dtype=str), round_of)) - batch.offer_bounds[round_of]).tolist()
+    starts -= batch.row_bounds[round_of]
+    by_id = (by_id - batch.offer_bounds[round_of]).tolist()
     ids, cats, X, mf, true_p = batch.offer_ids, batch.categories, batch.X, batch.mf_scores, batch.true_p
     ob, rb = batch.offer_bounds.tolist(), batch.row_bounds.tolist()
     for member, a, b, r0, r1 in zip(batch.members, ob, ob[1:], rb, rb[1:]):
@@ -449,58 +461,124 @@ def run_replay(
     date. A round counts toward metrics only when the policy's top choice
     was actually shown (rejection match); its reward is whether that offer
     was clipped. Every shown offer trains the policy with its logged
-    outcome, clipped as y=1, shown-but-unclipped as y=0.
+    outcome, clipped as y=1, shown-but-unclipped as y=0, whatever the
+    policy chose. camb's learning thus never depends on its choices, and
+    it plays the log in one training pass (_replay_camb); the other
+    policies select and update round by round (_replay_rounds).
     """
     rng = np.random.default_rng(seed)
     offers_sorted = sorted(dataset.offers, key=lambda o: o.offer_id)
     trajectories = TrajectoryStore(thin_every)
-    records: list[RoundRecord] = []
     skip = {"rounds_without_candidates": 0, "shown_offers_not_featurized": 0}
     impressions = []
     rounds = []
+    # Per round: the place among its offers and the label of each
+    # featurized shown offer, in offers_shown order.
+    shown: list[list[tuple[int, int]]] = []
     active_day = None
     for imp in dataset.impressions:
         day = imp.timestamp.date()
         if day != active_day:  # ingest sorts impressions by time, so days come in runs
             active_day = day
             active = [o for o in offers_sorted if o.active_on(day)]
+            index = {o.offer_id: k for k, o in enumerate(active)}
         if not active:
             skip["rounds_without_candidates"] += 1
             continue
         impressions.append(imp)
         # `active` is in sorted offer-id order, the replay scaling order.
         rounds.append((imp.member_id, day, active))
+        trained = [(index[oid], 1 if oid in imp.clipped else 0) for oid in imp.offers_shown if oid in index]
+        skip["shown_offers_not_featurized"] += len(imp.offers_shown) - len(trained)
+        shown.append(trained)
     # The scaler sees only raw rows, never the policy, so every round is
     # featurized and scaled before the first is played.
     batch = scaled_rounds(dataset, rounds, features)
     del rounds
-    ordinals = count(1)
-    for imp, (t, offers, ranking) in zip(impressions, _policy_rounds(batch, policy, rng, 1)):
+    play = _replay_camb if isinstance(policy, CambPolicy) else _replay_rounds
+    records: list[RoundRecord] = []
+    for imp, (t, offers, ranking) in zip(impressions, play(batch, shown, policy, rng, trajectories)):
         top = ranking.top
         matched = top in imp.offers_shown
-        y = (1 if top in imp.clipped else 0) if matched else None
-        index = {oid: k for k, oid in enumerate(offers.offer_ids)}
-        for oid in imp.offers_shown:
-            k = index.get(oid)
-            if k is None:
-                skip["shown_offers_not_featurized"] += 1
-                continue
-            outcome = 1 if oid in imp.clipped else 0
-            for member_id, category_id, weights, update_count in policy.update(offers.candidate(k), outcome):
-                trajectories.record(member_id, category_id, weights, update_count, next(ordinals))
         records.append(
             RoundRecord(
                 t=t,
                 member_id=offers.member_id,
                 ranked=_ranked_entries(ranking),
                 chosen=top,
-                y=y,
+                y=(1 if top in imp.clipped else 0) if matched else None,
                 matched=matched,
             )
         )
     estimator = "replay-match (biased: rewards observed only on matched rounds)"
     summary = compute_metrics(records) if records else MetricsSummary(0, 0, None, None, [], 0, estimator)
     return RunResult(records, summary, trajectories, skip)
+
+
+def _replay_rounds(
+    batch: RoundBatch, shown: list[list[tuple[int, int]]], policy: Policy, rng: np.random.Generator,
+    trajectories: TrajectoryStore,
+) -> Iterator[tuple[int, OfferRound, Ranking]]:
+    """Replay round by round: the policy ranks a round, then each of the
+    round's shown offers updates it."""
+    ordinals = count(1)
+    for (t, offers, ranking), trained in zip(_policy_rounds(batch, policy, rng, 1), shown):
+        for k, outcome in trained:
+            for member_id, category_id, weights, update_count in policy.update(offers.candidate(k), outcome):
+                trajectories.record(member_id, category_id, weights, update_count, next(ordinals))
+        yield t, offers, ranking
+
+
+def _replay_camb(
+    batch: RoundBatch, shown: list[list[tuple[int, int]]], policy: CambPolicy, rng: np.random.Generator,
+    trajectories: TrajectoryStore,
+) -> Iterator[tuple[int, OfferRound, Ranking]]:
+    """Replay camb in one training pass over the whole log, with the
+    rankings, store and trajectory of _replay_rounds (see _camb_scores)."""
+    probs, sampled = _camb_scores(batch, shown, policy, rng, trajectories)
+    ob = batch.offer_bounds.tolist()
+    for t, (offers, a, b) in enumerate(zip(offer_rounds(batch), ob, ob[1:]), start=1):
+        yield t, offers, offers.ranking(probs[a:b].tolist(), sampled[a:b].tolist())
+
+
+def _camb_scores(
+    batch: RoundBatch, shown: list[list[tuple[int, int]]], policy: CambPolicy, rng: np.random.Generator,
+    trajectories: TrajectoryStore,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every offer slot's probability and sampled score, as
+    CambPolicy.select scores them round by round between the updates.
+
+    The events are the rows of every round's shown offers, in
+    offers_shown order, each offer's rows in category order: the updates
+    CambPolicy.update makes round by round, in its order, and the ones
+    recorded in the trajectory. The store trains on them with its wave
+    step, and each candidate row is predicted under its pair's weights as
+    they stood before its round's own events, which is what select reads
+    in that round. One Beta call then draws in select's order, by round
+    and then offer id, with each round's kappa.
+    """
+    store, learner, exploration = policy.store, policy.learner, policy.exploration
+    starts, weights, round_of, order = offer_layout(batch)
+    rows_per_round = np.diff(batch.row_bounds)
+    row_round = np.repeat(np.arange(len(batch)), rows_per_round)
+    row_member = list(chain.from_iterable(map(repeat, batch.members, rows_per_round.tolist())))
+    # Each shown offer's slot in the batch and its label, then its rows.
+    k, y = np.array([e for trained in shown for e in trained], dtype=np.intp).reshape(-1, 2).T
+    slots = k + np.repeat(batch.offer_bounds[:-1], [len(trained) for trained in shown])
+    sizes = batch.sizes[slots]
+    events = np.arange(sizes.sum()) + np.repeat(starts[slots] - (np.cumsum(sizes) - sizes), sizes)
+    ev_members = [row_member[r] for r in events.tolist()]
+    ev_categories = [batch.categories[r] for r in events.tolist()]
+    p, W_after, n_after = store.train_as_of(
+        store.rows(ev_members, ev_categories), batch.X[events], y.repeat(sizes), row_round[events],
+        store.find(row_member, batch.categories), batch.X, row_round, learner,
+    )
+    trajectories.extend(ev_members, ev_categories, W_after, n_after, np.arange(1, len(events) + 1))
+    probs = offer_probabilities(p, weights, starts, batch.mf_scores, learner.mf_bias_coeff)
+    kappa = np.array([kappa_at(t, exploration) for t in range(len(batch))])
+    sampled = np.empty_like(probs)
+    sampled[order] = sample_beta_rows(probs[order], kappa[round_of[order]], rng, exploration.probability_clamp)
+    return probs, sampled
 
 
 def backfit_events(dataset: ReplayDataset, features: FeaturesSection) -> tuple[RoundBatch, np.ndarray, dict[str, int]]:

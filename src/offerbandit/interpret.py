@@ -87,6 +87,56 @@ class TrajectoryStore:
         self._weights.append(weights.tolist())
         self._by_pair = None
 
+    def extend(self, member_ids: Sequence[str], category_ids: Sequence[str], weights: np.ndarray,
+               update_counts: np.ndarray, t: np.ndarray) -> None:
+        """record() of every snapshot i, in order, as columns: weights is a
+        float[n, N_FEATURES] array, update_counts and t integer arrays.
+        Raises record()'s ValueError for the first snapshot whose t does
+        not advance past its pair's last kept one, recording none."""
+        codes, n_codes = self._codes, len(self._offered)
+        get = codes.get
+        new: dict[tuple[str, str], int] = {}
+        pair = np.array([
+            code if (code := get(key)) is not None else new.setdefault(key, n_codes + len(new))
+            for key in zip(member_ids, category_ids)
+        ], dtype=np.intp)
+        n = len(pair)
+        if not n:
+            return
+        # Snapshots grouped by pair code, each group in order, and each
+        # one's place among the snapshots offered for its pair.
+        order = np.argsort(pair, kind="stable")
+        grouped = pair[order]
+        first = np.r_[True, grouped[1:] != grouped[:-1]]
+        group_start = np.maximum.accumulate(np.where(first, np.arange(n), 0))
+        offered = np.array(self._offered + [0] * len(new), dtype=np.int64)
+        place = offered[grouped] + np.arange(n) - group_start
+        kept = place % self.thin_every == 0
+        # Each snapshot's t must pass the t of its pair's last kept
+        # snapshot before it: in this block, else the last one recorded
+        # (a new pair's first snapshot has none and is always kept).
+        t_grouped = t[order]
+        last_kept = np.maximum.accumulate(np.where(kept, np.arange(n), -1))
+        before = np.r_[-1, last_kept[:-1]]
+        last_t = np.array(self._last_t + [np.iinfo(np.int64).min] * len(new), dtype=np.int64)
+        floor = np.where(before >= group_start, t_grouped[np.maximum(before, 0)], last_t[grouped])
+        stale = np.flatnonzero(t_grouped <= floor)
+        if len(stale):
+            i = stale[order[stale].argmin()]
+            key = next(k for k, c in chain(codes.items(), new.items()) if c == grouped[i])
+            raise ValueError(f"snapshot t={t_grouped[i]} does not advance past t={floor[i]} for {key}")
+        codes.update(new)
+        last = np.flatnonzero(np.r_[first[1:], True] & (last_kept >= group_start))
+        offered += np.bincount(pair, minlength=len(offered))
+        last_t[grouped[last]] = t_grouped[last_kept[last]]
+        self._offered, self._last_t = offered.tolist(), last_t.tolist()
+        keep = np.sort(order[kept])
+        self._t += t[keep].tolist()
+        self._pair += pair[keep].tolist()
+        self._update_count += update_counts[keep].tolist()
+        self._weights += weights[keep].tolist()
+        self._by_pair = None
+
     def _index(self) -> tuple[np.ndarray, np.ndarray]:
         """Snapshot indices grouped by pair code, each group in record
         order, and the start of each code's group (and the end of the

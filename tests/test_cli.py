@@ -4,8 +4,10 @@ import math
 import typing
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from offerbandit.bandit import DIVERGED
 from offerbandit.cli import OutputWriter, build_parser, main
 from offerbandit.config import RunConfig
 from offerbandit.data import ingest_mf_scores
@@ -285,6 +287,22 @@ class TestBackfitAndReplay:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "replay"
         assert "replayed" in capsys.readouterr().out
+
+    def test_replay_with_a_diverging_learning_rate_exits_1(self, demo_data, tmp_path, capsys):
+        out = tmp_path / "replay_diverged"
+        cfg = write_config(
+            tmp_path / "replay_diverged.json",
+            policy="camb",
+            learner={"learning_rate": 1e308},
+            data=data_section(demo_data),
+            run={"seed": 2, "out_dir": str(out)},
+        )
+        with np.errstate(over="ignore"):
+            assert main(["replay", "--config", cfg]) == 1
+        error = stderr_error(capsys)
+        assert error["error"] == "runtime"
+        assert error["message"] == DIVERGED
+        assert not (out / "rounds.jsonl").exists()
 
     def test_replay_can_start_from_backfit_checkpoint(self, demo_data, backfit_dir, tmp_path):
         out = tmp_path / "replay_warm"

@@ -13,6 +13,7 @@ from offerbandit.exploration import (
     ExplorationConfig,
     kappa_at,
     sample_beta,
+    sample_beta_rows,
     sample_score,
     sample_scores,
 )
@@ -188,3 +189,22 @@ class TestSampleBeta:
     def test_nonpositive_kappa_rejected(self, rng):
         with pytest.raises(ConfigError):
             sample_beta([0.5], 0.0, rng)
+
+
+class TestSampleBetaRows:
+    def test_equals_sample_beta_per_entry_with_its_own_kappa(self):
+        # 1,000 kappas of 5 entries each, with entries at and past the clamps.
+        clamp = 1e-3
+        rng = np.random.default_rng(5)
+        p = rng.uniform(0.0, 1.0, 5000)
+        p[::11], p[1::13], p[2::17], p[3::19] = 0.0, 1.0, clamp, 1.0 - clamp
+        kappa = np.repeat(np.geomspace(0.5, 1e6, 1000), 5)
+        ours, scalar = np.random.default_rng(42), np.random.default_rng(42)
+        draws = sample_beta_rows(p, kappa, ours, clamp)
+        expected = [sample_beta([x], k, scalar, clamp)[0] for x, k in zip(p.tolist(), kappa.tolist())]
+        assert draws.tolist() == expected
+        assert ours.bit_generator.state == scalar.bit_generator.state
+
+    def test_nonpositive_kappa_rejected(self, rng):
+        with pytest.raises(ConfigError):
+            sample_beta_rows(np.array([0.5, 0.5]), np.array([1.0, 0.0]), rng)

@@ -5,6 +5,7 @@ import inspect
 import json
 from collections import Counter
 from datetime import date, datetime, timedelta
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -12,12 +13,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import offerbandit.bandit as bandit_module
 from conftest import each_round, make_round, member_stats, offer_rows, scale_round, stack_contexts, transaction_log
-from offerbandit.bandit import LearnerConfig, ModelStore, aggregate_offer, backfit, renormalize_shares, sigmoid
+from offerbandit.bandit import (
+    LearnerConfig,
+    ModelStore,
+    aggregate_offer,
+    backfit,
+    load_checkpoint,
+    renormalize_shares,
+    save_checkpoint,
+    sigmoid,
+)
 from offerbandit.baselines import make_policy
 from offerbandit.data import Impression, MFScoreTable, Offer
 from offerbandit.errors import ConfigError
 from offerbandit.exploration import ExplorationConfig
+from offerbandit.interpret import TrajectoryStore
 from offerbandit.datagen import generate_impressions, generate_offers, generate_transactions
 from offerbandit.features import (
     FeaturesSection,
@@ -43,6 +55,7 @@ from offerbandit.harness import (
     oracle_best,
     run_replay,
     run_synthetic,
+    scaled_rounds,
     write_metrics_csv,
     write_roundlog,
 )
@@ -574,10 +587,31 @@ class TestReplay:
     def test_empty_impressions_yield_empty_summary(self):
         dataset = replay_fixture()
         dataset.impressions.clear()
-        result = run_replay(dataset, policy("camb"), 0, FEATURES)
+        camb = policy("camb")
+        result = run_replay(dataset, camb, 0, FEATURES)
         assert result.records == []
-        assert result.summary.rounds == 0
-        assert result.summary.matched_rounds == 0
+        assert result.summary.to_dict() == {
+            "rounds": 0, "cumulative_reward": 0, "regret": None, "optimal_action_rate": None,
+            "final_avg_reward": None, "matched_rounds": 0,
+            "estimator": "replay-match (biased: rewards observed only on matched rounds)",
+        }
+        assert result.skip_tallies == {"rounds_without_candidates": 0, "shown_offers_not_featurized": 0}
+        assert result.trajectories.pairs() == [] and len(camb.store) == 0
+
+    def test_rounds_whose_shown_offers_are_all_unfeaturized_train_nothing(self):
+        dataset = replay_fixture()
+        dataset.impressions[:] = [Impression(imp.timestamp, "m1", ("oGone", "oOld"), frozenset({"oGone"}))
+                                  for imp in dataset.impressions]
+        camb = policy("camb")
+        result = run_replay(dataset, camb, 0, FEATURES)
+        assert result.summary.to_dict() == {
+            "rounds": 20, "cumulative_reward": 0, "regret": None, "optimal_action_rate": None,
+            "final_avg_reward": None, "matched_rounds": 0,
+            "estimator": "replay-match (biased: rewards observed only on matched rounds)",
+        }
+        assert result.skip_tallies == {"rounds_without_candidates": 0, "shown_offers_not_featurized": 40}
+        assert all(r.y is None and not r.matched for r in result.records)
+        assert result.trajectories.pairs() == [] and len(camb.store) == 0
 
     def test_rounds_without_active_offers_are_tallied_and_skipped(self):
         dataset = replay_fixture(days_active=3)
@@ -668,6 +702,154 @@ class TestReplay:
         write_roundlog(pa, a.records)
         write_roundlog(pb, b.records)
         assert pa.read_bytes() == pb.read_bytes()
+
+
+def played_rounds(dataset):
+    """The impressions replay plays, each with its round: the member, the
+    day and the offers active that day in sorted-id order."""
+    offers = sorted(dataset.offers, key=lambda o: o.offer_id)
+    played = []
+    for imp in dataset.impressions:
+        day = imp.timestamp.date()
+        active = [o for o in offers if o.active_on(day)]
+        if active:
+            played.append((imp, (imp.member_id, day, active)))
+    return played
+
+
+def per_round_camb_replay(dataset, camb, rng, thin_every):
+    """camb's replay round by round, the way every other policy replays:
+    CambPolicy.select ranks a round, then one CambPolicy.update per
+    featurized shown offer, in offers_shown order. Returns each round's
+    (impression, ranking) and the trajectory."""
+    played = played_rounds(dataset)
+    batch = scaled_rounds(dataset, [r for _, r in played], FEATURES)
+    trajectories = TrajectoryStore(thin_every)
+    ordinals = count(1)
+    out = []
+    for t, ((imp, _), offers) in enumerate(zip(played, offer_rounds(batch)), start=1):
+        out.append((imp, camb.select(offers, rng, t)))
+        for oid in imp.offers_shown:
+            if oid in offers.offer_ids:
+                candidate = offers.candidate(offers.offer_ids.index(oid))
+                for delta in camb.update(candidate, int(oid in imp.clipped)):
+                    trajectories.record(*delta, next(ordinals))
+    return out, trajectories
+
+
+@pytest.fixture
+def warm_replay(tmp_path):
+    """A datagen replay log, a checkpoint backfit on the log's first
+    impressions, and camb's exploration with a kappa that grows by round.
+    One replayed round shows no offer that can be featurized. A member
+    with one history round and one replayed round is shown one offer in
+    each, so some of the member's candidate pairs are never trained: one
+    is a checkpoint pair, another is unseen."""
+    transactions = transaction_log(generate_transactions(n_members=6, n_categories=5, events_per_member=25, seed=31))
+    offers = generate_offers(n_offers=30, n_categories=5, seed=32)
+    impressions = generate_impressions(offers, n_members=8, n_impressions=160, seed=33)
+    imp = impressions[90]
+    impressions[90] = Impression(imp.timestamp, imp.member_id, ("o_gone",), frozenset())
+    for i, shown in ((10, slice(1, 2)), (100, slice(0, 1))):
+        imp = impressions[i]
+        impressions[i] = Impression(imp.timestamp, "m_solo", imp.offers_shown[shown], imp.clipped)
+    history = ReplayDataset(transactions, offers, impressions[:60])
+    checkpoint = tmp_path / "checkpoint.jsonl"
+    store = ModelStore()
+    backfit(store, *backfit_events(history, FEATURES)[:2], LEARNER)
+    save_checkpoint(checkpoint, store, LEARNER)
+    exploration = ExplorationConfig(kappa_initial=4.0, kappa_schedule="linear_growth", kappa_growth_rate=0.05)
+    return ReplayDataset(transactions, offers, impressions[60:]), checkpoint, exploration
+
+
+class TestCambReplay:
+    """camb replays the log in one training pass; it must give what the
+    per-round select-and-update loop gives."""
+
+    def test_equals_a_per_round_select_and_update_reference(self, warm_replay, monkeypatch):
+        dataset, checkpoint, exploration = warm_replay
+        monkeypatch.setattr(bandit_module, "AS_OF_CHUNK", 7)  # many chunks of candidate rows
+        camb = make_policy("camb", LEARNER, exploration, store=load_checkpoint(checkpoint)[0])
+        reference = make_policy("camb", LEARNER, exploration, store=load_checkpoint(checkpoint)[0])
+        reference_rng = np.random.default_rng(7)
+        expected, expected_traj = per_round_camb_replay(dataset, reference, reference_rng, 3)
+        generators = []
+        default_rng = np.random.default_rng
+        with monkeypatch.context() as patch:
+            patch.setattr(np.random, "default_rng", lambda seed: generators.append(default_rng(seed)) or generators[-1])
+            result = run_replay(dataset, camb, 7, FEATURES, thin_every=3)
+
+        # The log has the cases the training pass must get right.
+        catalog = {o.offer_id: o for o in dataset.offers}
+        trained, candidates, twice, untrained = set(), set(), False, False
+        for imp, (member, _, active) in played_rounds(dataset):
+            ids = {o.offer_id for o in active}
+            cats = [c for oid in imp.offers_shown if oid in ids for c in catalog[oid].category_ids]
+            twice |= len(cats) > len(set(cats))
+            untrained |= not cats
+            trained |= {(member, c) for c in cats}
+            candidates |= {(member, c) for o in active for c in o.category_ids}
+        start = load_checkpoint(checkpoint)[0]
+        assert twice and untrained
+        assert trained & set(start._rows) and trained - set(start._rows)
+        # Candidates never trained: some read the checkpoint, the others the
+        # prior, and these stay unmaterialized.
+        assert candidates & set(start._rows) - trained
+        only_candidates = candidates - trained - set(start._rows)
+        assert only_candidates and not only_candidates & set(camb.store._rows)
+
+        assert len(result.records) == len(expected) > 80
+        for record, (imp, ranking) in zip(result.records, expected):
+            assert [oid for oid, _, _ in record.ranked] == ranking.order
+            assert record.chosen == ranking.top
+            assert record.matched == (ranking.top in imp.offers_shown)
+            assert record.y == ((ranking.top in imp.clipped) if record.matched else None)
+            for oid, score, sampled in record.ranked:
+                assert score == pytest.approx(ranking.scores[oid], rel=0, abs=1e-12)
+                assert sampled == pytest.approx(ranking.sampled[oid], rel=0, abs=1e-12)
+        assert result.trajectories.pairs() == expected_traj.pairs()
+        for pair in expected_traj.pairs():
+            got, want = result.trajectories.series(*pair), expected_traj.series(*pair)
+            assert [(s.t, s.member_id, s.category_id, s.update_count) for s in got] == \
+                [(s.t, s.member_id, s.category_id, s.update_count) for s in want]
+            np.testing.assert_allclose([s.weights for s in got], [s.weights for s in want], rtol=0, atol=1e-12)
+        assert sorted(camb.store._rows) == sorted(reference.store._rows)
+        for key in reference.store._rows:
+            a, b = camb.store.get(*key), reference.store.get(*key)
+            assert a.update_count == b.update_count
+            np.testing.assert_allclose(a.weights, b.weights, rtol=0, atol=1e-12)
+        assert [g.bit_generator.state for g in generators] == [reference_rng.bit_generator.state]
+
+    def test_final_store_is_a_backfit_of_the_rows_it_trains(self, warm_replay):
+        """Replay's learning is a backfit: the final store equals one, bit for
+        bit, since both apply ModelStore.train's waves."""
+        dataset, checkpoint, exploration = warm_replay
+        camb = make_policy("camb", LEARNER, exploration, store=load_checkpoint(checkpoint)[0])
+        run_replay(dataset, camb, 7, FEATURES)
+
+        played = played_rounds(dataset)
+        batch = scaled_rounds(dataset, [r for _, r in played], FEATURES)
+        starts = (np.cumsum(batch.sizes) - batch.sizes).tolist()
+        rows, labels, bounds = [], [], [0]
+        for i, (imp, _) in enumerate(played):
+            a, b = batch.offer_bounds[i], batch.offer_bounds[i + 1]
+            ids = batch.offer_ids[a:b]
+            for oid in imp.offers_shown:
+                if oid in ids:
+                    slot = a + ids.index(oid)
+                    rows += range(starts[slot], starts[slot] + batch.sizes[slot])
+                    labels += [int(oid in imp.clipped)] * int(batch.sizes[slot])
+            bounds.append(len(rows))
+        n, bounds = len(rows), np.array(bounds)
+        shown = RoundBatch(["o"] * n, [batch.categories[r] for r in rows], np.ones(n, dtype=np.intp), batch.X[rows],
+                           bounds, bounds, [imp.member_id for imp, _ in played], None, np.zeros(n))
+        expected = load_checkpoint(checkpoint)[0]
+        backfit(expected, shown, np.array(labels, dtype=np.int8), LEARNER)
+        assert sorted(camb.store._rows) == sorted(expected._rows)
+        for key in expected._rows:
+            a, b = camb.store.get(*key), expected.get(*key)
+            assert a.update_count == b.update_count
+            assert a.weights.tobytes() == b.weights.tobytes()
 
 
 class TestBackfitEvents:

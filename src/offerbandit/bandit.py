@@ -303,22 +303,24 @@ class ModelStore:
         p = np.empty(len(rows))
         W_after = np.empty((len(rows), N_FEATURES)) if history else None
         n_after = np.empty(len(rows), dtype=np.int64) if history else None
-        for wave in _waves(rows):
-            r, x, y_k = rows[wave], X[wave], y[wave]
-            w = W[r]
-            p_k = p[wave] = sigmoid_rows(np.einsum("ij,ij->i", w, x))
-            step = (cfg.learning_rate * (y_k - p_k))[:, None] * x
-            step[y_k == 1] *= cfg.positive_boost
-            if cfg.l2_lambda:
-                step -= decay * w
-            w += step
-            if not np.isfinite(w).all():
-                raise ValueError(DIVERGED)
-            W[r] = w
-            counts[r] += 1
-            if history:
-                W_after[wave] = w
-                n_after[wave] = counts[r]
+        # A diverging step overflows; the finiteness check reports it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for wave in _waves(rows):
+                r, x, y_k = rows[wave], X[wave], y[wave]
+                w = W[r]
+                p_k = p[wave] = sigmoid_rows(np.einsum("ij,ij->i", w, x))
+                step = (cfg.learning_rate * (y_k - p_k))[:, None] * x
+                step[y_k == 1] *= cfg.positive_boost
+                if cfg.l2_lambda:
+                    step -= decay * w
+                w += step
+                if not np.isfinite(w).all():
+                    raise ValueError(DIVERGED)
+                W[r] = w
+                counts[r] += 1
+                if history:
+                    W_after[wave] = w
+                    n_after[wave] = counts[r]
         return p, W_after, n_after
 
     def find(self, member_ids: Iterable[str], category_ids: Iterable[str]) -> np.ndarray:

@@ -47,14 +47,12 @@ def kappa_at(t: int, cfg: ExplorationConfig) -> float:
 
 def sample_score(p: float, kappa: float, rng: np.random.Generator, clamp: float = 1e-4) -> float:
     """One draw from Beta(kappa*p, kappa*(1-p)) for probability p."""
-    if kappa <= 0:
-        raise ConfigError(f"kappa must be positive, got {kappa}")
-    p = min(max(p, clamp), 1.0 - clamp)
-    return float(rng.beta(kappa * p, kappa * (1.0 - p)))
+    return sample_beta([p], kappa, rng, clamp)[0]
 
 
 def sample_beta(p: Sequence[float], kappa: float, rng: np.random.Generator, clamp: float = 1e-4) -> list[float]:
-    """sample_score of every entry of p, in order.
+    """One draw from Beta(kappa*x, kappa*(1-x)) for every entry x of p,
+    clamped to [clamp, 1 - clamp], in order.
 
     Each entry is one scalar rng.beta call. numpy's array call
     rng.beta(kappa * p, kappa * (1 - p)) draws its entries in the same
@@ -73,9 +71,9 @@ def sample_beta(p: Sequence[float], kappa: float, rng: np.random.Generator, clam
 
 
 def sample_beta_rows(p: np.ndarray, kappa: np.ndarray, rng: np.random.Generator, clamp: float = 1e-4) -> np.ndarray:
-    """sample_score of every entry p[i] with its own kappa[i], in order, as
-    one array rng.beta call: the same draws, and the generator left in the
-    same state, as the scalar calls of sample_beta."""
+    """sample_beta's draw of every entry p[i] with its own kappa[i], in
+    order, as one array rng.beta call: the same draws, and the generator
+    left in the same state, as the scalar calls of sample_beta."""
     if (kappa <= 0).any():
         raise ConfigError(f"kappa must be positive, got {kappa[kappa <= 0][0]}")
     p = np.minimum(np.maximum(p, clamp), 1.0 - clamp)
@@ -90,5 +88,6 @@ def sample_scores(
     Draws are consumed in sorted offer_id order, which fixes the RNG
     stream and makes rankings reproducible for a given seed.
     """
-    return {oid: sample_score(probs[oid], kappa, rng, clamp) for oid in sorted(probs)}
+    ids = sorted(probs)
+    return dict(zip(ids, sample_beta([probs[oid] for oid in ids], kappa, rng, clamp)))
 

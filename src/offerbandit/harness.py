@@ -468,7 +468,6 @@ def run_replay(
     """
     rng = np.random.default_rng(seed)
     offers_sorted = sorted(dataset.offers, key=lambda o: o.offer_id)
-    trajectories = TrajectoryStore(thin_every)
     skip = {"rounds_without_candidates": 0, "shown_offers_not_featurized": 0}
     impressions = []
     rounds = []
@@ -495,9 +494,13 @@ def run_replay(
     # featurized and scaled before the first is played.
     batch = scaled_rounds(dataset, rounds, features)
     del rounds
-    play = _replay_camb if isinstance(policy, CambPolicy) else _replay_rounds
+    if isinstance(policy, CambPolicy):
+        played, trajectories = _replay_camb(batch, shown, policy, rng, thin_every)
+    else:
+        trajectories = TrajectoryStore(thin_every)
+        played = _replay_rounds(batch, shown, policy, rng, trajectories)
     records: list[RoundRecord] = []
-    for imp, (t, offers, ranking) in zip(impressions, play(batch, shown, policy, rng, trajectories)):
+    for imp, (t, offers, ranking) in zip(impressions, played):
         top = ranking.top
         matched = top in imp.offers_shown
         records.append(
@@ -531,22 +534,26 @@ def _replay_rounds(
 
 def _replay_camb(
     batch: RoundBatch, shown: list[list[tuple[int, int]]], policy: CambPolicy, rng: np.random.Generator,
-    trajectories: TrajectoryStore,
-) -> Iterator[tuple[int, OfferRound, Ranking]]:
+    thin_every: int,
+) -> tuple[Iterator[tuple[int, OfferRound, Ranking]], TrajectoryStore]:
     """Replay camb in one training pass over the whole log, with the
     rankings, store and trajectory of _replay_rounds (see _camb_scores)."""
-    probs, sampled = _camb_scores(batch, shown, policy, rng, trajectories)
+    probs, sampled, trajectories = _camb_scores(batch, shown, policy, rng, thin_every)
     ob = batch.offer_bounds.tolist()
-    for t, (offers, a, b) in enumerate(zip(offer_rounds(batch), ob, ob[1:]), start=1):
-        yield t, offers, offers.ranking(probs[a:b].tolist(), sampled[a:b].tolist())
+    played = (
+        (t, offers, offers.ranking(probs[a:b].tolist(), sampled[a:b].tolist()))
+        for t, (offers, a, b) in enumerate(zip(offer_rounds(batch), ob, ob[1:]), start=1)
+    )
+    return played, trajectories
 
 
 def _camb_scores(
     batch: RoundBatch, shown: list[list[tuple[int, int]]], policy: CambPolicy, rng: np.random.Generator,
-    trajectories: TrajectoryStore,
-) -> tuple[np.ndarray, np.ndarray]:
+    thin_every: int,
+) -> tuple[np.ndarray, np.ndarray, TrajectoryStore]:
     """Every offer slot's probability and sampled score, as
-    CambPolicy.select scores them round by round between the updates.
+    CambPolicy.select scores them round by round between the updates,
+    and the trajectory of those updates, thinned to one in thin_every.
 
     The events are the rows of every round's shown offers, in
     offers_shown order, each offer's rows in category order: the updates
@@ -573,12 +580,14 @@ def _camb_scores(
         store.rows(ev_members, ev_categories), batch.X[events], y.repeat(sizes), row_round[events],
         store.find(row_member, batch.categories), batch.X, row_round, learner,
     )
-    trajectories.extend(ev_members, ev_categories, W_after, n_after, np.arange(1, len(events) + 1))
+    trajectories = TrajectoryStore.from_columns(
+        ev_members, ev_categories, W_after.tolist(), n_after.tolist(), list(range(1, len(events) + 1)), thin_every
+    )
     probs = offer_probabilities(p, weights, starts, batch.mf_scores, learner.mf_bias_coeff)
     kappa = np.array([kappa_at(t, exploration) for t in range(len(batch))])
     sampled = np.empty_like(probs)
     sampled[order] = sample_beta_rows(probs[order], kappa[round_of[order]], rng, exploration.probability_clamp)
-    return probs, sampled
+    return probs, sampled, trajectories
 
 
 def backfit_events(dataset: ReplayDataset, features: FeaturesSection) -> tuple[RoundBatch, np.ndarray, dict[str, int]]:

@@ -87,55 +87,30 @@ class TrajectoryStore:
         self._weights.append(weights.tolist())
         self._by_pair = None
 
-    def extend(self, member_ids: Sequence[str], category_ids: Sequence[str], weights: np.ndarray,
-               update_counts: np.ndarray, t: np.ndarray) -> None:
-        """record() of every snapshot i, in order, as columns: weights is a
-        float[n, N_FEATURES] array, update_counts and t integer arrays.
-        Raises record()'s ValueError for the first snapshot whose t does
-        not advance past its pair's last kept one, recording none."""
-        codes, n_codes = self._codes, len(self._offered)
-        get = codes.get
-        new: dict[tuple[str, str], int] = {}
-        pair = np.array([
-            code if (code := get(key)) is not None else new.setdefault(key, n_codes + len(new))
-            for key in zip(member_ids, category_ids)
-        ], dtype=np.intp)
-        n = len(pair)
-        if not n:
-            return
-        # Snapshots grouped by pair code, each group in order, and each
-        # one's place among the snapshots offered for its pair.
-        order = np.argsort(pair, kind="stable")
-        grouped = pair[order]
-        first = np.r_[True, grouped[1:] != grouped[:-1]]
-        group_start = np.maximum.accumulate(np.where(first, np.arange(n), 0))
-        offered = np.array(self._offered + [0] * len(new), dtype=np.int64)
-        place = offered[grouped] + np.arange(n) - group_start
-        kept = place % self.thin_every == 0
-        # Each snapshot's t must pass the t of its pair's last kept
-        # snapshot before it: in this block, else the last one recorded
-        # (a new pair's first snapshot has none and is always kept).
-        t_grouped = t[order]
-        last_kept = np.maximum.accumulate(np.where(kept, np.arange(n), -1))
-        before = np.r_[-1, last_kept[:-1]]
-        last_t = np.array(self._last_t + [np.iinfo(np.int64).min] * len(new), dtype=np.int64)
-        floor = np.where(before >= group_start, t_grouped[np.maximum(before, 0)], last_t[grouped])
-        stale = np.flatnonzero(t_grouped <= floor)
-        if len(stale):
-            i = stale[order[stale].argmin()]
-            key = next(k for k, c in chain(codes.items(), new.items()) if c == grouped[i])
-            raise ValueError(f"snapshot t={t_grouped[i]} does not advance past t={floor[i]} for {key}")
-        codes.update(new)
-        last = np.flatnonzero(np.r_[first[1:], True] & (last_kept >= group_start))
-        offered += np.bincount(pair, minlength=len(offered))
-        last_t[grouped[last]] = t_grouped[last_kept[last]]
-        self._offered, self._last_t = offered.tolist(), last_t.tolist()
-        keep = np.sort(order[kept])
-        self._t += t[keep].tolist()
-        self._pair += pair[keep].tolist()
-        self._update_count += update_counts[keep].tolist()
-        self._weights += weights[keep].tolist()
-        self._by_pair = None
+    @classmethod
+    def from_columns(cls, member_ids: Sequence[str], category_ids: Sequence[str], weights: list[list[float]],
+                     update_counts: list[int], t: list[int], thin_every: int = 1) -> "TrajectoryStore":
+        """The store that record() of every snapshot i, in order, leaves in
+        a new store, its columns taken as they are when none is thinned
+        out: weights is a list of float lists, update_counts and t lists
+        of ints. t must rise within each pair, which is not checked."""
+        store = cls(thin_every)
+        codes = store._codes
+        pair = [codes.setdefault(key, len(codes)) for key in zip(member_ids, category_ids)]
+        store._pair, store._weights, store._update_count, store._t = pair, weights, update_counts, t
+        order, starts = store._index()
+        store._offered = np.diff(starts).tolist()
+        if thin_every > 1:
+            # Each snapshot's place among those offered for its pair.
+            place = np.empty(len(pair), dtype=np.intp)
+            place[order] = np.arange(len(pair)) - np.repeat(starts[:-1], store._offered)
+            keep = np.flatnonzero(place % thin_every == 0).tolist()
+            columns = (pair, weights, update_counts, t)
+            store._pair, store._weights, store._update_count, store._t = ([c[i] for i in keep] for c in columns)
+            store._by_pair = None
+            order, starts = store._index()
+        store._last_t = np.array(store._t, dtype=np.int64)[order][starts[1:] - 1].tolist()
+        return store
 
     def _index(self) -> tuple[np.ndarray, np.ndarray]:
         """Snapshot indices grouped by pair code, each group in record
@@ -200,18 +175,8 @@ class TrajectoryStore:
                     return row, f"snapshot t={t} does not advance past t={last[key]} for {key}"
                 last[key] = t
 
-        def build(members: list, categories: list, weights: list, counts: list, ts: list) -> TrajectoryStore:
-            store = cls()
-            store._weights, store._update_count, store._t = weights, counts, ts
-            codes = store._codes
-            store._pair = [codes.setdefault(key, len(codes)) for key in zip(members, categories)]
-            order, starts = store._index()
-            store._offered = np.diff(starts).tolist()
-            store._last_t = np.array(ts, dtype=np.int64)[order][starts[1:] - 1].tolist()
-            return store
-
         fields = ("member_id", "category_id", "weights", "update_count", "t")
-        return read_state_file(path, "trajectory", FEATURE_ORDER_VERSION, N_FEATURES, fields, stale_t, build)[1]
+        return read_state_file(path, "trajectory", FEATURE_ORDER_VERSION, N_FEATURES, fields, stale_t, cls.from_columns)[1]
 
 
 @dataclass

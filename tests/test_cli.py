@@ -4,7 +4,6 @@ import math
 import typing
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from offerbandit.bandit import DIVERGED
@@ -288,21 +287,29 @@ class TestBackfitAndReplay:
         assert manifest["command"] == "replay"
         assert "replayed" in capsys.readouterr().out
 
-    def test_replay_with_a_diverging_learning_rate_exits_1(self, demo_data, tmp_path, capsys):
-        out = tmp_path / "replay_diverged"
+    @staticmethod
+    def assert_diverges(demo_data, tmp_path, capsys, command, written):
+        out = tmp_path / f"{command}_diverged"
         cfg = write_config(
-            tmp_path / "replay_diverged.json",
+            tmp_path / f"{command}_diverged.json",
             policy="camb",
             learner={"learning_rate": 1e308},
             data=data_section(demo_data),
             run={"seed": 2, "out_dir": str(out)},
         )
-        with np.errstate(over="ignore"):
-            assert main(["replay", "--config", cfg]) == 1
-        error = stderr_error(capsys)
-        assert error["error"] == "runtime"
-        assert error["message"] == DIVERGED
-        assert not (out / "rounds.jsonl").exists()
+        assert main([command, "--config", cfg]) == 1
+        # Under the suite's error::RuntimeWarning, a numpy overflow warning
+        # would surface here instead of the divergence error.
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0]) == {"error": "runtime", "message": DIVERGED}
+        assert not (out / written).exists()
+
+    def test_backfit_with_a_diverging_learning_rate_exits_1(self, demo_data, tmp_path, capsys):
+        self.assert_diverges(demo_data, tmp_path, capsys, "backfit", "checkpoint.jsonl")
+
+    def test_replay_with_a_diverging_learning_rate_exits_1(self, demo_data, tmp_path, capsys):
+        self.assert_diverges(demo_data, tmp_path, capsys, "replay", "rounds.jsonl")
 
     def test_replay_can_start_from_backfit_checkpoint(self, demo_data, backfit_dir, tmp_path):
         out = tmp_path / "replay_warm"

@@ -75,48 +75,41 @@ class TestTrajectoryStore:
         assert kept == [1, 11, 21, 31, 41, 51, 61, 71, 81, 91]
 
     @pytest.mark.parametrize("thin_every", [1, 3])
-    def test_extend_saves_the_bytes_of_per_snapshot_records(self, tmp_path, thin_every):
+    def test_from_columns_is_record_of_every_snapshot(self, tmp_path, thin_every):
         rng = np.random.default_rng(thin_every)
-        before = [("m1", "cA", 1), ("m2", "cA", 2), ("m1", "cA", 4), ("m1", "cB", 5)]
         keys = [("m1", "cA"), ("m2", "cA"), ("m1", "cB"), ("m3", "cC")]
         block = [keys[i] for i in rng.integers(len(keys), size=40)]
         W = rng.normal(size=(40, 9))
-        counts = rng.integers(1, 50, size=40)
-        t = np.arange(6, 46)
-        stores = TrajectoryStore(thin_every), TrajectoryStore(thin_every)
-        for store in stores:
-            for m, c, at in before:
-                store.record(m, c, np.full(9, float(at)), at, at)
-        for (m, c), w, n, at in zip(block, W, counts.tolist(), t.tolist()):
-            stores[0].record(m, c, w, n, at)
-        stores[1].extend([m for m, _ in block], [c for _, c in block], W, counts, t)
-        for name, store in zip("ab", stores):
-            store.save(tmp_path / f"{name}.jsonl")
-        assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
-        assert stores[0]._offered == stores[1]._offered and stores[0]._last_t == stores[1]._last_t
-        # A pair first offered in the block keeps its last t from it.
-        assert ("m3", "cC") in block
-        with pytest.raises(ValueError) as per_record:
-            stores[0].record("m3", "cC", W[0], 1, 6)
-        with pytest.raises(ValueError) as columns:
-            stores[1].extend(["m3"], ["cC"], W[:1], counts[:1], np.array([6]))
-        assert str(per_record.value) == str(columns.value)
+        counts = rng.integers(1, 50, size=40).tolist()
+        t = list(range(1, 41))
+        per_record = TrajectoryStore(thin_every)
+        for (m, c), w, n, at in zip(block, W, counts, t):
+            per_record.record(m, c, w, n, at)
+        columns = TrajectoryStore.from_columns(
+            [m for m, _ in block], [c for _, c in block], W.tolist(), counts, t, thin_every
+        )
+        stores = per_record, columns
 
-    @pytest.mark.parametrize("thin_every", [1, 3])
-    def test_extend_rejects_a_stale_t_as_record_does_recording_none(self, thin_every):
-        members, categories = ["m1", "m2", "m1", "m1", "m2"], ["cA", "cA", "cA", "cA", "cA"]
-        t = np.array([5, 6, 7, 2, 8])  # t=2 does not advance for (m1, cA)
-        W, counts = np.zeros((5, 9)), np.arange(1, 6)
-        per_record, columns = TrajectoryStore(thin_every), TrajectoryStore(thin_every)
-        per_record.record("m1", "cA", W[0], 1, 2)
-        columns.record("m1", "cA", W[0], 1, 2)
-        with pytest.raises(ValueError) as expected:
-            for args in zip(members, categories, W, counts.tolist(), t.tolist()):
-                per_record.record(*args)
-        with pytest.raises(ValueError) as got:
-            columns.extend(members, categories, W, counts, t)
-        assert str(got.value) == str(expected.value)
-        assert columns.pairs() == [("m1", "cA")] and len(columns.series("m1", "cA")) == 1
+        def saved():
+            for name, store in zip("ab", stores):
+                store.save(tmp_path / f"{name}.jsonl")
+            return [(tmp_path / f"{name}.jsonl").read_bytes() for name in "ab"]
+
+        a, b = saved()
+        assert a == b
+        assert per_record._offered == columns._offered and per_record._last_t == columns._last_t
+        # A later record continues as it would have: a t that does not
+        # advance is refused alike, and the next snapshots are thinned alike.
+        for i, (m, c) in enumerate(keys):
+            errors = []
+            for store in stores:
+                with pytest.raises(ValueError) as stale:
+                    store.record(m, c, W[i], 1, 1)
+                errors.append(str(stale.value))
+                store.record(m, c, W[i], 1, 41 + i)
+            assert errors[0] == errors[1]
+        a, b = saved()
+        assert a == b
 
     def test_thinning_validates_config(self):
         with pytest.raises(ConfigError):
@@ -139,6 +132,18 @@ class TestTrajectoryStore:
             assert loaded.series(*pair) == store.series(*pair)
         loaded.save(again)
         assert again.read_bytes() == path.read_bytes()
+
+    def test_a_loaded_store_refuses_a_stale_t_as_the_saved_one_does(self, tmp_path):
+        store = TrajectoryStore()
+        for t, (m, c) in enumerate([("m1", "cA"), ("m2", "cA"), ("m1", "cA"), ("m1", "cB")], start=1):
+            store.record(m, c, np.full(9, float(t)), t, t)
+        store.save(tmp_path / "traj.jsonl")
+        errors = []
+        for s in (store, TrajectoryStore.load(tmp_path / "traj.jsonl")):
+            with pytest.raises(ValueError, match="does not advance") as stale:
+                s.record("m1", "cA", np.zeros(9), 5, 3)
+            errors.append(str(stale.value))
+        assert errors[0] == errors[1]
 
     def test_save_writes_feature_order_header(self, tmp_path):
         store = TrajectoryStore()

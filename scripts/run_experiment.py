@@ -6,6 +6,8 @@ reports mean final regret, optimal-action rate and cumulative reward.
 Results go to stdout as a table and to --out as experiment.csv.
 
     python3 scripts/run_experiment.py --rounds 3000 --seeds 10 --out runs/compare
+
+A bad argument exits 2 with a one-line error on stderr.
 """
 
 import argparse
@@ -16,8 +18,23 @@ import numpy as np
 
 from offerbandit.bandit import LearnerConfig
 from offerbandit.baselines import POLICY_NAMES, make_policy
+from offerbandit.errors import ConfigError
 from offerbandit.exploration import ExplorationConfig
 from offerbandit.harness import SyntheticWorld, SyntheticWorldConfig, run_synthetic
+
+
+class Parser(argparse.ArgumentParser):
+    """Reports a bad argument in one line, without the usage."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def at_least_1(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def run_one(policy_name: str, seed: int, rounds: int, learner, exploration):
@@ -35,21 +52,24 @@ def run_one(policy_name: str, seed: int, rounds: int, learner, exploration):
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--rounds", type=int, default=3000)
-    parser.add_argument("--seeds", type=int, default=10, help="number of seeds (0..n-1)")
-    parser.add_argument("--policies", nargs="+", default=list(POLICY_NAMES))
+    parser = Parser(description=__doc__)
+    parser.add_argument("--rounds", type=at_least_1, default=3000)
+    parser.add_argument("--seeds", type=at_least_1, default=10, help="number of seeds (0..n-1)")
+    parser.add_argument("--policies", nargs="+", choices=POLICY_NAMES, default=list(POLICY_NAMES))
     parser.add_argument("--kappa", type=float, default=10.0)
     parser.add_argument("--kappa-growth", type=float, default=0.01)
     parser.add_argument("--out", default="runs/experiment")
     args = parser.parse_args()
 
     learner = LearnerConfig()
-    exploration = ExplorationConfig(
-        kappa_initial=args.kappa,
-        kappa_schedule="linear_growth" if args.kappa_growth > 0 else "constant",
-        kappa_growth_rate=args.kappa_growth,
-    )
+    try:
+        exploration = ExplorationConfig(
+            kappa_initial=args.kappa,
+            kappa_schedule="linear_growth" if args.kappa_growth > 0 else "constant",
+            kappa_growth_rate=args.kappa_growth,
+        )
+    except ConfigError as exc:
+        parser.error(str(exc))
 
     rows = []
     for policy_name in args.policies:

@@ -19,16 +19,12 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .data import read_state_file, write_state_file
+from .data import MAX_INPUT_MAGNITUDE, read_state_file, write_state_file
 from .errors import ConfigError, bounded, check_fields
 from .features import FEATURE_NAMES, FEATURE_ORDER_VERSION, N_FEATURES, RoundBatch
 
 # Probabilities are clamped away from {0, 1} before the logit transform.
 LOGIT_CLAMP = 1e-6
-
-# ModelStore.train_as_of gathers the weights it predicts with this many
-# rows at a time, which bounds its temporaries whatever the log's length.
-AS_OF_CHUNK = 4096
 
 DIVERGED = "model weights diverged to non-finite values; learning_rate is too large for the feature scale"
 
@@ -62,7 +58,7 @@ class LearnerConfig:
 
     learning_rate: float = bounded(0.05, lo=0, open=True)
     positive_boost: float = bounded(2.0, lo=1)
-    mf_bias_coeff: float = 1.0
+    mf_bias_coeff: float = bounded(1.0, lo=-MAX_INPUT_MAGNITUDE, hi=MAX_INPUT_MAGNITUDE)
     l2_lambda: float = bounded(0.0, lo=0)
     prior_weights: list[float] | None = None
 
@@ -335,35 +331,26 @@ class ModelStore:
         under row at[i]'s weights as they stood before at_when[i].
 
         Event e happens at time when[e], which never falls as e rises; at
-        holds rows or -1 (an unseen pair, read as the prior). Row at[i]
-        reads the weights after its last event with when < at_when[i] (a
-        searchsorted over (row, when) keys), or, without one, the weights it
-        started with. Only the trained rows' starting weights are copied,
-        and the weights read are gathered AS_OF_CHUNK rows at a time.
-        Returns the predictions, then each event's weights and update count
-        after its step.
+        holds rows or -1 (an unseen pair, read as the prior). Each X_at[i]
+        is predicted under row at[i]'s starting weights before training,
+        and again after it where the row has an event with when <
+        at_when[i], under the weights after the last such event (a
+        searchsorted over (row, when) keys). Returns the predictions, then
+        each event's weights and update count after its step.
         """
-        trained = np.unique(rows)
-        start = self._W[trained]
+        W = self._W.take(at, axis=0)
+        W[at < 0] = self.prior
+        p = sigmoid_rows(np.einsum("ij,ij->i", W, X_at))
+        del W
         _, W_after, n_after = self.train(rows, X, y, cfg, history=True)
         # Events sorted by row, each row's in event order, so by (row, when).
         order = np.argsort(rows, kind="stable")
         span = int(max(when[-1], at_when.max(initial=0))) + 1 if len(rows) else 1
         keys = rows[order] * span + when[order]
-        p = np.empty(len(at))
-        for c in range(0, len(at), AS_OF_CHUNK):
-            a = at[c:c + AS_OF_CHUNK]
-            W = self._W.take(a, axis=0)
-            W[a < 0] = self.prior
-            if len(trained):
-                s = np.minimum(np.searchsorted(trained, a), len(trained) - 1)
-                started = trained[s] == a
-                W[started] = start[s[started]]
-                j = np.searchsorted(keys, a * span + at_when[c:c + AS_OF_CHUNK]) - 1
-                seen = j >= 0
-                seen[seen] = rows[order[j[seen]]] == a[seen]
-                W[seen] = W_after[order[j[seen]]]
-            p[c:c + AS_OF_CHUNK] = sigmoid_rows(np.einsum("ij,ij->i", W, X_at[c:c + AS_OF_CHUNK]))
+        j = np.searchsorted(keys, at * span + at_when) - 1
+        seen = j >= 0
+        seen[seen] = rows[order[j[seen]]] == at[seen]
+        p[seen] = sigmoid_rows(np.einsum("ij,ij->i", W_after[order[j[seen]]], X_at[seen]))
         return p, W_after, n_after
 
     def __len__(self) -> int:

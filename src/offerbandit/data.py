@@ -51,6 +51,10 @@ MF_SCORE_FIELDS = ("member_id", "offer_id", "score")
 # deviations of at least 0.2 and sums them against features of a few tens
 # at most, so below 1e100 its logits stay far inside the float64 range.
 # Near 1e308 that division overflows and a simulate's regret is NaN.
+# learner.mf_bias_coeff and synthetic.mf_bias_coeff are bounded in
+# magnitude too. An offer's logit adds the coefficient times its mf score,
+# itself of magnitude at most 1e100, so the product stays at most 1e200.
+# Near 1e308 that product overflows.
 MAX_INPUT_MAGNITUDE = 1e100
 
 

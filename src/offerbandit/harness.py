@@ -40,6 +40,7 @@ from .features import (
     N_FEATURES,
     RoundBatch,
     RunningScaler,
+    _expand,
     build_seasonality_profile,
     featurize_rounds,
     scale_rounds,
@@ -78,7 +79,7 @@ class WorldShape:
     weight_scale: float = bounded(0.7, lo=0, hi=MAX_INPUT_MAGNITUDE)
     bias_mean: float = -0.4
     bias_scale: float = bounded(0.3, lo=0)
-    mf_bias_coeff: float = 0.0
+    mf_bias_coeff: float = bounded(0.0, lo=-MAX_INPUT_MAGNITUDE, hi=MAX_INPUT_MAGNITUDE)
 
     def __post_init__(self) -> None:
         check_fields(self)
@@ -463,8 +464,9 @@ def run_replay(
     was clipped. Every shown offer trains the policy with its logged
     outcome, clipped as y=1, shown-but-unclipped as y=0, whatever the
     policy chose. camb's learning thus never depends on its choices, and
-    it plays the log in one training pass (_replay_camb); the other
-    policies select and update round by round (_replay_rounds).
+    it plays the log in one training pass (_camb_scores), with the
+    rankings, store and trajectory of the round-by-round select and
+    update that the other policies play (_replay_rounds).
     """
     rng = np.random.default_rng(seed)
     offers_sorted = sorted(dataset.offers, key=lambda o: o.offer_id)
@@ -495,7 +497,12 @@ def run_replay(
     batch = scaled_rounds(dataset, rounds, features)
     del rounds
     if isinstance(policy, CambPolicy):
-        played, trajectories = _replay_camb(batch, shown, policy, rng, thin_every)
+        probs, sampled, trajectories = _camb_scores(batch, shown, policy, rng, thin_every)
+        ob = batch.offer_bounds.tolist()
+        played = (
+            (t, offers, offers.ranking(probs[a:b].tolist(), sampled[a:b].tolist()))
+            for t, (offers, a, b) in enumerate(zip(offer_rounds(batch), ob, ob[1:]), start=1)
+        )
     else:
         trajectories = TrajectoryStore(thin_every)
         played = _replay_rounds(batch, shown, policy, rng, trajectories)
@@ -532,21 +539,6 @@ def _replay_rounds(
         yield t, offers, ranking
 
 
-def _replay_camb(
-    batch: RoundBatch, shown: list[list[tuple[int, int]]], policy: CambPolicy, rng: np.random.Generator,
-    thin_every: int,
-) -> tuple[Iterator[tuple[int, OfferRound, Ranking]], TrajectoryStore]:
-    """Replay camb in one training pass over the whole log, with the
-    rankings, store and trajectory of _replay_rounds (see _camb_scores)."""
-    probs, sampled, trajectories = _camb_scores(batch, shown, policy, rng, thin_every)
-    ob = batch.offer_bounds.tolist()
-    played = (
-        (t, offers, offers.ranking(probs[a:b].tolist(), sampled[a:b].tolist()))
-        for t, (offers, a, b) in enumerate(zip(offer_rounds(batch), ob, ob[1:]), start=1)
-    )
-    return played, trajectories
-
-
 def _camb_scores(
     batch: RoundBatch, shown: list[list[tuple[int, int]]], policy: CambPolicy, rng: np.random.Generator,
     thin_every: int,
@@ -573,12 +565,15 @@ def _camb_scores(
     k, y = np.array([e for trained in shown for e in trained], dtype=np.intp).reshape(-1, 2).T
     slots = k + np.repeat(batch.offer_bounds[:-1], [len(trained) for trained in shown])
     sizes = batch.sizes[slots]
-    events = np.arange(sizes.sum()) + np.repeat(starts[slots] - (np.cumsum(sizes) - sizes), sizes)
+    events = _expand(starts[slots], sizes)
     ev_members = [row_member[r] for r in events.tolist()]
     ev_categories = [batch.categories[r] for r in events.tolist()]
+    # The events' pairs take their rows first, so the candidate rows found
+    # next include every pair trained.
+    ev_rows = store.rows(ev_members, ev_categories)
+    at = store.find(row_member, batch.categories)
     p, W_after, n_after = store.train_as_of(
-        store.rows(ev_members, ev_categories), batch.X[events], y.repeat(sizes), row_round[events],
-        store.find(row_member, batch.categories), batch.X, row_round, learner,
+        ev_rows, batch.X[events], y.repeat(sizes), row_round[events], at, batch.X, row_round, learner
     )
     trajectories = TrajectoryStore.from_columns(
         ev_members, ev_categories, W_after.tolist(), n_after.tolist(), list(range(1, len(events) + 1)), thin_every

@@ -599,6 +599,9 @@ class TestConfigRanges:
         ("synthetic", "weight_scale", 1e308),  # overflowed the world's weights into a NaN regret
         ("synthetic", "bias_scale", -1.0),
         ("learner", "l2_lambda", 1e308),  # learning_rate * l2_lambda must be < 2
+        ("learner", "mf_bias_coeff", 1e308),  # overflowed its product with an mf score
+        ("learner", "mf_bias_coeff", -1e308),
+        ("synthetic", "mf_bias_coeff", 1e308),
     ])
     def test_camb_simulate_exits_2_naming_the_key(self, tmp_path, capsys, section, key, value):
         # Every section is checked at load, not only the chosen policy's.
@@ -635,6 +638,7 @@ EDGES = [
     ("learner", "learning_rate", [TINY], [0.0]),
     ("learner", "positive_boost", [1.0], [BELOW_1]),
     ("learner", "l2_lambda", [0.0], [-TINY]),
+    ("learner", "mf_bias_coeff", [-1e100, 1e100], [-ABOVE_1E100, ABOVE_1E100]),
     ("exploration", "kappa_initial", [TINY], [0.0]),
     ("exploration", "kappa_growth_rate", [0.0], [-TINY]),
     ("exploration", "probability_clamp", [TINY, math.nextafter(0.5, 0.0)], [0.0, 0.5]),
@@ -649,6 +653,7 @@ EDGES = [
     ("synthetic", "max_categories_per_offer", [1, 5], [0, 6]),
     ("synthetic", "weight_scale", [0.0, 1e100], [-TINY, ABOVE_1E100]),
     ("synthetic", "bias_scale", [0.0], [-TINY]),
+    ("synthetic", "mf_bias_coeff", [-1e100, 1e100], [-ABOVE_1E100, ABOVE_1E100]),
     ("synthetic", "world_seed", [0], [-1]),
     ("run", "seed", [0], [-1]),
     ("run", "rounds", [1], [0]),
@@ -661,7 +666,7 @@ EDGES = [
     ("mf", "regularization", [0.0], [-TINY]),
 ]
 # Numeric keys that no range bounds, each on purpose for now.
-UNBOUNDED = {"learner.mf_bias_coeff", "synthetic.bias_mean", "synthetic.mf_bias_coeff"}
+UNBOUNDED = {"synthetic.bias_mean"}
 # The other values of a section that an edge value needs to load.
 CONTEXT = {("synthetic", "n_categories"): {"max_categories_per_offer": 1}}
 

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import offerbandit.bandit as bandit_module
 from conftest import each_round, make_round, member_stats, offer_rows, scale_round, stack_contexts, transaction_log
 from offerbandit.bandit import (
     LearnerConfig,
@@ -768,7 +767,6 @@ class TestCambReplay:
 
     def test_equals_a_per_round_select_and_update_reference(self, warm_replay, monkeypatch):
         dataset, checkpoint, exploration = warm_replay
-        monkeypatch.setattr(bandit_module, "AS_OF_CHUNK", 7)  # many chunks of candidate rows
         camb = make_policy("camb", LEARNER, exploration, store=load_checkpoint(checkpoint)[0])
         reference = make_policy("camb", LEARNER, exploration, store=load_checkpoint(checkpoint)[0])
         reference_rng = np.random.default_rng(7)

@@ -280,6 +280,14 @@ class ModelStore:
             W[np.array(rows) < 0] = self.prior
         return sigmoid_rows(np.einsum("ij,ij->i", W, X))
 
+    def predict_at(self, at: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """Each row X[i] predicted under row at[i]'s weights, or under the
+        prior where at[i] is -1 (an unseen pair, as find() gives it): the
+        rows of many members in one gather."""
+        W = self._W.take(at, axis=0)
+        W[at < 0] = self.prior
+        return sigmoid_rows(np.einsum("ij,ij->i", W, X))
+
     def train(self, rows: np.ndarray, X: np.ndarray, y: np.ndarray, cfg: LearnerConfig,
               history: bool = False) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
         """Apply the events (rows[e], X[e], y[e]) in event order with the
@@ -338,10 +346,7 @@ class ModelStore:
         searchsorted over (row, when) keys). Returns the predictions, then
         each event's weights and update count after its step.
         """
-        W = self._W.take(at, axis=0)
-        W[at < 0] = self.prior
-        p = sigmoid_rows(np.einsum("ij,ij->i", W, X_at))
-        del W
+        p = self.predict_at(at, X_at)
         _, W_after, n_after = self.train(rows, X, y, cfg, history=True)
         # Events sorted by row, each row's in event order, so by (row, when).
         order = np.argsort(rows, kind="stable")

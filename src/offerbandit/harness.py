@@ -4,13 +4,17 @@ Both entry points scale their rounds as batches and build every round's
 offers once per batch (offer_rounds), then drive the same round loop:
 let the policy rank the round's offers, observe a reward, update the
 policy, log the round. Only the work that reads or changes what the
-policy has learned runs round by round. camb's replay is the exception:
-its updates do not depend on its choices, so it trains once over the
-whole log and ranks every round against the weights of that round's
-moment, with the same results. run_synthetic scores against a
-world with known ground truth, so regret and optimal-action rate are
-exact; run_replay scores against logged impressions with a top-1
-rejection-match estimator, whose metrics are biased and labeled as such.
+policy has learned runs round by round. camb ranks more at once, with
+the same results, because its models are per (member, category) pair:
+in simulation it scores each segment, a maximal run of rounds with
+distinct members, before the segment's first update, since no update
+in a segment changes another of its rounds' scores; in replay its
+updates do not depend on its choices, so it trains once over the whole
+log and ranks every round against the weights of that round's moment.
+run_synthetic scores against a world with known ground truth, so regret
+and optimal-action rate are exact; run_replay scores against logged
+impressions with a top-1 rejection-match estimator, whose metrics are
+biased and labeled as such.
 
 Outputs are byte-identical across reruns with the same config and seed.
 """
@@ -29,7 +33,7 @@ import numpy as np
 
 from .baselines import CambPolicy, OfferRound, Policy, Ranking
 from .bandit import offer_probabilities, sigmoid_rows
-from .data import MAX_INPUT_MAGNITUDE, Impression, MFScoreTable, Offer, TransactionLog, write_csv, write_json, write_jsonl
+from .data import MAX_INPUT_MAGNITUDE, Impression, MFScoreTable, Offer, TransactionLog, write_csv, write_json
 from .errors import ConfigError, bounded, check_fields
 from .exploration import kappa_at, sample_beta_rows
 from .features import (
@@ -324,18 +328,19 @@ def offer_layout(batch: RoundBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     return starts, weights, round_of, np.lexsort((np.array(batch.offer_ids, dtype=str), round_of))
 
 
-def offer_rounds(batch: RoundBatch) -> Iterator[OfferRound]:
+def offer_rounds(batch: RoundBatch, layout: tuple | None = None) -> Iterator[OfferRound]:
     """Each round of a scaled batch as its policy sees it.
 
     Each offer's offer vector is the share-weighted sum of its rows
-    (offer_layout). It, each offer's first row within its round and each
-    round's offers in sorted-id order are worked out once for the whole
-    batch, with reduceat over each offer's rows. Every round holds slices
-    of the batch's lists and views of its arrays.
+    (offer_layout, or the layout given, which must be the batch's). It,
+    each offer's first row within its round and each round's offers in
+    sorted-id order are worked out once for the whole batch, with
+    reduceat over each offer's rows. Every round holds slices of the
+    batch's lists and views of its arrays.
     """
-    starts, weights, round_of, by_id = offer_layout(batch)
+    starts, weights, round_of, by_id = layout or offer_layout(batch)
     pooled = np.add.reduceat(weights[:, None] * batch.X, starts, axis=0)
-    starts -= batch.row_bounds[round_of]
+    starts = starts - batch.row_bounds[round_of]
     by_id = (by_id - batch.offer_bounds[round_of]).tolist()
     ids, cats, X, mf, true_p = batch.offer_ids, batch.categories, batch.X, batch.mf_scores, batch.true_p
     ob, rb = batch.offer_bounds.tolist(), batch.row_bounds.tolist()
@@ -354,6 +359,78 @@ def _policy_rounds(
     harnesses. Only select and the caller's update run per round."""
     for i, offers in enumerate(offer_rounds(batch), start=t):
         yield i, offers, policy.select(offers, rng, i)
+
+
+def _row_members(batch: RoundBatch) -> list[str]:
+    """Each row's member in a batch: round i's for its rows."""
+    return list(chain.from_iterable(map(repeat, batch.members, np.diff(batch.row_bounds).tolist())))
+
+
+def _segment_bounds(members: Sequence[str]) -> list[int]:
+    """The first round of each segment of the rounds, then the number of
+    rounds. A segment is a maximal run of consecutive rounds whose members
+    are all distinct: it ends just before the first round whose member
+    it already holds."""
+    bounds, seen = [0], set()
+    for i, member in enumerate(members):
+        if member in seen:
+            bounds.append(i)
+            seen = set()
+        seen.add(member)
+    bounds.append(len(members))
+    return bounds
+
+
+def _camb_rounds(batch: RoundBatch, policy: CambPolicy, rng: np.random.Generator, t: int
+                 ) -> Iterator[tuple[int, OfferRound, Ranking]]:
+    """_policy_rounds for camb: each round of a scaled batch numbered from
+    t with the ranking CambPolicy.select gives it, scored a segment
+    (_segment_bounds) at a time.
+
+    A round's update changes only its own member's models, and no other
+    round of its segment reads them, so every round of a segment scores
+    the same before the segment's first update as just before its own.
+    A segment is scored when its first round is asked for, after the
+    caller has updated the policy with every earlier round: one gather
+    of all its rows' models, then _offer_scores.
+    """
+    layout = offer_layout(batch)
+    starts, weights, round_of, order = layout
+    store = policy.store
+    row_member = _row_members(batch)
+    ob, rb = batch.offer_bounds.tolist(), batch.row_bounds.tolist()
+    rounds = offer_rounds(batch, layout)
+    bounds = _segment_bounds(batch.members)
+    for a, b in zip(bounds, bounds[1:]):
+        r0, r1, s0, s1 = rb[a], rb[b], ob[a], ob[b]
+        p = store.predict_at(store.find(row_member[r0:r1], batch.categories[r0:r1]), batch.X[r0:r1])
+        probs, sampled = _offer_scores(p, weights[r0:r1], starts[s0:s1] - r0, batch.mf_scores[s0:s1],
+                                       round_of[s0:s1] - a, order[s0:s1] - s0, t + a, policy, rng)
+        probs, sampled = probs.tolist(), sampled.tolist()
+        for i, offers in zip(range(a, b), rounds):
+            k0, k1 = ob[i] - s0, ob[i + 1] - s0
+            yield t + i, offers, offers.ranking(probs[k0:k1], sampled[k0:k1])
+
+
+def _offer_scores(p: np.ndarray, weights: np.ndarray, starts: np.ndarray, mf_scores: np.ndarray,
+                  round_of: np.ndarray, order: np.ndarray, t: int, policy: CambPolicy, rng: np.random.Generator
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Each offer slot's probability and sampled score, as CambPolicy.select
+    gives them from its rows' category probabilities p.
+
+    The rows are pooled by offer_probabilities (weights[r] is row r's
+    share, slot k owns the rows from starts[k]). Slot k belongs to round
+    round_of[k], counted from 0 for round t, and one Beta call draws
+    every slot in the given order, by round and then offer id, as
+    select's draws follow one another, each round t + i with
+    kappa_at(t + i - 1).
+    """
+    learner, exploration = policy.learner, policy.exploration
+    probs = offer_probabilities(p, weights, starts, mf_scores, learner.mf_bias_coeff)
+    kappa = np.array([kappa_at(t - 1 + i, exploration) for i in range(round_of.max(initial=-1) + 1)])
+    sampled = np.empty_like(probs)
+    sampled[order] = sample_beta_rows(probs[order], kappa[round_of[order]], rng, exploration.probability_clamp)
+    return probs, sampled
 
 
 def oracle_best(batch: RoundBatch) -> np.ndarray:
@@ -381,7 +458,11 @@ def run_synthetic(
     plays are scaled and assembled; no round's scaling depends on a later
     round, so they get the same bytes. Per round: rank, reward the top
     choice when the round's uniform falls below its true probability,
-    update the policy with that single outcome.
+    update the policy with that single outcome. camb ranks a segment of
+    rounds at a time, a maximal run whose members are all distinct
+    (_camb_rounds): no update in a segment changes another of its rounds'
+    scores, so each round gets select's ranking, draws and generator
+    state, while the updates still go one round at a time.
     """
     if rounds < 1:
         raise ConfigError(f"rounds must be >= 1, got {rounds}")
@@ -398,24 +479,27 @@ def run_synthetic(
         best = oracle_best(batch)
         best_ids = [batch.offer_ids[k] for k in best.tolist()]
         best_p = batch.true_p[best].tolist()
-        for t, offers, ranking in _policy_rounds(batch, policy, rng, t0):
-            i = t - t0
-            chosen = offers.candidate(offers.offer_ids.index(ranking.top))
-            y = 1 if draws[i] < chosen.true_p else 0
-            for member_id, category_id, weights, update_count in policy.update(chosen, y):
-                trajectories.record(member_id, category_id, weights, update_count, next(ordinals))
-            records.append(
-                RoundRecord(
-                    t=t,
-                    member_id=offers.member_id,
-                    ranked=_ranked_entries(ranking),
-                    chosen=chosen.offer_id,
-                    y=y,
-                    oracle_best=best_ids[i],
-                    oracle_p=best_p[i],
-                    chosen_true_p=chosen.true_p,
+        play = _camb_rounds if isinstance(policy, CambPolicy) else _policy_rounds
+        # A diverging learning step overflows; the step's finiteness check reports it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t, offers, ranking in play(batch, policy, rng, t0):
+                i = t - t0
+                chosen = offers.candidate(offers.offer_ids.index(ranking.top))
+                y = 1 if draws[i] < chosen.true_p else 0
+                for member_id, category_id, weights, update_count in policy.update(chosen, y):
+                    trajectories.record(member_id, category_id, weights, update_count, next(ordinals))
+                records.append(
+                    RoundRecord(
+                        t=t,
+                        member_id=offers.member_id,
+                        ranked=_ranked_entries(ranking),
+                        chosen=chosen.offer_id,
+                        y=y,
+                        oracle_best=best_ids[i],
+                        oracle_p=best_p[i],
+                        chosen_true_p=chosen.true_p,
+                    )
                 )
-            )
     return RunResult(records, compute_metrics(records), trajectories)
 
 
@@ -497,11 +581,12 @@ def run_replay(
     batch = scaled_rounds(dataset, rounds, features)
     del rounds
     if isinstance(policy, CambPolicy):
-        probs, sampled, trajectories = _camb_scores(batch, shown, policy, rng, thin_every)
+        layout = offer_layout(batch)
+        probs, sampled, trajectories = _camb_scores(batch, layout, shown, policy, rng, thin_every)
         ob = batch.offer_bounds.tolist()
         played = (
             (t, offers, offers.ranking(probs[a:b].tolist(), sampled[a:b].tolist()))
-            for t, (offers, a, b) in enumerate(zip(offer_rounds(batch), ob, ob[1:]), start=1)
+            for t, (offers, a, b) in enumerate(zip(offer_rounds(batch, layout), ob, ob[1:]), start=1)
         )
     else:
         trajectories = TrajectoryStore(thin_every)
@@ -540,8 +625,8 @@ def _replay_rounds(
 
 
 def _camb_scores(
-    batch: RoundBatch, shown: list[list[tuple[int, int]]], policy: CambPolicy, rng: np.random.Generator,
-    thin_every: int,
+    batch: RoundBatch, layout: tuple, shown: list[list[tuple[int, int]]], policy: CambPolicy,
+    rng: np.random.Generator, thin_every: int,
 ) -> tuple[np.ndarray, np.ndarray, TrajectoryStore]:
     """Every offer slot's probability and sampled score, as
     CambPolicy.select scores them round by round between the updates,
@@ -553,14 +638,13 @@ def _camb_scores(
     recorded in the trajectory. The store trains on them with its wave
     step, and each candidate row is predicted under its pair's weights as
     they stood before its round's own events, which is what select reads
-    in that round. One Beta call then draws in select's order, by round
-    and then offer id, with each round's kappa.
+    in that round. _offer_scores then pools and draws them as select
+    does; layout is the batch's offer_layout.
     """
-    store, learner, exploration = policy.store, policy.learner, policy.exploration
-    starts, weights, round_of, order = offer_layout(batch)
-    rows_per_round = np.diff(batch.row_bounds)
-    row_round = np.repeat(np.arange(len(batch)), rows_per_round)
-    row_member = list(chain.from_iterable(map(repeat, batch.members, rows_per_round.tolist())))
+    store = policy.store
+    starts, weights, round_of, order = layout
+    row_round = np.repeat(np.arange(len(batch)), np.diff(batch.row_bounds))
+    row_member = _row_members(batch)
     # Each shown offer's slot in the batch and its label, then its rows.
     k, y = np.array([e for trained in shown for e in trained], dtype=np.intp).reshape(-1, 2).T
     slots = k + np.repeat(batch.offer_bounds[:-1], [len(trained) for trained in shown])
@@ -573,16 +657,12 @@ def _camb_scores(
     ev_rows = store.rows(ev_members, ev_categories)
     at = store.find(row_member, batch.categories)
     p, W_after, n_after = store.train_as_of(
-        ev_rows, batch.X[events], y.repeat(sizes), row_round[events], at, batch.X, row_round, learner
+        ev_rows, batch.X[events], y.repeat(sizes), row_round[events], at, batch.X, row_round, policy.learner
     )
     trajectories = TrajectoryStore.from_columns(
         ev_members, ev_categories, W_after.tolist(), n_after.tolist(), list(range(1, len(events) + 1)), thin_every
     )
-    probs = offer_probabilities(p, weights, starts, batch.mf_scores, learner.mf_bias_coeff)
-    kappa = np.array([kappa_at(t, exploration) for t in range(len(batch))])
-    sampled = np.empty_like(probs)
-    sampled[order] = sample_beta_rows(probs[order], kappa[round_of[order]], rng, exploration.probability_clamp)
-    return probs, sampled, trajectories
+    return (*_offer_scores(p, weights, starts, batch.mf_scores, round_of, order, 1, policy, rng), trajectories)
 
 
 def backfit_events(dataset: ReplayDataset, features: FeaturesSection) -> tuple[RoundBatch, np.ndarray, dict[str, int]]:
@@ -610,8 +690,34 @@ def backfit_events(dataset: ReplayDataset, features: FeaturesSection) -> tuple[R
     return batch, y, {"shown_offers_not_featurized": skipped}
 
 
+def _json_value(x) -> str:
+    """None, a bool, an int or a float as json.dumps writes it."""
+    if x is None:
+        return "null"
+    if x is True or x is False:
+        return "true" if x else "false"
+    if x.__class__ is float and x - x == 0.0:  # finite: json.dumps names NaN and the infinities
+        return float.__repr__(x)
+    if x.__class__ is int:
+        return int.__repr__(x)
+    return json.dumps(x)
+
+
 def write_roundlog(path: str | Path, records: Sequence[RoundRecord]) -> None:
-    write_jsonl(path, map(vars, records))
+    """One line per record, equal to json.dumps(vars(record),
+    sort_keys=True). The fields are fixed, so each line fills one
+    template: each distinct id is encoded once, and the ranked list,
+    mostly floats, goes to json's C encoder whole."""
+    q = {i: json.dumps(i) for i in {i for r in records for i in (r.chosen, r.member_id, r.oracle_best)}}
+    v, dumps = _json_value, json.dumps
+
+    def line(r: RoundRecord) -> str:
+        return (f'{{"chosen": {q[r.chosen]}, "chosen_true_p": {v(r.chosen_true_p)}, "matched": {v(r.matched)}, '
+                f'"member_id": {q[r.member_id]}, "oracle_best": {q[r.oracle_best]}, "oracle_p": {v(r.oracle_p)}, '
+                f'"ranked": {dumps(r.ranked)}, "t": {v(r.t)}, "y": {v(r.y)}}}\n')
+
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.writelines(map(line, records))
 
 
 def write_metrics_csv(path: str | Path, records: Sequence[RoundRecord]) -> None:

@@ -288,11 +288,11 @@ class TestBackfitAndReplay:
         assert "replayed" in capsys.readouterr().out
 
     @staticmethod
-    def assert_diverges(demo_data, tmp_path, capsys, command, written):
+    def assert_diverges(demo_data, tmp_path, capsys, command, written, policy="camb"):
         out = tmp_path / f"{command}_diverged"
         cfg = write_config(
             tmp_path / f"{command}_diverged.json",
-            policy="camb",
+            policy=policy,
             learner={"learning_rate": 1e308},
             data=data_section(demo_data),
             run={"seed": 2, "out_dir": str(out)},
@@ -310,6 +310,10 @@ class TestBackfitAndReplay:
 
     def test_replay_with_a_diverging_learning_rate_exits_1(self, demo_data, tmp_path, capsys):
         self.assert_diverges(demo_data, tmp_path, capsys, "replay", "rounds.jsonl")
+
+    @pytest.mark.parametrize("policy", ["camb", "egreedy"])
+    def test_simulate_with_a_diverging_learning_rate_exits_1(self, demo_data, tmp_path, capsys, policy):
+        self.assert_diverges(demo_data, tmp_path, capsys, "simulate", "rounds.jsonl", policy)
 
     def test_replay_can_start_from_backfit_checkpoint(self, demo_data, backfit_dir, tmp_path):
         out = tmp_path / "replay_warm"

@@ -57,6 +57,7 @@ from offerbandit.harness import (
     scaled_rounds,
     write_metrics_csv,
     write_roundlog,
+    _segment_bounds,
 )
 
 LEARNER = LearnerConfig()
@@ -531,6 +532,20 @@ class TestMetrics:
             assert float(row["regret"]) == pytest.approx(regret)
             assert float(row["optimal_rate"]) == pytest.approx(optimal / i)
 
+    def test_roundlog_lines_are_json_dumps_of_each_record(self, tmp_path):
+        records = [
+            RoundRecord(t=1, member_id='m"1', ranked=[("o\u00e91", float("nan"), None), ('o"2', 0.1, 0.25)],
+                        chosen="o\u00e91", y=None, matched=False),
+            RoundRecord(t=2, member_id="m\u00e9", ranked=[('o"2', float("inf"), -0.0), ("o3", None, float("-inf"))],
+                        chosen='o"2', y=1, oracle_best="o3", oracle_p=1 / 3, chosen_true_p=2e-300, matched=True),
+            RoundRecord(t=3, member_id='m"1', ranked=[], chosen="o3", y=0, oracle_best="o\u00e91", oracle_p=0.5,
+                        chosen_true_p=float("nan")),
+        ]
+        path = tmp_path / "rounds.jsonl"
+        write_roundlog(path, records)
+        expected = "".join(json.dumps(vars(r), sort_keys=True) + "\n" for r in records)
+        assert path.read_text(encoding="utf-8") == expected
+
     def test_metrics_csv_blanks_oracle_columns_on_replay(self, tmp_path):
         records = [
             RoundRecord(t=1, member_id="m", ranked=[], chosen="o1", y=None, matched=False),
@@ -759,6 +774,74 @@ def warm_replay(tmp_path):
     save_checkpoint(checkpoint, store, LEARNER)
     exploration = ExplorationConfig(kappa_initial=4.0, kappa_schedule="linear_growth", kappa_growth_rate=0.05)
     return ReplayDataset(transactions, offers, impressions[60:]), checkpoint, exploration
+
+
+class PerRoundCamb:
+    """camb played round by round: not a CambPolicy, so run_synthetic
+    asks its select for every round, between the updates."""
+
+    name = "camb"
+
+    def __init__(self, camb):
+        self.select, self.update = camb.select, camb.update
+
+
+class RenamedOffers(SyntheticWorld):
+    """A SyntheticWorld whose offer ids sort in the reverse of slot order,
+    so that select's draws in sorted-id order are not in slot order."""
+
+    def draw_rounds(self, n_rounds, rng):
+        batch = super().draw_rounds(n_rounds, rng)
+        batch.offer_ids = [f"z{9 - int(oid[1:])}" for oid in batch.offer_ids]
+        return batch
+
+
+class TestCambSimulate:
+    """camb's simulate scores each segment of rounds with distinct members
+    at once; it must give what select and update give round by round."""
+
+    def test_segments_are_maximal_runs_of_distinct_members(self):
+        assert _segment_bounds(["a", "b", "a", "c", "c", "d", "b", "a"]) == [0, 2, 4, 8]
+        assert _segment_bounds(["a"]) == [0, 1]
+
+    @pytest.mark.parametrize("world_cls, shape, rounds, thin_every", [
+        # The shipped world of configs/simulate_camb.json: segments of about two rounds.
+        (SyntheticWorld, dict(n_categories=5, n_members=4, offers_per_round=5), 1100, 1),
+        # Segments of dozens of rounds, one of them cut by the chunk boundary at round 1024.
+        (RenamedOffers, dict(n_categories=5, n_members=2000, offers_per_round=5), 1100, 1),
+        (RenamedOffers, dict(n_categories=5, n_members=40, offers_per_round=4, mf_bias_coeff=0.5), 1100, 3),
+    ])
+    def test_equals_a_per_round_select_and_update_reference(self, world_cls, shape, rounds, thin_every, monkeypatch,
+                                                            tmp_path):
+        world = world_cls(SyntheticWorldConfig(seed=100, **shape))
+        exploration = ExplorationConfig(kappa_initial=10.0, kappa_schedule="linear_growth", kappa_growth_rate=0.01)
+        learner = LearnerConfig(mf_bias_coeff=1.0)
+        runs = []
+        for wrap in (False, True):
+            camb = make_policy("camb", learner, exploration)
+            if not wrap:
+                camb.select = None  # the segment path never calls it
+            generators = []
+            default_rng = np.random.default_rng
+            with monkeypatch.context() as patch:
+                patch.setattr(np.random, "default_rng", lambda seed: generators.append(default_rng(seed)) or generators[-1])
+                result = run_synthetic(world, PerRoundCamb(camb) if wrap else camb, rounds, seed=5,
+                                       thin_every=thin_every)
+            runs.append((result, camb.store, [g.bit_generator.state for g in generators]))
+        (got, got_store, got_rngs), (want, want_store, want_rngs) = runs
+
+        lengths = np.diff(_segment_bounds([r.member_id for r in want.records[:1024]]))
+        assert lengths.max() > 1 and (lengths.mean() > 20) == (shape["n_members"] == 2000)
+        assert [vars(r) for r in got.records] == [vars(r) for r in want.records]
+        got.trajectories.save(tmp_path / "got.jsonl")
+        want.trajectories.save(tmp_path / "want.jsonl")
+        assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+        assert list(got_store._rows) == list(want_store._rows)
+        for key in want_store._rows:
+            a, b = got_store.get(*key), want_store.get(*key)
+            assert a.update_count == b.update_count
+            assert a.weights.tobytes() == b.weights.tobytes()
+        assert got_rngs == want_rngs
 
 
 class TestCambReplay:
